@@ -8,10 +8,9 @@ requests) is replayed through the AccessControlEngine on every backend and
 the decision throughput is reported.
 
 PERF-8 drives the workload generator's **bulk_audience scenario**: grouped
-``authorized_audiences`` requests are answered three ways — a per-resource
-``authorized_audience`` loop, the grouped sweep pinned to the per-owner
-``"batched"`` baseline, and the grouped multi-source owner-bitset sweep —
-and the three modes are reported side by side (they must agree exactly).
+``authorized_audiences`` requests are answered two ways — a per-resource
+``authorized_audience`` loop and the grouped multi-source owner-bitset sweep
+— and the modes are reported side by side (they must agree exactly).
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def test_enforcement_throughput_memoized(benchmark):
 
 
 def test_bulk_audience_modes(benchmark):
-    """PERF-8: per-resource loop vs grouped batched vs grouped multi-source."""
+    """PERF-8: per-resource loop vs grouped multi-source sweep."""
     workload = _workload()
     engine = _engine("bfs")  # cache_size=0: every mode pays its own sweeps
     batches = workload.audience_requests
@@ -134,25 +133,17 @@ def test_bulk_audience_modes(benchmark):
             for batch in batches
         ]
 
-    def bulk(direction):
-        return [
-            engine.authorized_audiences(batch, direction=direction)
-            for batch in batches
-        ]
+    def bulk():
+        return [engine.authorized_audiences(batch) for batch in batches]
 
-    modes = {
-        "per-resource loop": per_resource,
-        "bulk batched (PR 2)": lambda: bulk("batched"),
-        "bulk multi-source": lambda: bulk("auto"),
-    }
+    modes = {"per-resource loop": per_resource, "bulk multi-source": bulk}
     results = {}
     timings = {}
     for mode, run in modes.items():
         with Timer() as timer:
             results[mode] = run()
         timings[mode] = timer.elapsed
-    # The three modes must materialize identical audiences.
-    assert results["per-resource loop"] == results["bulk batched (PR 2)"]
+    # Both modes must materialize identical audiences.
     assert results["per-resource loop"] == results["bulk multi-source"]
 
     audiences = sum(len(batch) for batch in batches)
@@ -166,7 +157,7 @@ def test_bulk_audience_modes(benchmark):
             audiences_per_second=audiences / seconds if seconds else float("inf"),
             speedup=round(baseline / seconds, 2) if seconds else float("inf"),
         )
-    benchmark.pedantic(lambda: bulk("auto"), rounds=3, iterations=1)
+    benchmark.pedantic(bulk, rounds=3, iterations=1)
     # The sweep planner ran: the plan-carrying bulk API reports one executed
     # plan per distinct expression of the last batch.
     _audiences, plans = engine.audiences_with_plans(batches[-1])
@@ -178,4 +169,4 @@ def test_zzz_report(benchmark):
     record_table("perf3_access_throughput", _SERIES.to_table())
     record_table("perf8_audience_modes", _AUDIENCE_SERIES.to_table())
     assert len(_SERIES.rows) == len(available_backends()) + 1
-    assert len(_AUDIENCE_SERIES.rows) == 3
+    assert len(_AUDIENCE_SERIES.rows) == 2

@@ -1,22 +1,16 @@
-"""PERF-7 — multi-source owner-bitset audience sweep vs the PR 2 batched sweep.
+"""PERF-7 — multi-source owner-bitset audience sweep and its direction planner.
 
-The PR 2 batched sweep (``audience_sweep_batched``) hoists the per-state CSR
-selections out of the edge loop but still walks one ``(owner, automaton)``
-product per owner, so on frontier-heavy expressions every owner re-expands
-nearly the same neighbourhood.  The multi-source sweep (``audience_sweep``)
-keeps an owner bitmask per ``(node, state)`` slot and propagates *new* bits
-only, so overlapping owner frontiers are traversed once; a direction planner
-additionally chooses between sweeping forward from the owners and backward
-from the whole vertex set over the reversed automaton.
+The multi-source sweep (``audience_sweep``) keeps an owner bitmask per
+``(node, state)`` slot and propagates *new* bits only, so overlapping owner
+frontiers are traversed once; a direction planner chooses between sweeping
+forward from the owners and backward from the whole vertex set over the
+reversed automaton.  (The per-owner sweep it replaced is gone; the committed
+PERF-7 artefact records its 3.6-11.5x loss.)
 
 The experiment measures, on the 5000-user scalability graph (300 users in
 ``BENCH_SMOKE=1`` mode, the CI smoke job), for each expression and owner
-count:
-
-1. the PR 2 batched sweep (baseline);
-2. the multi-source sweep pinned forward and pinned reverse;
-3. the planner's ``auto`` choice (the acceptance row: >= 3x over the
-   baseline at 5000 users with >= 64 owners).
+count: the sweep pinned forward, pinned reverse, and the planner's ``auto``
+choice.
 
 A second experiment exercises the planner's **reverse arm** for real (the
 ROADMAP open item): a huge-owner-set workload — audiences for 25% / 50% /
@@ -43,11 +37,7 @@ from pathlib import Path
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
-from repro.reachability.compiled_search import (
-    AutomatonCache,
-    audience_sweep,
-    audience_sweep_batched,
-)
+from repro.reachability.compiled_search import AutomatonCache, audience_sweep
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -59,16 +49,13 @@ OWNER_COUNTS = (16,) if SMOKE else (64, 128, 256)
 #: (`*`-direction walks, deep friend balls) with the selective accepts real
 #: rules have (a rare final label, an attribute threshold).  Per owner the
 #: product walk explores a large, heavily shared neighbourhood and accepts a
-#: modest audience, which is exactly where per-owner re-expansion hurts.
+#: modest audience.
 EXPRESSIONS = (
     "friend*[1,4]{age >= 60}",
     "friend+[1,5]/parent+[1]",
     "friend*[1,4]/colleague+[1]",
     "friend*[1,3]/parent+[1]{age >= 40}",
 )
-
-#: Full-size acceptance floor for the planner's auto choice at >= 64 owners.
-SPEEDUP_TARGET = 3.0
 
 #: The reverse-arm workload: a hub-heavy ``*`` walk into a rare final label.
 #: Reversed (``parent-[1]/friend*[1,3]``) the selective label leads, so a
@@ -93,8 +80,7 @@ def run_benchmark() -> dict:
 
     # Owners are the active users whose audiences are worth materializing in
     # bulk — the highest-degree hubs.  Their frontiers overlap the most,
-    # which is the regime the multi-source sweep exists for (and the regime
-    # where the per-owner baseline degrades linearly).
+    # which is the regime the multi-source sweep exists for.
     by_degree = sorted(
         range(node_count),
         key=lambda node: -(snapshot.out_degree(node) + snapshot.in_degree(node)),
@@ -106,10 +92,6 @@ def run_benchmark() -> dict:
         automaton = automata.get(expression, snapshot)
         for owner_count in OWNER_COUNTS:
             owners = by_degree[: min(owner_count, node_count)]
-
-            batched_seconds, batched = _timed(
-                lambda: audience_sweep_batched(snapshot, automaton, owners)
-            )
             forward_seconds, forward = _timed(
                 lambda: audience_sweep(snapshot, automaton, owners, direction="forward")
             )
@@ -120,9 +102,9 @@ def run_benchmark() -> dict:
                 lambda: audience_sweep(snapshot, automaton, owners)
             )
 
-            # Every variant must materialize identical audiences.
-            reference = [set(audience) for audience in batched]
-            for name, sweep in (("forward", forward), ("reverse", reverse), ("auto", auto)):
+            # Every direction must materialize identical audiences.
+            reference = [set(audience) for audience in forward.audiences]
+            for name, sweep in (("reverse", reverse), ("auto", auto)):
                 got = [set(audience) for audience in sweep.audiences]
                 assert got == reference, (text, owner_count, name)
 
@@ -131,16 +113,12 @@ def run_benchmark() -> dict:
                     "expression": text,
                     "owners": len(owners),
                     "audience_nodes": sum(len(a) for a in reference),
-                    "batched_seconds": batched_seconds,
                     "forward_seconds": forward_seconds,
                     "reverse_seconds": reverse_seconds,
                     "auto_seconds": auto_seconds,
                     "auto_direction": auto.plan.direction,
                     "planned_forward_cost": auto.plan.forward_cost,
                     "planned_reverse_cost": auto.plan.reverse_cost,
-                    "speedup_auto": batched_seconds / auto_seconds,
-                    "speedup_forward": batched_seconds / forward_seconds,
-                    "speedup_reverse": batched_seconds / reverse_seconds,
                 }
             )
 
@@ -177,7 +155,6 @@ def run_benchmark() -> dict:
         "users": graph.number_of_users(),
         "relationships": graph.number_of_relationships(),
         "owner_counts": list(OWNER_COUNTS),
-        "speedup_target": SPEEDUP_TARGET,
         "rows": rows,
         "reverse_arm_rows": reverse_rows,
     }
@@ -185,19 +162,19 @@ def run_benchmark() -> dict:
 
 def _format_table(summary: dict) -> str:
     lines = [
-        "PERF-7 — multi-source owner-bitset audience sweep vs PR 2 batched",
+        "PERF-7 — multi-source owner-bitset audience sweep",
         f"graph: {summary['users']} users, {summary['relationships']} relationships"
         + (" (SMOKE)" if summary["smoke"] else ""),
         "",
-        f"{'expression':<28} {'owners':>6} {'batched s':>10} {'multi s':>8} "
-        f"{'speedup':>8} {'plan':>8}",
-        "-" * 74,
+        f"{'expression':<28} {'owners':>6} {'forward s':>10} {'reverse s':>10} "
+        f"{'auto s':>8} {'plan':>8}",
+        "-" * 76,
     ]
     for row in summary["rows"]:
         lines.append(
             f"{row['expression']:<28} {row['owners']:>6} "
-            f"{row['batched_seconds']:>10.3f} {row['auto_seconds']:>8.3f} "
-            f"{row['speedup_auto']:>7.1f}x {row['auto_direction']:>8}"
+            f"{row['forward_seconds']:>10.3f} {row['reverse_seconds']:>10.3f} "
+            f"{row['auto_seconds']:>8.3f} {row['auto_direction']:>8}"
         )
     lines += [
         "",
@@ -214,28 +191,17 @@ def _format_table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _meets_target(summary: dict) -> bool:
-    relevant = [row for row in summary["rows"] if row["owners"] >= 64]
-    return bool(relevant) and all(
-        row["speedup_auto"] >= SPEEDUP_TARGET for row in relevant
-    )
-
-
 def _planner_flips_to_reverse(summary: dict) -> bool:
     """The whole-vertex-set owner batch must be planned as a reverse sweep."""
     full = [row for row in summary["reverse_arm_rows"] if row["fraction"] == 1.0]
     return bool(full) and all(row["auto_direction"] == "reverse" for row in full)
 
 
-def test_multisource_sweep_beats_the_batched_baseline():
+def test_sweep_directions_agree_and_the_planner_flips_to_reverse():
     summary = run_benchmark()
-    table = _format_table(summary)
     print()
-    print(table)
+    print(_format_table(summary))
     assert _planner_flips_to_reverse(summary), summary["reverse_arm_rows"]
-    if SMOKE:
-        return  # agreement already asserted; ratios are noise at smoke size
-    assert _meets_target(summary), summary["rows"]
 
 
 if __name__ == "__main__":
@@ -253,8 +219,4 @@ if __name__ == "__main__":
         (RESULTS_DIR / "perf7_audience_multisource.txt").write_text(
             table + "\n", encoding="utf-8"
         )
-    sys.exit(
-        0
-        if (_planner_flips_to_reverse(summary) and (summary["smoke"] or _meets_target(summary)))
-        else 1
-    )
+    sys.exit(0 if _planner_flips_to_reverse(summary) else 1)

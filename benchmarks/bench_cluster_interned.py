@@ -2,12 +2,13 @@
 
 Two baselines fall in this experiment:
 
-* **string-id cluster index** — the seed pipeline built the 2-hop labeling
-  from ``LineGraph.adjacency()`` (a dict of string-id sets) and matched line
-  queries by chaining string vertex ids through per-vertex successor-set
-  copies.  The interned stack (:mod:`repro.reachability.interned`) runs the
-  same condensation + cover + matching on ``array('l')`` CSR structures
-  derived from the compiled snapshot, decoding strings only for witnesses.
+* **string-id 2-hop construction** — the seed pipeline built the 2-hop
+  labeling from ``LineGraph.adjacency()`` (a dict of string-id sets).  The
+  interned stack (:mod:`repro.reachability.interned`) runs the same
+  condensation + cover on ``array('l')`` CSR structures derived from the
+  compiled snapshot, decoding strings only for witnesses.  (The string-id
+  line-query *matcher* this experiment also used to time is gone; the
+  committed PERF-6 artefact records its 3.7-4.4x loss.)
 * **per-owner audience loop** — ``find_targets`` once per owner recompiles
   nothing (the automaton cache already helps) but pays per-call set churn;
   ``ReachabilityEngine.find_targets_many`` sweeps all owners over hoisted
@@ -18,8 +19,8 @@ The experiment measures, on the 5000-user scalability graph (300 users in
 
 1. index build — interned vs string-id 2-hop construction (forward-only,
    the paper's setting);
-2. cluster-index queries — ``evaluate`` mix + hub ``find_targets`` with
-   ``interned=True`` vs ``interned=False`` (results must be identical);
+2. cluster-index queries — ``evaluate`` mix + hub ``find_targets`` on the
+   interned matcher (timed; answers must equal the BFS backend's);
 3. audience materialization — per-owner loop vs batched sweep over the BFS
    backend (results must be identical).
 
@@ -38,6 +39,7 @@ from pathlib import Path
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
+from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.engine import ReachabilityEngine
 from repro.reachability.interned import InternedLineIndex
@@ -69,7 +71,6 @@ AUDIENCE_EXPRESSIONS = ("friend+[1,3]", "friend*[1,2]")
 # Full-size acceptance floors; smoke mode only checks agreement (tiny graphs
 # make wall-clock ratios noise).
 BUILD_TARGET = 1.2
-QUERY_TARGET = 1.5
 AUDIENCE_TARGET = 1.1
 
 
@@ -101,7 +102,7 @@ def bench_build(graph) -> dict:
 
 
 def bench_queries(graph) -> dict:
-    """The same cluster-index workload through the interned and string matchers."""
+    """Time the cluster-index workload; answers must equal the BFS backend's."""
     users = sorted(graph.users(), key=str)
     hubs = sorted(users, key=lambda user: -graph.out_degree(user))[:HUB_OWNERS]
     pairs = [
@@ -111,44 +112,37 @@ def bench_queries(graph) -> dict:
     evaluate_expressions = [PathExpression.parse(text) for text in QUERY_EXPRESSIONS]
     hub_expressions = [PathExpression.parse(text) for text in HUB_EXPRESSIONS]
 
-    runs = {}
-    for interned in (True, False):
-        evaluator = ClusterIndexEvaluator(
-            graph, include_reverse=False, interned=interned
-        ).build()
+    def workload(evaluator):
         started = time.perf_counter()
-        decisions = []
-        for expression in evaluate_expressions:
-            for source, target in pairs:
-                decisions.append(
-                    evaluator.evaluate(source, target, expression,
-                                       collect_witness=False).reachable
-                )
+        decisions = [
+            evaluator.evaluate(source, target, expression, collect_witness=False).reachable
+            for expression in evaluate_expressions
+            for source, target in pairs
+        ]
         evaluate_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        audiences = []
-        for source in hubs:
-            for expression in hub_expressions:
-                audiences.append(frozenset(evaluator.find_targets(source, expression)))
+        audiences = [
+            frozenset(evaluator.find_targets(source, expression))
+            for source in hubs
+            for expression in hub_expressions
+        ]
         find_targets_seconds = time.perf_counter() - started
-        runs["interned" if interned else "strings"] = {
+        return decisions, audiences, evaluate_seconds, find_targets_seconds
+
+    decisions, audiences, evaluate_seconds, find_targets_seconds = workload(
+        ClusterIndexEvaluator(graph, include_reverse=False).build()
+    )
+    expected_decisions, expected_audiences, _, _ = workload(OnlineBFSEvaluator(graph))
+    assert decisions == expected_decisions
+    assert audiences == expected_audiences
+    return {
+        "evaluate_queries": len(decisions),
+        "audience_queries": len(audiences),
+        "interned": {
             "evaluate_seconds": evaluate_seconds,
             "find_targets_seconds": find_targets_seconds,
             "total_seconds": evaluate_seconds + find_targets_seconds,
-            "decisions": decisions,
-            "audiences": audiences,
-        }
-    # The two matchers must agree on every decision and audience.
-    assert runs["interned"]["decisions"] == runs["strings"]["decisions"]
-    assert runs["interned"]["audiences"] == runs["strings"]["audiences"]
-    return {
-        "evaluate_queries": len(runs["interned"]["decisions"]),
-        "audience_queries": len(runs["interned"]["audiences"]),
-        "interned": {k: v for k, v in runs["interned"].items()
-                     if k not in ("decisions", "audiences")},
-        "strings": {k: v for k, v in runs["strings"].items()
-                    if k not in ("decisions", "audiences")},
-        "speedup": runs["strings"]["total_seconds"] / runs["interned"]["total_seconds"],
+        },
     }
 
 
@@ -188,8 +182,8 @@ def _format_table(summary: dict) -> str:
         "-" * 64,
         f"{'index build (2-hop)':<28} {build['string_seconds']:>14.3f} "
         f"{build['interned_seconds']:>11.3f} {build['speedup']:>7.1f}x",
-        f"{'cluster queries':<28} {queries['strings']['total_seconds']:>14.3f} "
-        f"{queries['interned']['total_seconds']:>11.3f} {queries['speedup']:>7.1f}x",
+        f"{'cluster queries':<28} {'-':>14} "
+        f"{queries['interned']['total_seconds']:>11.3f} {'-':>8}",
         f"{'audience materialization':<28} {audiences['loop_seconds']:>14.3f} "
         f"{audiences['batched_seconds']:>11.3f} {audiences['speedup']:>7.1f}x",
     ]
@@ -205,7 +199,6 @@ def run_benchmark() -> dict:
         "relationships": graph.number_of_relationships(),
         "targets": {
             "build": BUILD_TARGET,
-            "queries": QUERY_TARGET,
             "audiences": AUDIENCE_TARGET,
         },
         "build": bench_build(graph),
@@ -231,7 +224,6 @@ def test_interned_cluster_stack_beats_the_string_baselines():
     if SMOKE:
         return  # agreement already asserted; ratios are noise at smoke size
     assert summary["build"]["speedup"] >= BUILD_TARGET, summary["build"]
-    assert summary["queries"]["speedup"] >= QUERY_TARGET, summary["queries"]
     assert summary["audiences"]["speedup"] >= AUDIENCE_TARGET, summary["audiences"]
 
 
@@ -241,7 +233,6 @@ if __name__ == "__main__":
     result = run_benchmark()
     ok = result["smoke"] or (
         result["build"]["speedup"] >= BUILD_TARGET
-        and result["queries"]["speedup"] >= QUERY_TARGET
         and result["audiences"]["speedup"] >= AUDIENCE_TARGET
     )
     sys.exit(0 if ok else 1)

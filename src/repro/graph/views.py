@@ -31,7 +31,9 @@ class GraphView:
     The view exposes the subset of the graph API needed by the traversal
     engines (successor / predecessor iteration and attribute lookups); it
     never materializes a copy.  Users excluded by the user predicate are
-    invisible along with all their relationships.
+    invisible along with all their relationships.  The reachability
+    evaluators search compiled snapshots and reject a view with ``TypeError``:
+    :meth:`materialize` it first, or walk it with :mod:`repro.testing.oracle`.
     """
 
     def __init__(

@@ -31,9 +31,7 @@ with one multi-source owner-bitset sweep; ``direction=`` pins that sweep's
 planner and the executed per-expression
 :class:`~repro.reachability.compiled_search.SweepPlan` objects are
 **returned with the audiences** (no entry for expressions served entirely
-from the memo).  The legacy :attr:`AccessControlEngine.last_audience_plans`
-attribute survives as a deprecated read-property mirroring the most recent
-:meth:`authorized_audiences` call.
+from the memo).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro._deprecation import warn_deprecated
 from repro.graph.social_graph import SocialGraph
 from repro.policy.audit import AuditLog
 from repro.policy.decisions import AccessDecision, ConditionOutcome, Effect, RuleOutcome
@@ -85,32 +82,6 @@ class AccessControlEngine:
             self.reachability = ReachabilityEngine(graph, backend, **backend_options)
         self.default_effect = default_effect
         self.audit_log = audit_log
-        # Executed sweep plans of the most recent bulk audience call, keyed
-        # by expression text.  Exposed only through the deprecated
-        # ``last_audience_plans`` property — :meth:`audiences_with_plans`
-        # returns the plans with the audiences they describe.
-        self._last_audience_plans: Dict[str, object] = {}
-
-    @property
-    def last_audience_plans(self) -> Dict[str, object]:
-        """Deprecated side-channel: plans of the most recent bulk audience call.
-
-        Empty for expressions served entirely from the memo.  Prefer
-        :meth:`audiences_with_plans`, which returns the executed plans with
-        the audiences — this attribute reflects only the latest call and is
-        overwritten by the next one.
-        """
-        warn_deprecated(
-            "AccessControlEngine.last_audience_plans is a deprecated "
-            "side-channel; use audiences_with_plans() (or "
-            "GraphService.bulk_access) which return the executed plans with "
-            "the result"
-        )
-        return self._last_audience_plans
-
-    @last_audience_plans.setter
-    def last_audience_plans(self, plans: Dict[str, object]) -> None:
-        self._last_audience_plans = plans
 
     # ------------------------------------------------------------------ api
 
@@ -218,8 +189,7 @@ class AccessControlEngine:
         :meth:`ReachabilityEngine.sweep_targets_many` call — a single
         multi-source owner-bitset sweep shared by every owner of the group —
         then recombined per rule.  ``direction`` pins the sweep planner
-        (forward from the owners, reverse from the whole vertex set, or the
-        per-owner ``"batched"`` baseline).
+        (forward from the owners or reverse from the whole vertex set).
 
         Returns ``(audiences, plans)`` where ``plans`` maps expression text
         to the executed :class:`~repro.reachability.compiled_search.
@@ -264,16 +234,8 @@ class AccessControlEngine:
         *,
         direction: str = "auto",
     ) -> Dict[Hashable, Set[Hashable]]:
-        """Audiences-only form of :meth:`audiences_with_plans`.
-
-        Kept for callers that do not need the executed plans; they are still
-        mirrored on the deprecated ``last_audience_plans`` side-channel.
-        """
-        audiences, plans = self.audiences_with_plans(
-            resource_ids, direction=direction
-        )
-        self._last_audience_plans = plans
-        return audiences
+        """Audiences-only form of :meth:`audiences_with_plans`."""
+        return self.audiences_with_plans(resource_ids, direction=direction)[0]
 
     def _rule_audience(self, rule: AccessRule) -> Set[Hashable]:
         audience_of = {

@@ -17,7 +17,6 @@ from repro.reachability.compiled_search import (
     SearchOutcome,
     SweepPlan,
     audience_sweep,
-    audience_sweep_batched,
     plan_audience_sweep,
     product_search,
     reversed_automaton,
@@ -58,7 +57,6 @@ __all__ = [
     "AudienceSweep",
     "product_search",
     "audience_sweep",
-    "audience_sweep_batched",
     "plan_audience_sweep",
     "reversed_expression",
     "reversed_automaton",

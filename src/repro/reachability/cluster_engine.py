@@ -25,41 +25,37 @@ and recorded in docs/architecture.md:
   materialized — materializing the full cartesian pattern-match first can be
   exponentially larger, and filtering early yields exactly the same final
   tuple set (adjacency is a per-consecutive-pair predicate);
-* on the default interned path the assembly additionally deduplicates
-  chains by their tail vertex at every position: whether a partial tuple can
-  be extended depends only on its last line vertex, so one representative
-  chain (with parent links for witness decoding) stands for all chains
-  sharing a tail — the frontier is bounded by the number of line vertices
-  instead of growing with the number of distinct paths.
+* the assembly additionally deduplicates chains by their tail vertex at
+  every position: whether a partial tuple can be extended depends only on
+  its last line vertex, so one representative chain (with parent links for
+  witness decoding) stands for all chains sharing a tail — the frontier is
+  bounded by the number of line vertices instead of growing with the number
+  of distinct paths.
 
-By default the matching runs on the snapshot's
+The matching runs on the snapshot's
 :class:`~repro.reachability.interned.InternedLineIndex` — line vertices are
 dense ints, the frontier is deduplicated through ``bytearray`` seen-sets and
-string ids are decoded only for witness paths.  ``interned=False`` keeps the
-legacy string-id matching over the :class:`LineGraph` /
-:class:`JoinIndex` structures (the benchmark harness compares the two).
+string ids are decoded only for witness paths.  The string-facing
+:class:`LineGraph` / :class:`JoinIndex` structures (the paper's Figure 3/5/6/7
+artefacts) are decoded lazily, for :meth:`ClusterIndexEvaluator.statistics`
+and inspection only.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import IndexNotBuiltError, NodeNotFoundError
-from repro.graph.paths import Path, Traversal
-from repro.graph.social_graph import SocialGraph, raw_attributes_getter
+from repro.graph.paths import Path
+from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
-from repro.reachability.compiled_search import (
-    AutomatonCache,
-    SweepPlanSideChannel,
-    audience_sweep,
-)
+from repro.reachability.compiled_search import AutomatonCache, audience_sweep
 from repro.reachability.interned import FORWARD_BYTE, InternedLineIndex, interned_line_index
 from repro.reachability.join_index import JoinIndex
-from repro.reachability.linegraph import FORWARD, LineGraph, LineVertex
+from repro.reachability.linegraph import LineGraph
 from repro.reachability.query import (
-    LineHop,
     LineQuery,
     check_expansion_limit,
     expand_line_queries,
@@ -69,12 +65,12 @@ from repro.reliability.guard import active_guard
 
 __all__ = ["ClusterIndexEvaluator"]
 
-#: Per-hop matching spec on the interned path:
+#: Per-hop matching spec:
 #: (label id, allows forward, allows backward, condition step index or -1).
 _HopSpec = Tuple[int, bool, bool, int]
 
 
-class ClusterIndexEvaluator(SweepPlanSideChannel):
+class ClusterIndexEvaluator:
     """Index-backed evaluator (line graph + 2-hop cover + cluster join index)."""
 
     name = "cluster-index"
@@ -86,13 +82,11 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         include_reverse: bool = True,
         expansion_limit: Optional[int] = 4096,
         btree_order: int = 16,
-        interned: bool = True,
     ) -> None:
         self.graph = graph
         self.include_reverse = include_reverse
         self.expansion_limit = expansion_limit
         self._btree_order = btree_order
-        self.interned = interned and isinstance(graph, SocialGraph)
         self._line_graph: Optional[LineGraph] = None
         self._join_index: Optional[JoinIndex] = None
         self._index: Optional[InternedLineIndex] = None
@@ -115,33 +109,26 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
     def build(self) -> "ClusterIndexEvaluator":
         """Construct the index (the expensive, offline part).
 
-        On the interned path only the dense :class:`InternedLineIndex` is
-        built here; the string-facing :class:`LineGraph` / :class:`JoinIndex`
-        views (base tables, clusters, W-table — the paper artifacts) decode
-        from it lazily on first access, so evaluation never pays for them.
-        The legacy path (``interned=False``) needs the views to match
-        queries and builds them eagerly.
+        Only the dense :class:`InternedLineIndex` is built here; the
+        string-facing :class:`LineGraph` / :class:`JoinIndex` views (base
+        tables, clusters, W-table — the paper artifacts) decode from it
+        lazily on first access, so evaluation never pays for them.
         """
         started = time.perf_counter()
         self._line_graph = None
         self._join_index = None
-        if self.interned:
-            # refresh=True: an explicit build() always pays (and re-seeds)
-            # the construction, so build_seconds never times a cache hit.
-            self._index = interned_line_index(
-                self.graph, include_reverse=self.include_reverse, refresh=True
-            )
-            # This evaluator answers every query from the build-time
-            # snapshot (stale-read semantics).  Pin it so delta maintenance
-            # for the online backends never patches the structure this
-            # index's dense arrays were derived from — after the next
-            # mutation, compile_graph() hands everyone else a fresh object.
-            self._index.snapshot.pin()
-        else:
-            self._index = None
+        # refresh=True: an explicit build() always pays (and re-seeds) the
+        # construction, so build_seconds never times a cache hit.
+        self._index = interned_line_index(
+            self.graph, include_reverse=self.include_reverse, refresh=True
+        )
+        # This evaluator answers every query from the build-time snapshot
+        # (stale-read semantics).  Pin it so delta maintenance for the
+        # online backends never patches the structure this index's dense
+        # arrays were derived from — after the next mutation,
+        # compile_graph() hands everyone else a fresh object.
+        self._index.snapshot.pin()
         self._built = True
-        if not self.interned:
-            self._views()
         self.build_seconds = time.perf_counter() - started
         return self
 
@@ -212,7 +199,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
 
         Size metrics include the string-facing artifacts (base-table rows,
         W-table entries, B+-tree nodes), so this call materializes the lazy
-        :class:`LineGraph` / :class:`JoinIndex` views on the interned path.
+        :class:`LineGraph` / :class:`JoinIndex` views.
         The views read the *live* graph: after post-build mutations they
         describe the current graph, while queries keep answering from the
         snapshot captured at :meth:`build` time.
@@ -246,10 +233,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         self._check_directions(expression)
         started = time.perf_counter()
         result = EvaluationResult(reachable=False, backend=self.name)
-        if self._index is not None:
-            self._evaluate_interned(source, target, expression, result, collect_witness)
-        else:
-            self._evaluate_strings(source, target, expression, result, collect_witness)
+        self._evaluate_interned(source, target, expression, result, collect_witness)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -257,15 +241,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         """Return every user reachable from ``source`` under ``expression``."""
         self._require_built()
         self._check_directions(expression)
-        if self._index is not None:
-            return self._find_targets_interned(source, expression, {})
-        result = EvaluationResult(reachable=False, backend=self.name)
-        targets: Set[Hashable] = set()
-        for line_query in expand_line_queries(expression, limit=self.expansion_limit):
-            tuples = self._match_line_query(line_query, expression, source, None, result,
-                                            first_only=False)
-            targets.update(chain[-1].end for chain in tuples)
-        return targets
+        return self._find_targets_interned(source, expression, {})
 
     def sweep_targets_many(
         self,
@@ -276,9 +252,9 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
     ):
         """Materialize audiences for many owners in one multi-source sweep.
 
-        On the interned path the sweep runs the shared owner-bitset product
-        walk (:func:`~repro.reachability.compiled_search.audience_sweep`)
-        over the index's **build-time snapshot**, so the stale-read
+        The sweep runs the shared owner-bitset product walk
+        (:func:`~repro.reachability.compiled_search.audience_sweep`) over
+        the index's **build-time snapshot**, so the stale-read
         semantics match the per-owner :meth:`find_targets` exactly: owners
         added after :meth:`build` (absent from the snapshot) get an empty
         audience instead of raising, and post-build mutations stay
@@ -288,18 +264,12 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         memoizes both under the same key, so diverging here would make
         results call-order dependent).  ``direction`` pins the planner.
 
-        Returns ``({owner: audience}, executed SweepPlan or None)`` — the
-        plan is ``None`` on the legacy string path, which plans nothing.
+        Returns ``({owner: audience}, executed SweepPlan)``.
         """
         self._require_built()
         self._check_directions(expression)
         check_expansion_limit(expression, self.expansion_limit)
         sources = list(sources)
-        if self._index is None:
-            return (
-                {source: self.find_targets(source, expression) for source in sources},
-                None,
-            )
         snapshot = self._index.snapshot
         live_epoch = getattr(self.graph, "epoch", None)
         if live_epoch != self._audience_epoch:
@@ -324,8 +294,11 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
             audiences[sources[position]] = {user_of[node] for node in accepted}
         return audiences, sweep.plan
 
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
+    def find_targets_many(
+        self, sources, expression: PathExpression, *, direction: str = "auto"
+    ) -> Dict[Hashable, Set[Hashable]]:
+        """Audiences-only form of :meth:`sweep_targets_many`."""
+        return self.sweep_targets_many(sources, expression, direction=direction)[0]
 
     def _check_directions(self, expression: PathExpression) -> None:
         """A forward-only line graph cannot evaluate steps that traverse edges backwards."""
@@ -350,9 +323,8 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
         index = self._index
         assert index is not None
         # Users added after build() exist in the live graph but not in the
-        # snapshot; like the string matcher (which simply finds no line
-        # vertices for them) the stale index answers "unreachable" rather
-        # than raising.  -1 is a target sentinel no vertex endpoint matches.
+        # snapshot; the stale index answers "unreachable" rather than
+        # raising.  -1 is a target sentinel no vertex endpoint matches.
         source_index = index.snapshot.node_index.get(source)
         target_index = index.snapshot.node_index.get(target, -1)
         if source_index is None:
@@ -380,8 +352,7 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
     ) -> Set[Hashable]:
         index = self._index
         assert index is not None
-        # The legacy matcher quietly returned an empty audience for unknown
-        # owners (no line vertex starts there); keep that behaviour.
+        # Unknown owners get an empty audience: no line vertex starts there.
         source_index = index.snapshot.node_index.get(source)
         if source_index is None:
             return set()
@@ -559,115 +530,3 @@ class ClusterIndexEvaluator(SweepPlanSideChannel):
             chain.append(current)
         chain.reverse()
         return tuple(chain)
-
-    # ------------------------------------------------- legacy (string) path
-
-    def _evaluate_strings(
-        self,
-        source: Hashable,
-        target: Hashable,
-        expression: PathExpression,
-        result: EvaluationResult,
-        collect_witness: bool,
-    ) -> None:
-        for line_query in expand_line_queries(expression, limit=self.expansion_limit):
-            result.count("line_queries")
-            tuples = self._match_line_query(line_query, expression, source, target, result,
-                                            first_only=True)
-            if tuples:
-                result.reachable = True
-                if collect_witness:
-                    result.witness = self._witness(source, tuples[0])
-                break
-
-    def _hop_matches(self, hop: LineHop, vertex: LineVertex) -> bool:
-        if vertex.label != hop.label:
-            return False
-        if vertex.direction == FORWARD:
-            return hop.direction.allows_forward()
-        return hop.direction.allows_backward()
-
-    def _conditions_hold(self, hop: LineHop, expression: PathExpression, vertex: LineVertex) -> bool:
-        if not hop.closes_step:
-            return True
-        step = expression[hop.step_index]
-        return step.satisfied_by(raw_attributes_getter(self.graph)(vertex.end))
-
-    def _match_line_query(
-        self,
-        line_query: LineQuery,
-        expression: PathExpression,
-        source: Hashable,
-        target: Optional[Hashable],
-        result: EvaluationResult,
-        *,
-        first_only: bool,
-    ) -> List[Tuple[LineVertex, ...]]:
-        """Return complete, post-processed tuples matching one line query."""
-        line_graph, join_index = self._views()
-        hops = list(line_query.hops)
-        last = len(hops) - 1
-
-        def acceptable(hop: LineHop, position: int, vertex: LineVertex) -> bool:
-            if not self._hop_matches(hop, vertex):
-                return False
-            if position == last and target is not None and vertex.end != target:
-                return False
-            return self._conditions_hold(hop, expression, vertex)
-
-        # Seed: line vertices leaving the owner that match the first hop
-        # (Section 3.4's "owner is the first node" endpoint check).
-        seeds = [vertex for vertex in line_graph.starting_at(source, key=None)
-                 if acceptable(hops[0], 0, vertex)]
-        result.count("tuples_examined", len(seeds))
-        if not seeds:
-            return []
-        if len(hops) == 1:
-            tuples = [(vertex,) for vertex in seeds]
-            return tuples[:1] if first_only else tuples
-        chains: List[Tuple[LineVertex, ...]] = [(vertex,) for vertex in seeds]
-
-        # Tuple assembly + post-processing.  Each consecutive hop pair is a
-        # reachability condition ``label_i ⤳ label_{i+1}`` evaluated through
-        # the 2-hop labels stored in the base tables (``Lout(x) ∩ Lin(y)``,
-        # Section 3.3); the adjacency check of Section 3.4 (the tuple must
-        # describe a single path) is folded into the same chaining loop, so
-        # the work per extension is proportional to the tail's line-graph
-        # degree rather than to the size of the materialized join.
-        for position in range(1, len(hops)):
-            hop = hops[position]
-            next_chains: List[Tuple[LineVertex, ...]] = []
-            for chain in chains:
-                tail = chain[-1]
-                for successor_id in line_graph.successors(tail.vertex_id):
-                    result.count("tuples_examined")
-                    result.count("join_checks")
-                    if not join_index.vertex_reaches(tail.vertex_id, successor_id):
-                        continue
-                    vertex = line_graph.vertex(successor_id)
-                    if not acceptable(hop, position, vertex):
-                        continue
-                    next_chains.append(chain + (vertex,))
-            chains = next_chains
-            if not chains:
-                return []
-        if first_only and chains:
-            return chains[:1]
-        return chains
-
-    def _keys_for(self, hop: LineHop) -> List[Tuple[str, str]]:
-        keys = []
-        if hop.direction.allows_forward():
-            keys.append((hop.label, "+"))
-        if hop.direction.allows_backward():
-            keys.append((hop.label, "-"))
-        return keys
-
-    # -------------------------------------------------------------- witness
-
-    def _witness(self, source: Hashable, chain: Sequence[LineVertex]) -> Path:
-        traversals = [
-            Traversal(vertex.relationship, forward=(vertex.direction == FORWARD))
-            for vertex in chain
-        ]
-        return Path(source, traversals)

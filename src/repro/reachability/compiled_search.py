@@ -26,20 +26,22 @@ constrained product walk as :mod:`repro.reachability.bfs` /
   forward from the owners or backward from the whole vertex set over the
   :func:`reversed automaton <reversed_expression>`.
 
-Both the breadth-first and the depth-first evaluator use the same core —
-they differ only in which end of the frontier is popped.
+Both the breadth-first and the depth-first evaluator are
+:class:`CompiledSearchMixin` — they differ only in which end of the frontier
+is popped.  The cache-free reference these cores are tested against lives in
+:mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro._deprecation import warn_deprecated
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.paths import Path, Traversal
-from repro.graph.social_graph import UserId
+from repro.graph.social_graph import SocialGraph, UserId
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction, Step
 from repro.reachability.result import EvaluationResult
@@ -51,18 +53,16 @@ __all__ = [
     "CompiledSearchMixin",
     "SearchOutcome",
     "SweepPlan",
-    "SweepPlanSideChannel",
     "AudienceSweep",
     "product_search",
     "audience_sweep",
-    "audience_sweep_batched",
     "plan_audience_sweep",
     "reversed_expression",
     "reversed_automaton",
 ]
 
 #: Accepted values of every ``direction=`` parameter along the audience path.
-SWEEP_DIRECTIONS = ("auto", "forward", "reverse", "batched")
+SWEEP_DIRECTIONS = ("auto", "forward", "reverse")
 
 #: A packed CSR edge as stored in parent links: (rel source, rel target,
 #: label id, traversed forward?).
@@ -222,61 +222,39 @@ class AutomatonCache:
         return len(self._cache)
 
 
-class SweepPlanSideChannel:
-    """Deprecated ``last_sweep_plan`` alias shared by every backend.
+class CompiledSearchMixin:
+    """The online evaluator: constrained product search on the CSR snapshot.
 
-    Since PR 5 the executed :class:`SweepPlan` is *returned* next to the
-    audiences (``sweep_targets_many``) and carried on the
-    :class:`~repro.service.results.AudienceResult` objects the
-    :class:`~repro.service.GraphService` facade hands out — a result owns
-    its plan forever, where the mutable attribute only described the most
-    recent call (and a memo-warm call could leave a *previous* call's plan
-    behind on the backend).  Reading the attribute still works but emits a
-    :class:`DeprecationWarning`; assigning it is allowed so legacy callers
-    that reset it keep working.
-    """
-
-    _last_sweep_plan: Optional["SweepPlan"] = None
-
-    @property
-    def last_sweep_plan(self) -> Optional["SweepPlan"]:
-        warn_deprecated(
-            f"{type(self).__name__}.last_sweep_plan is a deprecated side-channel; "
-            "use the plan returned by sweep_targets_many() (or carried by "
-            "GraphService audience results) instead"
-        )
-        return self._last_sweep_plan
-
-    @last_sweep_plan.setter
-    def last_sweep_plan(self, plan: Optional["SweepPlan"]) -> None:
-        self._last_sweep_plan = plan
-
-    def find_targets_many(
-        self, sources, expression: PathExpression, *, direction: str = "auto"
-    ):
-        """Audiences-only form of ``sweep_targets_many`` (the pre-PR 5 shape).
-
-        The one legacy wrapper shared by every backend: kept for callers
-        that do not need the executed plan, which is still mirrored on the
-        deprecated ``last_sweep_plan`` side-channel.
-        """
-        audiences, plan = self.sweep_targets_many(
-            sources, expression, direction=direction
-        )
-        self._last_sweep_plan = plan
-        return audiences
-
-
-class CompiledSearchMixin(SweepPlanSideChannel):
-    """Compiled-search dispatch shared by the online BFS/DFS evaluators.
-
-    Hosts need ``self.graph`` and an ``AutomatonCache`` at ``self._automata``;
-    the only degree of freedom is the class attribute ``_depth_first``.
+    :class:`~repro.reachability.bfs.OnlineBFSEvaluator` and
+    :class:`~repro.reachability.dfs.OnlineDFSEvaluator` are this class plus
+    the two things a subclass sets: ``name`` and ``_depth_first``.  No
+    precomputation: the snapshot is acquired per query through
+    ``compile_graph``, so under churn the evaluator rides the
+    delta-maintenance path.
     """
 
     _depth_first = False
 
-    def _compiled_search(
+    def __init__(self, graph: SocialGraph) -> None:
+        if not isinstance(graph, SocialGraph):
+            raise TypeError(
+                f"{type(self).__name__} searches a SocialGraph's compiled snapshot, "
+                f"not a {type(graph).__name__}; for a view, copy it into a graph "
+                "first (SocialGraph.subgraph / GraphView.materialize) or walk it "
+                "with repro.testing.oracle"
+            )
+        self.graph = graph
+        self._automata = AutomatonCache()
+
+    def build(self):
+        """No precomputation is needed; returns ``self`` for interface parity."""
+        return self
+
+    def statistics(self) -> Dict[str, float]:
+        """Index statistics (trivially empty for the online evaluator)."""
+        return {"index_entries": 0, "build_seconds": 0.0}
+
+    def _search(
         self,
         source: UserId,
         expression: PathExpression,
@@ -285,14 +263,12 @@ class CompiledSearchMixin(SweepPlanSideChannel):
         stop_at: Optional[UserId],
         collect_witness: bool,
     ) -> "SearchOutcome":
-        """Run the product walk on the compiled CSR snapshot of the graph."""
         snapshot = compile_graph(self.graph)
         source_index = snapshot.index_of(source)
         stop_index = None if stop_at is None else snapshot.index_of(stop_at)
-        automaton = self._automata.get(expression, snapshot)
         return product_search(
             snapshot,
-            automaton,
+            self._automata.get(expression, snapshot),
             source_index,
             stop_index,
             result,
@@ -300,19 +276,51 @@ class CompiledSearchMixin(SweepPlanSideChannel):
             depth_first=self._depth_first,
         )
 
-
-    def _compiled_sweep_many(
+    def evaluate(
         self,
-        sources: Sequence[UserId],
+        source: UserId,
+        target: UserId,
+        expression: PathExpression,
+        *,
+        collect_witness: bool = True,
+    ) -> EvaluationResult:
+        """Return whether ``target`` is reachable from ``source`` under ``expression``."""
+        started = time.perf_counter()
+        result = EvaluationResult(reachable=False, backend=self.name)
+        outcome = self._search(
+            source, expression, result, stop_at=target, collect_witness=collect_witness
+        )
+        result.reachable = outcome.contains(target)
+        if collect_witness and result.reachable:
+            result.witness = outcome.witness(target)
+        result.elapsed_seconds = time.perf_counter() - started
+        return result
+
+    def find_targets(self, source: UserId, expression: PathExpression) -> Set[UserId]:
+        """Return every user reachable from ``source`` under ``expression``.
+
+        Used to materialize the full authorized audience of an access rule.
+        """
+        result = EvaluationResult(reachable=False, backend=self.name)
+        return self._search(
+            source, expression, result, stop_at=None, collect_witness=False
+        ).users()
+
+    def sweep_targets_many(
+        self,
+        sources: Iterable[UserId],
         expression: PathExpression,
         *,
         direction: str = "auto",
     ) -> Tuple[Dict[UserId, Set[UserId]], "SweepPlan"]:
-        """Batched ``find_targets``: one automaton compile, one shared sweep.
+        """Batched :meth:`find_targets`: one automaton, one shared owner sweep.
 
-        Returns ``(audiences, executed plan)`` — the plan travels with the
-        result instead of through a mutable attribute.
+        Runs the multi-source owner-bitset sweep (:func:`audience_sweep`;
+        audience materialization has no exploration order, so BFS and DFS
+        share it).  ``direction`` pins the planner's forward/reverse choice.
+        Returns ``({owner: audience}, executed SweepPlan)``.
         """
+        sources = list(sources)
         snapshot = compile_graph(self.graph)
         automaton = self._automata.get(expression, snapshot)
         indices = [snapshot.index_of(source) for source in sources]
@@ -323,6 +331,12 @@ class CompiledSearchMixin(SweepPlanSideChannel):
             for source, accepted in zip(sources, sweep.audiences)
         }
         return audiences, sweep.plan
+
+    def find_targets_many(
+        self, sources, expression: PathExpression, *, direction: str = "auto"
+    ) -> Dict[UserId, Set[UserId]]:
+        """Audiences-only form of :meth:`sweep_targets_many`."""
+        return self.sweep_targets_many(sources, expression, direction=direction)[0]
 
 
 class SearchOutcome:
@@ -392,9 +406,8 @@ def product_search(
 
     ``stop_at`` short-circuits the walk once that node is accepted (the
     ``evaluate`` form); ``None`` exhausts the reachable product space (the
-    ``find_targets`` form).  Counters mirror the legacy dict-based search:
-    one ``states_visited`` per product state discovered, one
-    ``edges_expanded`` per CSR entry scanned.
+    ``find_targets`` form).  Counters: one ``states_visited`` per product
+    state discovered, one ``edges_expanded`` per CSR entry scanned.
 
     An active :class:`~repro.reliability.guard.QueryGuard` is ticked once
     per popped frontier entry, charged with the edges scanned since the
@@ -499,88 +512,6 @@ def _hoisted_state_moves(
     return state_moves
 
 
-def audience_sweep_batched(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    sources: Sequence[int],
-) -> List[List[int]]:
-    """Materialize the accepted node set of every owner, one walk per owner.
-
-    The PR 2 batched sweep, kept as the measurable baseline of
-    :func:`audience_sweep`: the automaton is compiled once (its per-(step,
-    node) condition memo is shared by every owner), each owner's walk keeps
-    its frontier in a plain int list and its visited / accepted markers in
-    ``bytearray`` seen-sets — no per-state hashing, no witness bookkeeping.
-    Overlapping owner neighbourhoods are still re-expanded per owner, which
-    is exactly what the multi-source sweep eliminates.
-
-    Returns one list of accepted node indices per source, in input order.
-    """
-    num_states = automaton.num_states
-    accept_id = automaton.accept_id
-    closure = automaton.closure
-    node_count = snapshot.number_of_nodes()
-    state_moves = _hoisted_state_moves(snapshot, automaton)
-    static_closure = automaton.static_closures()
-
-    guard = active_guard()
-    tripped = False
-    scanned = 0
-    charged = 0
-    audiences: List[List[int]] = []
-    for source in sources:
-        if tripped:
-            # Budget blown on an earlier owner: remaining owners get empty
-            # audiences; the caller surfaces the whole sweep as partial.
-            audiences.append([])
-            continue
-        visited = bytearray(node_count * num_states)
-        is_accepted = bytearray(node_count)
-        accepted: List[int] = []
-        frontier: List[int] = []
-        for state in closure(automaton.start_id, source):
-            key = source * num_states + state
-            if not visited[key]:
-                visited[key] = 1
-                frontier.append(key)
-                if state == accept_id and not is_accepted[source]:
-                    is_accepted[source] = 1
-                    accepted.append(source)
-        while frontier:
-            if guard is not None:
-                if not guard.spend(1 + scanned - charged):
-                    tripped = True
-                    break
-                charged = scanned
-            key = frontier.pop()
-            node, state = divmod(key, num_states)
-            moves = state_moves[state]
-            if not moves:
-                continue
-            next_state = state + 1
-            next_static = static_closure[next_state]
-            for offsets, targets in moves:
-                row_end = offsets[node + 1]
-                scanned += row_end - offsets[node]
-                for position in range(offsets[node], row_end):
-                    neighbor = targets[position]
-                    base = neighbor * num_states
-                    chain = next_static if next_static is not None else closure(
-                        next_state, neighbor
-                    )
-                    for closed in chain:
-                        neighbor_key = base + closed
-                        if visited[neighbor_key]:
-                            continue
-                        visited[neighbor_key] = 1
-                        frontier.append(neighbor_key)
-                        if closed == accept_id and not is_accepted[neighbor]:
-                            is_accepted[neighbor] = 1
-                            accepted.append(neighbor)
-        audiences.append(accepted)
-    return audiences
-
-
 # --------------------------------------------------------------------------
 # Multi-source owner-bitset sweep + direction planner
 # --------------------------------------------------------------------------
@@ -665,11 +596,10 @@ class SweepPlan:
     """The direction planner's verdict for one audience sweep.
 
     ``direction`` is what actually ran: ``"forward"`` (multi-source from the
-    owners), ``"reverse"`` (multi-source from the whole vertex set over the
-    reversed automaton) or ``"batched"`` (the per-owner PR 2 baseline,
-    selectable only by forcing).  Costs are the planner's estimates in
-    arbitrary explored-work units; they are computed even when the caller
-    forced the direction, so benchmarks can grade the heuristic.
+    owners) or ``"reverse"`` (multi-source from the whole vertex set over the
+    reversed automaton).  Costs are the planner's estimates in arbitrary
+    explored-work units; they are computed even when the caller forced the
+    direction, so benchmarks can grade the heuristic.
     """
 
     direction: str
@@ -796,8 +726,7 @@ def _multisource_mask_sweep(
 
     Monotonicity makes this equivalent to running the per-owner walk for
     every seed bit: a bit enters a slot's mask at most once, so each
-    (owner, node, state) triple is expanded at most once, exactly as in
-    :func:`audience_sweep_batched`.
+    (owner, node, state) triple is expanded at most once.
 
     Returns the flat ``seen`` table; callers read acceptance off
     ``seen[node * num_states + accept_id]``.
@@ -1003,8 +932,7 @@ def audience_sweep(
 
     The multi-source form of the ``find_targets`` product walk: one frontier
     pass shared by all owners, with per-slot owner bitmasks instead of one
-    bytearray walk per owner (:func:`audience_sweep_batched`, the PR 2
-    baseline, remains available and selectable via ``direction="batched"``).
+    walk per owner.
     ``direction`` is resolved by :func:`plan_audience_sweep` unless an
     explicit ``plan`` is handed in.  Distance limits are enforced by the
     automaton's depth-encoded states, exactly as in :func:`product_search`.
@@ -1016,9 +944,7 @@ def audience_sweep(
         plan = plan_audience_sweep(
             snapshot, automaton.expression, len(sources), direction=direction
         )
-    if plan.direction == "batched":
-        audiences = audience_sweep_batched(snapshot, automaton, sources)
-    elif plan.direction == "reverse":
+    if plan.direction == "reverse":
         audiences = _sweep_reverse(snapshot, automaton, sources)
     else:
         audiences = _sweep_forward(snapshot, automaton, sources)

@@ -5,7 +5,7 @@ queries:
 
 ``bfs``
     Online constrained breadth-first search — no precomputation, the paper's
-    straightforward baseline and the correctness oracle.
+    straightforward baseline.
 ``dfs``
     Online constrained depth-first search (same semantics, different order).
 ``transitive-closure``
@@ -40,24 +40,18 @@ committed mutation, including writes through the live mapping returned by
   rebuilding, without changing anything observable here.
 * :meth:`ReachabilityEngine.sweep_targets_many` serves warm owners from
   the target-set memo and sweeps only the misses.  ``direction=`` pins the
-  audience sweep planner (``"auto"`` | ``"forward"`` | ``"reverse"`` |
-  ``"batched"``) and is validated even when everything is served from
-  cache; the executed
+  audience sweep planner (``"auto"`` | ``"forward"`` | ``"reverse"``) and
+  is validated even when everything is served from cache; the executed
   :class:`~repro.reachability.compiled_search.SweepPlan` is **returned
-  with the audiences** (``None`` when nothing was swept).  The legacy
-  :attr:`ReachabilityEngine.last_sweep_plan` attribute survives as a
-  deprecated read-property mirroring the most recent
-  :meth:`find_targets_many` call.
+  with the audiences** (``None`` when nothing was swept).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
-from repro._deprecation import warn_deprecated
 from repro.exceptions import UnknownBackendError
 from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
@@ -146,45 +140,11 @@ class ReachabilityEngine:
         self._targets_cache: "OrderedDict[Tuple, FrozenSet[Hashable]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        # Executed plan of the most recent batched audience sweep (``None``
-        # before the first sweep, or when every owner was served from cache).
-        # Exposed only through the deprecated ``last_sweep_plan`` property —
-        # plans travel with results since PR 5.
-        self._last_sweep_plan: Optional[SweepPlan] = None
-        batched = getattr(self._evaluator, "find_targets_many", None)
-        try:
-            self._batched_takes_direction = batched is not None and (
-                "direction" in inspect.signature(batched).parameters
-            )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            self._batched_takes_direction = False
 
     @property
     def evaluator(self):
         """The underlying backend instance."""
         return self._evaluator
-
-    @property
-    def last_sweep_plan(self) -> Optional[SweepPlan]:
-        """Deprecated side-channel: the most recent sweep's executed plan.
-
-        ``None`` whenever the most recent batched call swept nothing (fully
-        warm memo, or no batched call yet).  Prefer
-        :meth:`sweep_targets_many`, which returns the plan *with* the
-        audiences it describes — the attribute only ever reflects the latest
-        call, so interleaved or memo-warm calls can observe another call's
-        plan (the race this API closes).
-        """
-        warn_deprecated(
-            "ReachabilityEngine.last_sweep_plan is a deprecated side-channel; "
-            "use sweep_targets_many() (or GraphService.audience) which return "
-            "the executed plan with the result"
-        )
-        return self._last_sweep_plan
-
-    @last_sweep_plan.setter
-    def last_sweep_plan(self, plan: Optional[SweepPlan]) -> None:
-        self._last_sweep_plan = plan
 
     # -------------------------------------------------------------- caching
 
@@ -299,24 +259,18 @@ class ReachabilityEngine:
     ) -> Tuple[Dict[Hashable, Set[Hashable]], Optional[SweepPlan]]:
         """Materialize audiences for many owners at once, with the plan run.
 
-        The batched form of :meth:`find_targets`: backends exposing
-        ``sweep_targets_many`` (all four do over a :class:`SocialGraph`)
-        compile their per-expression machinery once and run a single
-        multi-source owner-bitset sweep shared by all owners; other
-        evaluators fall back to a per-owner loop.  The epoch-stamped
+        The batched form of :meth:`find_targets`: the backend compiles its
+        per-expression machinery once and runs a single multi-source
+        owner-bitset sweep shared by all owners.  The epoch-stamped
         target-set memo is consulted per owner first, so a warm cache serves
         the cached owners from the memo and sweeps only the misses — as one
-        mask.  ``direction`` pins the sweep planner (``"forward"``,
-        ``"reverse"`` or the per-owner ``"batched"`` baseline; default
-        ``"auto"`` lets the planner decide).
+        mask.  ``direction`` pins the sweep planner (``"forward"`` or
+        ``"reverse"``; default ``"auto"`` lets the planner decide).
 
         Returns ``(audiences, plan)``.  The executed
         :class:`~repro.reachability.compiled_search.SweepPlan` belongs to
         *this* call — ``None`` when nothing was swept (every owner came from
-        the memo, or the backend plans nothing).  Because the plan is part
-        of the return value, a later (possibly fully-warm) call can never
-        make an earlier result's plan unreadable, which the deprecated
-        ``last_sweep_plan`` attribute could not guarantee.
+        the memo).
         """
         if direction not in SWEEP_DIRECTIONS:
             # Validate up front: on a warm cache nothing is swept and a
@@ -327,7 +281,9 @@ class ReachabilityEngine:
         expression = self._parse(expression)
         sources = list(dict.fromkeys(sources))
         if not self._cache_ready():
-            return self._dispatch_targets_many(sources, expression, direction)
+            return self._evaluator.sweep_targets_many(
+                sources, expression, direction=direction
+            )
         text = expression.to_text()
         audiences: Dict[Hashable, Set[Hashable]] = {}
         missing: List[Hashable] = []
@@ -342,7 +298,9 @@ class ReachabilityEngine:
         plan: Optional[SweepPlan] = None
         if missing:
             self.cache_misses += len(missing)
-            computed, plan = self._dispatch_targets_many(missing, expression, direction)
+            computed, plan = self._evaluator.sweep_targets_many(
+                missing, expression, direction=direction
+            )
             for source, targets in computed.items():
                 self._cache_put(self._targets_cache, (source, text), frozenset(targets))
                 audiences[source] = targets
@@ -355,42 +313,8 @@ class ReachabilityEngine:
         *,
         direction: str = "auto",
     ) -> Dict[Hashable, Set[Hashable]]:
-        """Audiences-only form of :meth:`sweep_targets_many`.
-
-        Kept for callers that do not need the executed plan; the plan is
-        still mirrored on the deprecated ``last_sweep_plan`` side-channel.
-        """
-        self._last_sweep_plan = None
-        audiences, plan = self.sweep_targets_many(
-            sources, expression, direction=direction
-        )
-        self._last_sweep_plan = plan
-        return audiences
-
-    def _dispatch_targets_many(
-        self,
-        sources: List[Hashable],
-        expression: PathExpression,
-        direction: str,
-    ) -> Tuple[Dict[Hashable, Set[Hashable]], Optional[SweepPlan]]:
-        sweep = getattr(self._evaluator, "sweep_targets_many", None)
-        if sweep is not None:
-            return sweep(sources, expression, direction=direction)
-        batched = getattr(self._evaluator, "find_targets_many", None)
-        if batched is None:
-            return (
-                {
-                    source: self._evaluator.find_targets(source, expression)
-                    for source in sources
-                },
-                None,
-            )
-        if self._batched_takes_direction:
-            audiences = batched(sources, expression, direction=direction)
-        else:  # duck-typed legacy evaluator: no planner to steer
-            audiences = batched(sources, expression)
-        # Legacy duck-typed evaluator: the side-channel is all it offers.
-        return audiences, getattr(self._evaluator, "last_sweep_plan", None)
+        """Audiences-only form of :meth:`sweep_targets_many`."""
+        return self.sweep_targets_many(sources, expression, direction=direction)[0]
 
     def statistics(self) -> Dict[str, float]:
         """Return the backend's index statistics (size, build time...)."""

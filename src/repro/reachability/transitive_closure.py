@@ -34,7 +34,6 @@ from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
 from repro.reachability.bfs import OnlineBFSEvaluator
-from repro.reachability.compiled_search import SweepPlanSideChannel
 from repro.reachability.result import EvaluationResult
 
 __all__ = ["TransitiveClosureIndex", "TransitiveClosureEvaluator"]
@@ -206,7 +205,7 @@ class TransitiveClosureIndex:
         }
 
 
-class TransitiveClosureEvaluator(SweepPlanSideChannel):
+class TransitiveClosureEvaluator:
     """Constrained-query evaluator that prunes with the transitive closure.
 
     The closure alone cannot answer ordered label-constraint queries (it
@@ -281,14 +280,17 @@ class TransitiveClosureEvaluator(SweepPlanSideChannel):
 
         The closure prunes single (source, target) decisions, not audience
         materialization, so the inner evaluator's owner-bitset sweep is used
-        as-is.  Returns ``({owner: audience}, executed SweepPlan or None)``.
+        as-is.  Returns ``({owner: audience}, executed SweepPlan)``.
         """
         if not self._built:
             raise IndexNotBuiltError("call build() before evaluating queries")
         return self._bfs.sweep_targets_many(sources, expression, direction=direction)
 
-    # find_targets_many (the audiences-only legacy wrapper) is inherited
-    # from SweepPlanSideChannel, shared by all four backends.
+    def find_targets_many(
+        self, sources, expression: PathExpression, *, direction: str = "auto"
+    ) -> Dict[Hashable, Set[Hashable]]:
+        """Audiences-only form of :meth:`sweep_targets_many`."""
+        return self.sweep_targets_many(sources, expression, direction=direction)[0]
 
     # ---------------------------------------------------------------- prune
 

@@ -17,8 +17,7 @@ engines use to separate *what* from *how*:
   has observed.  The verdict is an :class:`ExecutionPlan`.
 * **Results** (:mod:`repro.service.results`) — every answer is a
   :class:`PlannedResult` that *carries* the plan that produced it (plus the
-  executed sweep plan, counters and timing), replacing the racy
-  ``last_sweep_plan`` / ``last_audience_plans`` side-channels.
+  executed sweep plan, counters and timing).
 * **Facade** (:mod:`repro.service.facade`) — :class:`GraphService` owns the
   graph, the snapshot refresh, the policy store, the backend registry and
   every cache, and is the one session object callers need.

@@ -7,9 +7,8 @@ to be dispatch mechanics are now **plan pins**:
 * ``backend`` — pin the query to one reachability backend (``"bfs"``,
   ``"dfs"``, ``"transitive-closure"``, ``"cluster-index"``).  ``None`` (or
   ``"auto"``) lets the :class:`~repro.service.planner.QueryPlanner` choose.
-* ``direction`` — pin the audience sweep's direction (``"forward"``,
-  ``"reverse"``, ``"batched"``); ``"auto"`` keeps the PR 3 sweep planner in
-  charge.
+* ``direction`` — pin the audience sweep's direction (``"forward"`` or
+  ``"reverse"``); ``"auto"`` keeps the PR 3 sweep planner in charge.
 
 Expressions may be path-expression text or parsed
 :class:`~repro.policy.path_expression.PathExpression` objects; the service

@@ -2,11 +2,8 @@
 
 A :class:`PlannedResult` owns the :class:`~repro.service.planner.
 ExecutionPlan` that produced it (and, for audience shapes, the executed
-:class:`~repro.reachability.compiled_search.SweepPlan`).  This replaces the
-mutable ``last_sweep_plan`` / ``last_audience_plans`` attributes: a result's
-provenance can no longer be overwritten by the next call, so the historical
-race — reading a side-channel after a memo-warm call and seeing a *previous*
-call's plan — is structurally impossible.
+:class:`~repro.reachability.compiled_search.SweepPlan`), so a result's
+provenance cannot be overwritten by the next call.
 """
 
 from __future__ import annotations

@@ -484,8 +484,6 @@ class ShardRouter:
                 self._reverse_sweep(sources, expression)
             )
         else:
-            # "batched" has no per-owner analogue across shards; it
-            # collapses into the forward mask sweep (identical answers).
             audiences, states, rounds, messages, escalated, tripped = (
                 self._forward_sweep(sources, expression)
             )

@@ -12,6 +12,7 @@ from repro.policy.path_expression import PathExpression
 from repro.reachability import available_backends, create_evaluator
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.dfs import OnlineDFSEvaluator
+from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_query_mix
 
 
@@ -127,18 +128,16 @@ class TestEpochInvalidation:
 
 
 class TestBackendEquivalenceThroughCompiledGraph:
-    """All four backends over the paper graph, against the dict-BFS oracle."""
+    """All four backends over the paper graph, against the reference oracle."""
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_paper_graph_decisions(self, backend):
         graph = paper_graph()
-        oracle = OnlineBFSEvaluator(graph, compiled=False)
         candidate = create_evaluator(backend, graph)
         queries = random_query_mix(graph, 40, seed=123, max_steps=2, max_depth=3,
                                    condition_probability=0.25)
         for source, target, expression in queries:
-            expected = oracle.evaluate(source, target, expression,
-                                       collect_witness=False).reachable
+            expected = reference_reachable(graph, source, target, expression)
             actual = candidate.evaluate(source, target, expression,
                                         collect_witness=False).reachable
             assert actual == expected, (backend, source, target, expression.to_text())
@@ -160,16 +159,15 @@ class TestBackendEquivalenceThroughCompiledGraph:
                 rel = traversal.relationship
                 assert graph.has_relationship(rel.source, rel.target, rel.label)
 
-    def test_find_targets_matches_dict_traversal(self):
+    def test_find_targets_matches_the_oracle(self):
         graph = preferential_attachment_graph(70, edges_per_node=3, seed=19)
-        legacy = OnlineBFSEvaluator(graph, compiled=False)
         compiled_bfs = OnlineBFSEvaluator(graph)
         compiled_dfs = OnlineDFSEvaluator(graph)
         for text in ("friend+[1,2]", "friend*[1,2]", "colleague-[1]/friend+[1,2]",
                      "friend+[1,3]{age >= 18}"):
             expression = expr(text)
             for source in sorted(graph.users(), key=str)[:8]:
-                expected = legacy.find_targets(source, expression)
+                expected = reference_targets(graph, source, expression)
                 assert compiled_bfs.find_targets(source, expression) == expected
                 assert compiled_dfs.find_targets(source, expression) == expected
 

@@ -11,7 +11,7 @@ from repro.graph.generators import (
     small_world_graph,
 )
 from repro.reachability import available_backends, create_evaluator
-from repro.reachability.bfs import OnlineBFSEvaluator
+from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_query_mix
 
 GRAPHS = {
@@ -21,7 +21,7 @@ GRAPHS = {
     "forest-fire": lambda: forest_fire_graph(45, seed=34),
 }
 
-INDEX_BACKENDS = [name for name in available_backends() if name != "bfs"]
+BACKENDS = available_backends()
 
 
 @pytest.fixture(scope="module")
@@ -30,26 +30,24 @@ def graphs():
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))
-@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_backends_agree_on_random_query_mixes(graphs, family, backend):
     graph = graphs[family]
-    oracle = OnlineBFSEvaluator(graph)
     candidate = create_evaluator(backend, graph)
     queries = random_query_mix(graph, 30, seed=hash((family, backend)) % 10_000,
                                max_steps=2, max_depth=2, condition_probability=0.15)
     for source, target, expression in queries:
-        expected = oracle.evaluate(source, target, expression, collect_witness=False).reachable
+        expected = reference_reachable(graph, source, target, expression)
         actual = candidate.evaluate(source, target, expression, collect_witness=False).reachable
         assert actual == expected, (family, backend, source, target, expression.to_text())
 
 
-@pytest.mark.parametrize("backend", INDEX_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_audiences_agree_for_scenario_expressions(graphs, backend):
     from repro.policy import PathExpression
     from repro.workloads.scenarios import SCENARIOS
 
     graph = graphs["barabasi-albert"]
-    oracle = OnlineBFSEvaluator(graph)
     candidate = create_evaluator(backend, graph)
     owners = sorted(graph.users())[:5]
     for scenario in SCENARIOS.values():
@@ -58,12 +56,12 @@ def test_audiences_agree_for_scenario_expressions(graphs, backend):
             if expression.expansion_count() > 16:
                 continue
             for owner in owners:
-                assert candidate.find_targets(owner, expression) == oracle.find_targets(
-                    owner, expression
+                assert candidate.find_targets(owner, expression) == reference_targets(
+                    graph, owner, expression
                 ), (scenario.name, owner, backend)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_witnesses_are_always_valid_paths(graphs, backend):
     graph = graphs["watts-strogatz"]
     evaluator = create_evaluator(backend, graph)

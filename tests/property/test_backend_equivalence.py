@@ -3,10 +3,9 @@
 The safety net for the interned cluster-index refactor: deterministic
 ``random``-seeded graphs (including self-loops, parallel multi-label edges
 and disconnected components) and random path expressions are thrown at every
-backend — ``bfs`` (the oracle), ``dfs``, ``transitive-closure`` and
-``cluster-index`` (both the interned default and the legacy string-id
-matcher) — and each must return exactly the oracle's ``evaluate`` decisions
-and ``find_targets`` audiences.
+backend — ``bfs``, ``dfs``, ``transitive-closure`` and ``cluster-index`` —
+and each must return exactly the ``evaluate`` decisions and ``find_targets``
+audiences of the cache-free reference walk in :mod:`repro.testing.oracle`.
 
 With ``GRAPH_SEEDS`` x ``EXPRESSIONS_PER_GRAPH`` the harness covers 250
 seeded (graph, expression) cases; every graph with an even seed is forced to
@@ -15,10 +14,10 @@ self-succession semantics.
 
 A second seeded harness differentials the **multi-source owner-bitset
 audience sweep**: on every backend, ``find_targets_many`` — under every
-planner outcome (``auto`` plus forced ``forward`` / ``reverse`` and the
-per-owner ``batched`` baseline) — must return exactly the audiences of a
-per-owner ``find_targets`` loop, including self-loops, duplicate owners,
-empty owner lists and owners absent from the graph.
+planner outcome (``auto`` plus forced ``forward`` / ``reverse``) — must
+return exactly the audiences of a per-owner ``find_targets`` loop and of the
+oracle, including self-loops, duplicate owners, empty owner lists and owners
+absent from the graph.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import SWEEP_DIRECTIONS
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
+from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
 
 LABELS = ("friend", "colleague", "parent")
@@ -80,6 +80,15 @@ def _force_self_loop(graph: SocialGraph, rng: random.Random) -> None:
         graph.add_relationship(user, user, label)
 
 
+def _backends(graph):
+    return {
+        "bfs": OnlineBFSEvaluator(graph),
+        "dfs": OnlineDFSEvaluator(graph),
+        "transitive-closure": TransitiveClosureEvaluator(graph).build(),
+        "cluster-index": ClusterIndexEvaluator(graph).build(),
+    }
+
+
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_backends_agree_on_seeded_random_cases(seed):
     rng = random.Random(1000 + seed)
@@ -87,13 +96,7 @@ def test_backends_agree_on_seeded_random_cases(seed):
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
 
-    oracle = OnlineBFSEvaluator(graph)
-    contenders = {
-        "dfs": OnlineDFSEvaluator(graph),
-        "transitive-closure": TransitiveClosureEvaluator(graph).build(),
-        "cluster-index": ClusterIndexEvaluator(graph).build(),
-        "cluster-index-strings": ClusterIndexEvaluator(graph, interned=False).build(),
-    }
+    contenders = _backends(graph)
     users = sorted(graph.users())
 
     for _case in range(EXPRESSIONS_PER_GRAPH):
@@ -103,9 +106,7 @@ def test_backends_agree_on_seeded_random_cases(seed):
         for _pair in range(EVALUATE_PAIRS_PER_EXPRESSION):
             source = rng.choice(users)
             target = rng.choice(users)
-            expected = oracle.evaluate(
-                source, target, expression, collect_witness=False
-            ).reachable
+            expected = reference_reachable(graph, source, target, expression)
             for name, backend in contenders.items():
                 got = backend.evaluate(
                     source, target, expression, collect_witness=False
@@ -115,7 +116,7 @@ def test_backends_agree_on_seeded_random_cases(seed):
                 )
         for _sweep in range(AUDIENCE_SOURCES_PER_EXPRESSION):
             source = rng.choice(users)
-            expected_targets = oracle.find_targets(source, expression)
+            expected_targets = reference_targets(graph, source, expression)
             for name, backend in contenders.items():
                 assert backend.find_targets(source, expression) == expected_targets, (
                     seed, name, source, expression.to_text()
@@ -125,15 +126,6 @@ def test_backends_agree_on_seeded_random_cases(seed):
 def test_case_budget_meets_the_acceptance_floor():
     """The harness must cover at least 200 seeded (graph, expression) cases."""
     assert len(GRAPH_SEEDS) * EXPRESSIONS_PER_GRAPH >= 200
-
-
-def _audience_backends(graph):
-    return {
-        "bfs": OnlineBFSEvaluator(graph),
-        "dfs": OnlineDFSEvaluator(graph),
-        "transitive-closure": TransitiveClosureEvaluator(graph).build(),
-        "cluster-index": ClusterIndexEvaluator(graph).build(),
-    }
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
@@ -148,7 +140,7 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
     graph = random_social_graph(rng)
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
-    backends = _audience_backends(graph)
+    backends = _backends(graph)
     users = sorted(graph.users())
 
     for _case in range(SWEEP_EXPRESSIONS_PER_GRAPH):
@@ -158,10 +150,14 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
         subset = rng.sample(users, rng.randint(1, len(users)))
         owner_sets = [[], users, subset, subset + [subset[0]]]  # incl. duplicates
         for owners in owner_sets:
+            expected = {
+                owner: reference_targets(graph, owner, expression) for owner in owners
+            }
             for name, backend in backends.items():
                 per_owner = {
                     owner: backend.find_targets(owner, expression) for owner in owners
                 }
+                assert per_owner == expected, (seed, name, owners, expression.to_text())
                 for direction in SWEEP_DIRECTIONS:
                     got = backend.find_targets_many(
                         owners, expression, direction=direction
@@ -185,7 +181,7 @@ def test_absent_owners_follow_each_backends_contract():
     from repro.policy.path_expression import PathExpression
 
     expression = PathExpression.parse("friend+[1,2]")
-    backends = _audience_backends(graph)
+    backends = _backends(graph)
     for direction in SWEEP_DIRECTIONS:
         for name in ("bfs", "dfs", "transitive-closure"):
             with pytest.raises(NodeNotFoundError):
@@ -199,38 +195,33 @@ def test_absent_owners_follow_each_backends_contract():
         assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
 
 
-@pytest.mark.filterwarnings("default:.*deprecated side-channel")
 def test_forced_directions_are_recorded_on_the_plan():
-    """Pinning the planner must be visible on ``last_sweep_plan``.
-
-    This test covers the legacy side-channel contract itself, so the
-    repo-wide deprecation-as-error filter is relaxed.
-    """
+    """Pinning the planner must be visible on the returned plan."""
     rng = random.Random(77)
     graph = random_social_graph(rng)
     users = sorted(graph.users())
     from repro.policy.path_expression import PathExpression
 
     expression = PathExpression.parse("friend+[1,2]")
-    for name, backend in _audience_backends(graph).items():
-        for direction in ("forward", "reverse", "batched"):
-            backend.find_targets_many(users, expression, direction=direction)
-            plan = backend.last_sweep_plan
+    for name, backend in _backends(graph).items():
+        for direction in ("forward", "reverse"):
+            _audiences, plan = backend.sweep_targets_many(
+                users, expression, direction=direction
+            )
             assert plan is not None and plan.direction == direction, (name, direction)
             assert plan.forced
-        backend.find_targets_many(users, expression)
-        auto_plan = backend.last_sweep_plan
+        _audiences, auto_plan = backend.sweep_targets_many(users, expression)
         assert auto_plan is not None and not auto_plan.forced
         assert auto_plan.direction in ("forward", "reverse")
         assert auto_plan.forward_cost >= 0 and auto_plan.reverse_cost >= 0
 
 
 def test_self_loop_double_traversal_regression():
-    """Seed bug: a query needing the same self-loop edge twice must agree with BFS.
+    """Seed bug: a query needing the same self-loop edge twice must agree with the oracle.
 
-    The string line graph used to forbid a vertex from succeeding itself, so
-    the tuple <loop, loop> was unrepresentable and ``cluster-index`` denied
-    queries the BFS oracle granted.
+    The line graph used to forbid a vertex from succeeding itself, so the
+    tuple <loop, loop> was unrepresentable and ``cluster-index`` denied
+    queries the oracle granted.
     """
     graph = SocialGraph()
     for user in ("a", "b"):
@@ -238,26 +229,22 @@ def test_self_loop_double_traversal_regression():
     graph.add_relationship("a", "a", "friend")
     graph.add_relationship("a", "b", "friend")
 
-    oracle = OnlineBFSEvaluator(graph)
     from repro.policy.path_expression import PathExpression
 
-    for interned in (True, False):
-        cluster = ClusterIndexEvaluator(graph, interned=interned).build()
-        for text in ("friend+[2]", "friend+[2,3]", "friend*[3]", "friend+[1,4]"):
-            expression = PathExpression.parse(text)
-            for source in ("a", "b"):
-                for target in ("a", "b"):
-                    assert (
-                        cluster.evaluate(source, target, expression,
-                                         collect_witness=False).reachable
-                        == oracle.evaluate(source, target, expression,
-                                           collect_witness=False).reachable
-                    ), (interned, text, source, target)
-                assert cluster.find_targets(source, expression) == oracle.find_targets(
-                    source, expression
-                ), (interned, text, source)
-    # The doubled self-loop itself must be reachable, with a two-step witness.
     cluster = ClusterIndexEvaluator(graph).build()
+    for text in ("friend+[2]", "friend+[2,3]", "friend*[3]", "friend+[1,4]"):
+        expression = PathExpression.parse(text)
+        for source in ("a", "b"):
+            for target in ("a", "b"):
+                assert (
+                    cluster.evaluate(source, target, expression,
+                                     collect_witness=False).reachable
+                    == reference_reachable(graph, source, target, expression)
+                ), (text, source, target)
+            assert cluster.find_targets(source, expression) == reference_targets(
+                graph, source, expression
+            ), (text, source)
+    # The doubled self-loop itself must be reachable, with a two-step witness.
     result = cluster.evaluate("a", "a", PathExpression.parse("friend+[2]"))
     assert result.reachable
     assert result.witness is not None and result.witness.nodes() == ["a", "a", "a"]

@@ -1,8 +1,9 @@
 """Seeded differential harness for planner-driven backend auto-selection.
 
 Whatever backend the :class:`~repro.service.planner.QueryPlanner` routes a
-query to, the answer must be byte-identical to every *pinned* backend's —
-auto-selection is an optimization, never a semantics change.  The harness
+query to, the answer must be byte-identical to every *pinned* backend's and
+to the reference walk in :mod:`repro.testing.oracle` — auto-selection is an
+optimization, never a semantics change.  The harness
 reuses the random-graph / random-expression generators of
 ``tests/property/test_backend_equivalence.py`` and drives
 :class:`ReachQuery` and :class:`AudienceQuery` shapes through one
@@ -18,6 +19,7 @@ import random
 import pytest
 
 from repro.service import AudienceQuery, GraphService, ReachQuery
+from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
 from tests.property.test_backend_equivalence import (
     LABELS,
@@ -53,12 +55,16 @@ def test_auto_selected_reach_equals_every_pinned_backend(seed):
         for _pair in range(PAIRS_PER_EXPRESSION):
             source, target = rng.choice(users), rng.choice(users)
             query = ReachQuery(source, target, expression, collect_witness=False)
+            expected = reference_reachable(graph, source, target, expression)
             got = auto.execute(query)
+            assert got.reachable == expected, (
+                seed, got.plan.backend, source, target, expression.to_text()
+            )
             for name, service in pinned.items():
-                expected = service.execute(query)
-                assert expected.plan.backend == name
-                assert got.reachable == expected.reachable, (
-                    seed, name, got.plan.backend, source, target, expression.to_text()
+                pinned_result = service.execute(query)
+                assert pinned_result.plan.backend == name
+                assert pinned_result.reachable == expected, (
+                    seed, name, source, target, expression.to_text()
                 )
 
 
@@ -79,12 +85,13 @@ def test_auto_selected_audiences_equal_every_pinned_backend(seed):
             rng, LABELS, max_steps=2, max_depth=2, condition_probability=0.3
         )
         owners = tuple(rng.sample(users, rng.randint(1, len(users))))
-        for direction in ("auto", "forward", "batched"):
+        expected = {
+            owner: reference_targets(graph, owner, expression) for owner in owners
+        }
+        for direction in ("auto", "forward"):
             query = AudienceQuery(owners, expression, direction=direction)
-            got = auto.execute(query)
-            for name, service in pinned.items():
-                expected = service.execute(query)
-                assert dict(got.audiences) == dict(expected.audiences), (
+            for name, service in [("auto", auto), *pinned.items()]:
+                assert dict(service.execute(query).audiences) == expected, (
                     seed, name, direction, owners, expression.to_text()
                 )
 

@@ -1,9 +1,9 @@
-"""Property-based tests: every backend agrees with the BFS oracle.
+"""Property-based tests: every backend agrees with the reference oracle.
 
 These are the core correctness properties of the reproduction: on arbitrary
-labelled social graphs and arbitrary (well-formed) path expressions, the
-transitive-closure evaluator, the DFS evaluator and the cluster-index
-evaluator must return exactly the decisions of the online BFS baseline.
+labelled social graphs and arbitrary (well-formed) path expressions, the BFS,
+DFS, transitive-closure and cluster-index evaluators must return exactly the
+decisions of the cache-free walk in :mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
+from repro.testing.oracle import reference_reachable, reference_targets
 
 LABELS = ("friend", "colleague", "parent")
 
@@ -94,49 +95,45 @@ def graph_and_query(draw, **expression_kwargs):
     return graph, source, target, expression
 
 
-@given(graph_and_query())
-@settings(**SETTINGS)
-def test_dfs_agrees_with_bfs(data):
+def _agrees_with_the_oracle(evaluator, data) -> bool:
     graph, source, target, expression = data
-    bfs = OnlineBFSEvaluator(graph)
-    dfs = OnlineDFSEvaluator(graph)
-    assert (
-        dfs.evaluate(source, target, expression, collect_witness=False).reachable
-        == bfs.evaluate(source, target, expression, collect_witness=False).reachable
-    )
+    return evaluator.evaluate(
+        source, target, expression, collect_witness=False
+    ).reachable == reference_reachable(graph, source, target, expression)
 
 
 @given(graph_and_query())
 @settings(**SETTINGS)
-def test_transitive_closure_agrees_with_bfs(data):
-    graph, source, target, expression = data
-    bfs = OnlineBFSEvaluator(graph)
-    tc = TransitiveClosureEvaluator(graph).build()
-    assert (
-        tc.evaluate(source, target, expression, collect_witness=False).reachable
-        == bfs.evaluate(source, target, expression, collect_witness=False).reachable
-    )
+def test_bfs_agrees_with_the_oracle(data):
+    assert _agrees_with_the_oracle(OnlineBFSEvaluator(data[0]), data)
+
+
+@given(graph_and_query())
+@settings(**SETTINGS)
+def test_dfs_agrees_with_the_oracle(data):
+    assert _agrees_with_the_oracle(OnlineDFSEvaluator(data[0]), data)
+
+
+@given(graph_and_query())
+@settings(**SETTINGS)
+def test_transitive_closure_agrees_with_the_oracle(data):
+    assert _agrees_with_the_oracle(TransitiveClosureEvaluator(data[0]).build(), data)
 
 
 @given(graph_and_query(max_steps=2, max_depth=2))
 @settings(**SETTINGS)
-def test_cluster_index_agrees_with_bfs(data):
-    graph, source, target, expression = data
-    bfs = OnlineBFSEvaluator(graph)
-    cluster = ClusterIndexEvaluator(graph).build()
-    assert (
-        cluster.evaluate(source, target, expression, collect_witness=False).reachable
-        == bfs.evaluate(source, target, expression, collect_witness=False).reachable
-    )
+def test_cluster_index_agrees_with_the_oracle(data):
+    assert _agrees_with_the_oracle(ClusterIndexEvaluator(data[0]).build(), data)
 
 
 @given(graph_and_query(max_steps=2, max_depth=2, allow_conditions=False))
 @settings(**SETTINGS)
-def test_cluster_index_audiences_match_bfs(data):
+def test_cluster_index_audiences_match_the_oracle(data):
     graph, source, _target, expression = data
-    bfs = OnlineBFSEvaluator(graph)
     cluster = ClusterIndexEvaluator(graph).build()
-    assert cluster.find_targets(source, expression) == bfs.find_targets(source, expression)
+    assert cluster.find_targets(source, expression) == reference_targets(
+        graph, source, expression
+    )
 
 
 @given(graph_and_query())

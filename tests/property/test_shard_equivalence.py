@@ -5,11 +5,11 @@ The safety net for the community-sharding layer: 100+ seeded graphs
 the backend harness — self-loops, multi-label edges, disconnected islands)
 are partitioned at every shard count in {1, 2, 4, 8}, and every query shape
 — point reach, audience sweeps under every planner direction (auto plus
-forced forward / reverse / batched), access checks and bulk audiences —
-must return exactly the unsharded answer.  Owners are drawn to straddle
-shard boundaries (ghost users) whenever the partition produces any, and a
-subset of seeds cross-checks the full four-backend panel, not just the bfs
-oracle.
+forced forward / reverse), access checks and bulk audiences — must return
+exactly the answer of the reference walk in :mod:`repro.testing.oracle`
+over the unsharded graph.  Owners are drawn to straddle shard boundaries
+(ghost users) whenever the partition produces any, and a subset of seeds
+holds the full four-backend panel to the same oracle.
 
 A churn stage replays bursts of mutations — boundary-edge removals and
 re-adds, user removal and re-add, attribute rewrites that flip condition
@@ -27,21 +27,20 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph.generators import community_graph
 from repro.graph.social_graph import SocialGraph
 from repro.policy.engine import AccessControlEngine
+from repro.policy.path_expression import PathExpression
 from repro.policy.rules import AccessRule
 from repro.policy.store import PolicyStore
-from repro.reachability.bfs import OnlineBFSEvaluator
-from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.engine import ReachabilityEngine
-from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.sharding import ShardedGraph, ShardRouter, ShardSweepPlan
+from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
+from tests.property.test_backend_equivalence import _backends
 
 LABELS = ("friend", "colleague", "parent")
 SEEDS = range(105)
 SHARD_COUNTS = (1, 2, 4, 8)
-#: Seeds on this stride differential the full four-backend panel (the rest
-#: use the bfs oracle alone — the panel's own harness covers backend drift).
+#: Seeds on this stride also hold the four-backend panel to the oracle (the
+#: panel's own harness covers backend drift on the rest).
 PANEL_STRIDE = 7
 #: Seeds on this stride also run the access / bulk-audience engine shapes.
 ACCESS_STRIDE = 5
@@ -93,21 +92,12 @@ def pick_owners(
     return owners
 
 
-def _panel(graph):
-    return {
-        "dfs": OnlineDFSEvaluator(graph),
-        "transitive-closure": TransitiveClosureEvaluator(graph).build(),
-        "cluster-index": ClusterIndexEvaluator(graph).build(),
-    }
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_answers_equal_unsharded(seed):
     rng = random.Random(9000 + seed)
     graph = seeded_graph(seed, rng)
     users = sorted(graph.users(), key=str)
-    oracle = OnlineBFSEvaluator(graph)
-    panel = _panel(graph) if seed % PANEL_STRIDE == 0 else {}
+    panel = _backends(graph) if seed % PANEL_STRIDE == 0 else {}
 
     expressions = [
         random_expression(
@@ -115,7 +105,7 @@ def test_sharded_answers_equal_unsharded(seed):
         )
         for _ in range(2)
     ]
-    directions = ["auto", ("forward", "reverse", "batched")[seed % 3]]
+    directions = ["auto", ("forward", "reverse")[seed % 2]]
 
     for shards in SHARD_COUNTS:
         sharded = ShardedGraph(graph, shards=shards, seed=11)
@@ -124,7 +114,7 @@ def test_sharded_answers_equal_unsharded(seed):
         for expression in expressions:
             text = expression.to_text()
             expected = {
-                owner: oracle.find_targets(owner, expression)
+                owner: reference_targets(graph, owner, expression)
                 for owner in dict.fromkeys(owners)
             }
             for name, backend in panel.items():
@@ -145,9 +135,7 @@ def test_sharded_answers_equal_unsharded(seed):
             for _pair in range(3):
                 source = rng.choice(users)
                 target = rng.choice(users)
-                want = oracle.evaluate(
-                    source, target, expression, collect_witness=False
-                ).reachable
+                want = reference_reachable(graph, source, target, expression)
                 got = router.evaluate(source, target, expression)
                 assert got.reachable == want, (seed, shards, source, target, text)
         # Unknown users raise exactly like the unsharded evaluators.
@@ -164,13 +152,17 @@ def test_sharded_access_and_bulk_equal_unsharded(seed):
     users = sorted(graph.users(), key=str)
     store = PolicyStore()
     owner_a, owner_b = users[0], users[len(users) // 2]
-    store.share(owner_a, "res-a")
-    store.add_rule(AccessRule.build("res-a", owner_a, "friend+[1,2]"))
-    store.share(owner_b, "res-b")
-    store.add_rule(
-        AccessRule.build("res-b", owner_b, "friend+[1]/colleague+[1]")
-    )
-    reference = AccessControlEngine(graph, store, backend="bfs")
+    rules = {
+        "res-a": (owner_a, "friend+[1,2]"),
+        "res-b": (owner_b, "friend+[1]/colleague+[1]"),
+    }
+    want_bulk = {}
+    for resource, (owner, text) in rules.items():
+        store.share(owner, resource)
+        store.add_rule(AccessRule.build(resource, owner, text))
+        want_bulk[resource] = {owner} | reference_targets(
+            graph, owner, PathExpression.parse(text)
+        )
     for shards in SHARD_COUNTS:
         router = ShardRouter(ShardedGraph(graph, shards=shards, seed=11))
         engine = ReachabilityEngine(graph, router)
@@ -178,12 +170,9 @@ def test_sharded_access_and_bulk_equal_unsharded(seed):
         for requester in users[:: max(1, len(users) // 8)]:
             for resource in ("res-a", "res-b"):
                 assert access.is_allowed(requester, resource) == (
-                    reference.is_allowed(requester, resource)
+                    requester in want_bulk[resource]
                 ), (seed, shards, requester, resource)
         got_bulk, _plans = access.audiences_with_plans(["res-a", "res-b"])
-        want_bulk, _ref_plans = reference.audiences_with_plans(
-            ["res-a", "res-b"]
-        )
         assert got_bulk == want_bulk, (seed, shards)
 
 
@@ -252,9 +241,8 @@ def test_churn_bursts_replay_through_the_delta_path(seed):
         )  # warm the mirrors before the burst
         victim, home = churn_burst(rng, graph, sharded)
         owners = pick_owners(rng, sharded, sorted(graph.users(), key=str))
-        oracle = OnlineBFSEvaluator(graph)
         expected = {
-            owner: oracle.find_targets(owner, expression)
+            owner: reference_targets(graph, owner, expression)
             for owner in dict.fromkeys(owners)
         }
         audiences, _plan = router.sweep_targets_many(owners, expression)

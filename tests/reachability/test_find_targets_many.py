@@ -34,15 +34,6 @@ class TestBackendsMatchThePerOwnerLoop:
                     backend, text, owner,
                 )
 
-    def test_uncompiled_bfs_falls_back_to_the_loop(self, figure1):
-        evaluator = create_evaluator("bfs", figure1, compiled=False)
-        expression = PathExpression.parse("friend+[1,2]")
-        batched = evaluator.find_targets_many(["Alice", "Bill"], expression)
-        assert batched == {
-            "Alice": evaluator.find_targets("Alice", expression),
-            "Bill": evaluator.find_targets("Bill", expression),
-        }
-
 
 class TestEngineFacade:
     def test_engine_batched_matches_singles(self, figure1):
@@ -117,7 +108,7 @@ class TestDirectionPlanning:
     def test_every_direction_agrees_through_the_facade(self, figure1):
         owners = sorted(figure1.users())
         reference = None
-        for direction in ("auto", "forward", "reverse", "batched"):
+        for direction in ("auto", "forward", "reverse"):
             engine = ReachabilityEngine(figure1, "bfs", cache_size=0)
             audiences = engine.find_targets_many(
                 owners, "friend+[1,2]", direction=direction
@@ -137,18 +128,22 @@ class TestDirectionPlanning:
         with pytest.raises(ValueError):
             engine.find_targets_many(["Alice"], "friend+[1]", direction="sideways")
 
-    @pytest.mark.filterwarnings("default:.*deprecated side-channel")
-    def test_plan_is_recorded_and_cleared_when_served_from_cache(self, figure1):
-        # This test covers the legacy side-channel's record/clear contract
-        # itself, so the repo-wide deprecation-as-error filter is relaxed.
+    def test_plan_is_returned_and_none_when_served_from_cache(self, figure1):
         engine = ReachabilityEngine(figure1, "bfs")
-        assert engine.last_sweep_plan is None
-        engine.find_targets_many(["Alice", "Bill"], "friend+[1]")
-        plan = engine.last_sweep_plan
-        assert plan is not None and plan.owners == 2
-        # Fully warm: nothing is swept, so there is no plan to report.
-        engine.find_targets_many(["Alice", "Bill"], "friend+[1]")
-        assert engine.last_sweep_plan is None
+        _audiences, plan = engine.sweep_targets_many(["Alice", "Bill"], "friend+[1]")
+        assert plan is not None and plan.owners == 2 and not plan.forced
+        # Fully warm: nothing is swept, so there is no plan to report —
+        # even under a pinned direction.
+        for direction in ("auto", "reverse"):
+            _audiences, plan = engine.sweep_targets_many(
+                ["Alice", "Bill"], "friend+[1]", direction=direction
+            )
+            assert plan is None
+        _audiences, plan = engine.sweep_targets_many(
+            ["Alice", "Colin"], "friend+[1]", direction="reverse"
+        )
+        assert plan is not None and plan.owners == 1
+        assert plan.forced and plan.direction == "reverse"
 
     def test_policy_engine_records_plans_per_expression(self, figure1):
         store = PolicyStore()
@@ -218,12 +213,12 @@ class TestClusterSweepSeesLiveAttributes:
         evaluator = create_evaluator("cluster-index", graph)
         expression = PathExpression.parse("friend+[1]{age >= 60}")
 
-        for direction in ("forward", "reverse", "batched"):
+        for direction in ("forward", "reverse"):
             assert evaluator.find_targets_many(
                 ["o"], expression, direction=direction
             ) == {"o": {"a"}}
         graph.update_user("b", age=99)
-        for direction in ("forward", "reverse", "batched"):
+        for direction in ("forward", "reverse"):
             assert evaluator.find_targets_many(
                 ["o"], expression, direction=direction
             ) == {"o": evaluator.find_targets("o", expression)}, direction

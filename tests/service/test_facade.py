@@ -156,8 +156,8 @@ class TestIndexFreshness:
 
 
 class TestSweepPlanRace:
-    """Regression for the PR 5 side-channel race: a memo-warm call must not
-    disturb (or get confused with) an earlier call's executed sweep plan."""
+    """A memo-warm call must not disturb (or get confused with) an earlier
+    call's executed sweep plan."""
 
     def test_warm_audience_results_carry_their_own_plan(self, figure1):
         service = service_over(figure1)
@@ -166,8 +166,7 @@ class TestSweepPlanRace:
         warm = service.audience(["Alice", "Bill"], "friend+[1,2]")
         # The warm call swept nothing: its result says so...
         assert warm.sweep_plan is None
-        # ...and the cold result's plan is untouched — under the old
-        # last_sweep_plan attribute the second call overwrote it with None.
+        # ...and the cold result's plan is untouched.
         assert cold.sweep_plan is not None and cold.sweep_plan.owners == 2
 
     def test_engine_sweep_returns_the_plan_of_this_call(self, figure1):

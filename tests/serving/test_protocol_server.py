@@ -201,3 +201,35 @@ def test_server_request_id_echo_allows_out_of_order():
     responses = asyncio.run(main())
     assert set(responses) == {f"req-{i}" for i in range(5)}
     assert all(response["ok"] for response in responses.values())
+
+
+# 'batched' was a direction once; like any unknown value it is outside input.
+@pytest.mark.parametrize("direction", ['batched', "sideways", ["forward"]])
+def test_unknown_audience_direction_is_an_error_frame_not_a_dead_connection(direction):
+    registry, workload = _registry()
+    owner = sorted(workload.graph.users())[0]
+    audience = {"op": "audience", "tenant": "t0", "owner": owner, "expression": "friend+[1]"}
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        responses = []
+        # One frame at a time: the good frame is sent only after the bad
+        # one's answer arrived, on the same connection.
+        for frame in (
+            {**audience, "id": "bad", "direction": direction},
+            {**audience, "id": "good", "direction": "reverse"},
+        ):
+            writer.write((json.dumps(frame) + "\n").encode())
+            await writer.drain()
+            responses.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+        writer.close()
+        await server.stop()
+        return responses
+
+    bad, good = asyncio.run(main())
+    assert bad["id"] == "bad" and bad["ok"] is False
+    assert bad["error"]["type"] in ("ValueError", "TypeError")
+    assert good["id"] == "good" and good["ok"] is True
+    assert isinstance(good["result"]["audience"], list)
