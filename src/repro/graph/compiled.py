@@ -40,12 +40,28 @@ O(|delta|):
   sweep, which is what makes attribute-hot workloads cheap again;
 * **user adds** append to the interned id maps and extend every CSR offset
   array by one (amortized O(labels) per user);
-* **edge adds / removes** are queued into per-label **overflow side-tables**
-  and folded into the label's forward/reverse CSR pair by a *compaction*
-  pass — lazily at the label's next adjacency read, or eagerly once the
-  side-table crosses a size threshold.  Compacting label ``l`` costs
-  O(|E_l| + |side-table|), so a churn burst touching few labels never pays
-  for the whole graph, and untouched labels keep their arrays byte-for-byte;
+* **edge adds / removes** materialise the touched *out-row* (forward side)
+  and *in-row* (backward side) of the label into a small per-label **row
+  overlay** — ``{node: array}`` — over the untouched base CSR.  Every
+  reader that wants one row (the traversal loops, ``out_neighbors``,
+  ``out_degree``) takes the overlay entry when there is one and the base
+  slice otherwise, so a patched edge is visible at once and nothing is
+  re-derived: one op costs O(degree of the two touched rows).  The overlay
+  is **folded** into a fresh CSR pair only when it outgrows a share of the
+  label's own size (``_FOLD_SHARE`` — amortised O(1) per op), or when a
+  whole-graph consumer asks for the raw arrays through
+  :meth:`CompiledGraph.forward` / :meth:`~CompiledGraph.backward`
+  (``snapshot.save``, ``compacted()``, the transitive closure, the sharding
+  partitioner and summaries, the crash simulator).  A point query or the
+  planner never triggers a fold.  Untouched labels keep their arrays
+  byte-for-byte, and a mapped base is never written: overlay rows and folded
+  pairs are always private arrays;
+* **degree statistics are maintained, not rescanned**: every journal edge op
+  is a real +1/-1 change (the graph rejects duplicate adds and absent
+  removes), so the patch updates the label's edge count and its per-side
+  ``degree -> node count`` histograms in O(1) and
+  :meth:`CompiledGraph.degree_statistics` after a patch is O(labels).  The
+  histograms are built by one full scan, the first time anyone asks;
 * **user removals** tombstone the slot: the dense index is kept but marked
   dead — every sweep skips it, ``degree_statistics`` divides by the live
   count, and the next ``add_user`` reuses the slot for the new user.  The
@@ -58,21 +74,23 @@ O(|delta|):
 
 Entries in :attr:`CompiledGraph.derived` declare how deltas affect them via
 :func:`register_derived_policy`: ``"structural"`` entries (the interned line
-index) survive attribute-only patches and are dropped by structural ones,
-``"keep"`` entries manage their own freshness (``degree_statistics``
-refreshes exactly the labels a patch touched), and everything else is
-conservatively dropped by any patch.  Long-lived consumers that require the
-frozen build-time structure (the cluster backend's stale-read contract) call
-:meth:`CompiledGraph.pin`; a pinned snapshot is never patched — the next
-refresh builds a fresh object and leaves the pinned one untouched.
+index, the ``degree_statistics`` tuple — re-assembled from the maintained
+counters in O(labels)) survive attribute-only patches and are dropped by
+structural ones, ``"keep"`` entries manage their own freshness, and
+everything else is conservatively dropped by any patch.  Long-lived
+consumers that require the frozen build-time structure (the cluster
+backend's stale-read contract) call :meth:`CompiledGraph.pin`; a pinned
+snapshot is never patched — the next refresh builds a fresh object and
+leaves the pinned one untouched.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
-
+from collections import Counter
 from dataclasses import dataclass
+from operator import sub
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.social_graph import Relationship, SocialGraph, UserId
@@ -95,14 +113,22 @@ _SNAPSHOT_ATTR = "_compiled_snapshot"
 #: that leaks it into output fails loudly instead of resurrecting the user.
 _TOMBSTONE = object()
 
-#: Side-table ops queued by :meth:`CompiledGraph.apply_deltas`:
-#: ``(+1, source, target)`` adds the pair, ``(-1, source, target)`` removes it.
+#: One label's adjacency as row readers see it: the base CSR pair plus the
+#: overlay of rows patched since the pair was built.  ``node``'s row is
+#: ``overlay[node]`` when the overlay is non-empty and has the node, else
+#: ``targets[offsets[node]:offsets[node + 1]]``.
+RowView = Tuple[Sequence[int], Sequence[int], Dict[int, array]]
+
+#: Edge ops as :meth:`CompiledGraph._patch_edge` applies them: the change in
+#: the label's edge count and in both touched rows' degree.
 _ADD, _REMOVE = 1, -1
 
-#: A label's overflow side-table is folded into its CSR pair as soon as it
-#: holds this many entries (or a quarter of the label's base edges, whichever
-#: is larger) — bounding both memory and the cost of the next lazy read.
-_COMPACT_FLOOR = 64
+#: A label's row overlay is folded into a fresh CSR pair once it holds more
+#: than ``1 / _FOLD_SHARE`` of the entries of the label's own CSR (offsets
+#: plus targets).  A fold costs O(that CSR) and an edge op grows the overlay
+#: by at most what the op itself copied, so the fold is amortised O(1) per
+#: op and the overlay's memory stays a fixed share of the label's.
+_FOLD_SHARE = 8
 
 #: How mutation deltas affect one :attr:`CompiledGraph.derived` entry.
 #: ``"always"`` (the conservative default for unregistered keys) drops the
@@ -124,7 +150,9 @@ def register_derived_policy(name: str, policy: str) -> None:
     _DERIVED_POLICIES[name] = policy
 
 
-register_derived_policy("degree_statistics", "keep")  # partial refresh below
+# The tuple is re-assembled from maintained counters in O(labels); only
+# structural patches can change it.
+register_derived_policy("degree_statistics", "structural")
 
 
 def build_csr(pairs: Sequence[Tuple[int, int]], node_count: int) -> CSR:
@@ -177,36 +205,41 @@ def _extend_ints(destination: array, values) -> None:
         destination.extend(values)
 
 
-def _stitch_csr(
-    offsets,
-    targets,
-    adds: Dict[int, List[int]],
-    removes: Dict[int, "Set[int]"],
-) -> CSR:
-    """Apply a small per-row edit set to a CSR pair without a full rebuild.
+def _read_row(csr: CSR, overlay: Dict[int, array], node: int):
+    """``node``'s row of one adjacency half: the overlay entry, else the base slice."""
+    row = overlay.get(node) if overlay else None
+    if row is None:
+        offsets, targets = csr
+        row = targets[offsets[node]:offsets[node + 1]]
+    return row
+
+
+def _own_row(csr: CSR, overlay: Dict[int, array], node: int) -> array:
+    """``node``'s editable overlay row, materialised from the base on first touch."""
+    row = overlay.get(node)
+    if row is None:
+        offsets, targets = csr
+        row = overlay[node] = _copy_ints(targets[offsets[node]:offsets[node + 1]])
+    return row
+
+
+def _stitch_csr(offsets, targets, rows: Mapping[int, array]) -> CSR:
+    """Replace the rows in ``rows`` of a CSR pair without a full rebuild.
 
     Untouched stretches of ``targets`` are moved by C-level slice copies;
-    per-element interpreter work is confined to the edited rows and to one
-    offset-shift pass over the suffix starting at the first edited row.
-    ``adds``/``removes`` must be pre-reconciled: every add is absent from
-    the base row, every remove present in it.  The base pair may be plain
-    arrays or a mapped snapshot's read-only memoryviews — the output is
-    always a pair of private arrays (this *is* the copy-on-write step).
+    per-element interpreter work is confined to one offset-shift pass over
+    the suffix starting at the first replaced row.  The base pair may be
+    plain arrays or a mapped snapshot's read-only memoryviews — the output
+    is always a pair of private arrays (this *is* the copy-on-write step).
     """
-    affected = sorted(set(adds) | set(removes))
+    affected = sorted(rows)
     new_targets = array("l")
     row_delta: List[int] = []
     prev_end = 0
     for node in affected:
         start, end = offsets[node], offsets[node + 1]
         _extend_ints(new_targets, targets[prev_end:start])
-        row = _copy_ints(targets[start:end])
-        drop = removes.get(node)
-        if drop:
-            row = array("l", (x for x in row if x not in drop))
-        extra = adds.get(node)
-        if extra:
-            row += array("l", extra)
+        row = rows[node]
         new_targets += row
         row_delta.append(len(row) - (end - start))
         prev_end = end
@@ -220,9 +253,41 @@ def _stitch_csr(
         next_node = affected[position + 1] if position + 1 < len(affected) else last
         if shift:
             new_offsets[node + 1:next_node + 1] = array(
-                "l", (value + shift for value in offsets[node + 1:next_node + 1])
+                "l", map(shift.__add__, offsets[node + 1:next_node + 1])
             )
     return new_offsets, new_targets
+
+
+class _DegreeHistogram:
+    """``degree -> node count`` of one side of one label, and its maximum.
+
+    Zero-degree nodes are not counted, so user adds and removals (whose
+    rows are empty by the time they are patched) never touch it.
+    """
+
+    __slots__ = ("counts", "maximum")
+
+    def __init__(self, counts: Mapping[int, int]) -> None:
+        self.counts: Dict[int, int] = {
+            degree: nodes for degree, nodes in counts.items() if degree and nodes
+        }
+        self.maximum = max(self.counts, default=0)
+
+    def step(self, old: int, new: int) -> None:
+        """Move one node from degree ``old`` to ``new``; they differ by one."""
+        counts = self.counts
+        if old:
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
+        if new:
+            counts[new] = counts.get(new, 0) + 1
+        if new > self.maximum:
+            self.maximum = new
+        elif old == self.maximum and old not in counts:
+            self.maximum = new  # the node that left the top now sits one below
 
 
 @dataclass(frozen=True)
@@ -266,11 +331,12 @@ class CompiledGraph:
         "_forward_all",
         "_backward_all",
         "derived",
-        "_pending",
+        "_out_overlay",
+        "_in_overlay",
+        "_overlay_cells",
+        "_label_edges",
+        "_degrees",
         "_merged_pending",
-        "_merged_dirty",
-        "_stats_dirty",
-        "_stats_nodes",
         "_free_slots",
         "_dead",
         "_pinned",
@@ -329,28 +395,39 @@ class CompiledGraph:
         #: so epoch-based invalidation comes for free.  Delta patches sweep
         #: the dict through :func:`register_derived_policy`.
         self.derived: Dict[Any, Any] = {}
-        # Delta-maintenance state: per-label overflow side-tables of queued
-        # (+1/-1, source, target) ops, dirtiness of the merged adjacency and
-        # of per-label degree statistics, and the pin flag.
-        self._pending: Dict[int, List[Tuple[int, int, int]]] = {}
-        self._merged_pending: List[Tuple[int, int]] = []
-        self._merged_dirty = False
-        self._stats_dirty: Set[int] = set()
-        self._stats_nodes = len(self.node_ids)
-        # Tombstone state: slots freed by remove_user deltas, reusable (LIFO)
-        # by the next add_user patch.  ``_dead`` is the membership view the
-        # sweep cores consult through :attr:`dead_slots`.
-        self._free_slots: List[int] = []
-        self._dead: Set[int] = set()
-        self._pinned = False
         # Persistence state: a freshly compiled snapshot owns private arrays;
         # a memory-mapped one (from_mapping) flips these and carries the mmap
         # objects keeping its buffers alive.
         self._mapped = False
         self._offsets_private = True
         self._backing: Tuple[Any, ...] = ()
-        #: Counters for benchmarks/tests: patches applied, ops absorbed,
-        #: side-table compactions performed, slots tombstoned and reused.
+        self._reset_delta_state()
+
+    def _reset_delta_state(self) -> None:
+        """Start delta maintenance over the CSR pairs just installed."""
+        # Per label: the row overlays of both sides, how many array entries
+        # they hold (one per row plus the rows' contents — the fold trigger),
+        # and the exact edge count.  ``_degrees`` holds the per-label
+        # (out, in) degree histograms once the first full scan built them.
+        self._out_overlay: List[Dict[int, array]] = [{} for _ in self.labels]
+        self._in_overlay: List[Dict[int, array]] = [{} for _ in self.labels]
+        self._overlay_cells: List[int] = [0] * len(self.labels)
+        self._label_edges: List[int] = [offsets[-1] for offsets, _ in self._forward]
+        self._degrees: Optional[List[Tuple[_DegreeHistogram, _DegreeHistogram]]] = None
+        # The merged adjacency is read by whole-graph consumers only and is
+        # still brought up to date lazily, from the pairs queued here.
+        self._merged_pending: List[Tuple[int, int]] = []
+        # Tombstone state: slots freed by remove_user deltas, reusable (LIFO)
+        # by the next add_user patch.  ``_dead`` is the membership view the
+        # sweep cores consult through :attr:`dead_slots`.
+        self._free_slots: List[int] = []
+        self._dead: Set[int] = set()
+        self._pinned = False
+        #: Counters for benchmarks/tests.  Events: patches applied, ops
+        #: absorbed, label folds and merged-adjacency compactions performed,
+        #: slots tombstoned and reused.  Exact work: CSR target entries
+        #: written by label folds, offsets scanned to build degree
+        #: histograms, journal entries :func:`compile_graph` had visited.
         self.delta_events: Dict[str, int] = {
             "applies": 0,
             "ops": 0,
@@ -358,6 +435,9 @@ class CompiledGraph:
             "merged_compactions": 0,
             "tombstones": 0,
             "slot_reuses": 0,
+            "fold_entries_copied": 0,
+            "degree_offsets_scanned": 0,
+            "journal_entries_visited": 0,
         }
 
     @classmethod
@@ -387,9 +467,9 @@ class CompiledGraph:
         conditions read the deserialized ``attrs`` dicts and witness
         :class:`Relationship` objects are synthesized from the CSR (without
         edge attributes).  Mutation paths copy-on-write: the first structural
-        patch privatizes the offset arrays it must extend, and compactions
-        always emit private arrays, so a mapped region itself is never
-        written through.
+        patch privatizes the offset arrays it must extend, patched rows are
+        private copies in the row overlay and folds always emit private
+        arrays, so a mapped region itself is never written through.
         """
         snapshot = cls.__new__(cls)
         snapshot.graph = graph
@@ -411,25 +491,10 @@ class CompiledGraph:
         snapshot._forward_all = forward_all
         snapshot._backward_all = backward_all
         snapshot.derived = {}
-        snapshot._pending = {}
-        snapshot._merged_pending = []
-        snapshot._merged_dirty = False
-        snapshot._stats_dirty = set()
-        snapshot._stats_nodes = len(snapshot.node_ids)
-        snapshot._free_slots = []
-        snapshot._dead = set()
-        snapshot._pinned = False
         snapshot._mapped = True
         snapshot._offsets_private = False
         snapshot._backing = tuple(backing)
-        snapshot.delta_events = {
-            "applies": 0,
-            "ops": 0,
-            "label_compactions": 0,
-            "merged_compactions": 0,
-            "tombstones": 0,
-            "slot_reuses": 0,
-        }
+        snapshot._reset_delta_state()
         return snapshot
 
     # -------------------------------------------------------------- identity
@@ -453,8 +518,9 @@ class CompiledGraph:
         """Bytes held by the CSR adjacency buffers (mapped or private).
 
         Counts every per-label and merged offsets/targets buffer plus the
-        queued overflow side-tables; interned id maps and attribute dicts are
-        Python objects and excluded.  This is the number the index-size
+        row overlays (one entry per patched row and one per neighbour in it)
+        and the queued merged-adjacency pairs; interned id maps and attribute
+        dicts are Python objects and excluded.  This is the number the index-size
         accounting (``GraphService.statistics`` /
         ``SnapshotStore.stat``) reports.
         """
@@ -470,9 +536,13 @@ class CompiledGraph:
                 total += _buffer_bytes(offsets) + _buffer_bytes(targets)
         for offsets, targets in (self._forward_all, self._backward_all):
             total += _buffer_bytes(offsets) + _buffer_bytes(targets)
-        pending_ops = sum(len(ops) for ops in self._pending.values())
-        total += (pending_ops * 3 + len(self._merged_pending) * 2) * _ITEMSIZE
+        total += (sum(self._overlay_cells) + len(self._merged_pending) * 2) * _ITEMSIZE
         return total
+
+    @property
+    def overlay_rows(self) -> int:
+        """Rows patched since their label's last fold (out- and in-rows)."""
+        return sum(map(len, self._out_overlay)) + sum(map(len, self._in_overlay))
 
     def pin(self) -> "CompiledGraph":
         """Freeze this snapshot's structure for its remaining lifetime.
@@ -540,114 +610,130 @@ class CompiledGraph:
     def forward(self, label_id: Optional[int] = None) -> CSR:
         """Return the forward CSR ``(offsets, targets)`` for one label (or merged).
 
-        Reading an adjacency folds any pending overflow side-table into the
-        label's CSR pair first (lazy compaction), so the returned arrays are
-        always complete — consumers iterate them raw, exactly as before
-        delta maintenance existed.
+        The whole-graph read: the returned arrays are complete, so a label's
+        row overlay is folded into a fresh pair first (and the merged
+        adjacency brought up to date) — consumers iterate the arrays raw.
+        Readers that want single rows use :meth:`out_rows` /
+        :meth:`out_neighbors` instead, which never fold.
         """
         if label_id is None:
-            if self._merged_dirty:
+            if self._merged_pending:
                 self._compact_merged()
             return self._forward_all
-        if self._pending.get(label_id):
-            self._compact_label(label_id)
+        if self._out_overlay[label_id]:
+            self._fold_label(label_id)
         return self._forward[label_id]
 
     def backward(self, label_id: Optional[int] = None) -> CSR:
         """Return the reverse CSR ``(offsets, sources)`` for one label (or merged)."""
         if label_id is None:
-            if self._merged_dirty:
+            if self._merged_pending:
                 self._compact_merged()
             return self._backward_all
-        if self._pending.get(label_id):
-            self._compact_label(label_id)
+        if self._in_overlay[label_id]:
+            self._fold_label(label_id)
         return self._backward[label_id]
 
-    def out_neighbors(self, index: int, label_id: Optional[int] = None) -> array:
-        """Return the targets of edges leaving the node at ``index``."""
-        offsets, targets = self.forward(label_id)
+    def out_rows(self, label_id: int) -> RowView:
+        """Return one label's forward adjacency as ``(offsets, targets, overlay)``.
+
+        The row-at-a-time read the traversal loops use (see :data:`RowView`):
+        no fold, O(1).  The view stays self-consistent for the epoch it was
+        taken in — a fold installs a new pair *and* a new overlay dict.
+        """
+        offsets, targets = self._forward[label_id]
+        return offsets, targets, self._out_overlay[label_id]
+
+    def in_rows(self, label_id: int) -> RowView:
+        """Return one label's reverse adjacency as ``(offsets, sources, overlay)``."""
+        offsets, sources = self._backward[label_id]
+        return offsets, sources, self._in_overlay[label_id]
+
+    def _half(self, label_id: Optional[int], forward: bool) -> Tuple[CSR, Dict[int, array]]:
+        """One adjacency half for single-row reads: its CSR pair and overlay
+        (the merged adjacency is brought up to date and has no overlay)."""
+        if label_id is None:
+            return (self.forward(None) if forward else self.backward(None)), {}
+        if forward:
+            return self._forward[label_id], self._out_overlay[label_id]
+        return self._backward[label_id], self._in_overlay[label_id]
+
+    def _neighbors(self, index: int, label_id: Optional[int], forward: bool) -> array:
+        (offsets, targets), overlay = self._half(label_id, forward)
+        row = overlay.get(index)
+        if row is not None:
+            return row[:]  # the overlay row is live patch state: hand out a copy
         return targets[offsets[index]:offsets[index + 1]]
 
+    def _degree(self, index: int, label_id: Optional[int], forward: bool) -> int:
+        (offsets, _targets), overlay = self._half(label_id, forward)
+        row = overlay.get(index)
+        return offsets[index + 1] - offsets[index] if row is None else len(row)
+
+    def out_neighbors(self, index: int, label_id: Optional[int] = None) -> array:
+        """Return the targets of edges leaving the node at ``index`` (never folds)."""
+        return self._neighbors(index, label_id, True)
+
     def in_neighbors(self, index: int, label_id: Optional[int] = None) -> array:
-        """Return the sources of edges entering the node at ``index``."""
-        offsets, sources = self.backward(label_id)
-        return sources[offsets[index]:offsets[index + 1]]
+        """Return the sources of edges entering the node at ``index`` (never folds)."""
+        return self._neighbors(index, label_id, False)
 
     def out_degree(self, index: int, label_id: Optional[int] = None) -> int:
         """Return the snapshot out-degree of the node at ``index``."""
-        offsets, _targets = self.forward(label_id)
-        return offsets[index + 1] - offsets[index]
+        return self._degree(index, label_id, True)
 
     def in_degree(self, index: int, label_id: Optional[int] = None) -> int:
         """Return the snapshot in-degree of the node at ``index``."""
-        offsets, _sources = self.backward(label_id)
-        return offsets[index + 1] - offsets[index]
+        return self._degree(index, label_id, False)
 
     def number_of_edges(self, label_id: Optional[int] = None) -> int:
-        """Return the number of CSR entries for one label (or distinct node pairs)."""
-        offsets, _targets = self.forward(label_id)
-        return offsets[-1]
+        """Return the number of edges of one label (or of distinct node pairs)."""
+        if label_id is None:
+            return self.forward(None)[0][-1]
+        return self._label_edges[label_id]
 
-    def _label_degree_row(self, label_id: int, label: str, node_count: int) -> LabelDegreeStats:
-        """One O(|V|) offset scan producing a label's degree-statistics row."""
-        offsets, _targets = self.forward(label_id)
-        reverse_offsets, _sources = self.backward(label_id)
-        edges = offsets[-1]
-        max_out = max(
-            (offsets[i + 1] - offsets[i] for i in range(len(offsets) - 1)),
-            default=0,
-        )
-        max_in = max(
-            (
-                reverse_offsets[i + 1] - reverse_offsets[i]
-                for i in range(len(reverse_offsets) - 1)
-            ),
-            default=0,
-        )
-        return LabelDegreeStats(label, edges, edges / node_count, max_out, max_in)
+    def _scan_degrees(self, csr: CSR, overlay: Dict[int, array]) -> _DegreeHistogram:
+        """The one full O(|V|) scan that seeds one side's degree histogram."""
+        offsets = csr[0]
+        counts = Counter(map(sub, offsets[1:], offsets[:-1]))
+        for node, row in overlay.items():
+            counts[offsets[node + 1] - offsets[node]] -= 1
+            counts[len(row)] += 1
+        self.delta_events["degree_offsets_scanned"] += len(offsets) - 1
+        return _DegreeHistogram(counts)
 
     def degree_statistics(self) -> Tuple[LabelDegreeStats, ...]:
         """Per-label degree statistics, indexed by label id.
 
-        Cached in :attr:`derived` under a ``"keep"`` delta policy: patches
-        never drop the tuple wholesale — edge deltas mark exactly the labels
-        they touched and only those rows are recomputed (one O(|V|) offset
-        scan each) at the next read; user adds refresh the cheap per-row
-        means; attribute-only patches return the cached tuple untouched.
-        The audience direction planner reads these to decide forward vs
-        reverse sweeps.
+        Exact at every epoch and never rescanned: the first call builds each
+        label's out/in degree histograms with one O(|V|) scan; from then on
+        :meth:`apply_deltas` maintains them (and the edge counts) in O(1) per
+        edge op, and this method assembles the tuple in O(labels).  The
+        tuple is cached in :attr:`derived` under the ``"structural"`` delta
+        policy, so attribute-only patches return the same object.  The
+        planners read these to price walks and to pick sweep directions.
         """
         cached: Optional[Tuple[LabelDegreeStats, ...]] = self.derived.get(
             "degree_statistics"
         )
-        node_count = max(1, self.number_of_live_nodes())
-        if (
-            cached is not None
-            and not self._stats_dirty
-            and len(cached) == len(self.labels)
-            and self._stats_nodes == node_count
-        ):
+        if cached is not None:
             return cached
-        rows = []
-        for label_id, label in enumerate(self.labels):
-            if (
-                cached is not None
-                and label_id < len(cached)
-                and label_id not in self._stats_dirty
-            ):
-                row = cached[label_id]
-                if self._stats_nodes != node_count:
-                    row = LabelDegreeStats(
-                        row.label, row.edges, row.edges / node_count,
-                        row.max_out_degree, row.max_in_degree,
-                    )
-                rows.append(row)
-                continue
-            rows.append(self._label_degree_row(label_id, label, node_count))
-        stats = tuple(rows)
+        if self._degrees is None:
+            self._degrees = [
+                (
+                    self._scan_degrees(self._forward[label_id], self._out_overlay[label_id]),
+                    self._scan_degrees(self._backward[label_id], self._in_overlay[label_id]),
+                )
+                for label_id in range(len(self.labels))
+            ]
+        node_count = max(1, self.number_of_live_nodes())
+        stats = tuple(
+            LabelDegreeStats(label, edges, edges / node_count, out.maximum, into.maximum)
+            for label, edges, (out, into) in zip(
+                self.labels, self._label_edges, self._degrees
+            )
+        )
         self.derived["degree_statistics"] = stats
-        self._stats_dirty = set()
-        self._stats_nodes = node_count
         return stats
 
     # ------------------------------------------------------ delta maintenance
@@ -681,10 +767,11 @@ class CompiledGraph:
         epoch for persisted replays; by default the patch advances to the
         attached graph's live epoch.
 
-        Cost: O(|delta|) bookkeeping per call.  Edge ops are queued into
-        per-label overflow side-tables; the CSR fold-in (compaction) is
-        deferred to each label's next adjacency read, or triggered here once
-        a side-table crosses its size threshold.
+        Cost: O(|delta| + degree of the touched rows) per call.  An edge op
+        edits its out-row and in-row in the label's row overlay and steps
+        the maintained degree counters; a label is folded into a fresh CSR
+        pair here only when its overlay has outgrown ``1 / _FOLD_SHARE`` of
+        the label's own size.
         """
         if self._pinned:
             return False
@@ -709,8 +796,8 @@ class CompiledGraph:
                     self._patch_edge(_REMOVE, op[1], op[2], op[3])
                 else:
                     return False
-        except (KeyError, IndexError):
-            return False
+        except (KeyError, IndexError, ValueError):
+            return False  # incl. a duplicate add / absent remove: out of sync
         self._sweep_derived(structural)
         if epoch is not None:
             self.epoch = epoch
@@ -726,8 +813,8 @@ class CompiledGraph:
         ``_patch_add_user`` appends one slot to every offsets array; a mapped
         snapshot's offsets are read-only memoryviews, so the first such patch
         converts them all (one C-level copy each, O(|V|) per array).  Targets
-        stay mapped: nothing mutates them in place — compactions emit fresh
-        private arrays per label as they go.
+        stay mapped: nothing mutates them in place — patched rows are private
+        copies in the overlay and folds emit fresh private arrays per label.
         """
         for csr_list in (self._forward, self._backward):
             for label_id, (offsets, targets) in enumerate(csr_list):
@@ -798,11 +885,12 @@ class CompiledGraph:
 
         The canonical graph removes every incident relationship *before*
         recording ``remove_user`` (and the journal preserves order), so by
-        the time this op is patched the slot's CSR rows are emptied by the
-        preceding ``remove_edge`` ops — queued in the side-tables, folded at
-        the next compaction.  The tombstone itself is O(1): the id maps
-        forget the user, the slot is marked dead (sweeps skip it through
-        :attr:`dead_slots`) and parked for reuse by the next ``add_user``.
+        the time this op is patched the slot's rows are emptied by the
+        preceding ``remove_edge`` ops (empty overlay rows; the base rows
+        under them go at the next fold).  The tombstone itself is O(1): the
+        id maps forget the user, the slot is marked dead (sweeps skip it
+        through :attr:`dead_slots`) and parked for reuse by the next
+        ``add_user``.
         """
         index = self.node_index.pop(user)  # KeyError aborts the patch
         self.node_ids[index] = _TOMBSTONE
@@ -812,20 +900,55 @@ class CompiledGraph:
         self.delta_events["tombstones"] += 1
 
     def _patch_edge(self, op: int, source: UserId, target: UserId, label: str) -> None:
-        """Queue one edge mutation into its label's overflow side-table."""
+        """Apply one edge op to its label's row overlay and degree counters."""
         source_index = self.node_index[source]
         target_index = self.node_index[target]
         label_id = self.label_index.get(label)
         if label_id is None:
             label_id = self._intern_label(label)
-        pending = self._pending.setdefault(label_id, [])
-        pending.append((op, source_index, target_index))
+        out_degrees, in_degrees = (
+            (None, None) if self._degrees is None else self._degrees[label_id]
+        )
+        forward = self._forward[label_id]
+        grown = self._patch_row(
+            forward, self._out_overlay[label_id], source_index, target_index, op, out_degrees
+        ) + self._patch_row(
+            self._backward[label_id], self._in_overlay[label_id],
+            target_index, source_index, op, in_degrees,
+        )
+        self._label_edges[label_id] += op
+        cells = self._overlay_cells[label_id] = self._overlay_cells[label_id] + grown
         self._merged_pending.append((source_index, target_index))
-        self._merged_dirty = True
-        self._stats_dirty.add(label_id)
-        base_edges = self._forward[label_id][0][-1]
-        if len(pending) >= max(_COMPACT_FLOOR, base_edges >> 2):
-            self._compact_label(label_id)
+        if cells * _FOLD_SHARE > len(forward[0]) + len(forward[1]):
+            self._fold_label(label_id)
+
+    @staticmethod
+    def _patch_row(
+        csr: CSR,
+        overlay: Dict[int, array],
+        node: int,
+        neighbor: int,
+        op: int,
+        degrees: Optional[_DegreeHistogram],
+    ) -> int:
+        """Add or remove ``neighbor`` in ``node``'s overlay row (materialised
+        from the base on first touch); return the growth in overlay cells.
+
+        A duplicate add or an absent remove means the ops are out of sync
+        with the snapshot: ``ValueError`` aborts the patch.
+        """
+        fresh = node not in overlay
+        row = _own_row(csr, overlay, node)
+        degree = len(row)
+        if op == _ADD:
+            if neighbor in row:
+                raise ValueError(neighbor)
+            row.append(neighbor)
+        else:
+            row.remove(neighbor)
+        if degrees is not None:
+            degrees.step(degree, degree + op)
+        return op + (degree + 1 if fresh else 0)
 
     def _intern_label(self, label: str) -> int:
         """Extend the label alphabet with a label first seen after the build."""
@@ -836,81 +959,35 @@ class CompiledGraph:
         empty_offsets = array("l", [0]) * (count + 1)
         self._forward.append((empty_offsets, array("l")))
         self._backward.append((array("l", empty_offsets), array("l")))
+        self._out_overlay.append({})
+        self._in_overlay.append({})
+        self._overlay_cells.append(0)
+        self._label_edges.append(0)
+        if self._degrees is not None:
+            self._degrees.append((_DegreeHistogram({}), _DegreeHistogram({})))
         return label_id
 
-    def _compact_label(self, label_id: int) -> None:
-        """Fold a label's overflow side-table into its CSR pair.
+    def _fold_label(self, label_id: int) -> None:
+        """Fold a label's row overlay into a fresh CSR pair.
 
-        The queued ops are first reduced to their net effect per pair (the
-        last op wins — the graph's no-duplicate-edge invariant makes
-        interleaved add/remove sequences alternate) and reconciled against
-        the base CSR with one O(degree) row probe each.  A *small* net delta
-        is then **stitched**: untouched stretches of the targets array are
-        copied wholesale (C-level slice copies) and per-element Python work
-        is limited to the edited rows plus one O(|V|) offset-shift pass —
-        O(|V| + |side-table|) interpreter steps instead of O(|V| + |E_l|).
-        Past half the label's base edges the stitch loses to a plain
-        counting-sort rebuild of the label, so the fold falls back to that.
+        A **stitch**: untouched stretches of the targets array are copied
+        wholesale (C-level slice copies), the overlay rows dropped in
+        between, and per-element Python work is limited to one O(|V|)
+        offset-shift pass.  The label gets *new* overlay dicts, so row
+        views handed out earlier stay self-consistent, and the logical
+        adjacency — hence the degree counters — is unchanged.
         """
-        pending = self._pending.get(label_id)
-        if not pending:
-            return
-        net: Dict[Tuple[int, int], int] = {}
-        for op, source, target in pending:
-            net[(source, target)] = op
-        offsets, targets = self._forward[label_id]
-        # Reconcile against the base: an op whose outcome the base already
-        # reflects (remove-then-re-add of a base edge, add-then-remove of a
-        # new one) is dropped here, so the stitch sees only real edits.
-        adds: Dict[int, List[int]] = {}
-        removes: Dict[int, Set[int]] = {}
-        add_count = remove_count = 0
-        for (source, target), op in net.items():
-            row = targets[offsets[source]:offsets[source + 1]]
-            present = target in row
-            if op == _ADD and not present:
-                adds.setdefault(source, []).append(target)
-                add_count += 1
-            elif op == _REMOVE and present:
-                removes.setdefault(source, set()).add(target)
-                remove_count += 1
-        if add_count + remove_count == 0:
-            self._pending[label_id] = []
-            return
-        base_edges = offsets[-1]
-        if (add_count + remove_count) * 2 > base_edges:
-            # Threshold fallback: rebuild the label from scratch by counting
-            # sort — cheaper than stitching a delta of comparable size.
-            pairs: List[Tuple[int, int]] = []
-            for source in range(len(offsets) - 1):
-                drop = removes.get(source)
-                for cursor in range(offsets[source], offsets[source + 1]):
-                    target = targets[cursor]
-                    if drop is None or target not in drop:
-                        pairs.append((source, target))
-            for source, extra in adds.items():
-                pairs.extend((source, target) for target in extra)
-            count = len(self.node_ids)
-            self._forward[label_id] = build_csr(pairs, count)
-            self._backward[label_id] = build_csr(
-                [(target, source) for source, target in pairs], count
-            )
-        else:
-            self._forward[label_id] = _stitch_csr(offsets, targets, adds, removes)
-            backward_adds: Dict[int, List[int]] = {}
-            for source, extra in adds.items():
-                for target in extra:
-                    backward_adds.setdefault(target, []).append(source)
-            backward_removes: Dict[int, Set[int]] = {}
-            for source, drop in removes.items():
-                for target in drop:
-                    backward_removes.setdefault(target, set()).add(source)
-            reverse_offsets, reverse_targets = self._backward[label_id]
-            self._backward[label_id] = _stitch_csr(
-                reverse_offsets, reverse_targets, backward_adds, backward_removes
-            )
-        self._pending[label_id] = []
+        self._forward[label_id] = _stitch_csr(
+            *self._forward[label_id], self._out_overlay[label_id]
+        )
+        self._backward[label_id] = _stitch_csr(
+            *self._backward[label_id], self._in_overlay[label_id]
+        )
+        self._out_overlay[label_id] = {}
+        self._in_overlay[label_id] = {}
+        self._overlay_cells[label_id] = 0
         self.delta_events["label_compactions"] += 1
+        self.delta_events["fold_entries_copied"] += 2 * self._label_edges[label_id]
 
     def _compact_merged(self) -> None:
         """Bring the merged (label-collapsed) adjacency up to date.
@@ -918,12 +995,13 @@ class CompiledGraph:
         The merged view holds one entry per distinct ``(source, target)``
         pair across all labels, so an edge delta's effect on it depends on
         the *other* labels too.  The queued candidate pairs are resolved
-        authoritatively against the (freshly compacted) per-label CSRs —
-        present anywhere vs present in the merged base — and the small net
-        edit is stitched exactly like a label compaction.  Only when the
-        candidate set rivals the merged size does this fall back to the full
-        per-element rebuild, so a burst touching few edges never pays
-        O(|E|) interpreter work for the merged view either.
+        authoritatively against the per-label rows (overlay-aware, so no
+        label is folded for this) — present anywhere vs present in the
+        merged base — and the edited rows are stitched in exactly like a
+        label fold.  Only when the candidate set rivals the merged size
+        does this fall back to the full per-element rebuild, so a burst
+        touching few edges never pays O(|E|) interpreter work for the
+        merged view either.
         """
         pending = self._merged_pending
         self._merged_pending = []
@@ -931,35 +1009,28 @@ class CompiledGraph:
         offsets, targets = self._forward_all
         candidates = set(pending)
         if candidates and len(candidates) * 2 <= offsets[-1]:
-            label_csrs = [
-                self.forward(label_id) for label_id in range(len(self.labels))
-            ]  # compacts every dirty label first
-            adds: Dict[int, List[int]] = {}
-            removes: Dict[int, Set[int]] = {}
+            label_rows = list(zip(self._forward, self._out_overlay))
+            out_rows: Dict[int, array] = {}
+            in_rows: Dict[int, array] = {}
+            reverse = self._backward_all
             for source, target in candidates:
                 anywhere = any(
-                    target in label_targets[label_offsets[source]:label_offsets[source + 1]]
-                    for label_offsets, label_targets in label_csrs
+                    target in _read_row(csr, overlay, source)
+                    for csr, overlay in label_rows
                 )
-                merged = target in targets[offsets[source]:offsets[source + 1]]
-                if anywhere and not merged:
-                    adds.setdefault(source, []).append(target)
-                elif merged and not anywhere:
-                    removes.setdefault(source, set()).add(target)
-            if adds or removes:
-                self._forward_all = _stitch_csr(offsets, targets, adds, removes)
-                backward_adds: Dict[int, List[int]] = {}
-                for source, extra in adds.items():
-                    for target in extra:
-                        backward_adds.setdefault(target, []).append(source)
-                backward_removes: Dict[int, Set[int]] = {}
-                for source, drop in removes.items():
-                    for target in drop:
-                        backward_removes.setdefault(target, set()).add(source)
-                reverse_offsets, reverse_targets = self._backward_all
-                self._backward_all = _stitch_csr(
-                    reverse_offsets, reverse_targets, backward_adds, backward_removes
-                )
+                if anywhere == (target in _read_row(self._forward_all, out_rows, source)):
+                    continue
+                out_row = _own_row(self._forward_all, out_rows, source)
+                in_row = _own_row(reverse, in_rows, target)
+                if anywhere:
+                    out_row.append(target)
+                    in_row.append(source)
+                else:
+                    out_row.remove(target)
+                    in_row.remove(source)
+            if out_rows:
+                self._forward_all = _stitch_csr(offsets, targets, out_rows)
+                self._backward_all = _stitch_csr(*reverse, in_rows)
         else:
             distinct: Set[Tuple[int, int]] = set()
             for label_id in range(len(self.labels)):
@@ -972,7 +1043,6 @@ class CompiledGraph:
             self._backward_all = build_csr(
                 [(target, source) for source, target in pairs], count
             )
-        self._merged_dirty = False
         self.delta_events["merged_compactions"] += 1
 
     def _sweep_derived(self, structural: bool) -> None:
@@ -990,7 +1060,7 @@ class CompiledGraph:
         """Return an equivalent snapshot with every tombstoned slot squeezed out.
 
         Returns ``self`` when all slots are live (the common case — no work,
-        no copy).  Otherwise pending side-tables are folded, live slots are
+        no copy).  Otherwise the row overlays are folded, live slots are
         renumbered densely (insertion order preserved) and every CSR pair is
         rebuilt over the live index space.  The persistence layer serializes
         through this, so the on-disk format never carries a tombstone and
@@ -999,7 +1069,7 @@ class CompiledGraph:
         if not self._dead:
             return self
         for label_id in range(len(self.labels)):
-            self.forward(label_id)  # fold pending: CSRs become authoritative
+            self.forward(label_id)  # fold the overlay: CSRs become authoritative
         self.forward(None)
         remap: Dict[int, int] = {}
         node_ids: List[UserId] = []
@@ -1035,17 +1105,10 @@ class CompiledGraph:
         clone._forward_all = _rebuild(*self._forward_all)
         clone._backward_all = _rebuild(*self._backward_all)
         clone.derived = {}
-        clone._pending = {}
-        clone._merged_pending = []
-        clone._merged_dirty = False
-        clone._stats_dirty = set()
-        clone._stats_nodes = count
-        clone._free_slots = []
-        clone._dead = set()
-        clone._pinned = False
         clone._mapped = False
         clone._offsets_private = True
         clone._backing = ()
+        clone._reset_delta_state()
         clone.delta_events = dict(self.delta_events)
         return clone
 
@@ -1082,19 +1145,21 @@ def compile_graph(graph: SocialGraph) -> CompiledGraph:
     ``epoch`` moves, so repeated queries between mutations share one build.
     When the epoch has moved, the graph's mutation journal is consulted
     first: a journal-covered gap is absorbed by
-    :meth:`CompiledGraph.apply_deltas` in O(|delta|) — same object, patched
-    in place, with user removals tombstoning their slots — and only journal
-    overflow or a :meth:`pinned <CompiledGraph.pin>` snapshot fall back to
-    the full O(|V| + |E|) rebuild (a fresh object, as before).
+    :meth:`CompiledGraph.apply_deltas` in O(|delta| + degree of the touched
+    rows) — same object, patched in place, with user removals tombstoning
+    their slots — and only journal overflow or a :meth:`pinned
+    <CompiledGraph.pin>` snapshot fall back to the full O(|V| + |E|) rebuild
+    (a fresh object, as before).
     """
     snapshot: Optional[CompiledGraph] = getattr(graph, _SNAPSHOT_ATTR, None)
     if snapshot is not None:
         if not snapshot.is_stale():
             return snapshot
         if not snapshot.pinned:
-            mutations_since = getattr(graph, "mutations_since", None)
-            deltas = (
-                mutations_since(snapshot.epoch) if mutations_since is not None else None
+            visited = graph.journal_entries_visited
+            deltas = graph.mutations_since(snapshot.epoch)
+            snapshot.delta_events["journal_entries_visited"] += (
+                graph.journal_entries_visited - visited
             )
             if deltas is not None and snapshot.apply_deltas(deltas):
                 return snapshot

@@ -285,11 +285,11 @@ def save_snapshot(
 ) -> int:
     """Serialize ``snapshot`` to ``path`` atomically; return the bytes written.
 
-    Pending overflow side-tables are folded in first (the on-disk CSR is
-    always fully compacted), and tombstoned slots are squeezed out through
-    :meth:`CompiledGraph.compacted` — the on-disk format never carries a
-    dead slot, so a later :func:`load_snapshot` needs neither side-table
-    nor tombstone state.  User ids and attribute values must be
+    Every label's row overlay is folded in first (saving is a whole-graph
+    read; the on-disk CSR is always complete), and tombstoned slots are
+    squeezed out through :meth:`CompiledGraph.compacted` — the on-disk
+    format never carries a dead slot, so a later :func:`load_snapshot` needs
+    neither overlay nor tombstone state.  User ids and attribute values must be
     JSON-representable (strings, numbers, booleans, ``None`` and
     lists/dicts thereof) — the substrate's documented serialization domain.
     """
@@ -300,7 +300,7 @@ def save_snapshot(
     sections: List[Tuple[str, bytes]] = []
     label_edge_counts: List[int] = []
     for label_id in range(len(snapshot.labels)):
-        forward = snapshot.forward(label_id)  # settles pending compactions
+        forward = snapshot.forward(label_id)  # folds the label's row overlay
         backward = snapshot.backward(label_id)
         label_edge_counts.append(forward[0][-1])
         sections.append((_section_name("fwd", label_id, "offsets"), _buffer_bytes(forward[0])))

@@ -208,6 +208,9 @@ class SocialGraph:
         self._journal_weight = 0
         # user -> its live ("update_user", user) journal entry, for merging.
         self._attr_entries: Dict[UserId, List[Any]] = {}
+        #: Journal entries :meth:`mutations_since` has walked so far — an
+        #: exact work counter (it must track the delta, not the journal).
+        self.journal_entries_visited = 0
 
     # ---------------------------------------------------- epochs and journal
 
@@ -312,6 +315,10 @@ class SocialGraph:
         the journal (a defensive weight check).  ``None`` tells
         :func:`~repro.graph.compiled.compile_graph` to fall back to a full
         snapshot rebuild; a (possibly empty) list is a complete delta.
+
+        Cost: O(|delta|) — entries are appended in epoch order, so the walk
+        starts at the young end and stops at the first entry not after
+        ``epoch``.
         """
         if epoch == self._epoch:
             return []
@@ -319,11 +326,17 @@ class SocialGraph:
             return None
         if self._journal_weight < self._epoch - self._journal_floor:
             return None  # some bump bypassed _record: coverage is unprovable
-        return [
-            op
-            for entry_epoch, op, weight in self._journal
-            if weight and entry_epoch > epoch
-        ]
+        ops: List[MutationOp] = []
+        visited = 0
+        for entry_epoch, op, weight in reversed(self._journal):
+            visited += 1
+            if entry_epoch <= epoch:
+                break
+            if weight:  # weight 0: a merged marker's tombstoned old slot
+                ops.append(op)
+        self.journal_entries_visited += visited
+        ops.reverse()
+        return ops
 
     # ------------------------------------------------------------------ users
 

@@ -68,8 +68,12 @@ SWEEP_DIRECTIONS = ("auto", "forward", "reverse")
 #: label id, traversed forward?).
 _Edge = Tuple[int, int, int, bool]
 
-#: One CSR adjacency half: (offsets, targets) arrays.
-CSR_PAIR = Tuple[Sequence[int], Sequence[int]]
+#: One edge orientation a product state may take: the label's row view
+#: ``(offsets, targets, overlay)`` (see :data:`repro.graph.compiled.RowView`),
+#: then the label id and whether edges are walked source -> target.  Both
+#: traversal loops read a node's row the same way: ``overlay[node]`` when the
+#: overlay is non-empty and has the node, else the base slice.
+_Move = Tuple[Sequence[int], Sequence[int], Dict[int, Sequence[int]], int, bool]
 
 
 class CompiledAutomaton:
@@ -417,11 +421,8 @@ def product_search(
     """
     num_states = automaton.num_states
     accept_id = automaton.accept_id
-    can_more = automaton.can_more
-    label_of = automaton.label_of
-    allow_fwd = automaton.allow_fwd
-    allow_bwd = automaton.allow_bwd
     closure = automaton.closure
+    state_moves = _hoisted_state_moves(snapshot, automaton)
 
     visited: Set[int] = set()
     accepted: Dict[int, Optional[int]] = {}
@@ -453,22 +454,14 @@ def product_search(
             charged = edges_expanded
         key = pop()
         node, state = divmod(key, num_states)
-        if not can_more[state]:
-            continue
-        label_id = label_of[state]
         next_state = state + 1
-        for forward in (True, False):
-            if forward:
-                if not allow_fwd[state]:
-                    continue
-                offsets, targets = snapshot.forward(label_id)
+        for offsets, targets, overlay, label_id, forward in state_moves[state]:
+            if overlay and node in overlay:
+                row = overlay[node]
             else:
-                if not allow_bwd[state]:
-                    continue
-                offsets, targets = snapshot.backward(label_id)
-            for position in range(offsets[node], offsets[node + 1]):
-                neighbor = targets[position]
-                edges_expanded += 1
+                row = targets[offsets[node]:offsets[node + 1]]
+            edges_expanded += len(row)
+            for neighbor in row:
                 edge: Optional[_Edge] = None
                 for closed in closure(next_state, neighbor):
                     neighbor_key = neighbor * num_states + closed
@@ -496,18 +489,19 @@ def product_search(
 
 def _hoisted_state_moves(
     snapshot: CompiledGraph, automaton: CompiledAutomaton
-) -> List[List[CSR_PAIR]]:
-    """Per-state CSR selections, hoisted so the edge loops never re-check
-    directions or re-resolve label ids."""
-    state_moves: List[List[CSR_PAIR]] = []
+) -> List[List[_Move]]:
+    """Per-state row views, hoisted so the edge loops never re-check
+    directions or re-resolve label ids (empty where a state cannot take
+    another edge).  Row views never fold a label's overlay."""
+    state_moves: List[List[_Move]] = []
     for state in range(automaton.num_states):
-        moves: List[CSR_PAIR] = []
+        moves: List[_Move] = []
         if automaton.can_more[state]:
             label_id = automaton.label_of[state]
             if automaton.allow_fwd[state]:
-                moves.append(snapshot.forward(label_id))
+                moves.append(snapshot.out_rows(label_id) + (label_id, True))
             if automaton.allow_bwd[state]:
-                moves.append(snapshot.backward(label_id))
+                moves.append(snapshot.in_rows(label_id) + (label_id, False))
         state_moves.append(moves)
     return state_moves
 
@@ -776,10 +770,13 @@ def _multisource_mask_sweep(
             continue
         next_state = state + 1
         next_static = static_closure[next_state]
-        for offsets, targets in moves:
+        for offsets, targets, overlay, _label_id, _forward in moves:
             # Slicing the CSR row and iterating the array directly saves an
             # index lookup per edge — this loop is the sweep's entire cost.
-            row = targets[offsets[node]:offsets[node + 1]]
+            if overlay and node in overlay:
+                row = overlay[node]
+            else:
+                row = targets[offsets[node]:offsets[node + 1]]
             scanned += len(row)
             for neighbor in row:
                 base = neighbor * num_states

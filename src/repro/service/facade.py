@@ -984,6 +984,13 @@ class GraphService:
         if snapshot is not None:
             stats["snapshot_nbytes"] = float(snapshot.nbytes)
             stats["snapshot_mapped"] = float(snapshot.mapped)
+            # Delta maintenance: rows waiting in the overlays, and how often
+            # this snapshot was patched / had a label folded.
+            stats["snapshot_overlay_rows"] = float(snapshot.overlay_rows)
+            stats["snapshot_label_folds"] = float(
+                snapshot.delta_events["label_compactions"]
+            )
+            stats["snapshot_delta_applies"] = float(snapshot.delta_events["applies"])
         if self.snapshot_store is not None:
             disk = self.snapshot_store.stat()
             stats["snapshot_disk_bytes"] = float(disk["disk_bytes"])

@@ -188,8 +188,11 @@ class _ShardSweepState:
                 continue
             next_state = state + 1
             next_static = static_closure[next_state]
-            for offsets, targets in moves:
-                row = targets[offsets[node]:offsets[node + 1]]
+            for offsets, targets, overlay, _label_id, _forward in moves:
+                if overlay and node in overlay:
+                    row = overlay[node]
+                else:
+                    row = targets[offsets[node]:offsets[node + 1]]
                 scanned += len(row)
                 for neighbor in row:
                     base = neighbor * num_states

@@ -6,7 +6,9 @@ must be indistinguishable from a snapshot compiled from scratch — same node
 and label interning contracts, identical per-label forward/reverse adjacency
 (as decoded user-id sets; CSR row order is not part of the contract), the
 same merged adjacency, the same degree statistics, and identical answers
-from all four reachability backends.
+from all four reachability backends.  (The hypothesis differential of the row
+overlay itself — no fold, forced fold, clone, save/load, mapped copy-on-write
+— lives in ``tests/property/test_overlay_equivalence.py``.)
 
 The seeded property harness below applies >= 250 random mutation journals
 (edge adds/removes including self-loops and brand-new labels, attribute
@@ -23,8 +25,12 @@ import random
 
 import pytest
 
+from repro.graph import compiled
 from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.generators import preferential_attachment_graph
 from repro.graph.social_graph import SocialGraph
+from repro.policy.rules import AccessRule
+from repro.policy.store import PolicyStore
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.dfs import OnlineDFSEvaluator
@@ -496,19 +502,25 @@ class TestDerivedInvalidationPolicies:
         assert compile_graph(graph) is snapshot
         assert snapshot.degree_statistics() is stats
 
-    def test_edge_patch_refreshes_only_the_touched_label_row(self):
+    def test_edge_patch_steps_the_degree_counters_without_a_rescan(self):
         graph = self._graph()
         graph.add_relationship("a", "c", "colleague")
         snapshot = compile_graph(graph)
         stats = snapshot.degree_statistics()
-        friend_row = stats[snapshot.label_id("friend")]
+        scanned = snapshot.delta_events["degree_offsets_scanned"]
+        assert scanned == 2 * 2 * snapshot.number_of_nodes()  # labels x sides
         graph.add_relationship("c", "b", "colleague")
+        graph.add_relationship("a", "b", "colleague")
+        graph.remove_relationship("a", "c", "colleague")
         assert compile_graph(graph) is snapshot
         refreshed = snapshot.degree_statistics()
         assert refreshed is not stats
-        assert refreshed[snapshot.label_id("friend")] is friend_row  # untouched
+        assert refreshed[snapshot.label_id("friend")] == stats[snapshot.label_id("friend")]
         colleague = refreshed[snapshot.label_id("colleague")]
-        assert colleague.edges == 2
+        assert (colleague.edges, colleague.max_out_degree, colleague.max_in_degree) == (
+            2, 1, 2
+        )
+        assert snapshot.delta_events["degree_offsets_scanned"] == scanned
 
     def test_unregistered_entries_are_dropped_even_by_attribute_patches(self):
         graph = self._graph()
@@ -558,3 +570,159 @@ class TestPinnedSnapshots:
             "a": {"b"},
             "c": set(),
         }
+
+
+class TestRowOverlay:
+    """Edge patches live in the row overlay; only whole-graph reads fold."""
+
+    def _patched(self):
+        graph = preferential_attachment_graph(200, edges_per_node=3, seed=5)
+        snapshot = compile_graph(graph)
+        users = sorted(graph.users())
+        rel = next(iter(graph.out_relationships(users[40])))
+        graph.remove_relationship(rel.source, rel.target, rel.label)
+        graph.add_relationship(users[1], users[2], "mentor")  # a brand-new label
+        assert compile_graph(graph) is snapshot
+        return graph, snapshot, rel
+
+    def test_single_row_reads_and_counters_never_fold(self):
+        graph, snapshot, rel = self._patched()
+        label_id = snapshot.label_id(rel.label)
+        source, target = snapshot.index_of(rel.source), snapshot.index_of(rel.target)
+        assert target not in snapshot.out_neighbors(source, label_id)
+        assert source not in snapshot.in_neighbors(target, label_id)
+        assert snapshot.out_degree(source, label_id) == graph.out_degree(rel.source, rel.label)
+        assert snapshot.in_degree(target, label_id) == graph.in_degree(rel.target, rel.label)
+        assert snapshot.number_of_edges(label_id) == graph.number_of_relationships(rel.label)
+        users = sorted(graph.users())
+        mentor = snapshot.label_id("mentor")
+        assert snapshot.number_of_edges(mentor) == 1
+        assert list(snapshot.out_neighbors(snapshot.index_of(users[1]), mentor)) == [
+            snapshot.index_of(users[2])
+        ]
+        snapshot.degree_statistics()
+        assert snapshot.overlay_rows == 4
+        assert snapshot.delta_events["label_compactions"] == 0
+        assert snapshot.delta_events["fold_entries_copied"] == 0
+
+    def test_whole_graph_reads_fold_and_earlier_row_views_stay_consistent(self):
+        graph, snapshot, rel = self._patched()
+        label_id = snapshot.label_id(rel.label)
+        source = snapshot.index_of(rel.source)
+        offsets, targets, overlay = snapshot.out_rows(label_id)
+        before_bytes = snapshot.nbytes
+        folded_offsets, folded_targets = snapshot.forward(label_id)
+        assert snapshot.delta_events["label_compactions"] == 1
+        assert snapshot.delta_events["fold_entries_copied"] == 2 * len(folded_targets)
+        assert snapshot.out_rows(label_id)[2] == {} and overlay  # a *new* dict
+        assert snapshot.nbytes < before_bytes  # the overlay was accounted for
+        row = folded_targets[folded_offsets[source]:folded_offsets[source + 1]]
+        assert sorted(row) == sorted(overlay[source])
+        assert snapshot.overlay_rows == 2  # "mentor" was not asked for
+        assert_snapshots_equivalent(snapshot, CompiledGraph(graph))
+
+    def test_the_overlay_folds_once_it_outgrows_its_share_of_the_label(self):
+        graph = preferential_attachment_graph(120, edges_per_node=3, seed=9)
+        snapshot = compile_graph(graph)
+        users = sorted(graph.users())
+        rng = random.Random(3)
+        peak = 0
+        for _ in range(400):
+            source, target = rng.sample(users, 2)
+            if graph.has_relationship(source, target, "friend"):
+                graph.remove_relationship(source, target, "friend")
+            else:
+                graph.add_relationship(source, target, "friend")
+            assert compile_graph(graph) is snapshot
+            peak = max(peak, snapshot.overlay_rows)
+        friend = snapshot.label_id("friend")
+        offsets, targets = snapshot._forward[friend]
+        folds = snapshot.delta_events["label_compactions"]
+        assert 1 <= folds < 400 // 4  # amortised: far fewer folds than ops
+        assert peak * compiled._FOLD_SHARE <= 2 * (len(offsets) + len(targets))
+        assert_snapshots_equivalent(snapshot, CompiledGraph(graph))
+
+    def test_ops_out_of_sync_with_the_snapshot_abort_the_patch(self):
+        graph = SocialGraph()
+        for user in ("a", "b"):
+            graph.add_user(user)
+        graph.add_relationship("a", "b", "friend")
+        for ops in (
+            [("add_edge", "a", "b", "friend")],  # duplicate add
+            [("remove_edge", "b", "a", "friend")],  # absent remove
+        ):
+            assert CompiledGraph(graph).apply_deltas(ops) is False
+
+    def test_mutations_since_walks_only_the_delta(self):
+        graph = preferential_attachment_graph(300, edges_per_node=3, seed=2)
+        assert len(graph._journal) > 500
+        mark = graph.epoch
+        graph.update_user("u1", age=20)
+        graph.add_user("late")
+        graph.update_user("u1", age=21)  # merges: leaves a tombstoned slot behind
+        before = graph.journal_entries_visited
+        assert graph.mutations_since(mark) == [("add_user", "late"), ("update_user", "u1")]
+        assert graph.journal_entries_visited - before == 4  # 3 slots + the stop entry
+
+
+_WORK_COUNTERS = (
+    "label_compactions",
+    "fold_entries_copied",
+    "degree_offsets_scanned",
+    "journal_entries_visited",
+)
+
+
+def _burst_then_check_work(users: int):
+    """One fixed-shape 32-op burst and the first ``check`` after it; returns
+    the exact work it cost, the ``statistics()`` rows and the snapshots."""
+    from repro.service import GraphService
+
+    graph = preferential_attachment_graph(users, edges_per_node=3, seed=11)
+    store = PolicyStore()
+    store.share("u3", "album")
+    store.add_rule(AccessRule.build("album", "u3", "friend*[1,2]/colleague*[1]"))
+    service = GraphService(graph, store)
+    service.check("u9", "album", explain=False)  # plans once: statistics are warm
+    snapshot = compile_graph(graph)
+    before = dict(snapshot.delta_events)
+
+    names = [f"u{i}" for i in range(users)]
+    for i in range(10):  # 10 removals of existing edges
+        rel = next(iter(graph.out_relationships(names[50 + 13 * i])))
+        graph.remove_relationship(rel.source, rel.target, rel.label)
+    graph.add_user("fresh")
+    for i in range(10):  # 10 adds (absent for sure: the source is new)
+        graph.add_relationship("fresh", names[20 + i], "friend")
+    for i in range(8):  # 8 attribute writes, half of them to one user
+        graph.update_user(names[7 if i % 2 else 100 + i], age=30 + i)
+    graph.add_user("passing")
+    graph.add_relationship("passing", "u3", "colleague")
+    graph.remove_user("passing")  # journals its one edge removal first
+
+    service.check("u9", "album", explain=False)
+    assert compile_graph(graph) is snapshot
+    work = {
+        name: snapshot.delta_events[name] - before[name] for name in _WORK_COUNTERS
+    }
+    return work, service.statistics(), snapshot, graph
+
+
+def test_a_sub_threshold_burst_costs_the_same_work_at_any_graph_size():
+    """The deterministic complexity guard: counts, not timings."""
+    small, small_stats, _, _ = _burst_then_check_work(2000)
+    large, large_stats, snapshot, graph = _burst_then_check_work(8000)
+    assert small == large
+    assert small["label_compactions"] == 0
+    assert small["fold_entries_copied"] == 0
+    assert small["degree_offsets_scanned"] == 0
+    # 10 + 1 + 10 + 8 + 1 + 1 + 2 journal slots (3 of the 8 attribute writes
+    # merged into an earlier marker and left its slot tombstoned — still
+    # walked), plus the entry the walk stopped at.
+    assert small["journal_entries_visited"] == 34
+    for stats in (small_stats, large_stats):
+        assert stats["snapshot_label_folds"] == 0.0
+        assert stats["snapshot_delta_applies"] == 1.0
+        assert stats["snapshot_overlay_rows"] > 0.0
+    assert small_stats["snapshot_overlay_rows"] == large_stats["snapshot_overlay_rows"]
+    assert_snapshots_equivalent(snapshot, CompiledGraph(graph))
