@@ -73,7 +73,7 @@ def main() -> None:
     print(
         f"cluster index: {int(stats['centers'])} centers, "
         f"2-hop labeling size {int(stats['index_entries'])}, "
-        f"base tables {join_index.catalog.table_names()}"
+        f"base tables {sorted(join_index.base_tables)}"
     )
     pairs = join_index.reachability_join(("friend", "+"), ("parent", "+"))
     print(f"T_friend ⋈ T_parent = {sorted(pairs)}")

@@ -16,8 +16,6 @@ The library has these layers (see docs/architecture.md for how they fit):
 * :mod:`repro.reachability` — ordered label-constraint reachability query
   evaluation (Section 3): online BFS/DFS, transitive closure, and the
   line-graph + 2-hop-cover + cluster-join-index pipeline.
-* :mod:`repro.storage` — the in-memory relational substrate (tables,
-  B+-tree, reachability joins) the index is stored in.
 * :mod:`repro.service` — the stable public surface: typed queries, the
   query planner (per-query backend auto-selection), plan-carrying results
   and the :class:`~repro.service.GraphService` session facade.

@@ -2,7 +2,7 @@
 
 All exceptions raised by the library derive from :class:`ReproError`, so that
 callers embedding the library can catch a single base class.  Each subsystem
-(graph, policy, reachability, storage) has its own intermediate base class,
+(graph, policy, reachability, serving) has its own intermediate base class,
 mirroring the package layout described in ``docs/architecture.md``.
 """
 
@@ -248,31 +248,3 @@ class UnknownTenantError(ServingError, KeyError):
 
 class ProtocolError(ServingError, ValueError):
     """A serving-protocol frame is malformed (bad JSON, missing fields...)."""
-
-
-# ---------------------------------------------------------------------------
-# Storage substrate errors
-# ---------------------------------------------------------------------------
-
-
-class StorageError(ReproError):
-    """Base class for errors raised by the in-memory relational substrate."""
-
-
-class SchemaError(StorageError, ValueError):
-    """A row does not match the schema of the table it is inserted into."""
-
-
-class DuplicateKeyError(StorageError):
-    """A unique key constraint was violated."""
-
-
-class TableNotFoundError(StorageError, KeyError):
-    """A table name was referenced that is not present in the catalog."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.name = name
-
-    def __str__(self) -> str:
-        return f"table {self.name!r} is not in the catalog"

@@ -101,6 +101,7 @@ __all__ = [
     "build_csr",
     "compile_graph",
     "register_derived_policy",
+    "require_social_graph",
 ]
 
 #: CSR adjacency: ``targets[offsets[u]:offsets[u + 1]]`` are ``u``'s neighbours.
@@ -1166,3 +1167,19 @@ def compile_graph(graph: SocialGraph) -> CompiledGraph:
     snapshot = CompiledGraph(graph)
     setattr(graph, _SNAPSHOT_ATTR, snapshot)
     return snapshot
+
+
+def require_social_graph(graph: object, consumer: str) -> None:
+    """Raise the one ``TypeError`` evaluators and index builders give a non-graph.
+
+    They work from ``compile_graph``'s snapshot and the graph's epoch, which
+    only a :class:`SocialGraph` has; a view is told where to go instead of
+    being walked by a second, duck-typed code path.
+    """
+    if not isinstance(graph, SocialGraph):
+        raise TypeError(
+            f"{consumer} works from a SocialGraph's compiled snapshot and epoch, "
+            f"not a {type(graph).__name__}; for a view, copy it into a graph "
+            "first (SocialGraph.subgraph / GraphView.materialize) or walk it "
+            "with repro.testing.oracle"
+        )

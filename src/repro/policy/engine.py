@@ -237,15 +237,6 @@ class AccessControlEngine:
         """Audiences-only form of :meth:`audiences_with_plans`."""
         return self.audiences_with_plans(resource_ids, direction=direction)[0]
 
-    def _rule_audience(self, rule: AccessRule) -> Set[Hashable]:
-        audience_of = {
-            (condition.path.to_text(), condition.owner): self.reachability.find_targets(
-                condition.owner, condition.path
-            )
-            for condition in rule.conditions
-        }
-        return self._combine_rule_audience(rule, audience_of)
-
     @staticmethod
     def _combine_rule_audience(
         rule: AccessRule,

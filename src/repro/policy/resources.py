@@ -9,7 +9,7 @@ for applications and the audit log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Mapping
+from typing import Any, Hashable, Mapping
 
 __all__ = ["Resource"]
 
@@ -26,12 +26,6 @@ class Resource:
         """Return a one-line human-readable description."""
         title = self.metadata.get("title") or self.metadata.get("kind") or "resource"
         return f"{title} {self.resource_id!r} owned by {self.owner!r}"
-
-    def with_metadata(self, **extra: Any) -> "Resource":
-        """Return a copy with additional metadata entries."""
-        merged: Dict[str, Any] = dict(self.metadata)
-        merged.update(extra)
-        return Resource(self.resource_id, self.owner, merged)
 
     def __str__(self) -> str:
         return self.describe()

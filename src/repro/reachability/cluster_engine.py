@@ -81,12 +81,10 @@ class ClusterIndexEvaluator:
         *,
         include_reverse: bool = True,
         expansion_limit: Optional[int] = 4096,
-        btree_order: int = 16,
     ) -> None:
         self.graph = graph
         self.include_reverse = include_reverse
         self.expansion_limit = expansion_limit
-        self._btree_order = btree_order
         self._line_graph: Optional[LineGraph] = None
         self._join_index: Optional[JoinIndex] = None
         self._index: Optional[InternedLineIndex] = None
@@ -175,9 +173,7 @@ class ClusterIndexEvaluator:
         """Materialize (or return) the string-facing line graph + join index."""
         if self._join_index is None or self._line_graph is None:
             self._line_graph = LineGraph(self.graph, include_reverse=self.include_reverse)
-            self._join_index = JoinIndex(
-                self._line_graph, btree_order=self._btree_order
-            ).build()
+            self._join_index = JoinIndex(self._line_graph).build()
         return self._line_graph, self._join_index
 
     @property
@@ -198,7 +194,7 @@ class ClusterIndexEvaluator:
         """Return index construction / size metrics.
 
         Size metrics include the string-facing artifacts (base-table rows,
-        W-table entries, B+-tree nodes), so this call materializes the lazy
+        W-table entries, centers), so this call materializes the lazy
         :class:`LineGraph` / :class:`JoinIndex` views.
         The views read the *live* graph: after post-build mutations they
         describe the current graph, while queries keep answering from the

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.compiled import CompiledGraph, compile_graph, require_social_graph
 from repro.graph.paths import Path, Traversal
 from repro.graph.social_graph import SocialGraph, UserId
 from repro.policy.path_expression import PathExpression
@@ -240,13 +240,7 @@ class CompiledSearchMixin:
     _depth_first = False
 
     def __init__(self, graph: SocialGraph) -> None:
-        if not isinstance(graph, SocialGraph):
-            raise TypeError(
-                f"{type(self).__name__} searches a SocialGraph's compiled snapshot, "
-                f"not a {type(graph).__name__}; for a view, copy it into a graph "
-                "first (SocialGraph.subgraph / GraphView.materialize) or walk it "
-                "with repro.testing.oracle"
-            )
+        require_social_graph(graph, type(self).__name__)
         self.graph = graph
         self._automata = AutomatonCache()
 

@@ -641,11 +641,6 @@ class InternedLineIndex:
 
     # ------------------------------------------------------------- queries
 
-    def successors_slice(self, vertex: int) -> Tuple[int, int]:
-        """Return the ``start_vertices`` range holding ``vertex``'s successors."""
-        head = self.ends[vertex]
-        return self.start_offsets[head], self.start_offsets[head + 1]
-
     def reaches(self, first: int, second: int) -> bool:
         """2-hop test: does line vertex ``first`` reach line vertex ``second``?"""
         if first == second:

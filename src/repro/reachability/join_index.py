@@ -11,8 +11,8 @@ From the 2-hop cover ``H = {S_w1, ..., S_wn}`` of the line graph, where each
 * a reachability condition ``label1 ⤳ label2`` is processed as a
   **reachability join** between the two base tables: a pair ``(x, y)``
   qualifies iff ``Lout(x) ∩ Lin(y) ≠ ∅``;
-* the **cluster-based join index** accelerates that join: a B+-tree whose
-  non-leaf entries are centers, each holding its two clusters
+* the **cluster-based join index** accelerates that join: one entry per
+  center, in sorted-center order, each holding its two clusters
   ``U_w = {x : w ∈ Lout(x)}`` and ``V_w = {y : w ∈ Lin(y)}``, grouped by
   (label, direction);
 * the **W-table** maps each ordered (label, direction) pair to the centers
@@ -22,27 +22,35 @@ From the 2-hop cover ``H = {S_w1, ..., S_wn}`` of the line graph, where each
 Both join strategies are exposed (`reachability_join` through the W-table and
 clusters, `reachability_join_baseline` straight over the base tables); they
 return identical pair sets, which the test-suite verifies.
+
+The paper keeps the base tables and the cluster index in an RDBMS under a
+B+-tree; here they are a dict of row lists and a dict filled in sorted-center
+order, which give the same lookups and the same iteration order at every size
+this repository builds an index for (docs/architecture.md, "Index artefacts").
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.graph.social_graph import SocialGraph
 from repro.reachability.interned import InternedLineIndex, interned_line_index
-from repro.reachability.linegraph import LineGraph, LineVertex
+from repro.reachability.linegraph import LineGraph
 from repro.reachability.twohop import TwoHopIndex
-from repro.storage.btree import BPlusTree
-from repro.storage.catalog import Catalog
-from repro.storage.joins import reachability_join_rows
-from repro.storage.table import Column, Schema, Table
 
-__all__ = ["ClusterEntry", "JoinIndex"]
+__all__ = ["BaseRow", "ClusterEntry", "JoinIndex"]
 
 LabelKey = Tuple[str, str]          # (label, direction symbol)
 VertexPair = Tuple[str, str]        # (line vertex id, line vertex id)
+
+
+class BaseRow(NamedTuple):
+    """One row of a per-label base table ``T_label(node, Lin, Lout)``."""
+
+    node: str
+    lin: FrozenSet[str]
+    lout: FrozenSet[str]
 
 
 @dataclass
@@ -81,13 +89,14 @@ class ClusterEntry:
 class JoinIndex:
     """The full Section-3.3 structure: 2-hop labels, base tables, clusters, W-table."""
 
-    def __init__(self, line_graph: LineGraph, *, btree_order: int = 16) -> None:
+    def __init__(self, line_graph: LineGraph) -> None:
         self.line_graph = line_graph
-        self._btree_order = btree_order
         self.two_hop: Optional[TwoHopIndex] = None
         self.interned: Optional[InternedLineIndex] = None
-        self.catalog = Catalog("base-tables")
-        self.cluster_index: BPlusTree = BPlusTree(order=btree_order)
+        #: table name (``T_friend``, ``T_friend_rev``) -> rows, one per line vertex
+        self.base_tables: Dict[str, List[BaseRow]] = {}
+        #: center -> its two clusters; iterates in sorted-center order (Figure 7)
+        self.cluster_index: Dict[str, ClusterEntry] = {}
         self.w_table: Dict[Tuple[LabelKey, LabelKey], FrozenSet[str]] = {}
         self.build_seconds = 0.0
         self._labels: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
@@ -99,18 +108,17 @@ class JoinIndex:
     def build(self) -> "JoinIndex":
         """Compute the 2-hop labeling, fill the base tables, clusters and W-table.
 
-        Over a :class:`SocialGraph` the labeling comes from the snapshot's
+        The labeling normally comes from the snapshot's
         :class:`InternedLineIndex` — SCC condensation and 2-hop cover run on
         dense int arrays and only the per-component representative names are
         decoded into the string-facing base tables, clusters and W-table.
         That shortcut requires the line graph to still describe the live
-        graph (same epoch); a stale line graph — or a duck-typed graph —
-        falls back to the generic string pipeline, which only reads the
-        line graph itself.
+        graph (same epoch); a line graph older than its graph is labelled
+        through :class:`TwoHopIndex`, which only reads the line graph itself.
         """
         started = time.perf_counter()
         graph = self.line_graph.graph
-        if isinstance(graph, SocialGraph) and self.line_graph.epoch == graph.epoch:
+        if self.line_graph.epoch == graph.epoch:
             self.interned = interned_line_index(
                 graph, include_reverse=self.line_graph.include_reverse
             )
@@ -157,18 +165,13 @@ class JoinIndex:
         return f"T_{label}" if direction == "+" else f"T_{label}_rev"
 
     def _build_base_tables(self) -> None:
-        schema = Schema(
-            [
-                Column("node", str),
-                Column("lin", frozenset),
-                Column("lout", frozenset),
+        self.base_tables = {
+            self._table_name(key): [
+                BaseRow(vertex.vertex_id, *self._labels[vertex.vertex_id])
+                for vertex in self.line_graph.with_key(*key)
             ]
-        )
-        for key in self.line_graph.keys():
-            table = self.catalog.create_table(self._table_name(key), schema, key="node")
-            for vertex in self.line_graph.with_key(*key):
-                lin, lout = self._labels[vertex.vertex_id]
-                table.insert(node=vertex.vertex_id, lin=lin, lout=lout)
+            for key in self.line_graph.keys()
+        }
 
     def _build_clusters(self) -> None:
         entries: Dict[str, ClusterEntry] = {}
@@ -181,9 +184,7 @@ class JoinIndex:
             for center in lin:
                 entry = entries.setdefault(center, ClusterEntry(center))
                 entry.v_cluster.setdefault(key, set()).add(vertex.vertex_id)
-        self.cluster_index = BPlusTree(order=self._btree_order)
-        for center, entry in entries.items():
-            self.cluster_index.insert(center, entry)
+        self.cluster_index = {center: entries[center] for center in sorted(entries)}
 
     def _build_w_table(self) -> None:
         keys = self.line_graph.keys()
@@ -208,10 +209,9 @@ class JoinIndex:
 
     # -------------------------------------------------------------- queries
 
-    def base_table(self, key: LabelKey) -> Optional[Table]:
+    def base_table(self, key: LabelKey) -> Optional[List[BaseRow]]:
         """Return the base table for a (label, direction) pair, or ``None`` if absent."""
-        name = self._table_name(key)
-        return self.catalog.table(name) if self.catalog.has_table(name) else None
+        return self.base_tables.get(self._table_name(key))
 
     def labels_of(self, vertex_id: str) -> Tuple[FrozenSet[str], FrozenSet[str]]:
         """Return ``(Lin, Lout)`` of a line vertex."""
@@ -267,8 +267,20 @@ class JoinIndex:
         right = self.base_table(second)
         if left is None or right is None:
             return set()
-        pairs = reachability_join_rows(left.rows(), right.rows())
-        return {(x, y) for x, y in pairs if x != y}
+        # ``Lout(x) ∩ Lin(y) ≠ ∅`` without intersecting every pair: invert
+        # the right side's Lin into center -> nodes, then probe it with each
+        # left node's Lout.
+        center_to_targets: Dict[str, Set[str]] = {}
+        for row in right:
+            for center in row.lin:
+                center_to_targets.setdefault(center, set()).add(row.node)
+        return {
+            (row.node, target)
+            for row in left
+            for center in row.lout
+            for target in center_to_targets.get(center, ())
+            if row.node != target
+        }
 
     # ------------------------------------------------------------ statistics
 
@@ -280,7 +292,6 @@ class JoinIndex:
         else:
             assert self.two_hop is not None
             labeling_size = self.two_hop.labeling_size()
-        internal, leaves = self.cluster_index.node_count()
         return {
             "build_seconds": self.build_seconds,
             "line_vertices": float(self.line_graph.number_of_vertices()),
@@ -288,9 +299,7 @@ class JoinIndex:
             "index_entries": float(labeling_size),
             "centers": float(len(self.cluster_index)),
             "w_table_entries": float(sum(1 for centers in self.w_table.values() if centers)),
-            "base_table_rows": float(self.catalog.total_rows()),
-            "btree_internal_nodes": float(internal),
-            "btree_leaf_nodes": float(leaves),
+            "base_table_rows": float(sum(len(rows) for rows in self.base_tables.values())),
         }
 
     def w_table_rows(self) -> List[Tuple[str, str, Tuple[str, ...]]]:

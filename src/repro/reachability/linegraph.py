@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-from repro.graph.compiled import compile_graph
+from repro.graph.compiled import require_social_graph
 from repro.graph.social_graph import Relationship, SocialGraph
 
 __all__ = ["LineVertex", "LineGraph"]
@@ -64,12 +64,13 @@ class LineGraph:
     """The directed line graph of a social graph, with traversal orientation."""
 
     def __init__(self, graph: SocialGraph, *, include_reverse: bool = True) -> None:
+        require_social_graph(graph, type(self).__name__)
         self.graph = graph
         self.include_reverse = include_reverse
         #: the graph epoch this line graph was derived at; consumers deriving
         #: further structure (the join index) compare it against the live
         #: epoch to decide whether snapshot-based shortcuts are still valid
-        self.epoch = getattr(graph, "epoch", None)
+        self.epoch = graph.epoch
         self._vertices: Dict[str, LineVertex] = {}
         self._adjacency: Dict[str, Set[str]] = {}
         self._by_start: Dict[Hashable, List[str]] = {}
@@ -94,41 +95,24 @@ class LineGraph:
         # vertex may succeed *itself* when it is a self-loop traversal
         # (``a -[r]-> a``): walking the loop twice in a row is a real path,
         # and excluding it made the cluster index disagree with the BFS
-        # oracle on queries that need the same self-loop edge twice.  On a
-        # SocialGraph the assembly runs on the compiled snapshot's dense node
-        # indices, which makes the key observation cheap: every line vertex
-        # ending at the same user has the *same* successor set, so one
-        # canonical set per end-user is built and shared instead of one per
-        # vertex — turning the O(in-degree x out-degree) set inserts of the
-        # naive loop into O(distinct end-users x out-degree).  The sets are
-        # never mutated after construction (the public accessors copy), so
-        # sharing is safe.
-        if isinstance(self.graph, SocialGraph) and self._vertices:
-            index_of = compile_graph(self.graph).node_index
-            vertices = list(self._vertices.values())
-            ids = [vertex.vertex_id for vertex in vertices]
-            start_at = [index_of[vertex.start] for vertex in vertices]
-            end_at = [index_of[vertex.end] for vertex in vertices]
-            starting: List[List[int]] = [[] for _ in range(len(index_of))]
-            for position, node in enumerate(start_at):
-                starting[node].append(position)
-            shared: Dict[int, Set[str]] = {}
-            for position, node in enumerate(end_at):
-                successors = shared.get(node)
-                if successors is None:
-                    successors = shared[node] = {ids[succ] for succ in starting[node]}
-                self._adjacency[ids[position]] = successors
-            return
+        # oracle on queries that need the same self-loop edge twice.  Every
+        # line vertex ending at the same user has the *same* successor set —
+        # the vertices starting there — so one canonical set per end-user is
+        # built and shared instead of one per vertex: O(distinct end-users x
+        # out-degree) set inserts, not O(in-degree x out-degree).  The sets
+        # are never mutated after construction (the public accessors copy),
+        # so sharing is safe.
+        shared: Dict[Hashable, Set[str]] = {}
         for vertex in self._vertices.values():
-            targets = self._adjacency[vertex.vertex_id]
-            for next_id in self._by_start.get(vertex.end, ()):  # noqa: B023 - plain loop
-                targets.add(next_id)
+            successors = shared.get(vertex.end)
+            if successors is None:
+                successors = shared[vertex.end] = set(self._by_start.get(vertex.end, ()))
+            self._adjacency[vertex.vertex_id] = successors
 
     def _add_vertex(self, rel: Relationship, direction: str, start: Hashable, end: Hashable) -> None:
         vertex_id = self.vertex_id_for(rel, direction)
         vertex = LineVertex(vertex_id, rel.label, direction, start, end, rel)
         self._vertices[vertex_id] = vertex
-        self._adjacency[vertex_id] = set()
         self._by_start.setdefault(start, []).append(vertex_id)
         self._by_end.setdefault(end, []).append(vertex_id)
         self._by_key.setdefault((rel.label, direction), []).append(vertex_id)

@@ -35,11 +35,6 @@ class EvaluationResult:
         """Increment a named work counter."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def merge_counters(self, other: "EvaluationResult") -> None:
-        """Add another result's counters into this one (used by composite backends)."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-
     def describe(self) -> str:
         """Return a one-line human-readable summary."""
         verdict = "reachable" if self.reachable else "not reachable"

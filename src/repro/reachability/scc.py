@@ -56,6 +56,10 @@ def strongly_connected_components(adjacency: Adjacency) -> List[List[Hashable]]:
         for node, successors in adjacency.items()
         for successor in successors
     ]
+    # Successor *sets* iterate in hash order; sorting the interned pairs makes
+    # the emission order -- hence the component ids and every postorder number
+    # of Figure 5 -- a function of the mapping's key order alone.
+    pairs.sort()
     offsets, targets = build_csr(pairs, len(nodes))
     comp_of, comp_count = tarjan_scc_dense(len(nodes), offsets, targets)
     components: List[List[Hashable]] = [[] for _ in range(comp_count)]

@@ -25,11 +25,10 @@ the benchmarks.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import IndexNotBuiltError, NodeNotFoundError
-from repro.graph.compiled import CSR, compile_graph
+from repro.graph.compiled import CSR, compile_graph, require_social_graph
 from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
@@ -76,22 +75,14 @@ class TransitiveClosureIndex:
     def build(self) -> "TransitiveClosureIndex":
         """Compute every closure by one sweep per (user, label-filter) pair.
 
-        On a :class:`SocialGraph` the sweeps run over the compiled CSR
-        snapshot — integer adjacency, a byte-array seen set — instead of the
-        dict-of-dicts structure; the asymptotics are unchanged (this is the
-        paper's deliberately expensive baseline) but the constants drop by
-        an order of magnitude.
+        The sweeps run over the compiled CSR snapshot — integer adjacency, a
+        byte-array seen set — instead of the dict-of-dicts structure; the
+        asymptotics are unchanged (this is the paper's deliberately
+        expensive baseline) but the constants drop by an order of magnitude.
+        Anything but a :class:`SocialGraph` is rejected with ``TypeError``.
         """
+        require_social_graph(self.graph, type(self).__name__)
         started = time.perf_counter()
-        if isinstance(self.graph, SocialGraph):
-            self._build_compiled()
-        else:
-            self._build_uncompiled()
-        self.build_seconds = time.perf_counter() - started
-        self._built = True
-        return self
-
-    def _build_compiled(self) -> None:
         snapshot = compile_graph(self.graph)
         node_count = snapshot.number_of_nodes()
         user_of = snapshot.node_ids
@@ -120,34 +111,9 @@ class TransitiveClosureIndex:
             }
             for label_id, label in enumerate(snapshot.labels)
         }
-
-    def _build_uncompiled(self) -> None:
-        labels = self.graph.labels()
-        self._global = {user: self._descendants(user, None, undirected=False)
-                        for user in self.graph.users()}
-        self._undirected = {user: self._descendants(user, None, undirected=True)
-                            for user in self.graph.users()}
-        self._per_label = {
-            label: {user: self._descendants(user, label, undirected=False)
-                    for user in self.graph.users()}
-            for label in labels
-        }
-
-    def _descendants(self, source: Hashable, label: Optional[str], *, undirected: bool) -> Set[Hashable]:
-        reached: Set[Hashable] = set()
-        queue = deque([source])
-        while queue:
-            user = queue.popleft()
-            for neighbor in self.graph.successors(user, label):
-                if neighbor not in reached:
-                    reached.add(neighbor)
-                    queue.append(neighbor)
-            if undirected:
-                for neighbor in self.graph.predecessors(user, label):
-                    if neighbor not in reached:
-                        reached.add(neighbor)
-                        queue.append(neighbor)
-        return reached
+        self.build_seconds = time.perf_counter() - started
+        self._built = True
+        return self
 
     def _require_built(self) -> None:
         if not self._built:

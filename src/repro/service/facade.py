@@ -36,6 +36,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -128,8 +129,6 @@ class GraphService:
         :class:`~repro.sharding.router.ShardRouter`, and ``"sharded"``
         becomes a valid backend pin (per query or service-wide).  ``0`` (the
         default) or ``1`` disables sharding entirely.
-    shard_seed:
-        Determinism seed of the community partitioner.
     """
 
     def __init__(
@@ -142,13 +141,11 @@ class GraphService:
         cache_size: int = 4096,
         default_effect: Effect = Effect.DENY,
         audit_log: Optional[AuditLog] = None,
-        planner: Optional[QueryPlanner] = None,
         backend_options: Optional[Dict[str, Dict[str, object]]] = None,
         snapshot_path: Optional[object] = None,
         query_guard: Optional[QueryGuard] = None,
         breakers: Optional[Dict[str, CircuitBreaker]] = None,
         shards: int = 0,
-        shard_seed: int = 7,
     ) -> None:
         self.graph = graph
         self.snapshot_store: Optional[SnapshotStore] = None
@@ -177,7 +174,6 @@ class GraphService:
         #: pin normalizes: ``default_backend="sharded"`` is only valid with
         #: an active shard layout.
         self.shards = shards
-        self.shard_seed = shard_seed
         self._shard_runtime_obj: Optional[
             Tuple[ShardRouter, ReachabilityEngine, AccessControlEngine]
         ] = None
@@ -199,9 +195,7 @@ class GraphService:
         self.queries_degraded = 0
         self.queries_rerouted = 0
         self.checkpoint_failures = 0
-        self.planner = planner if planner is not None else QueryPlanner(
-            backend_options=self._backend_options
-        )
+        self.planner = QueryPlanner(backend_options=self._backend_options)
         self._engines: Dict[str, ReachabilityEngine] = {}
         self._access_engines: Dict[str, AccessControlEngine] = {}
         self._built_epoch: Dict[str, int] = {}
@@ -253,24 +247,12 @@ class GraphService:
         the memo).  The shard mirrors refresh themselves from the graph's
         journal on every routed query.
         """
-        if self.shards <= 1:
-            raise UnknownBackendError("sharded", sorted(self._backends))
         if self._shard_runtime_obj is None:
-            sharded = ShardedGraph(
-                self.graph, shards=self.shards, seed=self.shard_seed
-            )
-            router = ShardRouter(sharded)
+            router = ShardRouter(ShardedGraph(self.graph, shards=self.shards))
             engine = ReachabilityEngine(
                 self.graph, router, cache_size=self._cache_size
             )
-            access = AccessControlEngine(
-                self.graph,
-                self.store,
-                backend=engine,
-                default_effect=self.default_effect,
-                audit_log=self.audit_log,
-            )
-            self._shard_runtime_obj = (router, engine, access)
+            self._shard_runtime_obj = (router, engine, self._access_over(engine))
         return self._shard_runtime_obj
 
     def _shard_cross_rate(self) -> float:
@@ -278,12 +260,6 @@ class GraphService:
         if self._shard_runtime_obj is None:
             return 0.0
         return self._shard_runtime_obj[0].escalation_rate
-
-    def _plan_shards(self, pin: Optional[str], eligible: bool = True) -> int:
-        """Shard count to offer the planner (0 = keep the route single)."""
-        if self.shards > 1 and pin is None and eligible:
-            return self.shards
-        return 0
 
     @staticmethod
     def _force_sharded(plan):
@@ -319,14 +295,13 @@ class GraphService:
             self._engines[backend] = engine
             self._built_epoch[backend] = epoch
         elif backend in INDEX_BACKENDS and self._built_epoch.get(backend) != epoch:
-            refresh = getattr(engine.evaluator, "refresh", None)
-            if refresh is not None:
-                # The cluster evaluator absorbs the journal gap through its
-                # bounded in-place re-condensation when it can, and falls
-                # back to build() itself when it cannot.
-                self._maintain_index(backend, refresh)
-            else:
-                self._maintain_index(backend, engine.evaluator.build)
+            # The cluster evaluator absorbs the journal gap through its
+            # bounded in-place re-condensation when it can, and falls back
+            # to build() itself when it cannot; the closure only rebuilds.
+            evaluator = engine.evaluator
+            self._maintain_index(
+                backend, getattr(evaluator, "refresh", evaluator.build)
+            )
             self._built_epoch[backend] = epoch
         return engine
 
@@ -356,15 +331,18 @@ class GraphService:
         reachability = self.engine(backend)  # ensures existence + freshness
         access = self._access_engines.get(backend)
         if access is None:
-            access = AccessControlEngine(
-                self.graph,
-                self.store,
-                backend=reachability,
-                default_effect=self.default_effect,
-                audit_log=self.audit_log,
-            )
-            self._access_engines[backend] = access
+            access = self._access_engines[backend] = self._access_over(reachability)
         return access
+
+    def _access_over(self, reachability: ReachabilityEngine) -> AccessControlEngine:
+        """The service's policy settings over one reachability engine."""
+        return AccessControlEngine(
+            self.graph,
+            self.store,
+            backend=reachability,
+            default_effect=self.default_effect,
+            audit_log=self.audit_log,
+        )
 
     @property
     def backends(self) -> Tuple[str, ...]:
@@ -374,15 +352,12 @@ class GraphService:
     def _freshness(self) -> Dict[str, bool]:
         """Which backends can execute right now without paying a build."""
         epoch = getattr(self.graph, "epoch", 0)
-        fresh: Dict[str, bool] = {}
-        for name in self._backends:
-            if name in INDEX_BACKENDS:
-                fresh[name] = (
-                    name in self._engines and self._built_epoch.get(name) == epoch
-                )
-            else:
-                fresh[name] = True  # online walks compile the snapshot lazily
-        return fresh
+        return {
+            # Online walks compile the snapshot lazily; an index is fresh when
+            # it was built (or refreshed) at this epoch.
+            name: name not in INDEX_BACKENDS or self._built_epoch.get(name) == epoch
+            for name in self._backends
+        }
 
     def _vetoed(self) -> frozenset:
         """Index backends the planner must price out right now.
@@ -401,23 +376,17 @@ class GraphService:
 
     _WALK_FALLBACKS = ("bfs", "dfs")
 
-    def _engine_for_plan(self, plan):
+    def _acquire_for_plan(self, plan, acquire):
         """Acquire the planned engine, failing over auto plans to a walk.
 
-        Index maintenance can fail at acquisition time (the breaker has
-        already recorded it).  A *pinned* plan propagates the evaluator's
-        own error — the caller asked for that backend specifically.  An
-        *auto* plan reroutes to a walking backend, which answers every
-        query shape identically (just without the index's speed), and the
-        rewritten plan travels on the result so the reroute is visible.
+        ``acquire`` is :meth:`engine` or :meth:`access_engine`.  Index
+        maintenance can fail at acquisition time (the breaker has already
+        recorded it).  A *pinned* plan propagates the evaluator's own error
+        — the caller asked for that backend specifically.  An *auto* plan
+        reroutes to a walking backend, which answers every query shape
+        identically (just without the index's speed), and the rewritten
+        plan travels on the result so the reroute is visible.
         """
-        return self._acquire_for_plan(plan, self.engine)
-
-    def _access_engine_for_plan(self, plan):
-        """Access-engine variant of :meth:`_engine_for_plan`."""
-        return self._acquire_for_plan(plan, self.access_engine)
-
-    def _acquire_for_plan(self, plan, acquire):
         try:
             return acquire(plan.backend), plan
         except Exception:
@@ -470,8 +439,8 @@ class GraphService:
                 self.checkpoint_failures += 1
         return snapshot
 
-    def _tick(self) -> int:
-        """Advance the stability counter; returns the current epoch."""
+    def _tick(self) -> None:
+        """Advance the stability counter (reset when the epoch has moved)."""
         epoch = getattr(self.graph, "epoch", 0)
         if epoch != self._seen_epoch:
             self._seen_epoch = epoch
@@ -479,7 +448,6 @@ class GraphService:
         else:
             self._stability += 1
         self.queries_executed += 1
-        return epoch
 
     def _parse(self, expression: Expression) -> PathExpression:
         if isinstance(expression, PathExpression):
@@ -532,10 +500,7 @@ class GraphService:
         longer covers the gap — both price as a full build in the planner.
         """
         built = self._built_epoch.get("cluster-index")
-        mutations_since = getattr(self.graph, "mutations_since", None)
-        if built is None or mutations_since is None:
-            return None
-        ops = mutations_since(built)
+        ops = None if built is None else self.graph.mutations_since(built)
         return None if ops is None else len(ops)
 
     # ------------------------------------------------------------ execution
@@ -554,42 +519,109 @@ class GraphService:
             return self._execute_bulk(query)
         raise TypeError(f"not a service query: {query!r}")
 
-    def _pin_of(self, query_backend: Optional[str]) -> Optional[str]:
-        pin = self._normalize_pin(query_backend)
-        return pin if pin is not None else self._default_pin
+    def _route(
+        self,
+        plan_for,
+        subject: Tuple,
+        backend: Optional[str],
+        *,
+        access: bool = False,
+        shard_eligible: bool = True,
+        **pricing,
+    ):
+        """Plan one query, choose its route, acquire what runs it.
+
+        The one request path of every verb (docs/architecture.md, "Request
+        path"): ``plan_for`` is the planner method for the query's shape,
+        ``subject`` its positional arguments after the snapshot, ``backend``
+        the query's own pin, ``access`` whether :meth:`access_engine` rather
+        than :meth:`engine` acquires, and ``pricing`` the keywords only some
+        shapes take (outcome feedback for point plans, the sweep direction
+        for bulk plans).  The sharded walk carries no parent links, so a
+        shape that needs them (``shard_eligible=False``: witnesses,
+        explanations) stays on the single route unless pinned.  Returns the
+        engine to run and the plan as executed.
+        """
+        pin = self._normalize_pin(backend) or self._default_pin
+        shard_pin = pin == "sharded"
+        # Offering 0 shards keeps the route single.
+        offer_shards = self.shards > 1 and pin is None and shard_eligible
+        plan = plan_for(
+            compile_graph(self.graph),
+            *subject,
+            backends=self._backends,
+            fresh=self._freshness(),
+            stability=self._stability,
+            pinned=None if shard_pin else pin,
+            shards=self.shards if offer_shards else 0,
+            shard_cross_rate=self._shard_cross_rate(),
+            **pricing,
+        )
+        if shard_pin:
+            plan = self._force_sharded(plan)
+        # Acquisition may build or refresh an index and runs here, *outside*
+        # the caller's guard scope: the per-query budget bounds the query's
+        # own traversal, not an index build it happens to trigger (the
+        # breaker owns build pathology).
+        if plan.route != "sharded":
+            acquire = self.access_engine if access else self.engine
+            return self._acquire_for_plan(plan, acquire)
+        _router, engine, access_engine = self._shard_runtime()
+        return (access_engine if access else engine), replace(plan, backend="sharded")
+
+    def _degraded(self) -> bool:
+        """Whether the guard cut the bulk query just run short (and count it)."""
+        partial = self.query_guard is not None and self.query_guard.tripped
+        if partial:
+            self.queries_degraded += 1
+        return partial
+
+    def _sweep(
+        self,
+        owners: Sequence[Hashable],
+        expression: PathExpression,
+        direction: str,
+        backend: Optional[str],
+    ):
+        """One audience materialization: planned, guarded, settled.
+
+        Returns ``(plan, audiences, sweep plan, partial)``.  Cardinality
+        feedback (bulk shapes feed the same estimator as point queries): the
+        mean *unreached* share of the live graph across the swept owners is
+        one fractional sample for this expression.  Partial sweeps
+        under-count and are never fed.
+        """
+        engine, plan = self._route(
+            self.planner.plan_audience,
+            (expression, len(owners)),
+            backend,
+            direction=direction,
+        )
+        with self._guard_scope(QueryGuard.PARTIAL):
+            audiences, sweep_plan = engine.sweep_targets_many(
+                owners, expression, direction=direction
+            )
+        partial = self._degraded()
+        if audiences and not partial:
+            live = max(1, compile_graph(self.graph).number_of_live_nodes())
+            covered = sum(len(a) for a in audiences.values()) / len(audiences)
+            self._observe_rate(expression.to_text(), 1.0 - covered / live)
+        return plan, audiences, sweep_plan, partial
 
     def _execute_reach(self, query: ReachQuery) -> ReachResult:
         started = time.perf_counter()
         self._tick()
         expression = self._parse(query.expression)
         text = expression.to_text()
-        pin = self._pin_of(query.backend)
-        shard_pin = pin == "sharded"
-        plan = self.planner.plan_reach(
-            compile_graph(self.graph),
-            expression,
-            backends=self._backends,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=None if shard_pin else pin,
+        engine, plan = self._route(
+            self.planner.plan_reach,
+            (expression,),
+            query.backend,
+            shard_eligible=not query.collect_witness,
             unreachable_rate=self._unreachable_rate(text),
             refresh_ops=self._refresh_ops(),
             vetoed=self._vetoed(),
-            # The sharded walk carries no parent links: witness-collecting
-            # queries stay on the single-snapshot route unless pinned.
-            shards=self._plan_shards(pin, eligible=not query.collect_witness),
-            shard_cross_rate=self._shard_cross_rate(),
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
-        if plan.route == "sharded":
-            _router, engine, _access = self._shard_runtime()
-            plan = replace(plan, backend="sharded")
-        else:
-            # Maintenance runs *outside* the guard scope: the per-query
-            # budget bounds the query's own traversal, not an index build it
-            # happens to trigger (the breaker owns build pathology).
-            engine, plan = self._engine_for_plan(plan)
         with self._guard_scope(QueryGuard.RAISE):
             outcome = engine.evaluate(
                 query.source,
@@ -610,43 +642,9 @@ class GraphService:
         started = time.perf_counter()
         self._tick()
         expression = self._parse(query.expression)
-        snapshot = compile_graph(self.graph)
-        pin = self._pin_of(query.backend)
-        shard_pin = pin == "sharded"
-        plan = self.planner.plan_audience(
-            snapshot,
-            expression,
-            len(query.owners),
-            backends=self._backends,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=None if shard_pin else pin,
-            direction=query.direction,
-            shards=self._plan_shards(pin),
-            shard_cross_rate=self._shard_cross_rate(),
+        plan, audiences, sweep_plan, partial = self._sweep(
+            query.owners, expression, query.direction, query.backend
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
-        if plan.route == "sharded":
-            _router, engine, _access = self._shard_runtime()
-            plan = replace(plan, backend="sharded")
-        else:
-            engine, plan = self._engine_for_plan(plan)
-        with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plan = engine.sweep_targets_many(
-                query.owners, expression, direction=query.direction
-            )
-        partial = self.query_guard is not None and self.query_guard.tripped
-        if partial:
-            self.queries_degraded += 1
-        elif audiences:
-            # Cardinality feedback (bulk shapes feed the same estimator as
-            # point queries): the mean *unreached* share of the live graph
-            # across the swept owners is one fractional sample for this
-            # expression.  Partial sweeps under-count and are never fed.
-            live = max(1, snapshot.number_of_live_nodes())
-            covered = sum(len(a) for a in audiences.values()) / len(audiences)
-            self._observe_rate(expression.to_text(), 1.0 - covered / live)
         return AudienceResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
@@ -685,7 +683,6 @@ class GraphService:
         started = time.perf_counter()
         self._tick()
         expression = self._parse(expression)
-        snapshot = compile_graph(self.graph)
         pair_list: List[Tuple[Hashable, Hashable]] = [
             (source, target) for source, target in pairs
         ]
@@ -695,41 +692,10 @@ class GraphService:
             if not self.graph.has_user(target):
                 raise NodeNotFoundError(target)
         sources = list(dict.fromkeys(source for source, _target in pair_list))
-        pin = self._pin_of(backend)
-        shard_pin = pin == "sharded"
-        plan = self.planner.plan_audience(
-            snapshot,
-            expression,
-            len(sources),
-            backends=self._backends,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=None if shard_pin else pin,
-            direction=direction,
-            shards=self._plan_shards(pin),
-            shard_cross_rate=self._shard_cross_rate(),
+        # This *is* an audience materialization, over the distinct sources.
+        plan, audiences, sweep_plan, partial = self._sweep(
+            sources, expression, direction, backend
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
-        if plan.route == "sharded":
-            _router, engine, _access = self._shard_runtime()
-            plan = replace(plan, backend="sharded")
-        else:
-            engine, plan = self._engine_for_plan(plan)
-        with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plan = engine.sweep_targets_many(
-                sources, expression, direction=direction
-            )
-        partial = self.query_guard is not None and self.query_guard.tripped
-        if partial:
-            self.queries_degraded += 1
-        elif audiences:
-            # Same cardinality feedback as the audience path: this *is* an
-            # audience materialization, so the mean unreached share is one
-            # fractional sample for the expression.
-            live = max(1, snapshot.number_of_live_nodes())
-            covered = sum(len(a) for a in audiences.values()) / len(audiences)
-            self._observe_rate(expression.to_text(), 1.0 - covered / live)
         reachable = {
             (source, target): target in audiences.get(source, ())
             for source, target in pair_list
@@ -750,34 +716,19 @@ class GraphService:
             for rule in self.store.rules_for(query.resource_id)
             for condition in rule.conditions
         ]
-        rates = [
-            self._unreachable_rate(expression.to_text())
-            for expression in expressions
-        ]
-        pin = self._pin_of(query.backend)
-        shard_pin = pin == "sharded"
-        plan = self.planner.plan_access(
-            compile_graph(self.graph),
-            expressions,
-            backends=self._backends,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=None if shard_pin else pin,
-            unreachable_rate=min(rates) if rates else 0.0,
+        access, plan = self._route(
+            self.planner.plan_access,
+            (expressions,),
+            query.backend,
+            access=True,
+            shard_eligible=not query.explain,  # explanations embed witness paths
+            unreachable_rate=min(
+                (self._unreachable_rate(path.to_text()) for path in expressions),
+                default=0.0,
+            ),
             refresh_ops=self._refresh_ops(),
             vetoed=self._vetoed(),
-            # Explanations embed witness paths; the sharded walk has none,
-            # so explain-mode checks stay single-snapshot unless pinned.
-            shards=self._plan_shards(pin, eligible=not query.explain),
-            shard_cross_rate=self._shard_cross_rate(),
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
-        if plan.route == "sharded":
-            _router, _engine, access = self._shard_runtime()
-            plan = replace(plan, backend="sharded")
-        else:
-            access, plan = self._access_engine_for_plan(plan)
         with self._guard_scope(QueryGuard.RAISE):
             decision = access.check_access(
                 query.requester, query.resource_id, explain=query.explain
@@ -806,41 +757,25 @@ class GraphService:
             for rule in self.store.rules_for(resource_id)
             for condition in rule.conditions
         }
-        snapshot = compile_graph(self.graph)
-        pin = self._pin_of(query.backend)
-        shard_pin = pin == "sharded"
-        plan = self.planner.plan_bulk_access(
-            snapshot,
-            len(distinct),
-            backends=self._backends,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=None if shard_pin else pin,
+        access, plan = self._route(
+            self.planner.plan_bulk_access,
+            (len(distinct),),
+            query.backend,
+            access=True,
             direction=query.direction,
-            shards=self._plan_shards(pin),
-            shard_cross_rate=self._shard_cross_rate(),
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
-        if plan.route == "sharded":
-            _router, _engine, access = self._shard_runtime()
-            plan = replace(plan, backend="sharded")
-        else:
-            access, plan = self._access_engine_for_plan(plan)
         with self._guard_scope(QueryGuard.PARTIAL):
             audiences, sweep_plans = access.audiences_with_plans(
                 query.resource_ids, direction=query.direction
             )
-        partial = self.query_guard is not None and self.query_guard.tripped
-        if partial:
-            self.queries_degraded += 1
-        else:
+        partial = self._degraded()
+        if not partial:
             # Cardinality feedback: a resource's authorized audience is a
             # subset of what each of its conditions reaches, so the unreached
             # share is an upper-bound sample per condition expression — one
             # sample per (expression, bulk call), deduplicated, and never
             # fed from a truncated (partial) materialization.
-            live = max(1, snapshot.number_of_live_nodes())
+            live = max(1, compile_graph(self.graph).number_of_live_nodes())
             best_rate: Dict[str, float] = {}
             for resource_id, audience in audiences.items():
                 rate = 1.0 - min(1.0, len(audience) / live)

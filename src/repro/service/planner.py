@@ -350,9 +350,6 @@ class QueryPlanner:
 
     # ------------------------------------------------------------- planning
 
-    def _freshness_signature(self, fresh: Mapping[str, bool]) -> Tuple[str, ...]:
-        return tuple(sorted(name for name, is_fresh in fresh.items() if is_fresh))
-
     def _cached(self, key: Tuple, epoch: int, stability: int) -> Optional[ExecutionPlan]:
         entry = self._cache.get(key)
         if entry is None or entry.epoch != epoch or stability >= entry.revisit_at:
@@ -459,7 +456,7 @@ class QueryPlanner:
             tuple(sorted(expression.to_text() for expression in expressions)),
             pinned,
             tuple(backends),
-            self._freshness_signature(fresh),
+            tuple(sorted(name for name, is_fresh in fresh.items() if is_fresh)),
             rate_bucket,
             refresh_bucket,
             tuple(sorted(vetoed)),
@@ -621,32 +618,70 @@ class QueryPlanner:
         the whole-graph sweep, i.e. while ``shard_cross_rate`` (observed)
         stays under ``(1 - 1/shards) / escalation_factor``.
         """
+        return self._plan_sweep(
+            "audience", expression.to_text(), snapshot, backends, stability,
+            pinned, direction, shards, shard_cross_rate,
+            "all backends share the multi-source audience sweep; "
+            "{backend} runs it on the live snapshot with no index to build",
+        )
+
+    def _plan_sweep(
+        self,
+        kind: str,
+        subject: object,
+        snapshot: CompiledGraph,
+        backends: Sequence[str],
+        stability: int,
+        pinned: Optional[str],
+        direction: str,
+        shards: int,
+        shard_cross_rate: float,
+        auto_reason: str,
+    ) -> ExecutionPlan:
+        """The one body of the sweep-shaped plans (audience, bulk access).
+
+        ``subject`` is what the plan cache keys the shape on (the expression
+        text, or the number of distinct expressions); ``auto_reason`` is the
+        un-pinned plan's reason, with ``{backend}`` filled in.
+        """
         epoch = snapshot.epoch
         cross_bucket = int(max(0.0, min(1.0, shard_cross_rate)) * _RATE_BUCKETS)
-        key = (
-            "audience", expression.to_text(), pinned, direction,
-            tuple(backends), shards, cross_bucket,
-        )
+        key = (kind, subject, pinned, direction, tuple(backends), shards, cross_bucket)
         cached = self._cached(key, epoch, stability)
         if cached is not None:
             return cached
         self.plans_computed += 1
         route = "single"
         if pinned is not None:
-            backend, forced = pinned, True
+            backend = pinned
             reason = f"backend pinned to {pinned!r} by the caller"
         else:
             backend = "bfs" if "bfs" in backends else backends[0]
-            forced = False
-            reason = (
-                "all backends share the multi-source audience sweep; "
-                f"{backend} runs it on the live snapshot with no index to build"
-            )
-            route, reason = self._sweep_route(shards, cross_bucket, reason)
+            reason = auto_reason.format(backend=backend)
+            if shards > 1:
+                # Shard-local iff the surcharge is beat.  A sweep's work is
+                # proportional to the edges scanned, so the sharded estimate
+                # is the single sweep's ``1/shards`` share plus the
+                # escalation surcharge — no absolute walk estimate needed,
+                # the comparison divides out.
+                cross = cross_bucket / _RATE_BUCKETS
+                sharded_share = 1.0 / shards + cross * _SHARD_ESCALATION_FACTOR
+                if sharded_share < 1.0:
+                    route = "sharded"
+                    reason = (
+                        f"shard-local sweep estimated at {sharded_share:.2f}x "
+                        f"the whole-graph sweep ({shards} shards, observed "
+                        f"cross-shard rate {cross:.2f})"
+                    )
+                else:
+                    reason = (
+                        f"{reason}; sharded route declined at observed "
+                        f"cross-shard rate {cross:.2f}"
+                    )
         plan = ExecutionPlan(
-            kind="audience",
+            kind=kind,
             backend=backend,
-            backend_forced=forced,
+            backend_forced=pinned is not None,
             direction=direction,
             epoch=epoch,
             stability=stability,
@@ -655,32 +690,6 @@ class QueryPlanner:
         )
         self._remember(key, plan, inf)
         return plan
-
-    @staticmethod
-    def _sweep_route(
-        shards: int, cross_bucket: int, reason: str
-    ) -> Tuple[str, str]:
-        """Route a whole-graph sweep: shard-local iff the surcharge is beat.
-
-        A sweep's work is proportional to the edges scanned, so the sharded
-        estimate is the single sweep's ``1/shards`` share plus the
-        escalation surcharge — no absolute walk estimate needed, the
-        comparison divides out.
-        """
-        if shards <= 1:
-            return "single", reason
-        cross = cross_bucket / _RATE_BUCKETS
-        sharded_share = 1.0 / shards + cross * _SHARD_ESCALATION_FACTOR
-        if sharded_share < 1.0:
-            return "sharded", (
-                f"shard-local sweep estimated at {sharded_share:.2f}x the "
-                f"whole-graph sweep ({shards} shards, observed cross-shard "
-                f"rate {cross:.2f})"
-            )
-        return "single", (
-            f"{reason}; sharded route declined at observed cross-shard "
-            f"rate {cross:.2f}"
-        )
 
     def plan_bulk_access(
         self,
@@ -696,40 +705,12 @@ class QueryPlanner:
         shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         """Plan one bulk audience materialization across many resources."""
-        epoch = snapshot.epoch
-        cross_bucket = int(max(0.0, min(1.0, shard_cross_rate)) * _RATE_BUCKETS)
-        key = (
-            "bulk-access", expression_count, pinned, direction,
-            tuple(backends), shards, cross_bucket,
+        return self._plan_sweep(
+            "bulk-access", expression_count, snapshot, backends, stability,
+            pinned, direction, shards, shard_cross_rate,
+            "bulk audiences run one shared sweep per distinct expression; "
+            "{backend} sweeps the live snapshot directly",
         )
-        cached = self._cached(key, epoch, stability)
-        if cached is not None:
-            return cached
-        self.plans_computed += 1
-        route = "single"
-        if pinned is not None:
-            backend, forced = pinned, True
-            reason = f"backend pinned to {pinned!r} by the caller"
-        else:
-            backend = "bfs" if "bfs" in backends else backends[0]
-            forced = False
-            reason = (
-                "bulk audiences run one shared sweep per distinct expression; "
-                f"{backend} sweeps the live snapshot directly"
-            )
-            route, reason = self._sweep_route(shards, cross_bucket, reason)
-        plan = ExecutionPlan(
-            kind="bulk-access",
-            backend=backend,
-            backend_forced=forced,
-            direction=direction,
-            epoch=epoch,
-            stability=stability,
-            reason=reason,
-            route=route,
-        )
-        self._remember(key, plan, inf)
-        return plan
 
     # ---------------------------------------------------------------- stats
 

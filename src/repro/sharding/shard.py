@@ -84,15 +84,6 @@ class ShardedGraph:
         """Per-shard compiled snapshots (cached/patched via each mirror)."""
         return [compile_graph(mirror) for mirror in self.mirrors]
 
-    def owned_users(self, shard: int) -> List[UserId]:
-        """The (live) users owned by one shard, in mirror insertion order."""
-        mirror = self.mirrors[shard]
-        return [
-            user
-            for user in mirror.users()
-            if not mirror.raw_attributes(user).get(GHOST_ATTR)
-        ]
-
     def boundary_users(self) -> List[UserId]:
         """Every user incident to a cross-shard edge, deterministically ordered."""
         seen = {}

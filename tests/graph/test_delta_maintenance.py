@@ -35,9 +35,9 @@ from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
+from repro.testing.graphs import LABELS, adversarial_graph
 from repro.workloads.queries import random_expression
 
-LABELS = ("friend", "colleague", "parent")
 #: Labels a mutation burst may introduce that the base graph never uses —
 #: exercising post-build label interning.
 LATE_LABELS = ("mentor", "neighbor")
@@ -53,18 +53,7 @@ def test_seed_budget_meets_the_acceptance_floor():
 
 
 def random_base_graph(rng: random.Random) -> SocialGraph:
-    graph = SocialGraph(name="delta-base")
-    count = rng.randint(3, 8)
-    for i in range(count):
-        graph.add_user(f"u{i}", age=rng.randint(10, 70))
-    users = [f"u{i}" for i in range(count)]
-    for _ in range(rng.randint(0, 2 * count)):
-        source = rng.choice(users)
-        target = source if rng.random() < 0.15 else rng.choice(users)
-        label = rng.choice(LABELS)
-        if not graph.has_relationship(source, target, label):
-            graph.add_relationship(source, target, label)
-    return graph
+    return adversarial_graph(rng, users=(3, 8), attributes=("age",))
 
 
 def apply_random_mutations(

@@ -41,32 +41,12 @@ from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import CompiledAutomaton, audience_sweep
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
+from repro.testing.graphs import LABELS, adversarial_graph
 from repro.workloads.queries import random_expression
 
-LABELS = ("friend", "colleague", "parent")
 GRAPH_SEEDS = range(25)
 EXPRESSIONS_PER_GRAPH = 4
 PAIRS_PER_EXPRESSION = 3
-
-
-def random_social_graph(rng: random.Random) -> SocialGraph:
-    """Small random labelled graph: self-loops, multi-label edges, islands."""
-    graph = SocialGraph(name="snapshot-differential")
-    count = rng.randint(3, 9)
-    users = [f"u{i}" for i in range(count)]
-    for user in users:
-        graph.add_user(
-            user,
-            age=rng.randint(10, 70),
-            gender=rng.choice(["female", "male"]),
-        )
-    for _ in range(rng.randint(0, 2 * count)):
-        source = rng.choice(users)
-        target = source if rng.random() < 0.15 else rng.choice(users)
-        label = rng.choice(LABELS)
-        if not graph.has_relationship(source, target, label):
-            graph.add_relationship(source, target, label)
-    return graph
 
 
 def _mutate(graph: SocialGraph, rng: random.Random, ops: int) -> None:
@@ -129,7 +109,7 @@ def test_mapped_snapshots_are_backend_equivalent(tmp_path, seed, variant):
     adopted snapshot must be *exactly* as fresh as a cold compile.
     """
     rng = random.Random(9_000 + seed)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     store.save(compile_graph(graph))
 
@@ -196,7 +176,7 @@ def test_seed_budget_meets_the_acceptance_floor():
 
 def test_standalone_load_answers_sweeps_without_a_graph(tmp_path):
     rng = random.Random(7)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     snapshot = compile_graph(graph)
     path = tmp_path / "g.snap"
     save_snapshot(snapshot, path)
@@ -247,7 +227,7 @@ def test_standalone_witness_edges_are_synthesized(tmp_path):
 
 
 def test_nbytes_accounts_mapped_and_private_buffers(tmp_path):
-    graph = random_social_graph(random.Random(3))
+    graph = adversarial_graph(random.Random(3))
     snapshot = compile_graph(graph)
     path = tmp_path / "g.snap"
     save_snapshot(snapshot, path)
@@ -264,7 +244,7 @@ def test_nbytes_accounts_mapped_and_private_buffers(tmp_path):
 
 def test_checkpoint_appends_contiguous_delta_segments(tmp_path):
     rng = random.Random(11)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     assert store.checkpoint(graph) == "base"
     assert store.checkpoint(graph) == "current"
@@ -347,7 +327,7 @@ def test_removal_bearing_delta_round_trip_with_slot_reuse(tmp_path):
 
 def test_segment_budget_triggers_a_rebase(tmp_path):
     rng = random.Random(13)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap", max_delta_segments=2)
     store.checkpoint(graph)
     for _ in range(2):
@@ -360,7 +340,7 @@ def test_segment_budget_triggers_a_rebase(tmp_path):
 
 def test_uncovered_journal_gap_forces_a_rebase(tmp_path):
     rng = random.Random(17)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     store.checkpoint(graph)
     _mutate(graph, rng, 2)
@@ -376,7 +356,7 @@ def test_uncovered_journal_gap_forces_a_rebase(tmp_path):
 
 def test_adoption_replays_the_live_journal_gap(tmp_path):
     rng = random.Random(19)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     store.save(compile_graph(graph))
     live = _rebuild(graph)
@@ -404,7 +384,7 @@ def test_adoption_refuses_a_foreign_graph(tmp_path):
 
 def test_adoption_refuses_an_uncoverable_epoch_gap(tmp_path):
     rng = random.Random(23)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     store.save(compile_graph(graph))
     live = _rebuild(graph)
@@ -422,7 +402,7 @@ def test_adoption_refuses_an_uncoverable_epoch_gap(tmp_path):
 
 
 def _saved_store(tmp_path) -> SnapshotStore:
-    graph = random_social_graph(random.Random(29))
+    graph = adversarial_graph(random.Random(29))
     store = SnapshotStore(tmp_path / "g.snap")
     store.save(compile_graph(graph))
     return store
@@ -508,7 +488,7 @@ def test_empty_file_raises_typed_error(tmp_path):
 
 def test_corrupt_delta_segment_raises_typed_error(tmp_path):
     rng = random.Random(31)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = SnapshotStore(tmp_path / "g.snap")
     store.checkpoint(graph)
     _mutate(graph, rng, 2)
@@ -524,7 +504,7 @@ def test_corrupt_delta_segment_raises_typed_error(tmp_path):
 
 def test_load_or_compile_recovers_from_corruption(tmp_path):
     rng = random.Random(37)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     store = _saved_store(tmp_path)
     with open(store.base_path, "r+b") as handle:
         handle.seek(16)
@@ -552,7 +532,7 @@ def test_graph_service_warm_start_and_checkpoint(tmp_path):
     from repro import GraphService
 
     path = tmp_path / "service.snap"
-    graph = random_social_graph(random.Random(41))
+    graph = adversarial_graph(random.Random(41))
     service = GraphService(graph, snapshot_path=path)
     assert service.warm_start == "absent"  # first open compiles + writes
     service.refresh()
@@ -571,7 +551,7 @@ def test_graph_service_warm_start_and_checkpoint(tmp_path):
 
 
 def test_graph_service_without_store_reports_cold(tmp_path):
-    graph = random_social_graph(random.Random(47))
+    graph = adversarial_graph(random.Random(47))
     from repro import GraphService
 
     service = GraphService(graph)
@@ -604,7 +584,7 @@ def _worker_sweep(path, expression_text, queue):
     not hasattr(os, "fork"), reason="fork start-method not available"
 )
 def test_multiple_processes_share_one_mapping(tmp_path):
-    graph = random_social_graph(random.Random(53))
+    graph = adversarial_graph(random.Random(53))
     snapshot = compile_graph(graph)
     path = tmp_path / "shared.snap"
     save_snapshot(snapshot, path)

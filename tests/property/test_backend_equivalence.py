@@ -33,43 +33,15 @@ from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import SWEEP_DIRECTIONS
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
+from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
 
-LABELS = ("friend", "colleague", "parent")
 GRAPH_SEEDS = range(25)
 EXPRESSIONS_PER_GRAPH = 10
 EVALUATE_PAIRS_PER_EXPRESSION = 4
 AUDIENCE_SOURCES_PER_EXPRESSION = 3
 SWEEP_EXPRESSIONS_PER_GRAPH = 4
-
-
-def random_social_graph(rng: random.Random) -> SocialGraph:
-    """A small random labelled graph with the awkward shapes the index must survive.
-
-    * **self-loops** — each user may relate to itself;
-    * **multi-label edges** — several labels between the same ordered pair;
-    * **disconnected components** — edge counts low enough that isolated
-      users and separate islands appear regularly.
-    """
-    graph = SocialGraph(name="differential")
-    count = rng.randint(3, 9)
-    users = [f"u{i}" for i in range(count)]
-    for user in users:
-        graph.add_user(
-            user,
-            age=rng.randint(10, 70),
-            gender=rng.choice(["female", "male"]),
-        )
-    edge_budget = rng.randint(0, 2 * count)
-    for _ in range(edge_budget):
-        source = rng.choice(users)
-        # Self-loops with real probability; rng.random() keeps determinism.
-        target = source if rng.random() < 0.15 else rng.choice(users)
-        label = rng.choice(LABELS)
-        if not graph.has_relationship(source, target, label):
-            graph.add_relationship(source, target, label)
-    return graph
 
 
 def _force_self_loop(graph: SocialGraph, rng: random.Random) -> None:
@@ -92,7 +64,7 @@ def _backends(graph):
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_backends_agree_on_seeded_random_cases(seed):
     rng = random.Random(1000 + seed)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
 
@@ -137,7 +109,7 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
     the forward one's) and random subsets with duplicates.
     """
     rng = random.Random(42_000 + seed)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
     backends = _backends(graph)
@@ -198,7 +170,7 @@ def test_absent_owners_follow_each_backends_contract():
 def test_forced_directions_are_recorded_on_the_plan():
     """Pinning the planner must be visible on the returned plan."""
     rng = random.Random(77)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     users = sorted(graph.users())
     from repro.policy.path_expression import PathExpression
 

@@ -19,13 +19,10 @@ import random
 import pytest
 
 from repro.service import AudienceQuery, GraphService, ReachQuery
+from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
-from tests.property.test_backend_equivalence import (
-    LABELS,
-    _force_self_loop,
-    random_social_graph,
-)
+from tests.property.test_backend_equivalence import _force_self_loop
 
 GRAPH_SEEDS = range(12)
 EXPRESSIONS_PER_GRAPH = 6
@@ -37,7 +34,7 @@ PINS = ("bfs", "dfs", "transitive-closure", "cluster-index")
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_auto_selected_reach_equals_every_pinned_backend(seed):
     rng = random.Random(500_000 + seed)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
     auto = GraphService(graph)
@@ -71,7 +68,7 @@ def test_auto_selected_reach_equals_every_pinned_backend(seed):
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_auto_selected_audiences_equal_every_pinned_backend(seed):
     rng = random.Random(600_000 + seed)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
     auto = GraphService(graph)
@@ -99,7 +96,7 @@ def test_auto_selected_audiences_equal_every_pinned_backend(seed):
 def test_witnesses_are_valid_whatever_backend_ran():
     """Auto-selected witnesses must be real paths satisfying the expression."""
     rng = random.Random(9_999)
-    graph = random_social_graph(rng)
+    graph = adversarial_graph(rng)
     service = GraphService(graph)
     users = sorted(graph.users())
     found = 0

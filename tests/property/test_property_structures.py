@@ -11,7 +11,6 @@ from repro.graph.social_graph import SocialGraph
 from repro.reachability.interval import IntervalLabeling, ReachabilityTable
 from repro.reachability.scc import condense, strongly_connected_components
 from repro.reachability.twohop import TwoHopCover, TwoHopIndex
-from repro.storage.btree import BPlusTree
 
 SETTINGS = dict(
     max_examples=50,
@@ -143,38 +142,6 @@ def test_two_hop_labels_have_no_false_positives(adjacency):
             assert nx.has_path(graph, node, center)
         for center in cover.lin[node]:
             assert nx.has_path(graph, center, node)
-
-
-# --------------------------------------------------------------------------
-# B+-tree vs dict model
-# --------------------------------------------------------------------------
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 200), st.integers()),
-        max_size=300,
-    ),
-    st.lists(st.integers(0, 200), max_size=50),
-    st.integers(3, 16),
-)
-@settings(**SETTINGS)
-def test_btree_behaves_like_a_sorted_dict(inserts, deletes, order):
-    tree = BPlusTree(order=order)
-    model = {}
-    for key, value in inserts:
-        tree.insert(key, value)
-        model[key] = value
-    for key in deletes:
-        assert tree.delete(key) == (key in model)
-        model.pop(key, None)
-    assert len(tree) == len(model)
-    assert list(tree.keys()) == sorted(model)
-    for key, value in model.items():
-        assert tree[key] == value
-    lows = sorted(model)[: len(model) // 2]
-    if lows:
-        low, high = lows[0], lows[-1]
-        assert [k for k, _ in tree.range(low, high)] == [k for k in sorted(model) if low <= k <= high]
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,11 @@ from repro.policy.rules import AccessRule
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine
 from repro.sharding import ShardedGraph, ShardRouter, ShardSweepPlan
+from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_expression
 from tests.property.test_backend_equivalence import _backends
 
-LABELS = ("friend", "colleague", "parent")
 SEEDS = range(105)
 SHARD_COUNTS = (1, 2, 4, 8)
 #: Seeds on this stride also hold the four-backend panel to the oracle (the
@@ -58,17 +58,13 @@ def seeded_graph(seed: int, rng: random.Random) -> SocialGraph:
             prefix=f"s{seed}-",
         )
     else:
-        graph = SocialGraph(name=f"shard-differential-{seed}")
-        count = rng.randint(8, 16)
-        users = [f"s{seed}-{i}" for i in range(count)]
-        for user in users:
-            graph.add_user(user, age=rng.randint(10, 70))
-        for _ in range(rng.randint(count, 3 * count)):
-            source = rng.choice(users)
-            target = source if rng.random() < 0.15 else rng.choice(users)
-            label = rng.choice(LABELS)
-            if not graph.has_relationship(source, target, label):
-                graph.add_relationship(source, target, label)
+        graph = adversarial_graph(
+            rng,
+            users=(8, 16),
+            edges_per_user=(1, 3),
+            attributes=("age",),
+            prefix=f"s{seed}-",
+        )
     # Every third seed gets a guaranteed self-loop on top.
     if seed % 3 == 0:
         users = sorted(graph.users(), key=str)

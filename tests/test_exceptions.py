@@ -20,19 +20,16 @@ class TestHierarchy:
         assert issubclass(exceptions.NodeNotFoundError, exceptions.GraphError)
         assert issubclass(exceptions.PathExpressionSyntaxError, exceptions.PolicyError)
         assert issubclass(exceptions.UnknownBackendError, exceptions.ReachabilityError)
-        assert issubclass(exceptions.DuplicateKeyError, exceptions.StorageError)
 
     def test_lookup_errors_are_also_key_errors(self):
         assert issubclass(exceptions.NodeNotFoundError, KeyError)
         assert issubclass(exceptions.ResourceNotFoundError, KeyError)
-        assert issubclass(exceptions.TableNotFoundError, KeyError)
 
     def test_messages_are_readable(self):
         assert "alice" in str(exceptions.NodeNotFoundError("alice"))
         assert "friend" in str(exceptions.EdgeNotFoundError("a", "b", "friend"))
         assert "album" in str(exceptions.ResourceNotFoundError("album"))
         assert "r1" in str(exceptions.RuleNotFoundError("r1"))
-        assert "T_x" in str(exceptions.TableNotFoundError("T_x"))
 
     def test_unknown_backend_lists_alternatives(self):
         error = exceptions.UnknownBackendError("oracle", available=["bfs", "dfs"])
@@ -70,9 +67,8 @@ class TestPackageSurface:
         import repro.graph
         import repro.policy
         import repro.reachability
-        import repro.storage
         import repro.workloads
 
-        for module in (repro.graph, repro.policy, repro.reachability, repro.storage, repro.workloads):
+        for module in (repro.graph, repro.policy, repro.reachability, repro.workloads):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)

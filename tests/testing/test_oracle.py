@@ -27,7 +27,13 @@ from repro.datasets.paper_graph import (
 from repro.exceptions import NodeNotFoundError
 from repro.graph.views import label_view, user_filter_view
 from repro.policy.path_expression import PathExpression
-from repro.reachability import OnlineBFSEvaluator, OnlineDFSEvaluator
+from repro.graph.social_graph import SocialGraph
+from repro.reachability import (
+    LineGraph,
+    OnlineBFSEvaluator,
+    OnlineDFSEvaluator,
+    TransitiveClosureIndex,
+)
 from repro.testing.oracle import reference_reachable, reference_search, reference_targets
 
 
@@ -84,14 +90,27 @@ class TestPaperFacts:
 
 
 class TestViews:
-    """The oracle walks views; the compiled evaluators refuse them by type."""
+    """The oracle walks views; evaluators and index builders refuse them by type."""
 
-    @pytest.mark.parametrize("evaluator", [OnlineBFSEvaluator, OnlineDFSEvaluator])
-    def test_online_evaluators_reject_views_with_a_route(self, evaluator, figure1):
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            OnlineBFSEvaluator,
+            OnlineDFSEvaluator,
+            LineGraph,
+            lambda graph: TransitiveClosureIndex(graph).build(),
+        ],
+        ids=["bfs", "dfs", "line-graph", "transitive-closure"],
+    )
+    def test_snapshot_consumers_reject_views_with_a_route(self, consumer, figure1):
         with pytest.raises(TypeError) as raised:
-            evaluator(label_view(figure1, "friend"))
+            consumer(label_view(figure1, "friend"))
         message = str(raised.value)
         assert "repro.testing.oracle" in message and "SocialGraph.subgraph" in message
+
+    def test_an_empty_graph_still_has_an_empty_line_graph(self):
+        line_graph = LineGraph(SocialGraph())
+        assert line_graph.number_of_vertices() == 0 and line_graph.adjacency() == {}
 
     def test_oracle_over_a_view_equals_the_materialized_graph(self, figure1):
         adults = user_filter_view(figure1, lambda _user, attrs: attrs.get("age", 0) >= 18)
