@@ -589,11 +589,15 @@ def _adopt(path: Path, snapshot: CompiledGraph, graph: SocialGraph) -> None:
     if set(snapshot.node_index) != set(graph.users()):
         raise SnapshotStaleError(path, "snapshot and graph user sets differ")
     # Compare as sets: delta patches intern new labels in arrival order,
-    # while a fresh compile sorts the alphabet — both orders are valid.
-    if set(snapshot.labels) != set(graph.labels()):
+    # while a fresh compile sorts the alphabet — both orders are valid.  The
+    # snapshot may know *more* labels than the graph: the graph forgets a
+    # label with its last edge, the snapshot keeps the (empty) label id —
+    # the per-label edge counts below hold such a label to zero edges.
+    if not set(graph.labels()) <= set(snapshot.labels):
         raise SnapshotStaleError(
             path,
-            f"snapshot labels {snapshot.labels!r} != graph labels {graph.labels()!r}",
+            f"graph labels {graph.labels()!r} not covered by snapshot labels "
+            f"{snapshot.labels!r}",
         )
     for label_id, label in enumerate(snapshot.labels):
         expected = graph.number_of_relationships(label)

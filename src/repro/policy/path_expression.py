@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Iterator, List, Tuple, Union
 
 from repro.exceptions import PathExpressionSyntaxError
 from repro.policy.conditions import AttributeCondition
 from repro.policy.steps import DepthInterval, Direction, Step
 
-__all__ = ["PathExpression", "parse_path_expression"]
+__all__ = ["PathExpression", "as_path_expression", "parse_path_expression"]
 
 # Labels may not contain '-' — it would be ambiguous with the incoming-direction
 # symbol (``friend-``); use underscores for multi-word relationship types.
@@ -223,9 +224,15 @@ class PathExpression:
         """Whether any step constrains user attributes."""
         return any(step.conditions for step in self.steps)
 
+    @cached_property
+    def _text(self) -> str:
+        # Rendered once per instance: the canonical text keys every memo on
+        # the request path (plan cache, decision memo, outcome feedback).
+        return "/".join(step.to_text() for step in self.steps)
+
     def to_text(self) -> str:
         """Render the expression in the textual syntax accepted by :meth:`parse`."""
-        return "/".join(step.to_text() for step in self.steps)
+        return self._text
 
     def __str__(self) -> str:
         return self.to_text()
@@ -234,3 +241,21 @@ class PathExpression:
 def parse_path_expression(text: str) -> PathExpression:
     """Module-level convenience alias for :meth:`PathExpression.parse`."""
     return PathExpression.parse(text)
+
+
+#: The one bounded ``text -> PathExpression`` memo (thread-safe; syntax errors
+#: are raised, never cached).  :meth:`PathExpression.parse` stays uncached.
+parse_cached = lru_cache(maxsize=4096)(PathExpression.parse)
+
+
+def as_path_expression(expression: Union[str, PathExpression]) -> PathExpression:
+    """Coerce query input: text is parsed (memoized), an expression passes through.
+
+    Every layer that accepts ``str | PathExpression`` (service facade,
+    reachability engine, shard router) coerces through here, so hot texts
+    are parsed once per process and share one parsed — and once-rendered —
+    instance.
+    """
+    if isinstance(expression, PathExpression):
+        return expression
+    return parse_cached(expression)

@@ -146,16 +146,10 @@ class ClusterIndexEvaluator:
             self.refresh_seconds = self.build_seconds
             self.last_refresh_mode = "rebuild"
             return "rebuild"
-        live_epoch = getattr(self.graph, "epoch", None)
-        if live_epoch is not None and live_epoch == self._index.snapshot.epoch:
+        if self.graph.epoch == self._index.snapshot.epoch:
             self.last_refresh_mode = "noop"
             return "noop"
-        mutations_since = getattr(self.graph, "mutations_since", None)
-        ops = (
-            mutations_since(self._index.snapshot.epoch)
-            if mutations_since is not None
-            else None
-        )
+        ops = self.graph.mutations_since(self._index.snapshot.epoch)
         if ops is not None and self._index.refresh_from_ops(ops):
             # The lazy string-facing views read the live graph; drop any
             # materialized copies so statistics() stays current.
@@ -267,7 +261,7 @@ class ClusterIndexEvaluator:
         check_expansion_limit(expression, self.expansion_limit)
         sources = list(sources)
         snapshot = self._index.snapshot
-        live_epoch = getattr(self.graph, "epoch", None)
+        live_epoch = self.graph.epoch
         if live_epoch != self._audience_epoch:
             # Attribute mutations are visible through the snapshot's live
             # attrs, so cached condition memos must not outlive the epoch.

@@ -21,10 +21,12 @@ constrained product walk as :mod:`repro.reachability.bfs` /
   bitmask of the owners whose walk has reached that slot (Python ints over
   a dense owner index).  Overlapping owner neighbourhoods are traversed
   once — a slot's outgoing CSR rows are rescanned only when *new* owner
-  bits arrive — instead of once per owner.  A :func:`direction planner
-  <plan_audience_sweep>` decides per expression whether to run the sweep
-  forward from the owners or backward from the whole vertex set over the
-  :func:`reversed automaton <reversed_expression>`.
+  bits arrive — instead of once per owner.  :class:`MaskSweep` is the one
+  propagation loop behind it, and — being resumable — also what every shard
+  of :mod:`repro.sharding.router` runs between message rounds.  A
+  :func:`direction planner <plan_audience_sweep>` decides per expression
+  whether to run the sweep forward from the owners or backward from the
+  whole vertex set over the :func:`reversed automaton <reversed_expression>`.
 
 Both the breadth-first and the depth-first evaluator are
 :class:`CompiledSearchMixin` — they differ only in which end of the frontier
@@ -37,7 +39,17 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.graph.compiled import CompiledGraph, compile_graph, require_social_graph
 from repro.graph.paths import Path, Traversal
@@ -54,6 +66,9 @@ __all__ = [
     "SearchOutcome",
     "SweepPlan",
     "AudienceSweep",
+    "MaskSweep",
+    "MaskBitsMemo",
+    "reverse_seed_nodes",
     "product_search",
     "audience_sweep",
     "plan_audience_sweep",
@@ -533,7 +548,7 @@ def reversed_expression(expression: PathExpression) -> PathExpression:
     the *following* reversed step's run.  The last forward step's conditions
     constrain the backward walk's start nodes and therefore do not appear in
     the reversed expression at all: reverse sweeps must filter their seeds
-    with them instead (see :func:`audience_sweep`).
+    with them instead (see :func:`reverse_seed_nodes`).
     """
     steps = tuple(expression)
     reversed_steps: List[Step] = []
@@ -696,107 +711,167 @@ def plan_audience_sweep(
     )
 
 
-def _multisource_mask_sweep(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    seeds: Mapping[int, int],
-) -> List[int]:
-    """Propagate owner bitmasks through the product space in one shared pass.
+class MaskSweep:
+    """The one mask-propagation core: a resumable multi-source owner-bitmask sweep.
 
-    ``seeds`` maps node index -> initial bitmask.  Per ``(node, state)``
-    slot the flat ``seen`` table holds the mask of owners whose walk has
-    reached the slot; ``pending`` accumulates the not-yet-propagated part.
-    The worklist is FIFO so the owners' frontiers advance level-aligned and
-    merge into single slot visits — a slot's CSR rows are rescanned only
-    when genuinely new owner bits arrive (``new = mask & ~seen[slot]``),
-    which is the whole win over the per-owner sweep: overlapping owner
-    neighbourhoods cost one traversal, not one per owner.
+    Per ``(node, state)`` slot the flat ``seen`` table holds the mask of
+    owners whose walk has reached the slot; ``pending`` accumulates the
+    not-yet-propagated part.  The worklist is FIFO so the owners' frontiers
+    advance level-aligned and merge into single slot visits — a slot's CSR
+    rows are rescanned only when genuinely new owner bits arrive
+    (``new = mask & ~seen[slot]``), which is the whole win over a per-owner
+    sweep: overlapping owner neighbourhoods cost one traversal, not one per
+    owner.
 
     Monotonicity makes this equivalent to running the per-owner walk for
     every seed bit: a bit enters a slot's mask at most once, so each
-    (owner, node, state) triple is expanded at most once.
-
-    Returns the flat ``seen`` table; callers read acceptance off
-    ``seen[node * num_states + accept_id]``.
+    (owner, node, state) triple is expanded at most once.  It also makes the
+    sweep *resumable*: seeds may arrive between :meth:`run` calls, at any
+    automaton state (the shard router's cross-shard messages do both), and
+    the worklist survives a guard trip, so a later run — or a test reading
+    the tables — continues from exactly the monotone state reached so far.
+    Acceptance is read off ``seen[node * num_states + accept_id]``
+    (:meth:`accepted`).
     """
-    num_states = automaton.num_states
-    closure = automaton.closure
-    static_closure = automaton.static_closures()
-    state_moves = _hoisted_state_moves(snapshot, automaton)
-    node_count = snapshot.number_of_nodes()
 
-    seen: List[int] = [0] * (node_count * num_states)
-    pending: List[int] = [0] * (node_count * num_states)
-    # Spontaneous-advance chains of condition-gated states, memoized per
-    # (state, node) slot: condition outcomes are stable within a sweep (the
-    # automaton's per-(step, node) memo), so the chain never changes and the
-    # closure call leaves the edge loop after the first visit.
-    chain_memo: Dict[int, Tuple[int, ...]] = {}
-    queue: List[int] = []
-    for node, mask in seeds.items():
-        for state in closure(automaton.start_id, node):
-            key = node * num_states + state
+    __slots__ = (
+        "snapshot",
+        "automaton",
+        "num_states",
+        "seen",
+        "pending",
+        "queue",
+        "head",
+        "chain_memo",
+        "state_moves",
+        "tripped",
+        "scanned",
+    )
+
+    def __init__(self, snapshot: CompiledGraph, automaton: CompiledAutomaton) -> None:
+        self.snapshot = snapshot
+        self.automaton = automaton
+        self.num_states = automaton.num_states
+        size = snapshot.number_of_nodes() * automaton.num_states
+        self.seen: List[int] = [0] * size
+        self.pending: List[int] = [0] * size
+        self.queue: List[int] = []
+        self.head = 0
+        # Spontaneous-advance chains of condition-gated states, memoized per
+        # (state, node) slot: condition outcomes are stable within a sweep (the
+        # automaton's per-(step, node) memo), so the chain never changes and the
+        # closure call leaves the edge loop after the first visit.
+        self.chain_memo: Dict[int, Tuple[int, ...]] = {}
+        self.state_moves = _hoisted_state_moves(snapshot, automaton)
+        #: Whether a guard budget ever cut :meth:`run` short.
+        self.tripped = False
+        #: CSR entries scanned over the sweep's lifetime.
+        self.scanned = 0
+
+    def seed(self, node: int, state: int, mask: int) -> None:
+        """Inject owner bits at ``(node, state)``, with spontaneous advances."""
+        num_states = self.num_states
+        seen = self.seen
+        pending = self.pending
+        for closed in self.automaton.closure(state, node):
+            key = node * num_states + closed
             add = mask & ~seen[key]
             if add:
                 seen[key] |= add
                 if not pending[key]:
-                    queue.append(key)
+                    self.queue.append(key)
                 pending[key] |= add
 
-    guard = active_guard()
-    scanned = 0
-    charged = 0
-    head = 0
-    while head < len(queue):
-        if guard is not None:
-            if not guard.spend(1 + scanned - charged):
-                break
-            charged = scanned
-        key = queue[head]
-        head += 1
-        delta = pending[key]
-        pending[key] = 0
-        if not delta:
-            continue
-        node, state = divmod(key, num_states)
-        moves = state_moves[state]
-        if not moves:
-            continue
-        next_state = state + 1
-        next_static = static_closure[next_state]
-        for offsets, targets, overlay, _label_id, _forward in moves:
-            # Slicing the CSR row and iterating the array directly saves an
-            # index lookup per edge — this loop is the sweep's entire cost.
-            if overlay and node in overlay:
-                row = overlay[node]
-            else:
-                row = targets[offsets[node]:offsets[node + 1]]
-            scanned += len(row)
-            for neighbor in row:
-                base = neighbor * num_states
-                if next_static is not None:
-                    chain = next_static
-                else:
-                    chain = chain_memo.get(base + next_state)
-                    if chain is None:
-                        chain = chain_memo[base + next_state] = tuple(
-                            closure(next_state, neighbor)
-                        )
-                for closed in chain:
-                    neighbor_key = base + closed
-                    previous = seen[neighbor_key]
-                    if previous:
-                        add = delta & ~previous
-                        if not add:
-                            continue
-                        seen[neighbor_key] = previous | add
+    def has_work(self) -> bool:
+        """Whether seeded or guard-interrupted work awaits the next :meth:`run`."""
+        return self.head < len(self.queue)
+
+    def run(self) -> bool:
+        """Drain the worklist; ``False`` when a guard budget cut it short."""
+        guard = active_guard()
+        queue = self.queue
+        head = self.head
+        seen = self.seen
+        pending = self.pending
+        num_states = self.num_states
+        state_moves = self.state_moves
+        static_closure = self.automaton.static_closures()
+        closure = self.automaton.closure
+        chain_memo = self.chain_memo
+        scanned = 0
+        charged = 0
+        try:
+            while head < len(queue):
+                if guard is not None:
+                    # In "raise" mode a blown budget raises out of spend().
+                    if not guard.spend(1 + scanned - charged):
+                        self.tripped = True
+                        return False
+                    charged = scanned
+                key = queue[head]
+                head += 1
+                delta = pending[key]
+                pending[key] = 0
+                if not delta:
+                    continue
+                node, state = divmod(key, num_states)
+                moves = state_moves[state]
+                if not moves:
+                    continue
+                next_state = state + 1
+                next_static = static_closure[next_state]
+                for offsets, targets, overlay, _label_id, _forward in moves:
+                    # Slicing the CSR row and iterating the array directly
+                    # saves an index lookup per edge — this loop is the
+                    # sweep's entire cost.
+                    if overlay and node in overlay:
+                        row = overlay[node]
                     else:
-                        add = delta
-                        seen[neighbor_key] = delta
-                    if not pending[neighbor_key]:
-                        queue.append(neighbor_key)
-                    pending[neighbor_key] |= add
-    return seen
+                        row = targets[offsets[node]:offsets[node + 1]]
+                    scanned += len(row)
+                    for neighbor in row:
+                        base = neighbor * num_states
+                        if next_static is not None:
+                            chain = next_static
+                        else:
+                            chain = chain_memo.get(base + next_state)
+                            if chain is None:
+                                chain = chain_memo[base + next_state] = tuple(
+                                    closure(next_state, neighbor)
+                                )
+                        for closed in chain:
+                            neighbor_key = base + closed
+                            previous = seen[neighbor_key]
+                            if previous:
+                                add = delta & ~previous
+                                if not add:
+                                    continue
+                                seen[neighbor_key] = previous | add
+                            else:
+                                add = delta
+                                seen[neighbor_key] = delta
+                            if not pending[neighbor_key]:
+                                queue.append(neighbor_key)
+                            pending[neighbor_key] |= add
+            # Drained: drop the spent worklist instead of carrying it along.
+            queue.clear()
+            head = 0
+            return True
+        finally:
+            # However the loop ended (drained, tripped, raised), the tables
+            # and the worklist position stay consistent for a later run().
+            self.head = head
+            self.scanned += scanned
+
+    def accepted(self, nodes: Iterable[int]) -> Iterator[Tuple[int, int]]:
+        """``(node, owner mask)`` for each of ``nodes`` some owner's walk accepts."""
+        seen = self.seen
+        num_states = self.num_states
+        accept_id = self.automaton.accept_id
+        for node in nodes:
+            mask = seen[node * num_states + accept_id]
+            if mask:
+                yield node, mask
 
 
 def _mask_bits(mask: int) -> List[int]:
@@ -809,32 +884,61 @@ def _mask_bits(mask: int) -> List[int]:
     return bits
 
 
+class MaskBitsMemo(dict):
+    """``mask -> set bit positions``, extracted once per distinct mask value.
+
+    Accepted nodes cluster on few distinct owner masks (overlapping
+    audiences are the whole point of the batch), so with this memo decoding
+    :meth:`MaskSweep.accepted` degenerates to list appends — the same
+    Sum|audience| appends a per-owner baseline pays.
+    """
+
+    def __missing__(self, mask: int) -> List[int]:
+        bits = self[mask] = _mask_bits(mask)
+        return bits
+
+
+def reverse_seed_nodes(
+    automaton: CompiledAutomaton, skip: AbstractSet[int] = frozenset()
+) -> List[int]:
+    """The nodes a reverse sweep of ``automaton``'s expression must seed.
+
+    Every live node outside ``skip`` (a shard passes its ghosts: their home
+    shard seeds them) that satisfies the last forward step's attribute
+    conditions — the one constraint :func:`reversed_expression` cannot
+    carry.  Tombstoned slots carry no edges, but they must not be seeded
+    either: their attribute entries are gone, so a condition probe would
+    fail, and a dead bit reaching nothing still widens every mask word for
+    free.  ``automaton`` is the *forward* automaton: its per-(step, node)
+    memo covers the last step, so repeated reverse sweeps re-evaluate
+    nothing.
+    """
+    snapshot = automaton.snapshot
+    excluded = snapshot.dead_slots | skip if skip else snapshot.dead_slots
+    nodes = [
+        node for node in range(snapshot.number_of_nodes()) if node not in excluded
+    ]
+    last_index = len(automaton.expression) - 1
+    if automaton.expression[last_index].conditions:
+        holds = automaton.condition_holds
+        nodes = [node for node in nodes if holds(last_index, node)]
+    return nodes
+
+
 def _sweep_forward(
     snapshot: CompiledGraph,
     automaton: CompiledAutomaton,
     sources: Sequence[int],
 ) -> List[List[int]]:
     """Multi-source sweep from the owners; bit ``i`` stands for ``sources[i]``."""
-    seeds: Dict[int, int] = {}
+    sweep = MaskSweep(snapshot, automaton)
     for bit, node in enumerate(sources):
-        seeds[node] = seeds.get(node, 0) | (1 << bit)
-    seen = _multisource_mask_sweep(snapshot, automaton, seeds)
-    num_states = automaton.num_states
-    accept_id = automaton.accept_id
+        sweep.seed(node, automaton.start_id, 1 << bit)
+    sweep.run()
     audiences: List[List[int]] = [[] for _ in sources]
-    # Accepted nodes cluster on few distinct owner masks (overlapping
-    # audiences are the whole point of the batch), so bit extraction is
-    # memoized per mask value and the decode degenerates to list appends —
-    # the same Sum|audience| appends the per-owner baseline pays.
-    bits_of: Dict[int, List[int]] = {}
-    for node in range(snapshot.number_of_nodes()):
-        mask = seen[node * num_states + accept_id]
-        if not mask:
-            continue
-        bits = bits_of.get(mask)
-        if bits is None:
-            bits = bits_of[mask] = _mask_bits(mask)
-        for bit in bits:
+    bits_of = MaskBitsMemo()
+    for node, mask in sweep.accepted(range(snapshot.number_of_nodes())):
+        for bit in bits_of[mask]:
             audiences[bit].append(node)
     return audiences
 
@@ -846,40 +950,18 @@ def _sweep_reverse(
 ) -> List[List[int]]:
     """Multi-source sweep over the reversed automaton from the whole vertex set.
 
-    Bit ``t`` stands for the candidate *target* node ``t``; seeds are
-    filtered by the last forward step's attribute conditions (the one
-    constraint :func:`reversed_expression` cannot carry).  A bit reaching an
-    owner's accepting slot means the backward walk ``t -> owner`` succeeded,
-    i.e. ``t`` belongs to that owner's audience.
+    Bit ``t`` stands for the candidate *target* node ``t``; the seeds are
+    :func:`reverse_seed_nodes`.  A bit reaching an owner's accepting slot
+    means the backward walk ``t -> owner`` succeeded, i.e. ``t`` belongs to
+    that owner's audience.
     """
     reverse = reversed_automaton(snapshot, automaton.expression)
-    steps = tuple(automaton.expression)
-    node_count = snapshot.number_of_nodes()
-    # Tombstoned slots carry no edges, but they must not be seeded either:
-    # their attribute entries are gone, so a condition probe would fail, and
-    # a dead bit reaching nothing still widens every mask word for free.
-    dead = snapshot.dead_slots
-    if steps[-1].conditions:
-        # The forward automaton's per-(step, node) memo covers the last
-        # step, so repeated reverse sweeps re-evaluate nothing.
-        last_index = len(steps) - 1
-        holds = automaton.condition_holds
-        seeds = {
-            node: 1 << node
-            for node in range(node_count)
-            if node not in dead and holds(last_index, node)
-        }
-    else:
-        seeds = {
-            node: 1 << node for node in range(node_count) if node not in dead
-        }
-    seen = _multisource_mask_sweep(snapshot, reverse, seeds)
-    num_states = reverse.num_states
-    accept_id = reverse.accept_id
-    audiences: List[List[int]] = []
-    for node in sources:
-        audiences.append(_mask_bits(seen[node * num_states + accept_id]))
-    return audiences
+    sweep = MaskSweep(snapshot, reverse)
+    for node in reverse_seed_nodes(automaton):
+        sweep.seed(node, reverse.start_id, 1 << node)
+    sweep.run()
+    masks = dict(sweep.accepted(sources))
+    return [_mask_bits(masks.get(node, 0)) for node in sources]
 
 
 class AudienceSweep:

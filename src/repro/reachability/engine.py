@@ -31,9 +31,9 @@ committed mutation, including writes through the live mapping returned by
   wholesale the first time a call observes a moved epoch; entries are LRU
   with capacity ``cache_size``.  ``cache_size=0`` disables both memos (no
   entries, no hit/miss accounting) — benchmarks use it to measure raw
-  backend cost.  The **parse cache** (expression text to parsed
-  :class:`~repro.policy.path_expression.PathExpression`) is pure and never
-  invalidated.
+  backend cost.  Expression text is coerced through the process-wide,
+  bounded :func:`~repro.policy.path_expression.as_path_expression` memo,
+  which is pure and never invalidated.
 * Under the facade, ``compile_graph`` keeps the CSR snapshot fresh the same
   way — since the delta-maintenance layer (see :mod:`repro.graph.compiled`)
   it absorbs journal-covered mutation bursts in O(|delta|) instead of
@@ -54,7 +54,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 from repro.exceptions import UnknownBackendError
 from repro.graph.social_graph import SocialGraph
-from repro.policy.path_expression import PathExpression
+from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import SWEEP_DIRECTIONS, SweepPlan
@@ -106,9 +106,10 @@ class ReachabilityEngine:
 
     Besides dispatching to the backend, the facade memoizes at two levels:
 
-    * a **parse cache** mapping expression text to its parsed
-      :class:`PathExpression` (the policy engine re-submits the same textual
-      conditions for every access request);
+    * expression text goes through the shared **parse memo**
+      (:func:`~repro.policy.path_expression.as_path_expression` — the policy
+      engine re-submits the same textual conditions for every access
+      request);
     * an **LRU decision memo** keyed by ``(source, target, expression,
       collect_witness)`` and stamped with the graph's mutation epoch — any
       committed graph mutation invalidates the whole memo, so cached
@@ -133,9 +134,8 @@ class ReachabilityEngine:
             self._evaluator = backend
         self.backend_name = getattr(self._evaluator, "name", type(self._evaluator).__name__)
         self._cache_size = max(0, cache_size)
-        self._caching = self._cache_size > 0 and hasattr(graph, "epoch")
+        self._caching = self._cache_size > 0
         self._cache_epoch: Optional[int] = None
-        self._parse_cache: Dict[str, PathExpression] = {}
         self._decision_cache: "OrderedDict[Tuple, EvaluationResult]" = OrderedDict()
         self._targets_cache: "OrderedDict[Tuple, FrozenSet[Hashable]]" = OrderedDict()
         self.cache_hits = 0
@@ -147,15 +147,6 @@ class ReachabilityEngine:
         return self._evaluator
 
     # -------------------------------------------------------------- caching
-
-    def _parse(self, expression: Union[str, PathExpression]) -> PathExpression:
-        if not isinstance(expression, str):
-            return expression
-        parsed = self._parse_cache.get(expression)
-        if parsed is None:
-            parsed = PathExpression.parse(expression)
-            self._parse_cache[expression] = parsed
-        return parsed
 
     def _cache_ready(self) -> bool:
         """Roll the memo forward to the current graph epoch; False disables it."""
@@ -201,7 +192,7 @@ class ReachabilityEngine:
         collect_witness: bool = True,
     ) -> EvaluationResult:
         """Evaluate one query; ``expression`` may be a string or a parsed expression."""
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         if not self._cache_ready():
             return self._evaluator.evaluate(
                 source, target, expression, collect_witness=collect_witness
@@ -236,7 +227,7 @@ class ReachabilityEngine:
         expression: Union[str, PathExpression],
     ) -> Set[Hashable]:
         """Return every user reachable from ``source`` under ``expression``."""
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         if not self._cache_ready():
             return self._evaluator.find_targets(source, expression)
         key = (source, expression.to_text())
@@ -278,7 +269,7 @@ class ReachabilityEngine:
             raise ValueError(
                 f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
             )
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         sources = list(dict.fromkeys(sources))
         if not self._cache_ready():
             return self._evaluator.sweep_targets_many(

@@ -49,7 +49,7 @@ from repro.graph.social_graph import SocialGraph
 from repro.policy.audit import AuditLog
 from repro.policy.decisions import Effect
 from repro.policy.engine import AccessControlEngine
-from repro.policy.path_expression import PathExpression
+from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine, available_backends
 from repro.reliability.breaker import CircuitBreaker
@@ -123,12 +123,14 @@ class GraphService:
         backend out of auto-planning (queries reroute to a walking backend)
         until a half-open probe succeeds.  Pass ``{}`` to disable breakers.
     shards:
-        ``> 1`` partitions the graph into that many community shards (built
-        lazily on first use) and makes the **sharded route** available: the
-        planner's shard-fanout cost term routes eligible queries through the
-        :class:`~repro.sharding.router.ShardRouter`, and ``"sharded"``
-        becomes a valid backend pin (per query or service-wide).  ``0`` (the
-        default) or ``1`` disables sharding entirely.
+        ``> 1`` makes ``"sharded"`` a valid backend pin (per query, or
+        service-wide through ``default_backend``): a pinned query runs on
+        the :class:`~repro.sharding.router.ShardRouter` over that many
+        community shards, partitioned lazily when the first pinned query
+        arrives.  Like ``cluster-index`` the route is pin-only — no
+        measurement has it ahead of the single snapshot, so an unpinned
+        query never takes it (docs/architecture.md, "Sharding").  ``0``
+        (the default) or ``1`` disables sharding entirely.
     """
 
     def __init__(
@@ -201,7 +203,7 @@ class GraphService:
         self._built_epoch: Dict[str, int] = {}
         # Stability = queries answered since the graph last mutated; the
         # planner amortizes index builds over it (see repro.service.planner).
-        self._seen_epoch = getattr(graph, "epoch", 0)
+        self._seen_epoch = graph.epoch
         self._stability = 0
         self.queries_executed = 0
         # Observed-outcome feedback per expression text: [samples seen,
@@ -211,10 +213,6 @@ class GraphService:
         # grant-heavy, or vice versa) re-prices plans within ~1/alpha
         # queries instead of being pinned by the lifetime average.
         self._reach_outcomes: Dict[str, List[float]] = {}
-        # Service-owned parse cache.  Parsing must not route through
-        # engine() — that path enforces index freshness and would rebuild a
-        # stale index backend just to parse text, behind the planner's back.
-        self._parse_cache: Dict[str, PathExpression] = {}
         # External observability providers (the serving layer registers its
         # coalescer here); statistics() merges each provider's counters
         # under its name prefix.
@@ -255,23 +253,6 @@ class GraphService:
             self._shard_runtime_obj = (router, engine, self._access_over(engine))
         return self._shard_runtime_obj
 
-    def _shard_cross_rate(self) -> float:
-        """Observed cross-shard escalation rate (the planner's feedback)."""
-        if self._shard_runtime_obj is None:
-            return 0.0
-        return self._shard_runtime_obj[0].escalation_rate
-
-    @staticmethod
-    def _force_sharded(plan):
-        """Rewrite a plan for a ``"sharded"`` pin (planner plans pin-free)."""
-        return replace(
-            plan,
-            backend="sharded",
-            backend_forced=True,
-            route="sharded",
-            reason="backend pinned to 'sharded' by the caller",
-        )
-
     def engine(self, backend: str) -> ReachabilityEngine:
         """Return the (lazily created, freshly built) engine of one backend.
 
@@ -283,7 +264,7 @@ class GraphService:
         if backend not in self._backends:
             raise UnknownBackendError(backend, sorted(self._backends))
         engine = self._engines.get(backend)
-        epoch = getattr(self.graph, "epoch", 0)
+        epoch = self.graph.epoch
         if engine is None:
             options = dict(self._backend_options.get(backend, {}))
             engine = self._maintain_index(
@@ -351,7 +332,7 @@ class GraphService:
 
     def _freshness(self) -> Dict[str, bool]:
         """Which backends can execute right now without paying a build."""
-        epoch = getattr(self.graph, "epoch", 0)
+        epoch = self.graph.epoch
         return {
             # Online walks compile the snapshot lazily; an index is fresh when
             # it was built (or refreshed) at this epoch.
@@ -441,21 +422,13 @@ class GraphService:
 
     def _tick(self) -> None:
         """Advance the stability counter (reset when the epoch has moved)."""
-        epoch = getattr(self.graph, "epoch", 0)
+        epoch = self.graph.epoch
         if epoch != self._seen_epoch:
             self._seen_epoch = epoch
             self._stability = 0
         else:
             self._stability += 1
         self.queries_executed += 1
-
-    def _parse(self, expression: Expression) -> PathExpression:
-        if isinstance(expression, PathExpression):
-            return expression
-        parsed = self._parse_cache.get(expression)
-        if parsed is None:
-            parsed = self._parse_cache[expression] = PathExpression.parse(expression)
-        return parsed
 
     #: Outcomes observed before this are too few to trust as a rate.
     _RATE_SAMPLE_FLOOR = 16
@@ -526,7 +499,6 @@ class GraphService:
         backend: Optional[str],
         *,
         access: bool = False,
-        shard_eligible: bool = True,
         **pricing,
     ):
         """Plan one query, choose its route, acquire what runs it.
@@ -537,37 +509,35 @@ class GraphService:
         the query's own pin, ``access`` whether :meth:`access_engine` rather
         than :meth:`engine` acquires, and ``pricing`` the keywords only some
         shapes take (outcome feedback for point plans, the sweep direction
-        for bulk plans).  The sharded walk carries no parent links, so a
-        shape that needs them (``shard_eligible=False``: witnesses,
-        explanations) stays on the single route unless pinned.  Returns the
-        engine to run and the plan as executed.
+        for bulk plans).  The routing rule is one line: a query runs on the
+        shard stack iff its pin (own, else the service default) is
+        ``"sharded"`` — whatever its shape; the sharded walk carries no
+        parent links, so a pinned witness / explanation is answered without
+        one.  Returns the engine to run and the plan as executed.
         """
         pin = self._normalize_pin(backend) or self._default_pin
-        shard_pin = pin == "sharded"
-        # Offering 0 shards keeps the route single.
-        offer_shards = self.shards > 1 and pin is None and shard_eligible
         plan = plan_for(
             compile_graph(self.graph),
             *subject,
             backends=self._backends,
             fresh=self._freshness(),
             stability=self._stability,
-            pinned=None if shard_pin else pin,
-            shards=self.shards if offer_shards else 0,
-            shard_cross_rate=self._shard_cross_rate(),
+            pinned=pin,
             **pricing,
         )
-        if shard_pin:
-            plan = self._force_sharded(plan)
+        if pin == "sharded":
+            _router, engine, access_engine = self._shard_runtime()
+            return (
+                access_engine if access else engine,
+                replace(plan, route="sharded"),
+            )
         # Acquisition may build or refresh an index and runs here, *outside*
         # the caller's guard scope: the per-query budget bounds the query's
         # own traversal, not an index build it happens to trigger (the
         # breaker owns build pathology).
-        if plan.route != "sharded":
-            acquire = self.access_engine if access else self.engine
-            return self._acquire_for_plan(plan, acquire)
-        _router, engine, access_engine = self._shard_runtime()
-        return (access_engine if access else engine), replace(plan, backend="sharded")
+        return self._acquire_for_plan(
+            plan, self.access_engine if access else self.engine
+        )
 
     def _degraded(self) -> bool:
         """Whether the guard cut the bulk query just run short (and count it)."""
@@ -611,13 +581,12 @@ class GraphService:
     def _execute_reach(self, query: ReachQuery) -> ReachResult:
         started = time.perf_counter()
         self._tick()
-        expression = self._parse(query.expression)
+        expression = as_path_expression(query.expression)
         text = expression.to_text()
         engine, plan = self._route(
             self.planner.plan_reach,
             (expression,),
             query.backend,
-            shard_eligible=not query.collect_witness,
             unreachable_rate=self._unreachable_rate(text),
             refresh_ops=self._refresh_ops(),
             vetoed=self._vetoed(),
@@ -641,7 +610,7 @@ class GraphService:
     def _execute_audience(self, query: AudienceQuery) -> AudienceResult:
         started = time.perf_counter()
         self._tick()
-        expression = self._parse(query.expression)
+        expression = as_path_expression(query.expression)
         plan, audiences, sweep_plan, partial = self._sweep(
             query.owners, expression, query.direction, query.backend
         )
@@ -682,7 +651,7 @@ class GraphService:
         """
         started = time.perf_counter()
         self._tick()
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         pair_list: List[Tuple[Hashable, Hashable]] = [
             (source, target) for source, target in pairs
         ]
@@ -721,7 +690,6 @@ class GraphService:
             (expressions,),
             query.backend,
             access=True,
-            shard_eligible=not query.explain,  # explanations embed witness paths
             unreachable_rate=min(
                 (self._unreachable_rate(path.to_text()) for path in expressions),
                 default=0.0,

@@ -101,9 +101,6 @@ _TC_BUILD_UNIT = 0.25        # per (node x label-filter x (node + edge)); low
                              # real exploration on scale-free graphs, and the
                              # two must flip at a realistic stability
 _RATE_BUCKETS = 8            # unreachable-rate resolution in plan-cache keys
-_SHARD_SWEEP_FIXED = 16.0    # per-query shard routing + per-shard automaton setup
-_SHARD_ESCALATION_FACTOR = 2.0  # escalated work re-walks boundary frontiers and
-                                # pays message routing on top of the sweep itself
 
 
 @dataclass(frozen=True)
@@ -144,10 +141,10 @@ class ExecutionPlan:
     stability: int = 0
     estimates: Tuple[BackendEstimate, ...] = ()
     reason: str = ""
-    #: ``"single"`` (one snapshot, one evaluator) or ``"sharded"`` (execute
-    #: through the shard router).  ``backend`` still names the evaluator a
-    #: single-snapshot run would use, so a sharded-capable service can fall
-    #: back without re-planning.
+    #: ``"single"`` (one snapshot, one evaluator) or ``"sharded"`` (the shard
+    #: router ran it).  The planner only ever plans the single route; the
+    #: service marks a plan ``"sharded"`` when the query's pin is
+    #: ``"sharded"`` — the route is never chosen on cost.
     route: str = "single"
 
     def estimate_for(self, backend: str) -> Optional[BackendEstimate]:
@@ -376,8 +373,6 @@ class QueryPlanner:
         unreachable_rate: float = 0.0,
         refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
-        shards: int = 0,
-        shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         """Plan one point reachability query (also the access-check unit).
 
@@ -392,18 +387,10 @@ class QueryPlanner:
         is open) are priced out of *auto*-selection — marked
         ``available=False`` in the estimate table — while a pin still routes
         to them and surfaces the failure at execution time.
-
-        ``shards`` > 1 makes the sharded route a candidate: the walk is
-        priced at its shard-local share plus an escalation surcharge scaled
-        by ``shard_cross_rate`` — the service's *observed* share of routed
-        queries that crossed a shard boundary (the same cardinality-feedback
-        idiom the closure prune uses), so the planner prefers local-only
-        plans and abandons the sharded route on workloads that keep
-        escalating.
         """
         return self._plan_costed(
             "reach", snapshot, (expression,), backends, fresh, stability, pinned,
-            unreachable_rate, refresh_ops, vetoed, shards, shard_cross_rate,
+            unreachable_rate, refresh_ops, vetoed,
         )
 
     def plan_access(
@@ -418,14 +405,11 @@ class QueryPlanner:
         unreachable_rate: float = 0.0,
         refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
-        shards: int = 0,
-        shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         """Plan one access check: every rule condition is a reach query."""
         return self._plan_costed(
             "access", snapshot, tuple(expressions), backends, fresh, stability,
-            pinned, unreachable_rate, refresh_ops, vetoed, shards,
-            shard_cross_rate,
+            pinned, unreachable_rate, refresh_ops, vetoed,
         )
 
     def _plan_costed(
@@ -440,14 +424,11 @@ class QueryPlanner:
         unreachable_rate: float = 0.0,
         refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
-        shards: int = 0,
-        shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         epoch = snapshot.epoch
         # Bucketed so a drifting observed rate yields a handful of cache
         # variants per expression, not one per query.
         rate_bucket = int(max(0.0, min(1.0, unreachable_rate)) * _RATE_BUCKETS)
-        cross_bucket = int(max(0.0, min(1.0, shard_cross_rate)) * _RATE_BUCKETS)
         # Log-bucketed: the refresh charge only needs order-of-magnitude
         # resolution, and journal growth must not mint a key per mutation.
         refresh_bucket = -1 if refresh_ops is None else refresh_ops.bit_length()
@@ -460,8 +441,6 @@ class QueryPlanner:
             rate_bucket,
             refresh_bucket,
             tuple(sorted(vetoed)),
-            shards,
-            cross_bucket,
         )
         cached = self._cached(key, epoch, stability)
         if cached is not None:
@@ -539,43 +518,6 @@ class QueryPlanner:
                 else ""
             )
         )
-        route = "single"
-        if shards > 1:
-            # The shard-fanout cost term: shard-local share of the walk plus
-            # an escalation surcharge that grows with the observed
-            # cross-shard rate — local-only plans win, escalation-heavy
-            # workloads fall back to the single snapshot.
-            walk_total = sum(
-                self._walk_cost(snapshot, expression)
-                for expression in expressions
-            )
-            cross = cross_bucket / _RATE_BUCKETS
-            sharded_cost = (
-                len(expressions) * _SHARD_SWEEP_FIXED
-                + walk_total / shards
-                + cross * _SHARD_ESCALATION_FACTOR * walk_total
-            )
-            estimates = estimates + (
-                BackendEstimate(
-                    backend="sharded",
-                    query_cost=sharded_cost,
-                    build_cost=0.0,
-                    build_charge=0.0,
-                    total=sharded_cost,
-                    available=True,
-                    note=(
-                        f"shard-local walk over {shards} shards at observed "
-                        f"cross-shard rate {cross:.2f}"
-                    ),
-                ),
-            )
-            if sharded_cost < chosen.total:
-                route = "sharded"
-                reason = (
-                    f"sharded route estimated cheapest at {sharded_cost:.0f} "
-                    f"units ({shards} shards, cross-shard rate {cross:.2f}); "
-                    f"single-snapshot fallback: {reason}"
-                )
         plan = ExecutionPlan(
             kind=kind,
             backend=chosen.backend,
@@ -584,7 +526,6 @@ class QueryPlanner:
             stability=stability,
             estimates=estimates,
             reason=reason,
-            route=route,
         )
         self._remember(key, plan, self._revisit_at(viable, chosen))
         return plan
@@ -600,8 +541,6 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str] = None,
         direction: str = "auto",
-        shards: int = 0,
-        shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         """Plan one audience materialization (single- or multi-owner).
 
@@ -612,15 +551,10 @@ class QueryPlanner:
         decision, forward vs reverse, to the sweep-direction planner whose
         executed :class:`~repro.reachability.compiled_search.SweepPlan`
         rides on the result.  ``pinned`` still routes through any backend.
-
-        With ``shards`` > 1 the sweep can run shard-locally: it wins
-        whenever its local share plus the escalation surcharge undercuts
-        the whole-graph sweep, i.e. while ``shard_cross_rate`` (observed)
-        stays under ``(1 - 1/shards) / escalation_factor``.
         """
         return self._plan_sweep(
             "audience", expression.to_text(), snapshot, backends, stability,
-            pinned, direction, shards, shard_cross_rate,
+            pinned, direction,
             "all backends share the multi-source audience sweep; "
             "{backend} runs it on the live snapshot with no index to build",
         )
@@ -634,8 +568,6 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str],
         direction: str,
-        shards: int,
-        shard_cross_rate: float,
         auto_reason: str,
     ) -> ExecutionPlan:
         """The one body of the sweep-shaped plans (audience, bulk access).
@@ -645,39 +577,17 @@ class QueryPlanner:
         un-pinned plan's reason, with ``{backend}`` filled in.
         """
         epoch = snapshot.epoch
-        cross_bucket = int(max(0.0, min(1.0, shard_cross_rate)) * _RATE_BUCKETS)
-        key = (kind, subject, pinned, direction, tuple(backends), shards, cross_bucket)
+        key = (kind, subject, pinned, direction, tuple(backends))
         cached = self._cached(key, epoch, stability)
         if cached is not None:
             return cached
         self.plans_computed += 1
-        route = "single"
         if pinned is not None:
             backend = pinned
             reason = f"backend pinned to {pinned!r} by the caller"
         else:
             backend = "bfs" if "bfs" in backends else backends[0]
             reason = auto_reason.format(backend=backend)
-            if shards > 1:
-                # Shard-local iff the surcharge is beat.  A sweep's work is
-                # proportional to the edges scanned, so the sharded estimate
-                # is the single sweep's ``1/shards`` share plus the
-                # escalation surcharge — no absolute walk estimate needed,
-                # the comparison divides out.
-                cross = cross_bucket / _RATE_BUCKETS
-                sharded_share = 1.0 / shards + cross * _SHARD_ESCALATION_FACTOR
-                if sharded_share < 1.0:
-                    route = "sharded"
-                    reason = (
-                        f"shard-local sweep estimated at {sharded_share:.2f}x "
-                        f"the whole-graph sweep ({shards} shards, observed "
-                        f"cross-shard rate {cross:.2f})"
-                    )
-                else:
-                    reason = (
-                        f"{reason}; sharded route declined at observed "
-                        f"cross-shard rate {cross:.2f}"
-                    )
         plan = ExecutionPlan(
             kind=kind,
             backend=backend,
@@ -686,7 +596,6 @@ class QueryPlanner:
             epoch=epoch,
             stability=stability,
             reason=reason,
-            route=route,
         )
         self._remember(key, plan, inf)
         return plan
@@ -701,13 +610,11 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str] = None,
         direction: str = "auto",
-        shards: int = 0,
-        shard_cross_rate: float = 0.0,
     ) -> ExecutionPlan:
         """Plan one bulk audience materialization across many resources."""
         return self._plan_sweep(
             "bulk-access", expression_count, snapshot, backends, stability,
-            pinned, direction, shards, shard_cross_rate,
+            pinned, direction,
             "bulk audiences run one shared sweep per distinct expression; "
             "{backend} sweeps the live snapshot directly",
         )

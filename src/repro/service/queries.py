@@ -12,7 +12,8 @@ to be dispatch mechanics are now **plan pins**:
 
 Expressions may be path-expression text or parsed
 :class:`~repro.policy.path_expression.PathExpression` objects; the service
-parses text once through its shared parse cache.
+parses text once through the process-wide
+:func:`~repro.policy.path_expression.as_path_expression` memo.
 """
 
 from __future__ import annotations

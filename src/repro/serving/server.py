@@ -64,7 +64,10 @@ class ServingServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Every live connection handler, and the subset still in its read
+        #: loop (the only ones :meth:`stop` has to interrupt).
         self._conn_tasks: Set[asyncio.Task] = set()
+        self._reading: Set[asyncio.Task] = set()
         self.connections_accepted = 0
         self.frames_served = 0
         self.frames_failed = 0
@@ -97,12 +100,19 @@ class ServingServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel connections, close tenant sessions."""
+        """Stop accepting, finish every connection, close tenant sessions.
+
+        A handler still reading is cancelled out of its read; one already
+        closing (its peer hung up) is left to finish.  Either way it is
+        awaited here, so no handler outlives the caller's event loop — loop
+        teardown cancelling a half-closed handler is what made asyncio log a
+        ``CancelledError`` per connection.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks):
+        for task in self._reading:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
@@ -117,8 +127,11 @@ class ServingServer:
         write_lock = asyncio.Lock()  # frames must not interleave mid-line
         frame_tasks: Set[asyncio.Task] = set()
         me = asyncio.current_task()
-        if me is not None:
-            self._conn_tasks.add(me)
+        # Deregistered only once the task is done: until then stop() must
+        # still find (and await) this handler, closing or not.
+        self._conn_tasks.add(me)
+        me.add_done_callback(self._conn_tasks.discard)
+        self._reading.add(me)
         try:
             while True:
                 try:
@@ -135,8 +148,7 @@ class ServingServer:
         except asyncio.CancelledError:
             pass
         finally:
-            if me is not None:
-                self._conn_tasks.discard(me)
+            self._reading.discard(me)
             if frame_tasks:
                 await asyncio.gather(*frame_tasks, return_exceptions=True)
             writer.close()
@@ -164,6 +176,8 @@ class ServingServer:
             response = error_frame(request_id, error)
             self.frames_failed += 1
         async with write_lock:
+            if writer.is_closing():
+                return  # the connection is already lost: nobody to answer
             try:
                 writer.write(encode_frame(response))
                 await writer.drain()

@@ -166,8 +166,9 @@ def _expression_text(expression) -> str:
 
     Strings key by their own text (two spellings of one expression simply
     coalesce separately — correct, just less shared); parsed expressions
-    key by canonical form.  The event-loop thread must not touch the
-    service's parse cache, which belongs to the worker thread.
+    key by canonical form.  The event-loop thread does no parsing: that
+    work, and the syntax error it may raise, belongs to the request's
+    execution on the worker thread.
     """
     if isinstance(expression, str):
         return expression

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.graph.snapshot import SnapshotStore
 from repro.policy.path_expression import PathExpression
-from repro.reachability.compiled_search import CompiledAutomaton, _mask_bits
+from repro.reachability.compiled_search import CompiledAutomaton, MaskBitsMemo
 from repro.sharding.router import _ShardSweepState, ghost_indices
 from repro.sharding.shard import ShardedGraph
 
@@ -36,21 +36,13 @@ __all__ = ["ShardServingPool"]
 def _shard_worker(stem_path: str, conn) -> None:
     """Serve one shard snapshot over a pipe (module-level for ``spawn``)."""
     snapshot = SnapshotStore(Path(stem_path)).load()
-    ghosts = ghost_indices(snapshot)
-    ghost_set = set(ghosts)
-    dead = snapshot.dead_slots
-    owned = [
-        node
-        for node in range(snapshot.number_of_nodes())
-        if node not in dead and node not in ghost_set
-    ]
     conn.send(
         (
             "ready",
             {
                 "mapped": bool(snapshot.mapped),
                 "nodes": snapshot.number_of_live_nodes(),
-                "ghosts": len(ghosts),
+                "ghosts": len(ghost_indices(snapshot)),
                 "nbytes": snapshot.nbytes,
             },
         )
@@ -63,29 +55,17 @@ def _shard_worker(stem_path: str, conn) -> None:
             break
         if kind == "begin":
             expression = PathExpression.parse(message[1])
-            automaton = CompiledAutomaton(expression, snapshot)
-            state = _ShardSweepState(snapshot, automaton, ghosts)
+            state = _ShardSweepState(snapshot, CompiledAutomaton(expression, snapshot))
             conn.send(("ok",))
         elif kind == "seeds":
-            for user, state_id, mask in message[1]:
-                node = snapshot.index_of(user)
-                state.seed(
-                    node,
-                    state.automaton.start_id if state_id < 0 else state_id,
-                    mask,
-                )
+            state.deliver(message[1])
             state.run()
             conn.send(("round", state.export()))
         elif kind == "collect":
-            accepts: Dict[Hashable, int] = {}
-            num_states = state.num_states
-            accept_id = state.automaton.accept_id
-            seen = state.seen
             user_of = snapshot.node_ids
-            for node in owned:
-                mask = seen[node * num_states + accept_id]
-                if mask:
-                    accepts[user_of[node]] = mask
+            accepts: Dict[Hashable, int] = {
+                user_of[node]: mask for node, mask in state.accepted_owned()
+            }
             conn.send(("accepts", accepts))
         else:  # pragma: no cover - protocol misuse
             conn.send(("error", f"unknown message {kind!r}"))
@@ -185,15 +165,12 @@ class ShardServingPool:
         audiences: Dict[Hashable, Set[Hashable]] = {
             source: set() for source in sources
         }
-        bits_of: Dict[int, List[int]] = {}
+        bits_of = MaskBitsMemo()
         for conn in self.conns:
             kind, accepts = conn.recv()
             assert kind == "accepts"
             for user, mask in accepts.items():
-                bits = bits_of.get(mask)
-                if bits is None:
-                    bits = bits_of[mask] = _mask_bits(mask)
-                for bit in bits:
+                for bit in bits_of[mask]:
                     audiences[sources[bit]].add(user)
         return audiences
 

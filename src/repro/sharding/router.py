@@ -9,14 +9,14 @@ through explicit messages.
 
 Execution model — bulk-synchronous product sweep
 ------------------------------------------------
-Each shard keeps a persistent :class:`_ShardSweepState`: the flat
-``seen``/``pending`` mask tables of
-:func:`~repro.reachability.compiled_search._multisource_mask_sweep`, made
-*resumable*.  A round seeds the pending messages, runs every touched shard's
-worklist to exhaustion, then exports the mask deltas that accumulated on
-**ghost** slots as ``(user, state, mask)`` messages routed to the ghost's
-home shard.  Masks only ever grow, so the rounds reach exactly the fixpoint
-of the global product walk — the differential harness in
+Each shard keeps a persistent :class:`_ShardSweepState`: a resumable
+:class:`~repro.reachability.compiled_search.MaskSweep` (the same core the
+unsharded audience sweep runs once) plus the shard's ghost list.  A round
+seeds the pending messages, runs every touched shard's worklist to
+exhaustion, then exports the mask deltas that accumulated on **ghost** slots
+as ``(user, state, mask)`` messages routed to the ghost's home shard.  Masks
+only ever grow, so the rounds reach exactly the fixpoint of the global
+product walk — the differential harness in
 ``tests/property/test_shard_equivalence.py`` holds the router to the
 unsharded four-backend answers on every query shape.  The message seam is
 deliberately value-shaped (user ids, automaton state ids, int masks): the
@@ -32,23 +32,23 @@ escalations with bitset probes before any other shard is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
 from repro.graph.compiled import CompiledGraph, compile_graph, register_derived_policy
-from repro.policy.path_expression import PathExpression
+from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.steps import Direction
 from repro.reachability.compiled_search import (
     SWEEP_DIRECTIONS,
     CompiledAutomaton,
+    MaskBitsMemo,
+    MaskSweep,
     SweepPlan,
-    _hoisted_state_moves,
-    _mask_bits,
     plan_audience_sweep,
+    reverse_seed_nodes,
     reversed_expression,
 )
 from repro.reachability.result import EvaluationResult
-from repro.reliability.guard import active_guard
 from repro.sharding.shard import GHOST_ATTR, ShardedGraph
 from repro.sharding.summary import BoundarySummary
 
@@ -91,137 +91,42 @@ class ShardSweepPlan(SweepPlan):
     partial_shards: Tuple[int, ...] = ()
 
 
-class _ShardSweepState:
-    """Resumable multi-source mask sweep over one shard snapshot.
+class _ShardSweepState(MaskSweep):
+    """One shard's :class:`MaskSweep`, plus what only a shard has.
 
-    The loop body is :func:`~repro.reachability.compiled_search.
-    _multisource_mask_sweep` verbatim; the differences are that seeds may
-    arrive *between* runs (messages seed arbitrary automaton states, not
-    just the start state) and that the worklist survives a guard trip, so a
-    later round — or a differential test reading the tables — sees exactly
-    the monotone state reached so far.
+    The sweep core is inherited whole — seeds arrive between runs (messages
+    seed arbitrary automaton states, not just the start state) and the
+    worklist survives a guard trip, both of which ``MaskSweep`` provides.
+    Shard-specific are the **ghost** slots (mirrors of users another shard
+    owns) and the record of which of their mask bits were already exported.
     """
 
-    __slots__ = (
-        "snapshot",
-        "automaton",
-        "num_states",
-        "seen",
-        "pending",
-        "queue",
-        "head",
-        "chain_memo",
-        "state_moves",
-        "static_closure",
-        "ghosts",
-        "sent",
-        "tripped",
-        "scanned",
-    )
+    __slots__ = ("ghosts", "sent")
 
-    def __init__(
-        self,
-        snapshot: CompiledGraph,
-        automaton: CompiledAutomaton,
-        ghosts: Sequence[int],
-    ) -> None:
-        self.snapshot = snapshot
-        self.automaton = automaton
-        self.num_states = automaton.num_states
-        size = snapshot.number_of_nodes() * automaton.num_states
-        self.seen: List[int] = [0] * size
-        self.pending: List[int] = [0] * size
-        self.queue: List[int] = []
-        self.head = 0
-        self.chain_memo: Dict[int, Tuple[int, ...]] = {}
-        self.state_moves = _hoisted_state_moves(snapshot, automaton)
-        self.static_closure = automaton.static_closures()
-        self.ghosts = list(ghosts)
+    def __init__(self, snapshot: CompiledGraph, automaton: CompiledAutomaton) -> None:
+        super().__init__(snapshot, automaton)
+        self.ghosts = ghost_indices(snapshot)
         self.sent: Dict[int, int] = {}
-        self.tripped = False
-        self.scanned = 0
 
-    def seed(self, node: int, state: int, mask: int) -> None:
-        """Inject owner bits at ``(node, state)``, with spontaneous advances."""
-        num_states = self.num_states
-        for closed in self.automaton.closure(state, node):
-            key = node * num_states + closed
-            add = mask & ~self.seen[key]
-            if add:
-                self.seen[key] |= add
-                if not self.pending[key]:
-                    self.queue.append(key)
-                self.pending[key] |= add
+    def deliver(self, messages: Iterable[Tuple[Hashable, int, int]]) -> None:
+        """Seed ``(user, state, mask)`` messages; state ``-1`` is the start state."""
+        index_of = self.snapshot.index_of
+        start_id = self.automaton.start_id
+        for user, state_id, mask in messages:
+            self.seed(index_of(user), start_id if state_id < 0 else state_id, mask)
 
-    def has_work(self) -> bool:
-        return self.head < len(self.queue)
+    def accepted_owned(self) -> Iterator[Tuple[int, int]]:
+        """:meth:`accepted` over the nodes this shard owns.
 
-    def run(self) -> bool:
-        """Drain the worklist; ``False`` when a guard budget cut it short."""
-        guard = active_guard()
-        queue = self.queue
-        seen = self.seen
-        pending = self.pending
-        num_states = self.num_states
-        state_moves = self.state_moves
-        static_closure = self.static_closure
-        closure = self.automaton.closure
-        chain_memo = self.chain_memo
-        scanned = 0
-        charged = 0
-        while self.head < len(queue):
-            if guard is not None:
-                if not guard.spend(1 + scanned - charged):
-                    self.tripped = True
-                    self.scanned += scanned
-                    return False
-                charged = scanned
-            key = queue[self.head]
-            self.head += 1
-            delta = pending[key]
-            pending[key] = 0
-            if not delta:
-                continue
-            node, state = divmod(key, num_states)
-            moves = state_moves[state]
-            if not moves:
-                continue
-            next_state = state + 1
-            next_static = static_closure[next_state]
-            for offsets, targets, overlay, _label_id, _forward in moves:
-                if overlay and node in overlay:
-                    row = overlay[node]
-                else:
-                    row = targets[offsets[node]:offsets[node + 1]]
-                scanned += len(row)
-                for neighbor in row:
-                    base = neighbor * num_states
-                    if next_static is not None:
-                        chain = next_static
-                    else:
-                        chain = chain_memo.get(base + next_state)
-                        if chain is None:
-                            chain = chain_memo[base + next_state] = tuple(
-                                closure(next_state, neighbor)
-                            )
-                    for closed in chain:
-                        neighbor_key = base + closed
-                        previous = seen[neighbor_key]
-                        if previous:
-                            add = delta & ~previous
-                            if not add:
-                                continue
-                            seen[neighbor_key] = previous | add
-                        else:
-                            add = delta
-                            seen[neighbor_key] = delta
-                        if not pending[neighbor_key]:
-                            queue.append(neighbor_key)
-                        pending[neighbor_key] |= add
-        self.queue = []
-        self.head = 0
-        self.scanned += scanned
-        return True
+        A ghost's accept slot is skipped: the home shard holds the canonical
+        mask (every bit a ghost gathers is exported there).
+        """
+        ghosts = set(self.ghosts)
+        return self.accepted(
+            node
+            for node in range(self.snapshot.number_of_nodes())
+            if node not in ghosts
+        )
 
     def export(self) -> List[Tuple[Hashable, int, int]]:
         """New ghost-slot mask bits since the last export, as messages."""
@@ -253,7 +158,6 @@ class ShardRouter:
         self.summary_limit = summary_limit
         self._summary: Optional[BoundarySummary] = None
         self._summary_epoch: Optional[int] = None
-        self._parse_cache: Dict[str, PathExpression] = {}
         #: Observability, surfaced through ``GraphService.statistics()``.
         self.queries = 0
         self.point_queries = 0
@@ -271,14 +175,6 @@ class ShardRouter:
         self.sharded.refresh()
         if self._summary_epoch != self.sharded.graph.epoch:
             self._summary = None
-
-    def _parse(self, expression) -> PathExpression:
-        if isinstance(expression, PathExpression):
-            return expression
-        parsed = self._parse_cache.get(expression)
-        if parsed is None:
-            parsed = self._parse_cache[expression] = PathExpression.parse(expression)
-        return parsed
 
     def _summary_obj(self) -> BoundarySummary:
         epoch = self.sharded.graph.epoch
@@ -306,9 +202,8 @@ class ShardRouter:
             state = states.get(shard)
             if state is None:
                 snapshot = snapshots[shard]
-                automaton = CompiledAutomaton(expression, snapshot)
                 state = states[shard] = _ShardSweepState(
-                    snapshot, automaton, ghost_indices(snapshot)
+                    snapshot, CompiledAutomaton(expression, snapshot)
                 )
             return state
 
@@ -325,9 +220,9 @@ class ShardRouter:
         """Drive BSP rounds to quiescence (or budget/early exit).
 
         Returns ``(rounds, message_count, escalated, tripped)``.
-        ``messages`` maps shard -> ``(user, state, mask)`` seeds; a ``state``
-        of ``-1`` means the automaton's start state (closure applied at the
-        seed node either way).  ``stop_check`` short-circuits between rounds
+        ``messages`` maps shard -> ``(user, state, mask)`` seeds
+        (:meth:`_ShardSweepState.deliver`).  ``stop_check`` short-circuits
+        between rounds
         (point queries stop as soon as the target accepts).
         """
         rounds = 0
@@ -337,12 +232,7 @@ class ShardRouter:
         while messages and not tripped:
             rounds += 1
             for shard in sorted(messages):
-                state = state_for(shard)
-                snapshot = state.snapshot
-                start_id = state.automaton.start_id
-                for user, state_id, mask in messages[shard]:
-                    node = snapshot.index_of(user)
-                    state.seed(node, start_id if state_id < 0 else state_id, mask)
+                state_for(shard).deliver(messages[shard])
             outgoing: Dict[int, List[Tuple[Hashable, int, int]]] = {}
             for shard in sorted(messages):
                 state = states[shard]
@@ -388,7 +278,7 @@ class ShardRouter:
         no parent links); ``witness`` is always ``None``, exactly like the
         multi-source sweep the audiences ride on.
         """
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         self.refresh()
         self.queries += 1
         self.point_queries += 1
@@ -399,15 +289,13 @@ class ShardRouter:
         def accepted() -> bool:
             for state in states.values():
                 index = state.snapshot.node_index.get(target)
-                if index is not None and (
-                    state.seen[index * state.num_states + state.automaton.accept_id] & 1
-                ):
+                if index is not None and any(state.accepted((index,))):
                     return True
             return False
 
         # Round 0: the owner's shard alone.
         state = state_for(home)
-        state.seed(state.snapshot.index_of(source), state.automaton.start_id, 1)
+        state.deliver([(source, -1, 1)])
         state.run()
         result = EvaluationResult(reachable=False, backend=self.name)
         if accepted():
@@ -471,7 +359,7 @@ class ShardRouter:
                 f"unknown sweep direction {direction!r}; expected one of "
                 f"{SWEEP_DIRECTIONS}"
             )
-        expression = self._parse(expression)
+        expression = as_path_expression(expression)
         self.refresh()
         sources = list(dict.fromkeys(sources))
         self.queries += 1
@@ -524,25 +412,12 @@ class ShardRouter:
         audiences: Dict[Hashable, Set[Hashable]] = {
             source: set() for source in sources
         }
-        bits_of: Dict[int, List[int]] = {}
+        bits_of = MaskBitsMemo()
         for state in states.values():
-            snapshot = state.snapshot
-            num_states = state.num_states
-            accept_id = state.automaton.accept_id
-            ghosts = set(state.ghosts)
-            user_of = snapshot.node_ids
-            seen = state.seen
-            for node in range(snapshot.number_of_nodes()):
-                if node in ghosts:
-                    continue  # the home shard owns the canonical accept mask
-                mask = seen[node * num_states + accept_id]
-                if not mask:
-                    continue
-                bits = bits_of.get(mask)
-                if bits is None:
-                    bits = bits_of[mask] = _mask_bits(mask)
+            user_of = state.snapshot.node_ids
+            for node, mask in state.accepted_owned():
                 user = user_of[node]
-                for bit in bits:
+                for bit in bits_of[mask]:
                     audiences[sources[bit]].add(user)
         return audiences, states, rounds, messages, escalated, tripped
 
@@ -550,39 +425,26 @@ class ShardRouter:
         """Global-bit reverse sweep: every shard seeds its owned vertex set.
 
         Bit ``g`` stands for the user with :attr:`ShardedGraph.global_ids`
-        id ``g``; seeds are filtered by the last forward step's attribute
-        conditions per shard (the constraint the reversed expression cannot
-        carry), exactly mirroring the unsharded ``_sweep_reverse``.
+        id ``g``; per shard the seeds are the unsharded sweep's
+        :func:`~repro.reachability.compiled_search.reverse_seed_nodes`, minus
+        the ghosts (their home shard seeds them).
         """
         for user in sources:
             self._home_of(user)  # validate before any work
-        reverse = reversed_expression(expression)
-        states, state_for = self._state_factory(reverse)
-        snapshots = self.sharded.snapshots()
-        steps = tuple(expression)
+        states, state_for = self._state_factory(reversed_expression(expression))
         global_ids = self.sharded.global_ids
         seeds: Dict[int, List[Tuple[Hashable, int, int]]] = {}
-        for shard in range(self.sharded.shard_count):
-            snapshot = snapshots[shard]
+        for shard, snapshot in enumerate(self.sharded.snapshots()):
             if not snapshot.number_of_live_nodes():
                 continue
-            holds = None
-            if steps[-1].conditions:
-                forward_automaton = CompiledAutomaton(expression, snapshot)
-                last_index = len(steps) - 1
-                holds = lambda node: forward_automaton.condition_holds(  # noqa: E731
-                    last_index, node
-                )
-            ghosts = set(ghost_indices(snapshot))
-            dead = snapshot.dead_slots
-            shard_seeds: List[Tuple[Hashable, int, int]] = []
             user_of = snapshot.node_ids
-            for node in range(snapshot.number_of_nodes()):
-                if node in dead or node in ghosts:
-                    continue
-                if holds is not None and not holds(node):
-                    continue
-                shard_seeds.append((user_of[node], -1, 1 << global_ids[user_of[node]]))
+            shard_seeds = [
+                (user_of[node], -1, 1 << global_ids[user_of[node]])
+                for node in reverse_seed_nodes(
+                    CompiledAutomaton(expression, snapshot),
+                    set(ghost_indices(snapshot)),
+                )
+            ]
             if shard_seeds:
                 seeds[shard] = shard_seeds
         rounds, messages, escalated, tripped = self._run_rounds(
@@ -590,17 +452,14 @@ class ShardRouter:
         )
         user_by_gid = {gid: user for user, gid in global_ids.items()}
         audiences: Dict[Hashable, Set[Hashable]] = {}
+        bits_of = MaskBitsMemo()
         for owner in sources:
-            home = self.sharded.shard_of(owner)
-            state = states.get(home)
             members: Set[Hashable] = set()
+            state = states.get(self.sharded.shard_of(owner))
             if state is not None:
-                index = state.snapshot.node_index.get(owner)
-                if index is not None:
-                    mask = state.seen[
-                        index * state.num_states + state.automaton.accept_id
-                    ]
-                    members = {user_by_gid[bit] for bit in _mask_bits(mask)}
+                # At most one entry: the owner's own accept mask, if non-empty.
+                for _node, mask in state.accepted((state.snapshot.index_of(owner),)):
+                    members = {user_by_gid[bit] for bit in bits_of[mask]}
             audiences[owner] = members
         return audiences, states, rounds, messages, escalated, tripped
 

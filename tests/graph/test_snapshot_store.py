@@ -366,6 +366,33 @@ def test_adoption_replays_the_live_journal_gap(tmp_path):
     assert not snapshot.is_stale()
 
 
+def test_adoption_survives_a_label_losing_its_last_edge(tmp_path):
+    """Regression: the live graph forgets a label with its last edge, the
+    snapshot keeps the (now empty) label id — that is not staleness.  Both
+    orders: the removal persisted as a delta segment, and the removal only
+    in the live journal.  (Seen as ``warm_start == "stale"`` in long
+    ``lib_churn`` runs on small graphs.)"""
+    for persist_removal in (True, False):
+        graph = SocialGraph()
+        for user in ("a", "b", "c"):
+            graph.add_user(user, age=30)
+        graph.add_relationship("a", "b", "friend")
+        graph.add_relationship("b", "c", "parent")
+        store = SnapshotStore(tmp_path / f"g{int(persist_removal)}.snap")
+        assert store.checkpoint(graph) == "base"
+        graph.remove_relationship("b", "c", "parent")
+        assert graph.labels() == ("friend",)
+        if persist_removal:
+            assert store.checkpoint(graph) == "delta"
+        snapshot, source = SnapshotStore(store.base_path).load_or_compile(graph)
+        assert source == "mapped"
+        assert snapshot.epoch == graph.epoch and not snapshot.is_stale()
+        assert snapshot.number_of_edges(snapshot.label_id("parent")) == 0
+        bfs = OnlineBFSEvaluator(graph)
+        assert bfs.find_targets("a", PathExpression.parse("friend+[1]")) == {"b"}
+        assert bfs.find_targets("b", PathExpression.parse("parent+[1]")) == set()
+
+
 def test_adoption_refuses_a_foreign_graph(tmp_path):
     graph = SocialGraph()
     for user in ("a", "b"):

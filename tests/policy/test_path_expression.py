@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.exceptions import PathExpressionSyntaxError
-from repro.policy.path_expression import PathExpression, parse_path_expression
+from repro.policy.path_expression import (
+    PathExpression,
+    as_path_expression,
+    parse_cached,
+    parse_path_expression,
+)
 from repro.policy.steps import DepthInterval, Direction, Step
 
 
@@ -135,3 +142,45 @@ class TestProperties:
 
     def test_labels(self):
         assert PathExpression.parse("a/b/a").labels() == ("a", "b", "a")
+
+
+class TestSharedParseMemo:
+    def test_text_is_parsed_once_and_expressions_pass_through(self):
+        first = as_path_expression("friend+[1,2]/colleague+[1]")
+        assert as_path_expression("friend+[1,2]/colleague+[1]") is first
+        assert as_path_expression(first) is first
+        assert first == PathExpression.parse("friend+[1,2]/colleague+[1]")
+
+    def test_parse_itself_stays_uncached(self):
+        text = "friend+[1,2]"
+        assert PathExpression.parse(text) is not PathExpression.parse(text)
+
+    def test_the_memo_is_bounded(self):
+        limit = parse_cached.cache_info().maxsize
+        assert limit == 4096
+        for index in range(limit + 64):
+            as_path_expression(f"friend+[1]/label_{index}+[1]")
+        assert parse_cached.cache_info().currsize == limit
+
+    def test_syntax_errors_are_raised_every_time(self):
+        for _ in range(2):
+            with pytest.raises(PathExpressionSyntaxError):
+                as_path_expression("friend+[")
+
+    def test_canonical_text_is_rendered_once_per_instance(self):
+        expression = PathExpression.parse("friend/parent")
+        assert expression.to_text() is expression.to_text()
+        assert expression.to_text() == "friend+[1]/parent+[1]"
+
+    def test_loop_thread_and_worker_thread_get_equal_expressions(self):
+        text = "friend*[1,3]{age >= 18}/colleague-[2]"
+
+        async def main():
+            worker = asyncio.get_running_loop().run_in_executor(
+                None, as_path_expression, text
+            )
+            return as_path_expression(text), await worker
+
+        on_loop, on_worker = asyncio.run(main())
+        assert on_loop == on_worker == PathExpression.parse(text)
+        assert on_loop.to_text() == on_worker.to_text()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import UnknownBackendError
 from repro.policy.engine import AccessControlEngine
+from repro.policy.path_expression import as_path_expression
 from repro.policy.rules import AccessRule
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine
@@ -245,7 +246,7 @@ class TestDenialFeedbackFlip:
         graph, source, outside = self._denial_material()
         service = GraphService(graph)
         expression = "friend+[1,3]/colleague+[1,2]"
-        text = service._parse(expression).to_text()
+        text = as_path_expression(expression).to_text()
         for index in range(60):
             service.reach(
                 source, outside[index % len(outside)], expression,

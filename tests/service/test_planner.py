@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.graph.compiled import compile_graph
@@ -179,3 +181,15 @@ class TestAudiencePlanning:
             backends=BACKENDS, fresh=COLD, stability=0, pinned="cluster-index",
         )
         assert verdict.backend == "cluster-index" and verdict.backend_forced
+
+
+class TestSignatures:
+    @pytest.mark.parametrize(
+        "name", ["plan_reach", "plan_access", "plan_audience", "plan_bulk_access"]
+    )
+    def test_no_plan_method_prices_shards(self, name):
+        """``"sharded"`` is a pin the service resolves, not a planner route;
+        the four names stay (``benchmarks/e2e/tracing.py`` wraps them)."""
+        parameters = inspect.signature(getattr(QueryPlanner, name)).parameters
+        assert {"backends", "fresh", "stability", "pinned"} <= set(parameters)
+        assert not [name for name in parameters if name.startswith("shard")]

@@ -31,7 +31,7 @@ def test_reach_many_matches_per_pair_reach():
         ).reachable
         assert result[(source, target)] == expected, (source, target)
     assert result.partial is False
-    assert result.plan.backend in service.backends or result.plan.route == "sharded"
+    assert result.plan.backend in service.backends
 
 
 def test_reach_many_deduplicates_sources_into_one_sweep():

@@ -233,3 +233,49 @@ def test_unknown_audience_direction_is_an_error_frame_not_a_dead_connection(dire
     assert bad["error"]["type"] in ("ValueError", "TypeError")
     assert good["id"] == "good" and good["ok"] is True
     assert isinstance(good["result"]["audience"], list)
+
+
+# Where stop() lands relative to the closing handlers is timing-dependent, so
+# the number of loop turns between the clients' hang-up and stop() is swept.
+@pytest.mark.parametrize("yields", range(11))
+def test_stop_after_clients_hang_up_is_silent(yields, caplog):
+    """Regression: ``stop()`` neither awaited nor cancelled a handler already
+    in its ``finally`` (it had deregistered itself first), so loop teardown
+    cancelled it and asyncio logged one ``Exception in callback ...
+    CancelledError`` per connection; answers written to a peer that had hung
+    up logged ``socket.send() raised exception.`` on top."""
+    registry, workload = _registry()
+    users = sorted(workload.graph.users())
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        writers = []
+        for connection in range(5):
+            _reader, writer = await asyncio.open_connection(host, port)
+            for i in range(20):
+                frame = {
+                    "id": i,
+                    "op": "audience",
+                    "tenant": "t0",
+                    "owner": users[(connection * 20 + i) % len(users)],
+                    "expression": "friend+[1,2]",
+                }
+                writer.write((json.dumps(frame) + "\n").encode())
+            await writer.drain()
+            writers.append(writer)
+        for writer in writers:
+            writer.close()
+        for _ in range(yields):
+            await asyncio.sleep(0)
+        await server.stop()
+        assert not server._conn_tasks
+
+    with caplog.at_level("WARNING", logger="asyncio"):
+        asyncio.run(main())
+    noisy = [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelname in ("WARNING", "ERROR", "CRITICAL")
+    ]
+    assert noisy == []
