@@ -3,8 +3,8 @@
 The serving layer turns one-process :class:`~repro.service.facade.
 GraphService` instances into a multi-tenant asyncio front end:
 
-* :mod:`~repro.serving.coalescer` — concurrent in-flight requests sharing
-  a path expression within a short gather window become ONE bulk
+* :mod:`~repro.serving.coalescer` — requests sharing a path expression
+  that arrive together, or while the tenant's worker is busy, become ONE bulk
   execution (``reach_many`` / multi-owner ``audience`` / ``bulk_access``),
   fanned back to per-request futures with answers differentially
   indistinguishable from sequential execution;

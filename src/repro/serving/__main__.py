@@ -69,7 +69,9 @@ def main(argv=None) -> int:
     parser.add_argument("--users", type=int, default=300, help="users per tenant graph")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--window", type=float, default=0.002, help="coalescing window (seconds)"
+        "--window", type=float, default=0.002,
+        help="> 0 turns coalescing on (batches gather while the tenant's "
+        "worker is busy; the magnitude delays nothing), 0 turns it off",
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-pending", type=int, default=256)

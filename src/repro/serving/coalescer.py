@@ -4,13 +4,13 @@ The :class:`RequestCoalescer` is the asyncio-side half of the serving
 subsystem's core trick.  Concurrent in-flight requests that share a
 *coalesce key* (for this engine: the path-expression text plus the query
 shape — the unit one multi-source owner-bitset sweep can answer) are
-gathered into one batch for up to a short **window** (or until a
+gathered into one batch **while the runner is busy** (or until a
 **batch-size cap**), then handed to a runner that executes the whole batch
 as ONE bulk query on the tenant's worker thread and fans the per-request
 answers back out to the per-request futures.
 
 The coalescer is deliberately generic: it knows nothing about graphs.  It
-owns batching, timers, futures, and the batch-size histogram; the
+owns batching, futures, and the batch-size histogram; the
 :class:`~repro.serving.session.TenantSession` supplies the runner that
 turns a ``(key, requests)`` batch into per-request outcomes.
 
@@ -18,8 +18,14 @@ Semantics
 ---------
 * ``window <= 0`` or ``max_batch == 1`` degrade to request-at-a-time
   dispatch (every submission is its own batch) — the benchmark baseline.
-* A batch flushes **early** when it reaches ``max_batch`` members; the
-  window is a latency ceiling, not a floor for full batches.
+  Any positive ``window`` turns gathering on; its magnitude delays nothing.
+* A batch flushes **at once** when it reaches ``max_batch`` members.
+* **Idle** (no batch in flight): a new batch flushes at the end of the
+  current event-loop iteration, so requests that arrive together (the
+  frames of one socket read, one ``asyncio.gather``) still share it.
+* **Busy**: batches stay open until the last in-flight batch completes,
+  then *every* open batch is flushed, in the order opened — the runner's
+  busy period is the gather window, and there is no timer.
 * The runner returns one outcome per request, aligned by position; an
   outcome that is a :class:`Raised` carries an exception to set on that
   request's future (so one member's typed error — an expired deadline, an
@@ -31,7 +37,7 @@ Semantics
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Raised", "RequestCoalescer", "BATCH_HISTOGRAM_BUCKETS"]
 
@@ -54,13 +60,12 @@ class Raised:
 
 
 class _Batch:
-    __slots__ = ("key", "items", "handle", "flushed")
+    __slots__ = ("key", "items", "task")
 
     def __init__(self, key: Hashable) -> None:
         self.key = key
         self.items: List[Tuple[object, asyncio.Future]] = []
-        self.handle: Optional[asyncio.TimerHandle] = None
-        self.flushed = False
+        self.task: Optional[asyncio.Task] = None  # its run, once flushed
 
 
 #: A batch runner: receives the coalesce key and the batch's requests (in
@@ -73,7 +78,8 @@ class RequestCoalescer:
     """Batch concurrent same-key requests; fan results back to futures.
 
     Must be used from a single asyncio event loop (the serving server's).
-    ``window`` is the gather window in seconds; ``max_batch`` caps batch
+    ``window > 0`` turns gathering on (how long a batch gathers is set by
+    the runner's busy period, not by this value); ``max_batch`` caps batch
     size (a full batch flushes immediately).
     """
 
@@ -90,7 +96,8 @@ class RequestCoalescer:
         self.window = float(window)
         self.max_batch = int(max_batch)
         self._open: Dict[Hashable, _Batch] = {}
-        self._inflight: set = set()
+        #: Flushed batches whose runner has not returned yet.
+        self._inflight: Set[_Batch] = set()
         # ------------------------------------------------ lifetime counters
         self.requests_submitted = 0
         #: Requests that shared their batch with at least one other request.
@@ -106,36 +113,39 @@ class RequestCoalescer:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self.requests_submitted += 1
+        gathering = self.window > 0 and self.max_batch > 1
         batch = self._open.get(key)
         if batch is None:
             batch = _Batch(key)
-            if self.window > 0 and self.max_batch > 1:
+            if gathering:
                 self._open[key] = batch
-                batch.handle = loop.call_later(self.window, self._flush, batch)
+                if not self._inflight:
+                    # Idle: nothing to wait for beyond this iteration's arrivals.
+                    loop.call_soon(self._flush, batch)
         batch.items.append((request, future))
-        if self.window <= 0 or len(batch.items) >= self.max_batch:
+        if not gathering or len(batch.items) >= self.max_batch:
             self._flush(batch)
         return await future
 
     # ----------------------------------------------------------------- flush
 
     def _flush(self, batch: _Batch) -> None:
-        if batch.flushed:
+        if batch.task is not None:
             return
-        batch.flushed = True
         if self._open.get(batch.key) is batch:
             del self._open[batch.key]
-        if batch.handle is not None:
-            batch.handle.cancel()
         size = len(batch.items)
         self.batches_executed += 1
         if size > 1:
             self.requests_coalesced += size
         self._record_size(size)
-        task = asyncio.ensure_future(self._run(batch))
-        # Keep a strong reference until done (asyncio only holds weak ones).
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        # The batch holds its task: asyncio itself only keeps weak references.
+        batch.task = asyncio.ensure_future(self._run(batch))
+        self._inflight.add(batch)
+
+    def _flush_open(self) -> None:
+        for batch in list(self._open.values()):  # in the order opened
+            self._flush(batch)
 
     async def _run(self, batch: _Batch) -> None:
         requests = [request for request, _future in batch.items]
@@ -149,6 +159,11 @@ class RequestCoalescer:
         except BaseException as error:  # noqa: BLE001 — fanned out, not dropped
             self.runner_failures += 1
             outcomes = [Raised(error)] * len(requests)
+        self._inflight.discard(batch)
+        if not self._inflight:
+            # The runner is free: hand it everything that gathered meanwhile
+            # before fanning out, so it never idles on a loop round-trip.
+            self._flush_open()
         for (_request, future), outcome in zip(batch.items, outcomes):
             if future.done():  # cancelled requester
                 continue
@@ -159,10 +174,11 @@ class RequestCoalescer:
 
     async def drain(self) -> None:
         """Flush every open batch and wait for all in-flight runs to finish."""
-        for batch in list(self._open.values()):
-            self._flush(batch)
+        self._flush_open()
         while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            await asyncio.gather(
+                *(batch.task for batch in self._inflight), return_exceptions=True
+            )
 
     # ------------------------------------------------------------ statistics
 

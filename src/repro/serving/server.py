@@ -5,8 +5,9 @@ TenantRegistry`.  Each connection reads newline-delimited request frames;
 every frame is dispatched as its own task, so a connection can have many
 requests in flight and responses return **out of order** — the echoed
 ``id`` is the correlation key.  That per-frame concurrency is what feeds
-the coalescer: frames arriving within a gather window that share a path
-expression become one bulk execution.
+the coalescer: frames that share a path expression and arrive together, or
+while their tenant's worker is busy, become one bulk execution.  Responses
+encoded in one event-loop iteration leave in one write per connection.
 
 Ops (see ``docs/serving_protocol.md`` for the field tables):
 
@@ -27,10 +28,11 @@ with ``id: null``.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.serving.protocol import (
+    MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
     error_frame,
@@ -88,7 +90,7 @@ class ServingServer:
         if self._server is not None:
             raise RuntimeError("server is already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         return self.address
 
@@ -124,7 +126,8 @@ class ServingServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_accepted += 1
-        write_lock = asyncio.Lock()  # frames must not interleave mid-line
+        #: Encoded responses waiting for this loop iteration's one write.
+        pending: List[bytes] = []
         frame_tasks: Set[asyncio.Task] = set()
         me = asyncio.current_task()
         # Deregistered only once the task is done: until then stop() must
@@ -138,11 +141,16 @@ class ServingServer:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
+                except ValueError:
+                    # A line past the cap: the reader dropped what it had
+                    # buffered; the rest, if any, arrives as a malformed line.
+                    error = ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+                    self.frames_failed += 1
+                    self._send(writer, pending, error_frame(None, error))
+                    continue
                 if not line:
                     break
-                task = asyncio.ensure_future(
-                    self._serve_frame(line, writer, write_lock)
-                )
+                task = asyncio.ensure_future(self._serve_frame(line, writer, pending))
                 frame_tasks.add(task)
                 task.add_done_callback(frame_tasks.discard)
         except asyncio.CancelledError:
@@ -151,6 +159,7 @@ class ServingServer:
             self._reading.discard(me)
             if frame_tasks:
                 await asyncio.gather(*frame_tasks, return_exceptions=True)
+            self._write_pending(writer, pending)  # queued lines leave before the close
             writer.close()
             try:
                 await writer.wait_closed()
@@ -158,10 +167,7 @@ class ServingServer:
                 pass
 
     async def _serve_frame(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        self, line: bytes, writer: asyncio.StreamWriter, pending: List[bytes]
     ) -> None:
         request_id: Any = None
         try:
@@ -175,14 +181,29 @@ class ServingServer:
         except BaseException as error:  # noqa: BLE001 — typed error frame
             response = error_frame(request_id, error)
             self.frames_failed += 1
-        async with write_lock:
-            if writer.is_closing():
-                return  # the connection is already lost: nobody to answer
-            try:
-                writer.write(encode_frame(response))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer went away; nothing to deliver the answer to
+        self._send(writer, pending, response)
+        try:
+            await writer.drain()  # back-pressure: a paused transport holds us
+        except (ConnectionError, OSError):
+            pass  # peer went away; nothing to deliver the answer to
+
+    def _send(
+        self, writer: asyncio.StreamWriter, pending: List[bytes], response: Dict
+    ) -> None:
+        """Queue one response line for this loop iteration's single write: a
+        fan-out resolves a batch of frame tasks at once, and whole lines in
+        one buffer cannot interleave."""
+        if writer.is_closing():
+            return  # the connection is already lost: nobody to answer
+        if not pending:
+            asyncio.get_running_loop().call_soon(self._write_pending, writer, pending)
+        pending.append(encode_frame(response))
+
+    @staticmethod
+    def _write_pending(writer: asyncio.StreamWriter, pending: List[bytes]) -> None:
+        if pending and not writer.is_closing():  # else lost since they were queued
+            writer.write(b"".join(pending))
+        pending.clear()
 
     # -------------------------------------------------------------- dispatch
 

@@ -182,7 +182,9 @@ class TenantSession:
     :class:`~repro.reliability.guard.QueryGuard` so deadlines are
     enforceable), or wrap an existing service directly.  All async methods
     must be called from one event loop; the underlying service runs only
-    on this session's single worker thread.
+    on this session's single worker thread.  Any ``window > 0`` turns
+    coalescing on: batches gather while that thread is busy, not for
+    ``window`` seconds (see :mod:`repro.serving.coalescer`).
     """
 
     def __init__(
@@ -562,7 +564,7 @@ class TenantRegistry:
     Every tenant gets its own :class:`GraphService` — own graph, own policy
     store, own caches, own worker thread — so no state (memos, planner
     feedback, guard trips, statistics) can leak across tenants.  The
-    registry only routes and aggregates.
+    registry only routes and aggregates (``window``: see :class:`TenantSession`).
     """
 
     def __init__(

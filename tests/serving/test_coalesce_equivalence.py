@@ -13,6 +13,7 @@ and where a circuit breaker has rerouted the backend.
 
 import asyncio
 import random
+import threading
 
 import pytest
 
@@ -358,3 +359,106 @@ def test_point_budget_errors_surface_typed_after_fallback():
         _assert_equivalent(request, served, expected)
         tripped += isinstance(served, QueryBudgetExceeded)
     assert tripped > 0  # the scenario actually exercised budget errors
+
+
+# ------------------------------------------- batches formed by a busy period
+#
+# Everything above submits in one ``asyncio.gather``: every batch is formed
+# by requests sharing a loop iteration while the worker is idle.  Below, the
+# clients arrive one per loop iteration while a first audience batch is in
+# flight, so the batches they land in are formed by the worker's busy period.
+
+
+def _serve_staggered(served_service, head, requests):
+    """Serve ``head`` in one tick, then one request per loop iteration.
+
+    The tenant's worker thread is held until the last client has submitted,
+    so the head batch is in flight for the whole stagger whatever the
+    machine's speed.  Returns the answers (head first) and the coalescer's
+    counters.
+    """
+
+    async def main():
+        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        worker_free = threading.Event()
+        session._executor.submit(worker_free.wait)
+        try:
+            clients = [asyncio.ensure_future(_serve_all(session, head))]
+            for request in requests:
+                await asyncio.sleep(0)
+                clients.append(asyncio.ensure_future(_serve_all(session, [request])))
+            for _ in range(3):  # the last client has reached the coalescer
+                await asyncio.sleep(0)
+            assert session.coalescer.statistics()["batches_executed"] == 1.0
+            worker_free.set()
+            answers = await asyncio.gather(*clients)
+        finally:
+            worker_free.set()
+            await session.close()
+        flat = [answer for served in answers for answer in served]
+        return flat, session.coalescer.statistics()
+
+    return _run(main())
+
+
+def _head_audiences(workload, expression, count=16):
+    return [("audience", user, expression) for user in sorted(workload.graph.users())[:count]]
+
+
+def _assert_busy_period_run(
+    head, requests, answers, statistics, sequential_service, shared_answers=True
+):
+    for request, served in zip(head + requests, answers):
+        _assert_equivalent(request, served, _sequential_answer(sequential_service, request))
+    # Shared batches exist beyond the head's: the busy period formed them.
+    assert statistics["requests_coalesced"] > len(head)
+    assert statistics["batches_executed"] < 1 + len(requests)
+    if shared_answers:  # not when every shared batch tripped and fell back
+        late = [a for a in answers[len(head):] if not isinstance(a, Exception)]
+        assert any(answer.batch_size > 1 for answer in late)
+        assert all(answer.coalesced for answer in late if answer.batch_size > 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_busy_period_batches_match_sequential(seed):
+    served_service, sequential_service, workload = _twin_services(seed=83 + seed)
+    head = _head_audiences(workload, EXPRESSIONS[2])
+    requests = _random_requests(workload, random.Random(200 + seed), count=48)
+    answers, statistics = _serve_staggered(served_service, head, requests)
+    _assert_busy_period_run(head, requests, answers, statistics, sequential_service)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_busy_period_batches_that_trip_the_guard_fall_back(seed):
+    guard_kwargs = dict(max_steps=100, check_interval=16)
+    served_service, sequential_service, workload = _twin_services(
+        users=160, seed=89 + seed, query_guard=QueryGuard(**guard_kwargs)
+    )
+    sequential_service.query_guard = QueryGuard(**guard_kwargs)
+    rng = random.Random(300 + seed)
+    users = sorted(workload.graph.users())
+    head = _head_audiences(workload, AUDIENCE_EXPRESSIONS[0])
+    requests = [
+        ("reach", rng.choice(users), rng.choice(users), rng.choice(REACH_EXPRESSIONS))
+        if rng.random() < 0.5
+        else ("audience", rng.choice(users), rng.choice(AUDIENCE_EXPRESSIONS))
+        for _ in range(24)
+    ]
+    answers, statistics = _serve_staggered(served_service, head, requests)
+    _assert_busy_period_run(
+        head, requests, answers, statistics, sequential_service, shared_answers=False
+    )
+    assert served_service.statistics()["serving_fallbacks"] > 0
+
+
+def test_busy_period_batches_on_a_breaker_rerouted_backend():
+    served_service, sequential_service, workload = _twin_services(seed=97)
+    for service in (served_service, sequential_service):
+        for breaker in service.breakers.values():
+            for _ in range(16):
+                breaker.record_failure(reason="forced for the test")
+            assert breaker.blocking
+    head = _head_audiences(workload, EXPRESSIONS[1])
+    requests = _random_requests(workload, random.Random(9), count=24)
+    answers, statistics = _serve_staggered(served_service, head, requests)
+    _assert_busy_period_run(head, requests, answers, statistics, sequential_service)

@@ -161,3 +161,180 @@ def test_drain_flushes_open_batches():
 
     assert _run(main()) == "k:1"
     assert len(calls) == 1
+
+
+# ------------------------------------------------- the scheduling contract
+#
+# Idle: a new batch is flushed at the end of the loop iteration that opened
+# it.  Busy: batches gather until the last in-flight one completes, then all
+# of them are flushed in the order opened.  No timer anywhere: the tests
+# below synchronise on loop turns and on the runner's own gates, never on
+# the clock, and every ``window`` is far longer than a test may take.
+
+
+class _GatedRunner:
+    """Plays the tenant's worker: every call blocks on its own Event."""
+
+    def __init__(self):
+        self.calls = []  # (key, requests), in the order the runner was called
+        self.finished = []  # keys, in the order the calls returned
+        self.gates = []  # one Event per call, created inside the running loop
+        self.hold = True
+
+    async def __call__(self, key, requests):
+        gate = asyncio.Event()
+        self.gates.append(gate)
+        self.calls.append((key, list(requests)))
+        if self.hold:
+            await gate.wait()
+        self.finished.append(key)
+        return [f"{key}:{request}" for request in requests]
+
+    def release_all(self):
+        self.hold = False
+        for gate in self.gates:
+            gate.set()
+
+
+async def _turns(count=5):
+    """Let every ready callback and task step run, ``count`` times over."""
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+def test_idle_submit_is_dispatched_at_once_whatever_the_window():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        pending = asyncio.ensure_future(coalescer.submit("k", 1))
+        # submit opens the batch, call_soon flushes it, the run task starts.
+        await _turns(3)
+        assert runner.calls == [("k", [1])]
+        runner.release_all()
+        return await pending
+
+    assert _run(main()) == "k:1"
+
+
+def test_idle_submits_of_one_iteration_share_the_batch():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        pending = [asyncio.ensure_future(coalescer.submit("k", i)) for i in range(3)]
+        await _turns()
+        assert runner.calls == [("k", [0, 1, 2])]
+        runner.release_all()
+        return await asyncio.gather(*pending)
+
+    assert _run(main()) == ["k:0", "k:1", "k:2"]
+
+
+@pytest.mark.parametrize("turns_held", [1, 200])
+def test_busy_submits_gather_until_the_runner_is_free(turns_held):
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
+        await _turns()
+        for i in range(1, 9):  # one arrival per stretch of loop iterations
+            pending.append(asyncio.ensure_future(coalescer.submit("k", i)))
+            pending.append(asyncio.ensure_future(coalescer.submit("j", i)))
+            await _turns(turns_held)
+        assert runner.calls == [("k", [0])]
+        assert coalescer.statistics()["open_batches"] == 2.0
+        runner.gates[0].set()
+        await _turns()
+        assert runner.calls[1:] == [
+            ("k", list(range(1, 9))),
+            ("j", list(range(1, 9))),
+        ]
+        runner.release_all()
+        await asyncio.gather(*pending)
+        return coalescer
+
+    coalescer = _run(main())
+    assert coalescer.batches_executed == 3
+    assert coalescer.statistics()["open_batches"] == 0.0
+
+
+def test_completion_flushes_every_open_batch_in_the_order_opened():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        pending = [asyncio.ensure_future(coalescer.submit("first", 0))]
+        await _turns()
+        for key in ("c", "a", "b", "a", "c"):  # opened as c, a, b
+            pending.append(asyncio.ensure_future(coalescer.submit(key, 1)))
+            await _turns(2)
+        runner.gates[0].set()
+        await _turns()
+        # All three were handed over together: each is in flight, none done.
+        assert [key for key, _requests in runner.calls] == ["first", "c", "a", "b"]
+        assert runner.finished == ["first"]
+        assert [len(requests) for _key, requests in runner.calls] == [1, 2, 2, 1]
+        runner.release_all()
+        await asyncio.gather(*pending)
+
+    _run(main())
+
+
+def test_max_batch_flushes_early_while_busy():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0, max_batch=3)
+        pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
+        await _turns()
+        for i in range(1, 5):
+            pending.append(asyncio.ensure_future(coalescer.submit("k", i)))
+            await _turns(2)
+        # The cap does not wait for the runner; the fifth request does.
+        assert runner.calls == [("k", [0]), ("k", [1, 2, 3])]
+        assert coalescer.statistics()["open_batches"] == 1.0
+        runner.release_all()
+        await asyncio.gather(*pending)
+        return [len(requests) for _key, requests in runner.calls]
+
+    assert _run(main()) == [1, 3, 1]
+
+
+def test_drain_flushes_behind_a_busy_runner_and_returns_when_it_is_free():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
+        await _turns()
+        pending.append(asyncio.ensure_future(coalescer.submit("k", 1)))
+        pending.append(asyncio.ensure_future(coalescer.submit("j", 2)))
+        await _turns()
+        assert len(runner.calls) == 1
+        drained = asyncio.ensure_future(coalescer.drain())
+        await _turns()
+        assert [key for key, _requests in runner.calls] == ["k", "k", "j"]
+        assert not drained.done()
+        runner.release_all()
+        await asyncio.wait_for(drained, 10)
+        assert all(future.done() for future in pending)
+        return [future.result() for future in pending]
+
+    assert _run(main()) == ["k:0", "k:1", "j:2"]
+
+
+def test_no_timer_is_ever_armed(monkeypatch):
+    def no_timers(*_args, **_kwargs):
+        raise AssertionError("the coalescer armed a timer")
+
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0, max_batch=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(asyncio.get_running_loop(), "call_later", no_timers)
+            pending = [asyncio.ensure_future(coalescer.submit("k", 0))]  # idle
+            await _turns()
+            for i in range(1, 6):  # busy; the cap flushes once
+                pending.append(asyncio.ensure_future(coalescer.submit("k", i)))
+            await _turns()
+            runner.release_all()
+            await coalescer.drain()
+            return await asyncio.gather(*pending)
+
+    assert _run(main()) == [f"k:{i}" for i in range(6)]

@@ -14,6 +14,7 @@ from repro.serving.protocol import (
     jsonable,
     result_frame,
 )
+from repro.service.facade import GraphService
 from repro.serving.server import ServingServer
 from repro.serving.session import TenantRegistry
 from repro.workloads import WorkloadSpec, build_workload, install_policies
@@ -279,3 +280,104 @@ def test_stop_after_clients_hang_up_is_silent(yields, caplog):
         if record.name == "asyncio" and record.levelname in ("WARNING", "ERROR", "CRITICAL")
     ]
     assert noisy == []
+
+
+def _asyncio_noise(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelname in ("WARNING", "ERROR", "CRITICAL")
+    ]
+
+
+def test_frames_up_to_the_cap_are_served_and_longer_ones_are_error_frames(caplog):
+    """Regression: without ``limit=`` the stream reader refused any line past
+    64 KiB with a ``ValueError`` nobody caught — the handler died, asyncio
+    logged it, and the client saw EOF instead of the ``ProtocolError`` frame
+    the 1 MiB cap promises."""
+    registry, _workload = _registry()
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+
+        async def answers_until(request_id):
+            seen = []
+            while not seen or seen[-1]["id"] != request_id:
+                seen.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+            return seen
+
+        big_ping = {"id": "big", "op": "ping", "padding": "x" * 100_000}
+        writer.write((json.dumps(big_ping) + "\n").encode())
+        writer.write(b"y" * (2 * MAX_FRAME_BYTES) + b"\n")
+        await writer.drain()
+        first = await answers_until("big")
+        # Same connection, after the oversized line has been refused.
+        writer.write(b'{"id": "after", "op": "ping"}\n')
+        await writer.drain()
+        rest = await answers_until("after")
+        writer.close()
+        failed = server.frames_failed
+        await server.stop()
+        return first + rest, failed
+
+    with caplog.at_level("WARNING", logger="asyncio"):
+        responses, failed = asyncio.run(main())
+    by_id = {}
+    for response in responses:
+        by_id.setdefault(response["id"], []).append(response)
+    assert by_id["big"] == [{"id": "big", "ok": True, "result": {"pong": True}}]
+    assert by_id["after"] == [{"id": "after", "ok": True, "result": {"pong": True}}]
+    # The reader drops what it had buffered when the limit trips; the line's
+    # tail, if it was still on its way, is one more undecodable line.
+    refused = by_id[None]
+    assert 1 <= len(refused) <= 2 and failed == len(refused)
+    assert all(r["ok"] is False and r["error"]["type"] == "ProtocolError" for r in refused)
+    assert _asyncio_noise(caplog) == []
+
+
+def test_frames_written_in_staggered_groups_match_sequential_replay():
+    """Groups separated by a flush reach the server in separate reads, so
+    the later ones meet a busy worker: batches formed that way answer like
+    the same requests replayed one at a time on a twin service."""
+    registry, workload = _registry()
+    twin = build_workload(WorkloadSpec(users=80, seed=5))
+    sequential = GraphService(twin.graph)
+    users = sorted(workload.graph.users())
+    frames = [
+        {
+            "id": i,
+            "op": "reach",
+            "tenant": "t0",
+            "source": users[i],
+            "target": users[(i * 7 + 3) % len(users)],
+            "expression": "friend+[1,2]",
+        }
+        for i in range(48)
+    ]
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        for start in range(0, 48, 16):
+            for frame in frames[start : start + 16]:
+                writer.write((json.dumps(frame) + "\n").encode())
+            await writer.drain()
+            await asyncio.sleep(0)
+        responses = {}
+        for _ in frames:
+            response = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            responses[response["id"]] = response
+        writer.close()
+        await server.stop()
+        return responses
+
+    responses = asyncio.run(main())
+    for frame in frames:
+        expected = sequential.reach(
+            frame["source"], frame["target"], frame["expression"], collect_witness=False
+        ).reachable
+        assert responses[frame["id"]]["result"]["reachable"] == expected, frame
+    assert max(r["result"]["batch_size"] for r in responses.values()) >= 2
