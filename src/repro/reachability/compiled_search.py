@@ -17,13 +17,15 @@ constrained product walk as :mod:`repro.reachability.bfs` /
   reconstructed into :class:`~repro.graph.paths.Path` objects only on
   demand, through :class:`SearchOutcome`.
 * :func:`audience_sweep` is the batched ``find_targets`` form: a **single
-  multi-source product sweep** that keeps, per ``(node, state)`` slot, a
-  bitmask of the owners whose walk has reached that slot (Python ints over
-  a dense owner index).  Overlapping owner neighbourhoods are traversed
-  once — a slot's outgoing CSR rows are rescanned only when *new* owner
-  bits arrive — instead of once per owner.  :class:`MaskSweep` is the one
-  propagation loop behind it, and — being resumable — also what every shard
-  of :mod:`repro.sharding.router` runs between message rounds.  A
+  multi-source product sweep** that keeps, per visited ``(node, state)``
+  slot, a bitmask of the owners whose walk has reached that slot (Python
+  ints over a dense owner index, held in sparse dict tables, so a sweep
+  costs what it visits rather than ``O(|V|)``).  Overlapping owner
+  neighbourhoods are traversed once — a slot's outgoing CSR rows are
+  rescanned only when *new* owner bits arrive — instead of once per owner.
+  :class:`MaskSweep` is the one propagation loop behind it, and — being
+  resumable — also what every shard of :mod:`repro.sharding.router` runs
+  between message rounds.  A
   :func:`direction planner <plan_audience_sweep>` decides per expression
   whether to run the sweep forward from the owners or backward from the
   whole vertex set over the :func:`reversed automaton <reversed_expression>`.
@@ -714,9 +716,14 @@ def plan_audience_sweep(
 class MaskSweep:
     """The one mask-propagation core: a resumable multi-source owner-bitmask sweep.
 
-    Per ``(node, state)`` slot the flat ``seen`` table holds the mask of
-    owners whose walk has reached the slot; ``pending`` accumulates the
-    not-yet-propagated part.  The worklist is FIFO so the owners' frontiers
+    Slots are packed ``node * num_states + state`` keys.  The sparse
+    ``seen`` dict maps each slot some owner's walk has reached to the mask
+    of those owners; ``pending`` holds the not-yet-propagated part of the
+    slots on the worklist.  Two invariants hold between calls: a key is in
+    ``seen`` iff its mask is non-zero, and ``pending``'s keys are a subset
+    of ``seen``'s — so a first visit needs no ``pending`` lookup, and the
+    sweep's time and memory are proportional to the slots it visits, not
+    to ``|V|``.  The worklist is FIFO so the owners' frontiers
     advance level-aligned and merge into single slot visits — a slot's CSR
     rows are rescanned only when genuinely new owner bits arrive
     (``new = mask & ~seen[slot]``), which is the whole win over a per-owner
@@ -730,7 +737,7 @@ class MaskSweep:
     automaton state (the shard router's cross-shard messages do both), and
     the worklist survives a guard trip, so a later run — or a test reading
     the tables — continues from exactly the monotone state reached so far.
-    Acceptance is read off ``seen[node * num_states + accept_id]``
+    Acceptance is read off the ``node * num_states + accept_id`` slots
     (:meth:`accepted`).
     """
 
@@ -752,9 +759,8 @@ class MaskSweep:
         self.snapshot = snapshot
         self.automaton = automaton
         self.num_states = automaton.num_states
-        size = snapshot.number_of_nodes() * automaton.num_states
-        self.seen: List[int] = [0] * size
-        self.pending: List[int] = [0] * size
+        self.seen: Dict[int, int] = {}
+        self.pending: Dict[int, int] = {}
         self.queue: List[int] = []
         self.head = 0
         # Spontaneous-advance chains of condition-gated states, memoized per
@@ -775,12 +781,16 @@ class MaskSweep:
         pending = self.pending
         for closed in self.automaton.closure(state, node):
             key = node * num_states + closed
-            add = mask & ~seen[key]
+            previous = seen.get(key, 0)
+            add = mask & ~previous
             if add:
-                seen[key] |= add
-                if not pending[key]:
+                seen[key] = previous | add
+                waiting = pending.get(key)
+                if waiting is None:
                     self.queue.append(key)
-                pending[key] |= add
+                    pending[key] = add
+                else:
+                    pending[key] = waiting | add
 
     def has_work(self) -> bool:
         """Whether seeded or guard-interrupted work awaits the next :meth:`run`."""
@@ -810,8 +820,7 @@ class MaskSweep:
                     charged = scanned
                 key = queue[head]
                 head += 1
-                delta = pending[key]
-                pending[key] = 0
+                delta = pending.pop(key, 0)
                 if not delta:
                     continue
                 node, state = divmod(key, num_states)
@@ -841,18 +850,24 @@ class MaskSweep:
                                 )
                         for closed in chain:
                             neighbor_key = base + closed
-                            previous = seen[neighbor_key]
-                            if previous:
-                                add = delta & ~previous
-                                if not add:
-                                    continue
-                                seen[neighbor_key] = previous | add
-                            else:
-                                add = delta
+                            previous = seen.get(neighbor_key)
+                            if previous is None:
+                                # First visit: pending's keys are a subset of
+                                # seen's, so the slot cannot be queued yet.
                                 seen[neighbor_key] = delta
-                            if not pending[neighbor_key]:
+                                pending[neighbor_key] = delta
                                 queue.append(neighbor_key)
-                            pending[neighbor_key] |= add
+                                continue
+                            add = delta & ~previous
+                            if not add:
+                                continue
+                            seen[neighbor_key] = previous | add
+                            waiting = pending.get(neighbor_key)
+                            if waiting is None:
+                                queue.append(neighbor_key)
+                                pending[neighbor_key] = add
+                            else:
+                                pending[neighbor_key] = waiting | add
             # Drained: drop the spent worklist instead of carrying it along.
             queue.clear()
             head = 0
@@ -863,13 +878,26 @@ class MaskSweep:
             self.head = head
             self.scanned += scanned
 
-    def accepted(self, nodes: Iterable[int]) -> Iterator[Tuple[int, int]]:
-        """``(node, owner mask)`` for each of ``nodes`` some owner's walk accepts."""
+    def accepted(
+        self, nodes: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[int, int]]:
+        """``(node, owner mask)`` for each node some owner's walk accepts.
+
+        Without ``nodes`` every visited accept slot is reported, in no
+        particular order, at a cost proportional to the slots the sweep
+        touched; with ``nodes`` only those are probed.
+        """
         seen = self.seen
         num_states = self.num_states
         accept_id = self.automaton.accept_id
+        if nodes is None:
+            for key, mask in seen.items():
+                node, state = divmod(key, num_states)
+                if state == accept_id:
+                    yield node, mask
+            return
         for node in nodes:
-            mask = seen[node * num_states + accept_id]
+            mask = seen.get(node * num_states + accept_id)
             if mask:
                 yield node, mask
 
@@ -937,7 +965,7 @@ def _sweep_forward(
     sweep.run()
     audiences: List[List[int]] = [[] for _ in sources]
     bits_of = MaskBitsMemo()
-    for node, mask in sweep.accepted(range(snapshot.number_of_nodes())):
+    for node, mask in sorted(sweep.accepted()):
         for bit in bits_of[mask]:
             audiences[bit].append(node)
     return audiences

@@ -122,10 +122,8 @@ class _ShardSweepState(MaskSweep):
         mask (every bit a ghost gathers is exported there).
         """
         ghosts = set(self.ghosts)
-        return self.accepted(
-            node
-            for node in range(self.snapshot.number_of_nodes())
-            if node not in ghosts
+        return (
+            (node, mask) for node, mask in self.accepted() if node not in ghosts
         )
 
     def export(self) -> List[Tuple[Hashable, int, int]]:
@@ -138,7 +136,7 @@ class _ShardSweepState(MaskSweep):
         for node in self.ghosts:
             base = node * num_states
             for state in range(num_states):
-                mask = seen[base + state]
+                mask = seen.get(base + state, 0)
                 if not mask:
                     continue
                 delta = mask & ~sent.get(base + state, 0)

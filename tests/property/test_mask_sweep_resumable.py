@@ -10,6 +10,8 @@ the same fixpoint — on arbitrary small graphs and expressions:
 * a run cut short by ``QueryGuard(max_steps=n)`` — returning early in
   ``"partial"`` mode, raising in ``"raise"`` mode — and resumed once the
   budget is lifted reaches the same ``seen`` table as an unguarded run;
+* after a drain the sparse tables hold no zero mask and nothing pending,
+  and decoding the visited accept slots equals probing every node;
 * the accepted sets equal :mod:`repro.testing.oracle`.
 """
 
@@ -62,10 +64,18 @@ def _audiences(sweep, owners):
     user_of = sweep.snapshot.node_ids
     audiences = {owner: set() for owner in owners}
     bits_of = MaskBitsMemo()
-    for node, mask in sweep.accepted(range(sweep.snapshot.number_of_nodes())):
+    for node, mask in sweep.accepted():
         for bit in bits_of[mask]:
             audiences[owners[bit]].add(user_of[node])
     return audiences
+
+
+def _assert_drained_tables(sweep):
+    """The sparse tables' invariants after a drain, and both decode forms agree."""
+    assert all(sweep.seen.values())  # a key is in seen iff its mask is non-zero
+    assert not sweep.pending
+    every_node = range(sweep.snapshot.number_of_nodes())
+    assert set(sweep.accepted()) == set(sweep.accepted(every_node))
 
 
 @given(st.integers(0, 10**6), st.integers(0, 4))
@@ -84,7 +94,8 @@ def test_seeding_in_instalments_equals_seeding_once(seed, cut):
     assert twice.run() and not twice.has_work()
 
     assert twice.seen == once.seen
-    assert not any(twice.pending)
+    _assert_drained_tables(once)
+    _assert_drained_tables(twice)
     assert _audiences(once, owners) == {
         owner: reference_targets(graph, owner, expression) for owner in owners
     }
@@ -118,10 +129,13 @@ def test_a_guard_trip_is_resumable(seed, budget, mode):
         # under-approximation of the fixpoint, never something outside it.
         assert resumed.has_work()
         assert all(
-            partial & ~full == 0 for partial, full in zip(resumed.seen, unguarded.seen)
+            partial & ~unguarded.seen.get(key, 0) == 0
+            for key, partial in resumed.seen.items()
         )
     assert resumed.run()  # the budget is lifted: no guard in scope
     assert not resumed.has_work()
+    _assert_drained_tables(unguarded)
+    _assert_drained_tables(resumed)
     assert resumed.seen == unguarded.seen
     assert resumed.scanned == unguarded.scanned  # a resume re-scans nothing
     assert _audiences(resumed, owners) == {
