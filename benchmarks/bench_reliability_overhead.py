@@ -8,8 +8,9 @@ it is engaged.  Three prices are measured on a healthy service:
    read per sweep plus one ``spend()`` per frontier pop).  Acceptance:
    guarded <= ``GUARD_CEILING`` x unguarded on the sweep replay.
 2. **Breaker overhead** — the same warm replay with the default breakers
-   vs ``breakers={}`` (the per-query cost is one ``_vetoed()`` scan of two
-   breaker objects).  Acceptance: <= ``BREAKER_CEILING`` x.
+   vs ``breakers={}`` (a warm point query tests each breaker for ``closed``
+   before taking the warm route; vetoes are priced only on a plan-cache
+   miss).  Acceptance: <= ``BREAKER_CEILING`` x.
 3. **Recovery cost** — wall-clock of a full ``fsck()`` heal on a store with
    a corrupt delta chain, for the docs' recovery-budget table (no
    acceptance gate: it is a cold-path cost, reported for visibility).

@@ -54,7 +54,7 @@ from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine, available_backends
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.guard import QueryGuard
-from repro.service.planner import INDEX_BACKENDS, QueryPlanner
+from repro.service.planner import _RATE_BUCKETS, INDEX_BACKENDS, QueryPlanner
 from repro.sharding.router import ShardRouter
 from repro.sharding.shard import ShardedGraph
 from repro.service.queries import (
@@ -205,6 +205,8 @@ class GraphService:
         # planner amortizes index builds over it (see repro.service.planner).
         self._seen_epoch = graph.epoch
         self._stability = 0
+        # Bumped when a point plan's pricing input can change within an epoch.
+        self._plan_generation = 0
         self.queries_executed = 0
         # Observed-outcome feedback per expression text: [samples seen,
         # EWMA unreachable rate].  The planner's transitive-closure prune
@@ -294,6 +296,7 @@ class GraphService:
         exception always propagates — callers on the *auto* path catch it
         and reroute, a *pinned* caller sees the evaluator's own error.
         """
+        self._plan_generation += 1  # freshness and the veto set may change
         breaker = self.breakers.get(backend) if backend in INDEX_BACKENDS else None
         if breaker is None:
             return action()
@@ -462,9 +465,13 @@ class GraphService:
         outcome = self._reach_outcomes.get(text)
         if outcome is None:
             outcome = self._reach_outcomes[text] = [0, 0.0]
+        floor = self._RATE_SAMPLE_FLOOR
+        before = int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0
         outcome[0] += 1
         sample = max(0.0, min(1.0, rate))
         outcome[1] += self._RATE_ALPHA * (sample - outcome[1])
+        if (int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0) != before:
+            self._plan_generation += 1  # the planner prices the bucket
 
     def _refresh_ops(self) -> Optional[int]:
         """Journal length between the cluster index's last (re)build and now.
@@ -499,6 +506,7 @@ class GraphService:
         backend: Optional[str],
         *,
         access: bool = False,
+        texts: Optional[Tuple[str, ...]] = None,
         **pricing,
     ):
         """Plan one query, choose its route, acquire what runs it.
@@ -514,8 +522,29 @@ class GraphService:
         ``"sharded"`` — whatever its shape; the sharded walk carries no
         parent links, so a pinned witness / explanation is answered without
         one.  Returns the engine to run and the plan as executed.
+
+        Point shapes pass their expression ``texts`` and take the warm route:
+        while every breaker is closed, a plan bound at this epoch and plan
+        generation runs on its bound engine, unpriced; a miss prices and
+        binds the plan unless it was rerouted.
         """
         pin = self._normalize_pin(backend) or self._default_pin
+        if texts is not None:
+            key = ("access" if access else "reach", texts, pin)
+            generation = self._plan_generation
+            # An open breaker half-opens by the clock, which no stamp follows.
+            closed = all(b.state == b.CLOSED for b in self.breakers.values())
+            if closed:
+                entry = self.planner.warm(
+                    key, self.graph.epoch, generation, self._stability
+                )
+                if entry is not None:
+                    return entry.engine, entry.plan
+            pricing.update(
+                unreachable_rate=min(map(self._unreachable_rate, texts), default=0.0),
+                refresh_ops=self._refresh_ops(),
+                vetoed=self._vetoed(),
+            )
         plan = plan_for(
             compile_graph(self.graph),
             *subject,
@@ -535,9 +564,12 @@ class GraphService:
         # the caller's guard scope: the per-query budget bounds the query's
         # own traversal, not an index build it happens to trigger (the
         # breaker owns build pathology).
-        return self._acquire_for_plan(
+        engine, routed = self._acquire_for_plan(
             plan, self.access_engine if access else self.engine
         )
+        if texts is not None and closed and routed is plan:
+            self.planner.bind(key, plan, generation, engine)
+        return engine, routed
 
     def _degraded(self) -> bool:
         """Whether the guard cut the bulk query just run short (and count it)."""
@@ -584,12 +616,7 @@ class GraphService:
         expression = as_path_expression(query.expression)
         text = expression.to_text()
         engine, plan = self._route(
-            self.planner.plan_reach,
-            (expression,),
-            query.backend,
-            unreachable_rate=self._unreachable_rate(text),
-            refresh_ops=self._refresh_ops(),
-            vetoed=self._vetoed(),
+            self.planner.plan_reach, (expression,), query.backend, texts=(text,)
         )
         with self._guard_scope(QueryGuard.RAISE):
             outcome = engine.evaluate(
@@ -690,12 +717,7 @@ class GraphService:
             (expressions,),
             query.backend,
             access=True,
-            unreachable_rate=min(
-                (self._unreachable_rate(path.to_text()) for path in expressions),
-                default=0.0,
-            ),
-            refresh_ops=self._refresh_ops(),
-            vetoed=self._vetoed(),
+            texts=tuple(path.to_text() for path in expressions),
         )
         with self._guard_scope(QueryGuard.RAISE):
             decision = access.check_access(

@@ -53,10 +53,11 @@ records the stability at which this flip becomes possible
 (``revisit_at``), so the warm path re-plans exactly when the answer could
 change and not before.
 
-Plans are cached per ``(kind, expression, pins, index-freshness)`` and
-invalidated by epoch moves, keeping warm-path planning to one dictionary
-probe and two integer comparisons (PERF-10 holds this under 5% of a pinned
-warm query).
+Point plans are cached under the query's identity, ``(kind, expression
+texts, pin)``, stamped with the epoch and pricing inputs they were priced
+from.  The service binds its acquired engine and *plan generation* (bumped
+whenever a pricing input can change) to the entry, so its warm path is one
+probe plus three integer comparisons (:meth:`QueryPlanner.warm`).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ _TC_BUILD_UNIT = 0.25        # per (node x label-filter x (node + edge)); low
                              # because the geometric walk model underestimates
                              # real exploration on scale-free graphs, and the
                              # two must flip at a realistic stability
-_RATE_BUCKETS = 8            # unreachable-rate resolution in plan-cache keys
+_RATE_BUCKETS = 8            # unreachable-rate resolution of point plans
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,10 @@ class ExecutionPlan:
 @dataclass
 class _CachedPlan:
     plan: ExecutionPlan
-    epoch: int
     revisit_at: float  # stability at which an index backend could flip the choice
+    inputs: Tuple  # what the plan was priced from, the epoch first
+    generation: int = -1  # the service plan generation ``engine`` is bound at
+    engine: object = None
 
 
 class QueryPlanner:
@@ -347,19 +350,35 @@ class QueryPlanner:
 
     # ------------------------------------------------------------- planning
 
-    def _cached(self, key: Tuple, epoch: int, stability: int) -> Optional[ExecutionPlan]:
+    def _cached(self, key: Tuple, inputs: Tuple, stability: int) -> Optional[ExecutionPlan]:
         entry = self._cache.get(key)
-        if entry is None or entry.epoch != epoch or stability >= entry.revisit_at:
+        if entry is None or entry.inputs != inputs or stability >= entry.revisit_at:
             return None
         self.plans_cached += 1
         return entry.plan
 
-    def _remember(self, key: Tuple, plan: ExecutionPlan, revisit_at: float) -> None:
+    def _remember(self, key: Tuple, plan: ExecutionPlan, revisit_at: float, inputs: Tuple):
         if not self._cache_size:
             return
-        self._cache[key] = _CachedPlan(plan=plan, epoch=plan.epoch, revisit_at=revisit_at)
+        self._cache[key] = _CachedPlan(plan, revisit_at, inputs)
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
+
+    def warm(self, key: Tuple, epoch: int, generation: int, stability: int):
+        """The entry bound to point key ``(kind, texts, pin)`` at ``generation``, if valid."""
+        entry = self._cache.get(key)
+        if entry is None or entry.generation != generation or entry.plan.epoch != epoch:
+            return None
+        if stability >= entry.revisit_at:
+            return None
+        self.plans_cached += 1
+        return entry
+
+    def bind(self, key: Tuple, plan: ExecutionPlan, generation: int, engine) -> None:
+        """Stamp ``plan``'s entry with the service's generation and engine."""
+        entry = self._cache.get(key)
+        if entry is not None and entry.plan is plan:
+            entry.generation, entry.engine = generation, engine
 
     def plan_reach(
         self,
@@ -426,23 +445,22 @@ class QueryPlanner:
         vetoed: AbstractSet[str] = frozenset(),
     ) -> ExecutionPlan:
         epoch = snapshot.epoch
-        # Bucketed so a drifting observed rate yields a handful of cache
-        # variants per expression, not one per query.
+        # Bucketed so a drifting observed rate re-plans a handful of times
+        # per expression, not once per query.
         rate_bucket = int(max(0.0, min(1.0, unreachable_rate)) * _RATE_BUCKETS)
         # Log-bucketed: the refresh charge only needs order-of-magnitude
-        # resolution, and journal growth must not mint a key per mutation.
+        # resolution, and journal growth must not re-plan per mutation.
         refresh_bucket = -1 if refresh_ops is None else refresh_ops.bit_length()
-        key = (
-            kind,
-            tuple(sorted(expression.to_text() for expression in expressions)),
-            pinned,
+        key = (kind, tuple(expression.to_text() for expression in expressions), pinned)
+        inputs = (
+            epoch,
             tuple(backends),
             tuple(sorted(name for name, is_fresh in fresh.items() if is_fresh)),
             rate_bucket,
             refresh_bucket,
             tuple(sorted(vetoed)),
         )
-        cached = self._cached(key, epoch, stability)
+        cached = self._cached(key, inputs, stability)
         if cached is not None:
             return cached
         self.plans_computed += 1
@@ -458,7 +476,7 @@ class QueryPlanner:
                 stability=stability,
                 reason="no path expressions to evaluate",
             )
-            self._remember(key, plan, inf)
+            self._remember(key, plan, inf, inputs)
             return plan
         # Sum the per-expression tables into one per-backend table.
         summed: Dict[str, BackendEstimate] = {}
@@ -504,7 +522,7 @@ class QueryPlanner:
                 reason=f"backend pinned to {pinned!r} by the caller",
             )
             # A pinned plan never flips; cache until the epoch moves.
-            self._remember(key, plan, inf)
+            self._remember(key, plan, inf, inputs)
             return plan
         viable = [estimate for estimate in estimates if estimate.available]
         if not viable:
@@ -527,7 +545,7 @@ class QueryPlanner:
             estimates=estimates,
             reason=reason,
         )
-        self._remember(key, plan, self._revisit_at(viable, chosen))
+        self._remember(key, plan, self._revisit_at(viable, chosen), inputs)
         return plan
 
     def plan_audience(
@@ -578,7 +596,7 @@ class QueryPlanner:
         """
         epoch = snapshot.epoch
         key = (kind, subject, pinned, direction, tuple(backends))
-        cached = self._cached(key, epoch, stability)
+        cached = self._cached(key, (epoch,), stability)
         if cached is not None:
             return cached
         self.plans_computed += 1
@@ -597,7 +615,7 @@ class QueryPlanner:
             stability=stability,
             reason=reason,
         )
-        self._remember(key, plan, inf)
+        self._remember(key, plan, inf, (epoch,))
         return plan
 
     def plan_bulk_access(
