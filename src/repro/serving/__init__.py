@@ -4,12 +4,12 @@ The serving layer turns one-process :class:`~repro.service.facade.
 GraphService` instances into a multi-tenant asyncio front end:
 
 * :mod:`~repro.serving.coalescer` — requests sharing a path expression
-  that arrive together, or while the tenant's worker is busy, become ONE bulk
+  that arrive together, or while an earlier batch runs, become ONE bulk
   execution (``reach_many`` / multi-owner ``audience`` / ``bulk_access``),
   fanned back to per-request futures with answers differentially
   indistinguishable from sequential execution;
 * :mod:`~repro.serving.session` — per-tenant sessions over independent
-  services (hard isolation: own graph, store, caches, worker thread) plus
+  services (hard isolation: own graph, store, caches, coalescer) plus
   the :class:`TenantRegistry` routing and aggregating them;
 * :mod:`~repro.serving.admission` — bounded pending work with typed
   :class:`~repro.exceptions.AdmissionRejected` and per-request deadlines
@@ -18,7 +18,9 @@ GraphService` instances into a multi-tenant asyncio front end:
   in-process :class:`AsyncGraphClient` and the TCP JSON-lines protocol
   server (``python -m repro.serving`` runs a demo instance).
 
-Everything is stdlib-only (asyncio + one worker thread per tenant).
+Everything is stdlib-only and runs on one asyncio event loop: a batch
+executes on the loop, and frames that arrive meanwhile wait in the socket
+buffer until it returns.
 """
 
 from repro.exceptions import AdmissionRejected, ProtocolError, UnknownTenantError

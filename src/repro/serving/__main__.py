@@ -70,8 +70,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--window", type=float, default=0.002,
-        help="> 0 turns coalescing on (batches gather while the tenant's "
-        "worker is busy; the magnitude delays nothing), 0 turns it off",
+        help="> 0 turns coalescing on (batches gather while an earlier "
+        "batch runs; the magnitude delays nothing), 0 turns it off",
     )
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-pending", type=int, default=256)

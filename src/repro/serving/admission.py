@@ -13,8 +13,8 @@ slow down just because the server is busy).
 Deadlines ride the same path: :meth:`AdmissionController.deadline_for`
 converts a per-request timeout into an absolute ``time.monotonic``
 deadline, which the session then installs with
-:func:`repro.reliability.guard.deadline_scope` around the worker-thread
-execution so the engine's :class:`~repro.reliability.guard.QueryGuard`
+:func:`repro.reliability.guard.deadline_scope` around the request's (or
+its batch's) execution so the engine's :class:`~repro.reliability.guard.QueryGuard`
 enforces it cooperatively (min-combined with the guard's own deadline).
 """
 
@@ -32,7 +32,7 @@ class AdmissionController:
     """Bounded-pending admission with absolute-deadline derivation.
 
     Not thread-safe by design: admit/release happen only on the serving
-    event loop (the worker threads never touch it).
+    event loop, where every service call runs too.
     """
 
     def __init__(

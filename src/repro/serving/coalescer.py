@@ -6,8 +6,8 @@ subsystem's core trick.  Concurrent in-flight requests that share a
 shape — the unit one multi-source owner-bitset sweep can answer) are
 gathered into one batch **while the runner is busy** (or until a
 **batch-size cap**), then handed to a runner that executes the whole batch
-as ONE bulk query on the tenant's worker thread and fans the per-request
-answers back out to the per-request futures.
+as ONE bulk query and fans the per-request answers back out to the
+per-request futures.
 
 The coalescer is deliberately generic: it knows nothing about graphs.  It
 owns batching, futures, and the batch-size histogram; the
@@ -25,7 +25,11 @@ Semantics
   frames of one socket read, one ``asyncio.gather``) still share it.
 * **Busy**: batches stay open until the last in-flight batch completes,
   then *every* open batch is flushed, in the order opened — the runner's
-  busy period is the gather window, and there is no timer.
+  busy period is the gather window, and there is no timer.  The session's
+  runner executes on the loop itself, so while it runs, arrivals wait in
+  the socket buffer and are read in the iteration after it returns.
+* A batch task starts in a fresh :class:`contextvars.Context`: it serves
+  many requesters, so it inherits none of their context variables.
 * The runner returns one outcome per request, aligned by position; an
   outcome that is a :class:`Raised` carries an exception to set on that
   request's future (so one member's typed error — an expired deadline, an
@@ -37,6 +41,7 @@ Semantics
 from __future__ import annotations
 
 import asyncio
+import contextvars
 from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Raised", "RequestCoalescer", "BATCH_HISTOGRAM_BUCKETS"]
@@ -140,7 +145,9 @@ class RequestCoalescer:
             self.requests_coalesced += size
         self._record_size(size)
         # The batch holds its task: asyncio itself only keeps weak references.
-        batch.task = asyncio.ensure_future(self._run(batch))
+        batch.task = contextvars.Context().run(
+            asyncio.get_running_loop().create_task, self._run(batch)
+        )
         self._inflight.add(batch)
 
     def _flush_open(self) -> None:

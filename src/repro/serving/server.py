@@ -6,8 +6,9 @@ every frame is dispatched as its own task, so a connection can have many
 requests in flight and responses return **out of order** — the echoed
 ``id`` is the correlation key.  That per-frame concurrency is what feeds
 the coalescer: frames that share a path expression and arrive together, or
-while their tenant's worker is busy, become one bulk execution.  Responses
-encoded in one event-loop iteration leave in one write per connection.
+while an earlier batch holds the loop (they wait in the socket buffer and
+are read in one go), become one bulk execution.  Responses encoded in one
+event-loop iteration leave in one write per connection.
 
 Ops (see ``docs/serving_protocol.md`` for the field tables):
 

@@ -3,11 +3,12 @@
 One :class:`TenantSession` wraps one :class:`~repro.service.facade.
 GraphService` for async serving:
 
-* every service call runs on the tenant's **single worker thread** — the
-  facade (guard state, memos, planner feedback) is not thread-safe, so the
-  session serializes a tenant's execution and the serving process wins
-  concurrency from coalescing within a tenant and parallelism *across*
-  tenants;
+* every service call runs **synchronously on the event loop**, inside the
+  coroutine of the request or batch it serves — the facade (guard state,
+  memos, planner feedback) is pure Python and not thread-safe, so a
+  second thread would buy no parallelism, only GIL hand-offs.  While a
+  batch runs the loop is blocked, and frames that arrive meanwhile wait in
+  the kernel socket buffer: the socket is the gather queue;
 * an :class:`~repro.serving.coalescer.RequestCoalescer` gathers concurrent
   same-expression requests and answers each batch with ONE bulk execution
   (:meth:`~repro.service.facade.GraphService.reach_many`, a multi-owner
@@ -15,7 +16,7 @@ GraphService` for async serving:
   :meth:`~repro.service.facade.GraphService.bulk_access`);
 * an :class:`~repro.serving.admission.AdmissionController` bounds pending
   work (typed :class:`~repro.exceptions.AdmissionRejected` on overload)
-  and derives per-request absolute deadlines, installed around worker
+  and derives per-request absolute deadlines, installed around each
   execution with :func:`repro.reliability.guard.deadline_scope` so the
   engine's :class:`~repro.reliability.guard.QueryGuard` enforces them.
 
@@ -47,20 +48,8 @@ have exceeded its budget.  That divergence only ever turns a sequential
 
 from __future__ import annotations
 
-import asyncio
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NodeNotFoundError, UnknownTenantError
 from repro.graph.paths import Path
@@ -166,9 +155,8 @@ def _expression_text(expression) -> str:
 
     Strings key by their own text (two spellings of one expression simply
     coalesce separately — correct, just less shared); parsed expressions
-    key by canonical form.  The event-loop thread does no parsing: that
-    work, and the syntax error it may raise, belongs to the request's
-    execution on the worker thread.
+    key by canonical form.  Keying does no parsing: that work, and the
+    syntax error it may raise, belongs to the request's execution.
     """
     if isinstance(expression, str):
         return expression
@@ -181,10 +169,10 @@ class TenantSession:
     Create through :class:`TenantRegistry` (which also wires a default
     :class:`~repro.reliability.guard.QueryGuard` so deadlines are
     enforceable), or wrap an existing service directly.  All async methods
-    must be called from one event loop; the underlying service runs only
-    on this session's single worker thread.  Any ``window > 0`` turns
-    coalescing on: batches gather while that thread is busy, not for
-    ``window`` seconds (see :mod:`repro.serving.coalescer`).
+    must be called from one event loop, and the underlying service runs
+    on that loop.  Any ``window > 0`` turns coalescing on: batches gather
+    while a batch runs, not for ``window`` seconds (see
+    :mod:`repro.serving.coalescer`).
     """
 
     def __init__(
@@ -205,15 +193,13 @@ class TenantSession:
         self.coalescer = RequestCoalescer(
             self._run_batch, window=window, max_batch=max_batch
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"tenant-{tenant_id}"
-        )
         self._closed = False
         #: Requests answered by per-request re-execution after a batch
         #: tripped the guard (the equivalence fallback).
         self.fallbacks = 0
-        #: Requests that bypassed the coalescer entirely (witness reach,
-        #: trivial/unknown-resource access checks, explicit solo shapes).
+        #: Requests that bypassed bulk execution from the start (witness
+        #: reach; owner, no-rule and unknown-resource access checks).  A
+        #: fallback member counts in ``fallbacks`` only.
         self.solo_requests = 0
         service.register_statistics_provider("coalescer", self.coalescer.statistics)
         service.register_statistics_provider("admission", self.admission.statistics)
@@ -238,13 +224,13 @@ class TenantSession:
         text = _expression_text(expression)
         deadline = self._admit(timeout)
         try:
-            if witness:
-                return await self._solo(
-                    lambda: self._solo_reach(
-                        _ReachRequest(source, target, text, deadline), witness=True
-                    )
-                )
             request = _ReachRequest(source, target, text, deadline)
+            if witness:
+                self.solo_requests += 1
+                served = self._solo_reach(request, witness=True)
+                if isinstance(served, Raised):
+                    raise served.error
+                return served
             return await self.coalescer.submit(("reach", text), request)
         finally:
             self.admission.release()
@@ -287,20 +273,19 @@ class TenantSession:
             self.admission.release()
 
     async def statistics(self) -> Dict[str, float]:
-        """The service's merged counters (read on the worker thread)."""
-        return await self._in_worker(self.service.statistics)
+        """The service's merged counters."""
+        return self.service.statistics()
 
     async def refresh(self) -> None:
-        """Run :meth:`GraphService.refresh` on the worker thread."""
-        await self._in_worker(self.service.refresh)
+        """Run :meth:`GraphService.refresh` (the loop waits while it runs)."""
+        self.service.refresh()
 
     async def close(self) -> None:
-        """Drain in-flight batches and stop the worker thread."""
+        """Drain in-flight batches; later requests are refused."""
         if self._closed:
             return
         self._closed = True
         await self.coalescer.drain()
-        self._executor.shutdown(wait=True)
         # The statistics providers stay registered: the counters remain
         # readable post-mortem, and a new session over the same service
         # replaces them on registration.
@@ -314,30 +299,16 @@ class TenantSession:
         self.admission.admit()
         return deadline
 
-    async def _in_worker(self, fn: Callable):
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn)
-
-    async def _solo(self, fn: Callable):
-        self.solo_requests += 1
-        outcome = await self._in_worker(fn)
-        if isinstance(outcome, Raised):
-            raise outcome.error
-        return outcome
-
-    async def _run_batch(self, key: Tuple, requests: List) -> Sequence:
-        return await self._in_worker(lambda: self._execute_batch(key, requests))
-
     def _own_statistics(self) -> Dict[str, float]:
         return {
             "fallbacks": float(self.fallbacks),
             "solo_requests": float(self.solo_requests),
         }
 
-    # -------------------------------------------- batch execution (worker)
+    # ---------------------------------------------------- batch execution
 
-    def _execute_batch(self, key: Tuple, requests: List) -> List:
-        """Execute one coalesced batch synchronously on the worker thread."""
+    async def _run_batch(self, key: Tuple, requests: List) -> Sequence:
+        """Execute one coalesced batch; it holds the loop until it returns."""
         deadlines = [r.deadline for r in requests if r.deadline is not None]
         earliest = min(deadlines) if deadlines else None
         if key[0] == "reach":
@@ -466,13 +437,12 @@ class TenantSession:
             # semantics — including the typed unknown-resource error and the
             # default-effect grant the audience does NOT contain — are the
             # sequential ones verbatim.
-            if not store.has_resource(request.resource_id):
-                outcomes[index] = self._solo_check(request)
-                continue
-            resource = store.resource(request.resource_id)
-            if request.requester == resource.owner or not store.rules_for(
-                request.resource_id
+            if (
+                not store.has_resource(request.resource_id)
+                or request.requester == store.resource(request.resource_id).owner
+                or not store.rules_for(request.resource_id)
             ):
+                self.solo_requests += 1
                 outcomes[index] = self._solo_check(request)
             else:
                 bulk.append(index)
@@ -536,7 +506,6 @@ class TenantSession:
         )
 
     def _solo_check(self, request: _AccessRequest):
-        self.solo_requests += 1
         try:
             with deadline_scope(request.deadline):
                 result = self.service.check(
@@ -562,8 +531,10 @@ class TenantRegistry:
     """Tenant id -> independent :class:`TenantSession` (hard isolation).
 
     Every tenant gets its own :class:`GraphService` — own graph, own policy
-    store, own caches, own worker thread — so no state (memos, planner
-    feedback, guard trips, statistics) can leak across tenants.  The
+    store, own caches, own coalescer — so no state (memos, planner
+    feedback, guard trips, statistics) can leak across tenants.  Tenants
+    do share the event loop: one tenant's batch holds the others up for at
+    most that batch, bounded by ``max_batch`` and the guard's budget.  The
     registry only routes and aggregates (``window``: see :class:`TenantSession`).
     """
 
@@ -643,7 +614,7 @@ class TenantRegistry:
         await session.close()
 
     async def close(self) -> None:
-        """Close every session (drains coalescers, stops worker threads)."""
+        """Close every session (drains their coalescers)."""
         sessions = list(self._sessions.values())
         self._sessions.clear()
         for session in sessions:

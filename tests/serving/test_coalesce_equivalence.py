@@ -12,8 +12,8 @@ and where a circuit breaker has rerouted the backend.
 """
 
 import asyncio
+import contextvars
 import random
-import threading
 
 import pytest
 
@@ -361,40 +361,118 @@ def test_point_budget_errors_surface_typed_after_fallback():
     assert tripped > 0  # the scenario actually exercised budget errors
 
 
+def test_tripped_access_batch_counts_fallbacks_not_solo_requests():
+    """A guard-tripped bulk access moves ``fallbacks`` by its N members and
+    ``solo_requests`` by none: solo counts only requests that skip bulk
+    execution from the start, as a tripped reach batch already did."""
+    service, _sequential, workload = _twin_services(
+        users=160, seed=73, query_guard=QueryGuard(max_steps=3, check_interval=1)
+    )
+    users = sorted(workload.graph.users())
+    requests = [
+        ("check", requester, resource_id)
+        for resource_id, owner, _expressions in workload.resources[:6]
+        for requester in users[:2]
+        if requester != owner
+    ]
+
+    async def main():
+        session = TenantSession("t", service, window=WINDOW, max_batch=64)
+        try:
+            return await _serve_all(session, requests)
+        finally:
+            await session.close()
+
+    _run(main())
+    stats = service.statistics()
+    assert stats["coalescer_batches_executed"] == 1.0
+    assert stats["serving_fallbacks"] == len(requests)
+    assert stats["serving_solo_requests"] == 0.0
+
+
+_REQUESTER_TAG = contextvars.ContextVar("requester_tag", default="none")
+
+
+# A cap of 2 flushes the batch from the second submitter's own frame; 64
+# leaves it to the idle rule's callback, scheduled by the first submitter.
+@pytest.mark.parametrize("max_batch", [2, 64])
+def test_batch_service_call_sees_no_requesters_context(max_batch):
+    """A batch serves many requesters, so the service call answering it
+    must see none of their context variables."""
+    served_service, sequential_service, workload = _twin_services(seed=79)
+    users = sorted(workload.graph.users())
+    reach_many = served_service.reach_many
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(_REQUESTER_TAG.get())
+        return reach_many(*args, **kwargs)
+
+    served_service.reach_many = spy
+
+    async def main():
+        session = TenantSession("t", served_service, window=WINDOW, max_batch=max_batch)
+
+        async def tagged(tag, source, target):
+            _REQUESTER_TAG.set(tag)
+            return await session.reach(source, target, "friend+[1,2]")
+
+        try:
+            return await asyncio.gather(
+                tagged("first", users[0], users[1]),
+                tagged("second", users[2], users[3]),
+            )
+        finally:
+            await session.close()
+
+    answers = _run(main())
+    assert seen == ["none"]
+    assert [answer.batch_size for answer in answers] == [2, 2]
+    for answer in answers:
+        expected = _sequential_answer(
+            sequential_service, ("reach", answer.source, answer.target, "friend+[1,2]")
+        )
+        assert answer.reachable == expected
+
+
 # ------------------------------------------- batches formed by a busy period
 #
 # Everything above submits in one ``asyncio.gather``: every batch is formed
-# by requests sharing a loop iteration while the worker is idle.  Below, the
-# clients arrive one per loop iteration while a first audience batch is in
-# flight, so the batches they land in are formed by the worker's busy period.
+# by requests sharing a loop iteration while no batch runs.  Below, the
+# clients arrive while a first audience batch holds the loop, the way frames
+# pile up in a socket buffer: none of them can start before that batch
+# returns, and then all of them start in one iteration.
 
 
 def _serve_staggered(served_service, head, requests):
-    """Serve ``head`` in one tick, then one request per loop iteration.
+    """Serve ``head`` as one batch; the other clients arrive during it.
 
-    The tenant's worker thread is held until the last client has submitted,
-    so the head batch is in flight for the whole stagger whatever the
-    machine's speed.  Returns the answers (head first) and the coalescer's
-    counters.
+    The head batch's service call is wrapped so that, while it runs on the
+    loop, it schedules one client per request.  They start only after the
+    batch returns, all in the same iteration.  Returns the answers (head
+    first) and the coalescer's counters.
     """
 
     async def main():
         session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
-        worker_free = threading.Event()
-        session._executor.submit(worker_free.wait)
-        try:
-            clients = [asyncio.ensure_future(_serve_all(session, head))]
+        audience = served_service.audience
+        clients, held = [], []
+
+        def head_batch(*args, **kwargs):
+            del served_service.audience  # later calls go straight through
+            held.append(session.coalescer.statistics()["batches_executed"])
             for request in requests:
-                await asyncio.sleep(0)
                 clients.append(asyncio.ensure_future(_serve_all(session, [request])))
-            for _ in range(3):  # the last client has reached the coalescer
-                await asyncio.sleep(0)
-            assert session.coalescer.statistics()["batches_executed"] == 1.0
-            worker_free.set()
-            answers = await asyncio.gather(*clients)
+            return audience(*args, **kwargs)
+
+        served_service.audience = head_batch
+        try:
+            answers = [await _serve_all(session, head)]
+            answers.extend(await asyncio.gather(*clients))
         finally:
-            worker_free.set()
+            served_service.__dict__.pop("audience", None)
             await session.close()
+        assert held == [1.0]  # the head was the only batch while it ran
         flat = [answer for served in answers for answer in served]
         return flat, session.coalescer.statistics()
 

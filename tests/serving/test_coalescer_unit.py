@@ -173,7 +173,7 @@ def test_drain_flushes_open_batches():
 
 
 class _GatedRunner:
-    """Plays the tenant's worker: every call blocks on its own Event."""
+    """Plays a long batch: every call blocks on its own Event."""
 
     def __init__(self):
         self.calls = []  # (key, requests), in the order the runner was called

@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import socket
+import threading
 
 import pytest
 
@@ -381,3 +383,128 @@ def test_frames_written_in_staggered_groups_match_sequential_replay():
         ).reachable
         assert responses[frame["id"]]["result"]["reachable"] == expected, frame
     assert max(r["result"]["batch_size"] for r in responses.values()) >= 2
+
+
+def _reach_frame(request_id, tenant, source, target, expression="friend+[1,2]"):
+    return {
+        "id": request_id,
+        "op": "reach",
+        "tenant": tenant,
+        "source": source,
+        "target": target,
+        "expression": expression,
+    }
+
+
+def _read_lines(sock, count):
+    """``count`` response lines from a blocking socket, keyed by id."""
+    responses, buffer = {}, b""
+    while len(responses) < count:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed the connection early"
+        buffer += chunk
+        *lines, buffer = buffer.split(b"\n")
+        for line in lines:
+            response = json.loads(line)
+            responses[response["id"]] = response
+    return responses
+
+
+def test_frames_sent_while_a_batch_holds_the_loop_share_the_next_batch():
+    """A batch runs on the event loop, so frames a client writes meanwhile
+    wait in the socket buffer; the loop reads them together when the batch
+    returns, and they share one batch that answers like a sequential replay."""
+    registry, workload = _registry()
+    service = registry.get("t0").service
+    sequential = GraphService(build_workload(WorkloadSpec(users=80, seed=5)).graph)
+    users = sorted(workload.graph.users())
+    head = _reach_frame("head", "t0", users[0], users[1])
+    late = [
+        _reach_frame(i, "t0", users[i], users[(i * 7 + 3) % len(users)])
+        for i in range(1, 17)
+    ]
+    holding, written = threading.Event(), threading.Event()
+    reach_many = service.reach_many
+
+    def head_batch(*args, **kwargs):
+        del service.reach_many  # later batches run unwrapped
+        holding.set()
+        assert written.wait(10)  # the loop stays blocked until the frames are out
+        return reach_many(*args, **kwargs)
+
+    service.reach_many = head_batch
+
+    def client(address):
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall((json.dumps(head) + "\n").encode())
+            assert holding.wait(10)
+            sock.sendall(b"".join((json.dumps(f) + "\n").encode() for f in late))
+            written.set()
+            return _read_lines(sock, 1 + len(late))
+
+    async def main():
+        server = ServingServer(registry)
+        address = await server.start()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(None, client, address)
+        finally:
+            written.set()
+            await server.stop()
+
+    responses = asyncio.run(main())
+    assert responses["head"]["result"]["batch_size"] == 1
+    for frame in late:
+        result = responses[frame["id"]]["result"]
+        expected = sequential.reach(
+            frame["source"], frame["target"], frame["expression"], collect_witness=False
+        ).reachable
+        assert result["reachable"] == expected, frame
+        assert result["batch_size"] > 1 and result["coalesced"], frame
+
+
+def _record_reach_many(service):
+    """Wrap ``service.reach_many``; returns the list of each call's pairs."""
+    batches, reach_many = [], service.reach_many
+
+    def spy(pairs, *args, **kwargs):
+        batches.append(list(pairs))
+        return reach_many(pairs, *args, **kwargs)
+
+    service.reach_many = spy
+    return batches
+
+
+def test_two_tenants_interleaved_on_one_connection_never_share_a_batch():
+    """Every tenant runs on the one event loop; their batches still stay
+    apart, and each tenant's answers equal its own sequential replay."""
+    registry = TenantRegistry(window=0.02)
+    replays, batches = {}, {}
+    for tenant, seed in (("t0", 5), ("t1", 6)):
+        workload = build_workload(WorkloadSpec(users=80, seed=seed))
+        service = registry.create(tenant, workload.graph).service
+        replays[tenant] = GraphService(build_workload(WorkloadSpec(users=80, seed=seed)).graph)
+        batches[tenant] = _record_reach_many(service)
+    users = sorted(workload.graph.users())
+    frames = [
+        _reach_frame(i, ("t0", "t1")[i % 2], users[i], users[(i * 5 + 1) % len(users)])
+        for i in range(32)
+    ]
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        responses = await _request_all(host, port, frames)
+        await server.stop()
+        return responses
+
+    responses = asyncio.run(main())
+    for frame in frames:
+        expected = replays[frame["tenant"]].reach(
+            frame["source"], frame["target"], frame["expression"], collect_witness=False
+        ).reachable
+        assert responses[frame["id"]]["result"]["reachable"] == expected, frame
+    for tenant, seen in batches.items():
+        own = {(f["source"], f["target"]) for f in frames if f["tenant"] == tenant}
+        assert all(set(pairs) <= own for pairs in seen), tenant
+        assert sum(len(pairs) for pairs in seen) == len(own)
+    assert max(r["result"]["batch_size"] for r in responses.values()) > 1
