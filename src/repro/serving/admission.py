@@ -16,6 +16,9 @@ deadline, which the session then installs with
 :func:`repro.reliability.guard.deadline_scope` around the request's (or
 its batch's) execution so the engine's :class:`~repro.reliability.guard.QueryGuard`
 enforces it cooperatively (min-combined with the guard's own deadline).
+The clock starts at admission: time a frame spent in the socket buffer
+while the loop ran other batches, this tenant's or another's, is not
+counted against it.
 """
 
 from __future__ import annotations

@@ -19,15 +19,19 @@ Semantics
 * ``window <= 0`` or ``max_batch == 1`` degrade to request-at-a-time
   dispatch (every submission is its own batch) — the benchmark baseline.
   Any positive ``window`` turns gathering on; its magnitude delays nothing.
-* A batch flushes **at once** when it reaches ``max_batch`` members.
-* **Idle** (no batch in flight): a new batch flushes at the end of the
+* The runner holds **one batch at a time**.  Batches waiting for it queue
+  in the order they were opened, and keep taking same-key members until
+  they reach ``max_batch``; a full batch stops gathering and waits its turn.
+* **Idle** (nothing running): a new batch is dispatched at the end of the
   current event-loop iteration, so requests that arrive together (the
   frames of one socket read, one ``asyncio.gather``) still share it.
-* **Busy**: batches stay open until the last in-flight batch completes,
-  then *every* open batch is flushed, in the order opened — the runner's
-  busy period is the gather window, and there is no timer.  The session's
-  runner executes on the loop itself, so while it runs, arrivals wait in
-  the socket buffer and are read in the iteration after it returns.
+* **Busy**: when the runner returns it is handed the oldest queued batch —
+  the runner's busy period is the gather window, and there is no timer.
+  The next batch's task first runs in the next loop iteration, so a busy
+  coalescer starts at most one batch per iteration and other work on the
+  loop (another tenant's batches, socket reads) runs in between.  The
+  session's runner executes on the loop itself, so while it runs, arrivals
+  wait in the socket buffer and are read in the iteration after it returns.
 * A batch task starts in a fresh :class:`contextvars.Context`: it serves
   many requesters, so it inherits none of their context variables.
 * The runner returns one outcome per request, aligned by position; an
@@ -42,7 +46,8 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-from typing import Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Awaitable, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = ["Raised", "RequestCoalescer", "BATCH_HISTOGRAM_BUCKETS"]
 
@@ -70,7 +75,7 @@ class _Batch:
     def __init__(self, key: Hashable) -> None:
         self.key = key
         self.items: List[Tuple[object, asyncio.Future]] = []
-        self.task: Optional[asyncio.Task] = None  # its run, once flushed
+        self.task: Optional[asyncio.Task] = None  # its run, once dispatched
 
 
 #: A batch runner: receives the coalesce key and the batch's requests (in
@@ -85,7 +90,7 @@ class RequestCoalescer:
     Must be used from a single asyncio event loop (the serving server's).
     ``window > 0`` turns gathering on (how long a batch gathers is set by
     the runner's busy period, not by this value); ``max_batch`` caps batch
-    size (a full batch flushes immediately).
+    size (a full batch stops gathering and waits its turn).
     """
 
     def __init__(
@@ -100,9 +105,12 @@ class RequestCoalescer:
         self._runner = runner
         self.window = float(window)
         self.max_batch = int(max_batch)
+        #: Queued batches still taking members, by key.
         self._open: Dict[Hashable, _Batch] = {}
-        #: Flushed batches whose runner has not returned yet.
-        self._inflight: Set[_Batch] = set()
+        #: Batches waiting for the runner, oldest first (open or full).
+        self._queue: Deque[_Batch] = deque()
+        #: The batch the runner is executing, if any.
+        self._running: Optional[_Batch] = None
         # ------------------------------------------------ lifetime counters
         self.requests_submitted = 0
         #: Requests that shared their batch with at least one other request.
@@ -118,25 +126,25 @@ class RequestCoalescer:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self.requests_submitted += 1
-        gathering = self.window > 0 and self.max_batch > 1
-        batch = self._open.get(key)
+        batch = self._open.pop(key, None)
         if batch is None:
             batch = _Batch(key)
-            if gathering:
-                self._open[key] = batch
-                if not self._inflight:
-                    # Idle: nothing to wait for beyond this iteration's arrivals.
-                    loop.call_soon(self._flush, batch)
+            self._queue.append(batch)
+            if self._running is None:
+                # Idle: nothing to wait for beyond this iteration's arrivals.
+                loop.call_soon(self._dispatch)
         batch.items.append((request, future))
-        if not gathering or len(batch.items) >= self.max_batch:
-            self._flush(batch)
+        if self.window > 0 and len(batch.items) < self.max_batch:
+            self._open[key] = batch  # still taking members
         return await future
 
-    # ----------------------------------------------------------------- flush
+    # -------------------------------------------------------------- dispatch
 
-    def _flush(self, batch: _Batch) -> None:
-        if batch.task is not None:
+    def _dispatch(self) -> None:
+        """Hand the oldest queued batch to the runner, if the runner is free."""
+        if self._running is not None or not self._queue:
             return
+        batch = self._queue.popleft()
         if self._open.get(batch.key) is batch:
             del self._open[batch.key]
         size = len(batch.items)
@@ -148,11 +156,7 @@ class RequestCoalescer:
         batch.task = contextvars.Context().run(
             asyncio.get_running_loop().create_task, self._run(batch)
         )
-        self._inflight.add(batch)
-
-    def _flush_open(self) -> None:
-        for batch in list(self._open.values()):  # in the order opened
-            self._flush(batch)
+        self._running = batch
 
     async def _run(self, batch: _Batch) -> None:
         requests = [request for request, _future in batch.items]
@@ -166,11 +170,10 @@ class RequestCoalescer:
         except BaseException as error:  # noqa: BLE001 — fanned out, not dropped
             self.runner_failures += 1
             outcomes = [Raised(error)] * len(requests)
-        self._inflight.discard(batch)
-        if not self._inflight:
-            # The runner is free: hand it everything that gathered meanwhile
-            # before fanning out, so it never idles on a loop round-trip.
-            self._flush_open()
+        self._running = None
+        # The runner is free: hand it the next batch before fanning out, so
+        # it never idles on a loop round-trip.
+        self._dispatch()
         for (_request, future), outcome in zip(batch.items, outcomes):
             if future.done():  # cancelled requester
                 continue
@@ -180,12 +183,10 @@ class RequestCoalescer:
                 future.set_result(outcome)
 
     async def drain(self) -> None:
-        """Flush every open batch and wait for all in-flight runs to finish."""
-        self._flush_open()
-        while self._inflight:
-            await asyncio.gather(
-                *(batch.task for batch in self._inflight), return_exceptions=True
-            )
+        """Run every queued batch and wait until the runner is free."""
+        self._dispatch()
+        while self._running is not None:
+            await asyncio.gather(self._running.task, return_exceptions=True)
 
     # ------------------------------------------------------------ statistics
 
@@ -212,7 +213,7 @@ class RequestCoalescer:
             "requests_coalesced": float(self.requests_coalesced),
             "batches_executed": float(self.batches_executed),
             "runner_failures": float(self.runner_failures),
-            "open_batches": float(len(self._open)),
+            "open_batches": float(len(self._queue)),
         }
         for name, count in self.batch_size_histogram().items():
             stats[name] = float(count)

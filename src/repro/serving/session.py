@@ -281,7 +281,7 @@ class TenantSession:
         self.service.refresh()
 
     async def close(self) -> None:
-        """Drain in-flight batches; later requests are refused."""
+        """Run every queued batch; later requests are refused."""
         if self._closed:
             return
         self._closed = True
@@ -533,9 +533,12 @@ class TenantRegistry:
     Every tenant gets its own :class:`GraphService` — own graph, own policy
     store, own caches, own coalescer — so no state (memos, planner
     feedback, guard trips, statistics) can leak across tenants.  Tenants
-    do share the event loop: one tenant's batch holds the others up for at
-    most that batch, bounded by ``max_batch`` and the guard's budget.  The
-    registry only routes and aggregates (``window``: see :class:`TenantSession`).
+    do share the event loop, and a tenant starts at most one batch per loop
+    iteration, so a request waits for a few of another tenant's batches
+    (about four), not for all it has queued.  Nothing bounds one batch's
+    work unless the guard has a step or time budget or the session a
+    ``default_timeout``; the default guard has neither.  The registry only
+    routes and aggregates (``window``: see :class:`TenantSession`).
     """
 
     def __init__(

@@ -77,20 +77,21 @@ def _random_requests(workload, rng, count):
     return requests
 
 
+async def _serve_one(session, request):
+    """One request through the session; its typed error is the answer."""
+    try:
+        if request[0] == "reach":
+            return await session.reach(request[1], request[2], request[3])
+        if request[0] == "audience":
+            return await session.audience(request[1], request[2])
+        return await session.check(request[1], request[2])
+    except Exception as error:  # compared against the sequential error
+        return error
+
+
 async def _serve_all(session, requests):
     """Issue every request concurrently through the session."""
-
-    async def one(request):
-        try:
-            if request[0] == "reach":
-                return await session.reach(request[1], request[2], request[3])
-            if request[0] == "audience":
-                return await session.audience(request[1], request[2])
-            return await session.check(request[1], request[2])
-        except Exception as error:  # compared against the sequential error
-            return error
-
-    return await asyncio.gather(*(one(request) for request in requests))
+    return await asyncio.gather(*(_serve_one(session, request) for request in requests))
 
 
 def _sequential_answer(service, request):
@@ -441,17 +442,30 @@ def test_batch_service_call_sees_no_requesters_context(max_batch):
 # by requests sharing a loop iteration while no batch runs.  Below, the
 # clients arrive while a first audience batch holds the loop, the way frames
 # pile up in a socket buffer: none of them can start before that batch
-# returns, and then all of them start in one iteration.
+# returns, and then all of them start in one iteration — while the runner
+# already holds the batch queued behind the head, so they gather under the
+# busy rule until it returns.
 
 
 def _serve_staggered(served_service, head, requests):
-    """Serve ``head`` as one batch; the other clients arrive during it.
+    """Serve ``head`` as one batch with one request queued behind it; the
+    other clients arrive while the head runs.
 
-    The head batch's service call is wrapped so that, while it runs on the
-    loop, it schedules one client per request.  They start only after the
-    batch returns, all in the same iteration.  Returns the answers (head
-    first) and the coalescer's counters.
+    The queued request is the first that cannot join the head's batch; it
+    moves to the front of ``requests``.  The head batch's service call is
+    wrapped so that, while it runs on the loop, it starts one client task
+    per remaining request.  Those tasks first run after the head returns,
+    when the runner has already been handed the queued batch: they submit
+    to a busy coalescer.  Returns the requests in that order, the answers
+    (head first) and the coalescer's counters.
     """
+    head_expression = head[0][2]  # every head request is an audience of it
+    tail = next(
+        index
+        for index, request in enumerate(requests)
+        if request[0] != "audience" or request[2] != head_expression
+    )
+    requests = [requests[tail]] + requests[:tail] + requests[tail + 1:]
 
     async def main():
         session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
@@ -460,21 +474,22 @@ def _serve_staggered(served_service, head, requests):
 
         def head_batch(*args, **kwargs):
             del served_service.audience  # later calls go straight through
-            held.append(session.coalescer.statistics()["batches_executed"])
-            for request in requests:
-                clients.append(asyncio.ensure_future(_serve_all(session, [request])))
+            stats = session.coalescer.statistics()
+            held.append((stats["batches_executed"], stats["open_batches"]))
+            for request in requests[1:]:
+                clients.append(asyncio.ensure_future(_serve_one(session, request)))
             return audience(*args, **kwargs)
 
         served_service.audience = head_batch
         try:
-            answers = [await _serve_all(session, head)]
+            answers = list(await _serve_all(session, head + requests[:1]))
             answers.extend(await asyncio.gather(*clients))
         finally:
             served_service.__dict__.pop("audience", None)
             await session.close()
-        assert held == [1.0]  # the head was the only batch while it ran
-        flat = [answer for served in answers for answer in served]
-        return flat, session.coalescer.statistics()
+        # The head ran first and alone; requests[0]'s batch waited behind it.
+        assert held == [(1.0, 1.0)]
+        return requests, answers, session.coalescer.statistics()
 
     return _run(main())
 
@@ -502,7 +517,7 @@ def test_busy_period_batches_match_sequential(seed):
     served_service, sequential_service, workload = _twin_services(seed=83 + seed)
     head = _head_audiences(workload, EXPRESSIONS[2])
     requests = _random_requests(workload, random.Random(200 + seed), count=48)
-    answers, statistics = _serve_staggered(served_service, head, requests)
+    requests, answers, statistics = _serve_staggered(served_service, head, requests)
     _assert_busy_period_run(head, requests, answers, statistics, sequential_service)
 
 
@@ -522,7 +537,7 @@ def test_busy_period_batches_that_trip_the_guard_fall_back(seed):
         else ("audience", rng.choice(users), rng.choice(AUDIENCE_EXPRESSIONS))
         for _ in range(24)
     ]
-    answers, statistics = _serve_staggered(served_service, head, requests)
+    requests, answers, statistics = _serve_staggered(served_service, head, requests)
     _assert_busy_period_run(
         head, requests, answers, statistics, sequential_service, shared_answers=False
     )
@@ -538,5 +553,5 @@ def test_busy_period_batches_on_a_breaker_rerouted_backend():
             assert breaker.blocking
     head = _head_audiences(workload, EXPRESSIONS[1])
     requests = _random_requests(workload, random.Random(9), count=24)
-    answers, statistics = _serve_staggered(served_service, head, requests)
+    requests, answers, statistics = _serve_staggered(served_service, head, requests)
     _assert_busy_period_run(head, requests, answers, statistics, sequential_service)

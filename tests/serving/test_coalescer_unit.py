@@ -165,11 +165,14 @@ def test_drain_flushes_open_batches():
 
 # ------------------------------------------------- the scheduling contract
 #
-# Idle: a new batch is flushed at the end of the loop iteration that opened
-# it.  Busy: batches gather until the last in-flight one completes, then all
-# of them are flushed in the order opened.  No timer anywhere: the tests
-# below synchronise on loop turns and on the runner's own gates, never on
-# the clock, and every ``window`` is far longer than a test may take.
+# The runner holds one batch at a time.  Idle (nothing running): a new batch
+# is dispatched at the end of the loop iteration that opened it.  Busy:
+# batches gather until the runner returns, which hands it the oldest queued
+# batch, so a busy coalescer starts at most one batch per loop iteration.  A
+# full batch stops gathering but still waits its turn.  No timer anywhere:
+# the tests below synchronise on loop turns and on the runner's own gates,
+# never on the clock, and every ``window`` is far longer than a test may
+# take.
 
 
 class _GatedRunner:
@@ -207,7 +210,7 @@ def test_idle_submit_is_dispatched_at_once_whatever_the_window():
         runner = _GatedRunner()
         coalescer = RequestCoalescer(runner, window=5.0)
         pending = asyncio.ensure_future(coalescer.submit("k", 1))
-        # submit opens the batch, call_soon flushes it, the run task starts.
+        # submit opens the batch, call_soon dispatches it, the run task starts.
         await _turns(3)
         assert runner.calls == [("k", [1])]
         runner.release_all()
@@ -244,10 +247,10 @@ def test_busy_submits_gather_until_the_runner_is_free(turns_held):
         assert coalescer.statistics()["open_batches"] == 2.0
         runner.gates[0].set()
         await _turns()
-        assert runner.calls[1:] == [
-            ("k", list(range(1, 9))),
-            ("j", list(range(1, 9))),
-        ]
+        assert runner.calls[1:] == [("k", list(range(1, 9)))]
+        runner.gates[1].set()
+        await _turns()
+        assert runner.calls[2:] == [("j", list(range(1, 9)))]
         runner.release_all()
         await asyncio.gather(*pending)
         return coalescer
@@ -257,7 +260,7 @@ def test_busy_submits_gather_until_the_runner_is_free(turns_held):
     assert coalescer.statistics()["open_batches"] == 0.0
 
 
-def test_completion_flushes_every_open_batch_in_the_order_opened():
+def test_queued_batches_run_one_at_a_time_in_the_order_opened():
     async def main():
         runner = _GatedRunner()
         coalescer = RequestCoalescer(runner, window=5.0)
@@ -266,11 +269,12 @@ def test_completion_flushes_every_open_batch_in_the_order_opened():
         for key in ("c", "a", "b", "a", "c"):  # opened as c, a, b
             pending.append(asyncio.ensure_future(coalescer.submit(key, 1)))
             await _turns(2)
-        runner.gates[0].set()
-        await _turns()
-        # All three were handed over together: each is in flight, none done.
-        assert [key for key, _requests in runner.calls] == ["first", "c", "a", "b"]
-        assert runner.finished == ["first"]
+        for expected in ("c", "a", "b"):
+            runner.gates[-1].set()
+            await _turns()
+            # The runner took the next oldest batch and nothing more.
+            assert runner.calls[-1][0] == expected
+            assert len(runner.calls) == len(runner.finished) + 1
         assert [len(requests) for _key, requests in runner.calls] == [1, 2, 2, 1]
         runner.release_all()
         await asyncio.gather(*pending)
@@ -278,7 +282,33 @@ def test_completion_flushes_every_open_batch_in_the_order_opened():
     _run(main())
 
 
-def test_max_batch_flushes_early_while_busy():
+def test_distinct_keys_arriving_together_start_one_per_iteration():
+    async def main():
+        calls, started = [], []
+        iteration = 0
+
+        def tick():
+            nonlocal iteration
+            iteration += 1
+            if len(calls) < 4:
+                asyncio.get_running_loop().call_soon(tick)
+
+        async def runner(key, requests):
+            calls.append(key)
+            started.append(iteration)
+            return list(requests)
+
+        coalescer = RequestCoalescer(runner, window=5.0)
+        asyncio.get_running_loop().call_soon(tick)
+        await asyncio.gather(*(coalescer.submit(key, 0) for key in "wxyz"))
+        return calls, started
+
+    calls, started = _run(main())
+    assert calls == list("wxyz")
+    assert len(set(started)) == 4  # each in an iteration of its own
+
+
+def test_a_full_batch_stops_gathering_and_waits_its_turn():
     async def main():
         runner = _GatedRunner()
         coalescer = RequestCoalescer(runner, window=5.0, max_batch=3)
@@ -287,9 +317,9 @@ def test_max_batch_flushes_early_while_busy():
         for i in range(1, 5):
             pending.append(asyncio.ensure_future(coalescer.submit("k", i)))
             await _turns(2)
-        # The cap does not wait for the runner; the fifth request does.
-        assert runner.calls == [("k", [0]), ("k", [1, 2, 3])]
-        assert coalescer.statistics()["open_batches"] == 1.0
+        # [1, 2, 3] filled up and closed; 4 opened the next batch.
+        assert runner.calls == [("k", [0])]
+        assert coalescer.statistics()["open_batches"] == 2.0
         runner.release_all()
         await asyncio.gather(*pending)
         return [len(requests) for _key, requests in runner.calls]
@@ -297,7 +327,7 @@ def test_max_batch_flushes_early_while_busy():
     assert _run(main()) == [1, 3, 1]
 
 
-def test_drain_flushes_behind_a_busy_runner_and_returns_when_it_is_free():
+def test_drain_runs_every_queued_batch_and_returns_when_the_runner_is_free():
     async def main():
         runner = _GatedRunner()
         coalescer = RequestCoalescer(runner, window=5.0)
@@ -309,10 +339,10 @@ def test_drain_flushes_behind_a_busy_runner_and_returns_when_it_is_free():
         assert len(runner.calls) == 1
         drained = asyncio.ensure_future(coalescer.drain())
         await _turns()
-        assert [key for key, _requests in runner.calls] == ["k", "k", "j"]
         assert not drained.done()
         runner.release_all()
         await asyncio.wait_for(drained, 10)
+        assert [key for key, _requests in runner.calls] == ["k", "k", "j"]
         assert all(future.done() for future in pending)
         return [future.result() for future in pending]
 
@@ -330,7 +360,7 @@ def test_no_timer_is_ever_armed(monkeypatch):
             patch.setattr(asyncio.get_running_loop(), "call_later", no_timers)
             pending = [asyncio.ensure_future(coalescer.submit("k", 0))]  # idle
             await _turns()
-            for i in range(1, 6):  # busy; the cap flushes once
+            for i in range(1, 6):  # busy; the cap closes one batch
                 pending.append(asyncio.ensure_future(coalescer.submit("k", i)))
             await _turns()
             runner.release_all()

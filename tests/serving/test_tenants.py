@@ -76,6 +76,60 @@ def test_tenant_isolation_mutation_and_counters():
     asyncio.run(main())
 
 
+def test_a_busy_tenant_starts_one_batch_per_loop_iteration():
+    """Tenants share the event loop.  A tenant with many queued batches
+    hands its runner one per loop iteration, so another tenant's request
+    that arrives meanwhile waits for a few of them, not for all of them."""
+    registry = TenantRegistry(window=0.01)
+    heavy = registry.create("heavy", _chain_graph([f"u{i}" for i in range(12)]))
+    light = registry.create("light", _chain_graph(["u1", "u2"]))
+    expressions = [f"friend+[1,{hops}]" for hops in range(1, 9)]  # 8 coalesce keys
+    log = []  # (tenant, loop iteration) per batch, in the order they ran
+    iteration = 0
+    light_answer = []
+
+    def spy(session, name):
+        reach_many = session.service.reach_many
+
+        def call(*args, **kwargs):
+            log.append((name, iteration))
+            if name == "heavy" and not light_answer:
+                # The light tenant's request arrives while heavy's first batch runs.
+                light_answer.append(asyncio.ensure_future(light.reach("u1", "u2", "friend+[1]")))
+            return reach_many(*args, **kwargs)
+
+        session.service.reach_many = call
+
+    spy(heavy, "heavy")
+    spy(light, "light")
+
+    async def main():
+        loop = asyncio.get_running_loop()
+
+        def tick():
+            nonlocal iteration
+            iteration += 1
+            if len(log) < 9:
+                loop.call_soon(tick)
+
+        loop.call_soon(tick)
+        answers = await asyncio.gather(
+            *(heavy.reach("u0", "u3", expression) for expression in expressions)
+        )
+        assert (await light_answer[0]).reachable is True
+        await registry.close()
+        return answers
+
+    answers = asyncio.run(main())
+    assert [answer.reachable for answer in answers] == [False, False] + [True] * 6
+    names = [name for name, _iteration in log]
+    heavy_iterations = [it for name, it in log if name == "heavy"]
+    assert names.count("heavy") == 8 and names.count("light") == 1
+    assert len(set(heavy_iterations)) == 8  # one heavy batch per iteration
+    # The light batch ran while heavy batches were still queued.
+    assert names.index("light") <= 4 and names[-1] == "heavy"
+
+
 def test_serving_statistics_aggregates_and_totals():
     registry = TenantRegistry(window=0.01)
     registry.create("a", _chain_graph(["u1", "u2"]))
