@@ -6,7 +6,7 @@ GraphService` instances into a multi-tenant asyncio front end:
 * :mod:`~repro.serving.coalescer` — requests sharing a path expression
   that arrive together, or while an earlier batch runs, become ONE bulk
   execution (``reach_many`` / multi-owner ``audience`` / ``bulk_access``),
-  fanned back to per-request futures with answers differentially
+  fanned back to per-request callbacks with answers differentially
   indistinguishable from sequential execution;
 * :mod:`~repro.serving.session` — per-tenant sessions over independent
   services (hard isolation: own graph, store, caches, coalescer) plus

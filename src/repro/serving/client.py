@@ -5,8 +5,8 @@ one tenant id and exposes the serving verbs as awaitables, so many
 concurrent coroutines naturally drive the coalescer (``asyncio.gather``
 over same-expression calls becomes one bulk sweep).  It is "in-process" —
 no sockets; the TCP counterpart is :mod:`repro.serving.server`, which
-speaks :mod:`repro.serving.protocol` over asyncio streams and dispatches
-into the very same sessions.
+speaks :mod:`repro.serving.protocol` from each connection's read callback
+and enters the very same sessions through their callback entries.
 """
 
 from __future__ import annotations

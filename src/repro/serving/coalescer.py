@@ -6,11 +6,17 @@ subsystem's core trick.  Concurrent in-flight requests that share a
 shape — the unit one multi-source owner-bitset sweep can answer) are
 gathered into one batch **while the runner is busy** (or until a
 **batch-size cap**), then handed to a runner that executes the whole batch
-as ONE bulk query and fans the per-request answers back out to the
-per-request futures.
+as ONE bulk query and fans the per-request answers back out.
+
+A request enters through :meth:`RequestCoalescer.enqueue` with a
+``respond`` callback, which fan-out calls once with that request's
+outcome; the wire server passes a callback that encodes the answer
+straight into the connection's pending write, so a frame costs no task and
+no future.  :meth:`RequestCoalescer.submit` is the awaitable form: its
+``respond`` settles a future.
 
 The coalescer is deliberately generic: it knows nothing about graphs.  It
-owns batching, futures, and the batch-size histogram; the
+owns batching, fan-out and the batch-size histogram; the
 :class:`~repro.serving.session.TenantSession` supplies the runner that
 turns a ``(key, requests)`` batch into per-request outcomes.
 
@@ -35,21 +41,23 @@ Semantics
 * A batch task starts in a fresh :class:`contextvars.Context`: it serves
   many requesters, so it inherits none of their context variables.
 * The runner returns one outcome per request, aligned by position; an
-  outcome that is a :class:`Raised` carries an exception to set on that
-  request's future (so one member's typed error — an expired deadline, an
+  outcome that is a :class:`Raised` carries an exception meant for that
+  request alone (so one member's typed error — an expired deadline, an
   unknown node — never poisons its batch-mates).
-* Cancelled requesters are skipped at fan-out; the batch still runs (its
-  result may serve the other members).
+* Every member's ``respond`` is called, cancelled awaiters included (their
+  future ignores it); the batch still runs, since its result may serve the
+  other members.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 from collections import deque
-from typing import Awaitable, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
-__all__ = ["Raised", "RequestCoalescer", "BATCH_HISTOGRAM_BUCKETS"]
+__all__ = ["Raised", "RequestCoalescer", "Respond", "BATCH_HISTOGRAM_BUCKETS", "awaited"]
 
 #: Upper edges of the batch-size histogram buckets (the last bucket is
 #: open-ended).  Surfaced through ``GraphService.statistics()`` as
@@ -69,12 +77,37 @@ class Raised:
         return f"<Raised {type(self.error).__name__}: {self.error}>"
 
 
+#: Receives one request's outcome: its answer, or :class:`Raised`.
+Respond = Callable[[object], None]
+
+
+def _settle(future: asyncio.Future, outcome: object) -> None:
+    if future.done():  # cancelled awaiter
+        return
+    if isinstance(outcome, Raised):
+        future.set_exception(outcome.error)
+    else:
+        future.set_result(outcome)
+
+
+async def awaited(enter: Callable[..., None], *args: Any, **kwargs: Any) -> Any:
+    """Await the outcome a callback entry responds with.
+
+    ``enter(*args, respond, **kwargs)`` takes the request — raising if it
+    refuses it — and later calls ``respond`` exactly once; this returns
+    the answer, or raises the exception a :class:`Raised` outcome carries.
+    """
+    future = asyncio.get_running_loop().create_future()
+    enter(*args, functools.partial(_settle, future), **kwargs)
+    return await future
+
+
 class _Batch:
     __slots__ = ("key", "items", "task")
 
     def __init__(self, key: Hashable) -> None:
         self.key = key
-        self.items: List[Tuple[object, asyncio.Future]] = []
+        self.items: List[Tuple[object, Respond]] = []
         self.task: Optional[asyncio.Task] = None  # its run, once dispatched
 
 
@@ -85,7 +118,7 @@ BatchRunner = Callable[[Hashable, List[object]], Awaitable[Sequence[object]]]
 
 
 class RequestCoalescer:
-    """Batch concurrent same-key requests; fan results back to futures.
+    """Batch concurrent same-key requests; fan results back to their callers.
 
     Must be used from a single asyncio event loop (the serving server's).
     ``window > 0`` turns gathering on (how long a batch gathers is set by
@@ -121,22 +154,29 @@ class RequestCoalescer:
 
     # ---------------------------------------------------------------- submit
 
-    async def submit(self, key: Hashable, request: object) -> object:
-        """Enqueue one request under ``key``; await its individual answer."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self.requests_submitted += 1
-        batch = self._open.pop(key, None)
+    def enqueue(self, key: Hashable, request: object, respond: Respond) -> None:
+        """Add one request under ``key``; fan-out calls ``respond(outcome)``.
+
+        Must run on the event loop.  An unhashable ``key`` raises here,
+        before anything is queued.
+        """
+        batch = self._open.get(key)  # hashes the key, where pop() on {} would not
         if batch is None:
             batch = _Batch(key)
             self._queue.append(batch)
             if self._running is None:
                 # Idle: nothing to wait for beyond this iteration's arrivals.
-                loop.call_soon(self._dispatch)
-        batch.items.append((request, future))
-        if self.window > 0 and len(batch.items) < self.max_batch:
-            self._open[key] = batch  # still taking members
-        return await future
+                asyncio.get_running_loop().call_soon(self._dispatch)
+            if self.window > 0:
+                self._open[key] = batch  # taking members
+        self.requests_submitted += 1
+        batch.items.append((request, respond))
+        if len(batch.items) >= self.max_batch:
+            self._open.pop(key, None)  # full: it stops gathering
+
+    async def submit(self, key: Hashable, request: object) -> object:
+        """Enqueue one request under ``key``; await its individual answer."""
+        return await awaited(self.enqueue, key, request)
 
     # -------------------------------------------------------------- dispatch
 
@@ -159,7 +199,7 @@ class RequestCoalescer:
         self._running = batch
 
     async def _run(self, batch: _Batch) -> None:
-        requests = [request for request, _future in batch.items]
+        requests = [request for request, _respond in batch.items]
         try:
             outcomes: Sequence[object] = await self._runner(batch.key, requests)
             if len(outcomes) != len(requests):
@@ -174,13 +214,8 @@ class RequestCoalescer:
         # The runner is free: hand it the next batch before fanning out, so
         # it never idles on a loop round-trip.
         self._dispatch()
-        for (_request, future), outcome in zip(batch.items, outcomes):
-            if future.done():  # cancelled requester
-                continue
-            if isinstance(outcome, Raised):
-                future.set_exception(outcome.error)
-            else:
-                future.set_result(outcome)
+        for (_request, respond), outcome in zip(batch.items, outcomes):
+            respond(outcome)
 
     async def drain(self) -> None:
         """Run every queued batch and wait until the runner is free."""

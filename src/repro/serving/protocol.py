@@ -30,8 +30,9 @@ __all__ = [
     "result_frame",
 ]
 
-#: Upper bound on one encoded frame (requests beyond it are refused with a
-#: :class:`ProtocolError` instead of buffering without limit).
+#: Upper bound on one request frame, its newline not counted (longer lines
+#: are refused with a :class:`ProtocolError` instead of buffering without
+#: limit).
 MAX_FRAME_BYTES = 1 << 20
 
 
@@ -53,11 +54,43 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
+#: Compact, key-sorted, and calling :func:`jsonable` only for what JSON has
+#: no form for (sets, arbitrary objects); everything else it encodes in C.
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, check_circular=False, default=jsonable
+)
+
+
+_NESTED = (dict, list, tuple)
+
+
+def _require_string_keys(value: Any) -> None:
+    """Raise ``TypeError`` on any dict key in ``value`` that is not a str."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key.__class__ is not str:
+                raise TypeError(f"frame keys must be strings, not {key!r}")
+            if isinstance(item, _NESTED):
+                _require_string_keys(item)
+    else:
+        for item in value:
+            if isinstance(item, _NESTED):
+                _require_string_keys(item)
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
-    """Serialize one frame to its wire form (compact JSON + newline)."""
-    return (
-        json.dumps(jsonable(frame), separators=(",", ":"), sort_keys=True) + "\n"
-    ).encode("utf-8")
+    """Serialize one frame to its wire form (compact JSON + newline).
+
+    The bytes are those of ``json.dumps(jsonable(frame), separators=(",",
+    ":"), sort_keys=True)``, without walking the frame to build a copy.
+    The one input where the two would differ is a dict with a key that is
+    not a string: ``jsonable`` stringified it (``True`` -> ``"True"``,
+    numbers sorted as text), JSON spells and sorts it its own way.  Every
+    frame the server builds has string keys only — JSON-decoded request
+    ids included — so such a key is a bug, and it raises ``TypeError``.
+    """
+    _require_string_keys(frame)
+    return (_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:

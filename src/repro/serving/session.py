@@ -4,11 +4,12 @@ One :class:`TenantSession` wraps one :class:`~repro.service.facade.
 GraphService` for async serving:
 
 * every service call runs **synchronously on the event loop**, inside the
-  coroutine of the request or batch it serves — the facade (guard state,
-  memos, planner feedback) is pure Python and not thread-safe, so a
-  second thread would buy no parallelism, only GIL hand-offs.  While a
-  batch runs the loop is blocked, and frames that arrive meanwhile wait in
-  the kernel socket buffer: the socket is the gather queue;
+  batch task it serves or, for a witness reach, inside the call that
+  submitted it — the facade (guard state, memos, planner feedback) is pure
+  Python and not thread-safe, so a second thread would buy no
+  parallelism, only GIL hand-offs.  While a batch runs the loop is
+  blocked, and frames that arrive meanwhile wait in the kernel socket
+  buffer: the socket is the gather queue;
 * an :class:`~repro.serving.coalescer.RequestCoalescer` gathers concurrent
   same-expression requests and answers each batch with ONE bulk execution
   (:meth:`~repro.service.facade.GraphService.reach_many`, a multi-owner
@@ -59,7 +60,7 @@ from repro.policy.store import PolicyStore
 from repro.reliability.guard import QueryGuard, deadline_scope
 from repro.service.facade import GraphService
 from repro.serving.admission import AdmissionController
-from repro.serving.coalescer import Raised, RequestCoalescer
+from repro.serving.coalescer import Raised, RequestCoalescer, Respond, awaited
 
 __all__ = [
     "ServedAccess",
@@ -168,11 +169,19 @@ class TenantSession:
 
     Create through :class:`TenantRegistry` (which also wires a default
     :class:`~repro.reliability.guard.QueryGuard` so deadlines are
-    enforceable), or wrap an existing service directly.  All async methods
-    must be called from one event loop, and the underlying service runs
-    on that loop.  Any ``window > 0`` turns coalescing on: batches gather
+    enforceable), or wrap an existing service directly.  All methods must
+    be called from one event loop, and the underlying service runs on
+    that loop.  Any ``window > 0`` turns coalescing on: batches gather
     while a batch runs, not for ``window`` seconds (see
     :mod:`repro.serving.coalescer`).
+
+    Each op has one callback entry (:meth:`enqueue_reach`,
+    :meth:`enqueue_audience`, :meth:`enqueue_check`): it admits the
+    request — raising if it is refused — and later calls ``respond`` once
+    with the served answer or a :class:`~repro.serving.coalescer.Raised`;
+    the admission slot is released just before that call.  The wire
+    server calls the entries from its read callback; the coroutines
+    :meth:`reach`, :meth:`audience` and :meth:`check` await them.
     """
 
     def __init__(
@@ -221,19 +230,9 @@ class TenantSession:
         ``witness=True`` requests a path and therefore takes the solo path:
         witness collection is inherently per-pair and cannot share a sweep.
         """
-        text = _expression_text(expression)
-        deadline = self._admit(timeout)
-        try:
-            request = _ReachRequest(source, target, text, deadline)
-            if witness:
-                self.solo_requests += 1
-                served = self._solo_reach(request, witness=True)
-                if isinstance(served, Raised):
-                    raise served.error
-                return served
-            return await self.coalescer.submit(("reach", text), request)
-        finally:
-            self.admission.release()
+        return await awaited(
+            self.enqueue_reach, source, target, expression, witness=witness, timeout=timeout
+        )
 
     async def audience(
         self,
@@ -244,13 +243,9 @@ class TenantSession:
         timeout: Optional[float] = None,
     ) -> ServedAudience:
         """Serve one owner's audience (coalescing same-expression owners)."""
-        text = _expression_text(expression)
-        deadline = self._admit(timeout)
-        try:
-            request = _AudienceRequest(owner, text, direction, deadline)
-            return await self.coalescer.submit(("audience", text, direction), request)
-        finally:
-            self.admission.release()
+        return await awaited(
+            self.enqueue_audience, owner, expression, direction=direction, timeout=timeout
+        )
 
     async def check(
         self,
@@ -265,12 +260,55 @@ class TenantSession:
         rule conditions by expression across resources, so checks against
         *different* resources still share sweeps.
         """
-        deadline = self._admit(timeout)
-        try:
-            request = _AccessRequest(requester, resource_id, deadline)
-            return await self.coalescer.submit(("access",), request)
-        finally:
-            self.admission.release()
+        return await awaited(self.enqueue_check, requester, resource_id, timeout=timeout)
+
+    # ------------------------------------------------------- callback entries
+
+    def enqueue_reach(
+        self,
+        source: Hashable,
+        target: Hashable,
+        expression,
+        respond: Respond,
+        *,
+        witness: bool = False,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Callback entry of :meth:`reach`; a witness ask is answered before
+        this returns (it runs solo, on the spot)."""
+        text = _expression_text(expression)
+        request = _ReachRequest(source, target, text, self._admit(timeout))
+        if witness:
+            self.solo_requests += 1
+            self._releasing(respond)(self._solo_reach(request, witness=True))
+        else:
+            self._enqueue(("reach", text), request, respond)
+
+    def enqueue_audience(
+        self,
+        owner: Hashable,
+        expression,
+        respond: Respond,
+        *,
+        direction: str = "auto",
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Callback entry of :meth:`audience`."""
+        text = _expression_text(expression)
+        request = _AudienceRequest(owner, text, direction, self._admit(timeout))
+        self._enqueue(("audience", text, direction), request, respond)
+
+    def enqueue_check(
+        self,
+        requester: Hashable,
+        resource_id: Hashable,
+        respond: Respond,
+        *,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Callback entry of :meth:`check`."""
+        request = _AccessRequest(requester, resource_id, self._admit(timeout))
+        self._enqueue(("access",), request, respond)
 
     async def statistics(self) -> Dict[str, float]:
         """The service's merged counters."""
@@ -298,6 +336,23 @@ class TenantSession:
         deadline = self.admission.deadline_for(timeout)
         self.admission.admit()
         return deadline
+
+    def _releasing(self, respond: Respond) -> Respond:
+        """``respond``, preceded by releasing the request's admission slot."""
+        release = self.admission.release
+
+        def answer(outcome: object) -> None:
+            release()
+            respond(outcome)
+
+        return answer
+
+    def _enqueue(self, key: Tuple, request, respond: Respond) -> None:
+        try:
+            self.coalescer.enqueue(key, request, self._releasing(respond))
+        except BaseException:
+            self.admission.release()  # never queued (an unhashable key): no answer comes
+            raise
 
     def _own_statistics(self) -> Dict[str, float]:
         return {
@@ -535,7 +590,7 @@ class TenantRegistry:
     feedback, guard trips, statistics) can leak across tenants.  Tenants
     do share the event loop, and a tenant starts at most one batch per loop
     iteration, so a request waits for a few of another tenant's batches
-    (about four), not for all it has queued.  Nothing bounds one batch's
+    (about three for a wire frame), not for all it has queued.  Nothing bounds one batch's
     work unless the guard has a step or time budget or the session a
     ``default_timeout``; the default guard has neither.  The registry only
     routes and aggregates (``window``: see :class:`TenantSession`).
@@ -624,6 +679,10 @@ class TenantRegistry:
             await session.close()
 
     async def serving_statistics(self) -> Dict[str, Dict[str, float]]:
+        """Awaitable form of :meth:`statistics`."""
+        return self.statistics()
+
+    def statistics(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant service counters plus a summed ``_totals`` entry.
 
         Tenant keys are ``str()``-ed for the aggregate mapping; ``_totals``
@@ -634,7 +693,7 @@ class TenantRegistry:
         aggregate: Dict[str, Dict[str, float]] = {}
         totals: Dict[str, float] = {}
         for tenant_id, session in list(self._sessions.items()):
-            stats = await session.statistics()
+            stats = session.service.statistics()
             aggregate[str(tenant_id)] = stats
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0.0) + value

@@ -151,3 +151,37 @@ def test_closed_session_refuses_new_requests():
             await session.reach(users[0], users[1], "friend+[1]")
 
     asyncio.run(main())
+
+
+def test_a_cancelled_awaiter_holds_its_slot_until_its_batch_has_run():
+    """release() runs at fan-out, just before the request's answer is
+    delivered — for a cancelled awaiter, to nobody."""
+    service, workload = _service()
+    users = sorted(workload.graph.users())
+
+    async def main():
+        session = TenantSession("t", service, window=0.5)
+        pending = asyncio.ensure_future(session.reach(users[0], users[1], "friend+[1]"))
+        await asyncio.sleep(0)  # admitted and queued
+        pending.cancel()
+        held = session.admission.pending
+        await session.close()  # runs the batch
+        return held, session.admission.pending, pending.cancelled()
+
+    assert asyncio.run(main()) == (1, 0, True)
+
+
+def test_an_unhashable_direction_is_refused_without_leaking_its_slot():
+    service, workload = _service()
+    owner = sorted(workload.graph.users())[0]
+
+    async def main():
+        session = TenantSession("t", service, window=0.5)
+        try:
+            with pytest.raises(TypeError):
+                await session.audience(owner, "friend+[1]", direction=["forward"])
+            return session.admission.pending
+        finally:
+            await session.close()
+
+    assert asyncio.run(main()) == 0

@@ -368,3 +368,35 @@ def test_no_timer_is_ever_armed(monkeypatch):
             return await asyncio.gather(*pending)
 
     assert _run(main()) == [f"k:{i}" for i in range(6)]
+
+
+def test_enqueue_responds_once_per_request_and_skips_a_cancelled_awaiter():
+    async def main():
+        runner = _GatedRunner()
+        coalescer = RequestCoalescer(runner, window=5.0)
+        answers = []
+        doomed = asyncio.ensure_future(coalescer.submit("k", 0))
+        kept = asyncio.ensure_future(coalescer.submit("k", 1))
+        await asyncio.sleep(0)  # both submitted; their batch not yet dispatched
+        coalescer.enqueue("k", 2, answers.append)
+        doomed.cancel()
+        await _turns()
+        runner.release_all()
+        assert await kept == "k:1"
+        await coalescer.drain()
+        return runner.calls, answers, doomed.cancelled()
+
+    calls, answers, cancelled = _run(main())
+    assert calls == [("k", [0, 1, 2])]  # the cancelled member's batch still ran
+    assert answers == ["k:2"] and cancelled
+
+
+def test_an_unhashable_key_is_refused_before_anything_is_queued():
+    async def main():
+        coalescer = RequestCoalescer(_echo_runner([]), window=5.0)
+        with pytest.raises(TypeError):
+            coalescer.enqueue(["not", "hashable"], 0, lambda outcome: None)
+        return coalescer.statistics()
+
+    stats = _run(main())
+    assert stats["requests_submitted"] == 0.0 and stats["open_batches"] == 0.0

@@ -1,6 +1,7 @@
 """Wire protocol framing and the asyncio TCP server, end to end."""
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -8,6 +9,8 @@ import threading
 import pytest
 
 from repro.exceptions import ProtocolError
+from repro.graph.social_graph import SocialGraph
+from repro.serving import server as server_module
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
     decode_frame,
@@ -17,7 +20,7 @@ from repro.serving.protocol import (
     result_frame,
 )
 from repro.service.facade import GraphService
-from repro.serving.server import ServingServer
+from repro.serving.server import Connection, ServingServer
 from repro.serving.session import TenantRegistry
 from repro.workloads import WorkloadSpec, build_workload, install_policies
 
@@ -238,15 +241,27 @@ def test_unknown_audience_direction_is_an_error_frame_not_a_dead_connection(dire
     assert isinstance(good["result"]["audience"], list)
 
 
-# Where stop() lands relative to the closing handlers is timing-dependent, so
-# the number of loop turns between the clients' hang-up and stop() is swept.
+def _open_accepted_transports(port):
+    """Server-side transports of ``port`` whose socket is still open."""
+    return [
+        transport
+        for transport in gc.get_objects()
+        if isinstance(transport, asyncio.Transport)
+        and (transport.get_extra_info("sockname") or (None, None))[1] == port
+        and transport.get_extra_info("socket").fileno() != -1
+    ]
+
+
+# Where stop() lands relative to the closing connections is timing-dependent,
+# so the number of loop turns between the clients' hang-up and stop() is swept.
 @pytest.mark.parametrize("yields", range(11))
 def test_stop_after_clients_hang_up_is_silent(yields, caplog):
     """Regression: ``stop()`` neither awaited nor cancelled a handler already
     in its ``finally`` (it had deregistered itself first), so loop teardown
     cancelled it and asyncio logged one ``Exception in callback ...
     CancelledError`` per connection; answers written to a peer that had hung
-    up logged ``socket.send() raised exception.`` on top."""
+    up logged ``socket.send() raised exception.`` on top.  Once ``stop()``
+    returns, every connection it accepted is closed."""
     registry, workload = _registry()
     users = sorted(workload.graph.users())
 
@@ -272,7 +287,7 @@ def test_stop_after_clients_hang_up_is_silent(yields, caplog):
         for _ in range(yields):
             await asyncio.sleep(0)
         await server.stop()
-        assert not server._conn_tasks
+        assert _open_accepted_transports(port) == []
 
     with caplog.at_level("WARNING", logger="asyncio"):
         asyncio.run(main())
@@ -297,6 +312,16 @@ def test_frames_up_to_the_cap_are_served_and_longer_ones_are_error_frames(caplog
     64 KiB with a ``ValueError`` nobody caught — the handler died, asyncio
     logged it, and the client saw EOF instead of the ``ProtocolError`` frame
     the 1 MiB cap promises."""
+    _assert_over_long_line_refused_once(None, caplog)
+
+
+def test_an_over_long_line_written_piecemeal_is_refused_once(caplog):
+    """32 KiB writes with a loop turn after each: the server reads the line
+    in many pieces, answers one error frame, and skips to its newline."""
+    _assert_over_long_line_refused_once(1 << 15, caplog)
+
+
+def _assert_over_long_line_refused_once(chunk, caplog):
     registry, _workload = _registry()
 
     async def main():
@@ -312,8 +337,12 @@ def test_frames_up_to_the_cap_are_served_and_longer_ones_are_error_frames(caplog
 
         big_ping = {"id": "big", "op": "ping", "padding": "x" * 100_000}
         writer.write((json.dumps(big_ping) + "\n").encode())
-        writer.write(b"y" * (2 * MAX_FRAME_BYTES) + b"\n")
-        await writer.drain()
+        too_long = b"y" * (2 * MAX_FRAME_BYTES) + b"\n"
+        step = chunk or len(too_long)
+        for start in range(0, len(too_long), step):
+            writer.write(too_long[start : start + step])
+            await writer.drain()
+            await asyncio.sleep(0)
         first = await answers_until("big")
         # Same connection, after the oversized line has been refused.
         writer.write(b'{"id": "after", "op": "ping"}\n')
@@ -331,11 +360,17 @@ def test_frames_up_to_the_cap_are_served_and_longer_ones_are_error_frames(caplog
         by_id.setdefault(response["id"], []).append(response)
     assert by_id["big"] == [{"id": "big", "ok": True, "result": {"pong": True}}]
     assert by_id["after"] == [{"id": "after", "ok": True, "result": {"pong": True}}]
-    # The reader drops what it had buffered when the limit trips; the line's
-    # tail, if it was still on its way, is one more undecodable line.
-    refused = by_id[None]
-    assert 1 <= len(refused) <= 2 and failed == len(refused)
-    assert all(r["ok"] is False and r["error"]["type"] == "ProtocolError" for r in refused)
+    assert by_id[None] == [
+        {
+            "id": None,
+            "ok": False,
+            "error": {
+                "type": "ProtocolError",
+                "message": f"frame exceeds {MAX_FRAME_BYTES} bytes",
+            },
+        }
+    ]
+    assert failed == 1
     assert _asyncio_noise(caplog) == []
 
 
@@ -508,3 +543,195 @@ def test_two_tenants_interleaved_on_one_connection_never_share_a_batch():
         assert all(set(pairs) <= own for pairs in seen), tenant
         assert sum(len(pairs) for pairs in seen) == len(own)
     assert max(r["result"]["batch_size"] for r in responses.values()) > 1
+
+
+def test_a_half_closed_client_still_gets_every_answer():
+    """A client that writes its frames and then shuts down its sending side
+    still receives every answer — coalesced ones included — before the
+    server closes the connection.  The last frame comes without a newline:
+    EOF ends it."""
+    registry, workload = _registry()
+    users = sorted(workload.graph.users())
+    frames = [_reach_frame(i, "t0", users[i], users[(i * 7 + 3) % len(users)]) for i in range(6)]
+    frames += [
+        {"id": f"aud-{i}", "op": "audience", "tenant": "t0", "owner": users[i],
+         "expression": "friend+[1,2]"}
+        for i in range(4)
+    ]
+    frames += [
+        {"id": f"chk-{i}", "op": "check", "tenant": "t0", "requester": requester,
+         "resource": resource_id}
+        for i, (requester, resource_id) in enumerate(workload.requests[:4])
+    ]
+    frames += [
+        {"id": "ping", "op": "ping"},
+        {**_reach_frame("witness", "t0", users[0], users[1]), "witness": True},
+    ]
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        while server.connections_accepted < 1:
+            await asyncio.sleep(0)
+        assert len(_open_accepted_transports(port)) == 1
+        writer.write(b"\n".join(json.dumps(frame).encode() for frame in frames))
+        writer.write_eof()
+        received = await asyncio.wait_for(reader.read(), 10)  # until the server closes
+        still_open = _open_accepted_transports(port)
+        writer.close()
+        await server.stop()
+        return received, still_open
+
+    received, still_open = asyncio.run(main())
+    responses = [json.loads(line) for line in received.splitlines()]
+    assert sorted(map(str, (r["id"] for r in responses))) == sorted(str(f["id"]) for f in frames)
+    assert all(response["ok"] for response in responses), responses
+    assert still_open == []
+
+
+class _StubTransport(asyncio.Transport):
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+        self.closing = False
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+
+def test_a_full_write_buffer_pauses_reading_until_it_drains():
+    """Back-pressure: while the transport's write buffer is full the
+    connection reads no frames, so a peer that never reads its answers
+    cannot keep queueing work; once the buffer drains, reading resumes —
+    unless the peer already half-closed."""
+
+    async def main():
+        server = ServingServer(TenantRegistry())
+        connection, transport = Connection(server), _StubTransport()
+        connection.connection_made(transport)
+        connection.pause_writing()
+        assert transport.reading is False
+        connection.resume_writing()
+        assert transport.reading is True
+        connection.eof_received()
+        connection.pause_writing()
+        connection.resume_writing()
+        assert transport.reading is False
+
+    asyncio.run(main())
+
+
+# ------------------------------------------------------------ encoder bytes
+
+
+def _reference_encoding(frame):
+    """The encoder ``encode_frame`` replaced: a jsonable() copy, then dumps."""
+    return (json.dumps(jsonable(frame), separators=(",", ":"), sort_keys=True) + "\n").encode()
+
+
+def _emitted_frames(monkeypatch):
+    """Every frame a server encodes while answering one of each kind of frame."""
+    registry, workload = _registry()
+    numbers = SocialGraph()
+    for user in range(1, 6):
+        numbers.add_user(user)
+    for left in range(1, 5):
+        numbers.add_relationship(left, left + 1, "friend")
+    registry.create("numbers", numbers)
+    users = sorted(workload.graph.users())
+    (requester, resource_id), (other, other_resource) = workload.requests[:2]
+    frames = [
+        {"id": 0, "op": "ping"},
+        {"id": 1, "op": "check", "tenant": "t0", "requester": requester, "resource": resource_id},
+        {"id": 2, "op": "check", "tenant": "t0", "requester": other, "resource": other_resource},
+        _reach_frame(3, "t0", users[0], users[1]),
+        _reach_frame("s", "t0", users[2], users[3]),
+        {**_reach_frame(4, "numbers", 1, 3, "friend+[1,2]"), "witness": True},
+        {**_reach_frame(5, "numbers", 1, 4, "friend+[1,2]"), "witness": True},
+        {"id": 6, "op": "audience", "tenant": "t0", "owner": users[0], "expression": "friend+[1,2]"},
+        {"id": 7, "op": "audience", "tenant": "numbers", "owner": 1, "expression": "friend+[1,3]"},
+        {"id": 8, "op": "stats", "tenant": "t0"},
+        {"id": 9, "op": "stats"},
+        {"id": 10, "op": "frobnicate"},
+        {"id": 11, "op": "check", "tenant": "ghost", "requester": "x", "resource": "y"},
+        {"id": 12, "op": "reach", "tenant": "numbers", "source": 1, "target": 99,
+         "expression": "friend+[1]"},
+    ]
+    emitted = []
+
+    def recording(frame):
+        emitted.append(frame)
+        return encode_frame(frame)
+
+    monkeypatch.setattr(server_module, "encode_frame", recording)
+
+    async def main():
+        server = ServingServer(registry)
+        host, port = await server.start()
+        await _request_all(host, port, frames, extra_lines=[b"not json\n"])
+        await server.stop()
+
+    asyncio.run(main())
+    return emitted
+
+
+def test_encode_frame_bytes_equal_the_reference_on_every_emitted_frame(monkeypatch):
+    emitted = _emitted_frames(monkeypatch)
+    results = [frame.get("result", {}) for frame in emitted]
+    # The corpus covers every shape the server answers with.
+    assert {"granted", "reachable", "audience", "statistics", "pong"} <= {
+        key for result in results for key in result
+    }
+    assert any("witness" in result for result in results)
+    audiences = [result["audience"] for result in results if "audience" in result]
+    assert {type(user) for audience in audiences for user in audience} == {str, int}
+    assert any(isinstance(value, dict) for result in results
+               for value in result.get("statistics", {}).values())
+    assert any(frame["id"] is None and not frame["ok"] for frame in emitted)
+    for frame in emitted:
+        assert encode_frame(frame) == _reference_encoding(frame), frame
+
+
+class _Opaque:
+    def __str__(self):
+        return "opaque"
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"id": 1, "ok": True, "result": {"audience": frozenset({3, "b", 10, "a", (1, 2)})}},
+        {"id": None, "ok": True, "result": {"nested": ({"x": {1.5, 2}}, [None, True])}},
+        {"id": "é", "ok": True, "result": {"reason": "naïve ✓", "value": float("inf")}},
+        {"id": {"nested": [{"b": 1, "a": 2}]}, "ok": True, "result": {"object": _Opaque()}},
+    ],
+)
+def test_encode_frame_bytes_equal_the_reference_on_edge_values(frame):
+    assert encode_frame(frame) == _reference_encoding(frame)
+
+
+# jsonable() stringified every key; JSON spells True, None and numbers its own
+# way and sorts numbers as numbers, so the bytes would silently differ.
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"id": 1, "ok": True, "result": {True: 1}},
+        {"id": 1, "ok": True, "result": {"statistics": {None: 1.0}}},
+        {"id": 1, "ok": True, "result": {"rows": [{2: "a", 10: "b"}]}},
+        {"id": 1, "ok": True, "result": {(1, 2): "pair"}},
+    ],
+)
+def test_encode_frame_refuses_keys_that_are_not_strings(frame):
+    assert _reference_encoding(frame)  # the old encoder stringified them
+    with pytest.raises(TypeError, match="frame keys must be strings"):
+        encode_frame(frame)
