@@ -53,7 +53,12 @@ from typing import (
     Tuple,
 )
 
-from repro.graph.compiled import CompiledGraph, compile_graph, require_social_graph
+from repro.graph.compiled import (
+    CompiledGraph,
+    compile_graph,
+    register_derived_policy,
+    require_social_graph,
+)
 from repro.graph.paths import Path, Traversal
 from repro.graph.social_graph import SocialGraph, UserId
 from repro.policy.path_expression import PathExpression
@@ -537,6 +542,15 @@ _FLIPPED_DIRECTION = {
 # values frozen at an earlier epoch.
 _REVERSED_AUTOMATA_KEY = "compiled_search.reversed_automata"
 
+# Sweep plans read only degree_statistics() and the live node count, both of
+# which only structural patches change — the line index's survival rule.
+_SWEEP_PLANS_KEY = "compiled_search.sweep_plans"
+register_derived_policy(_SWEEP_PLANS_KEY, "structural")
+
+#: Most ``(expression text, owner count, direction)`` plans one snapshot
+#: memoizes; a full memo is cleared before the next plan is stored.
+SWEEP_PLAN_MEMO_LIMIT = 512
+
 
 def reversed_expression(expression: PathExpression) -> PathExpression:
     """Return the expression matching every satisfying path walked backwards.
@@ -672,11 +686,35 @@ def plan_audience_sweep(
     high-degree ``*`` first step feeding into a rare last label.
     ``direction`` other than ``"auto"`` pins the outcome (used by the
     differential tests and benchmarks); costs are estimated either way.
+
+    Plans are memoized in ``snapshot.derived`` per ``(expression text,
+    owner_count, direction)`` — at most :data:`SWEEP_PLAN_MEMO_LIMIT` of
+    them — under the ``"structural"`` delta policy: edge and user patches
+    re-plan, attribute-only patches keep the memo.
     """
     if direction not in SWEEP_DIRECTIONS:
         raise ValueError(
             f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
         )
+    plans = snapshot.derived.get(_SWEEP_PLANS_KEY)
+    if plans is None:
+        plans = snapshot.derived[_SWEEP_PLANS_KEY] = {}
+    key = (expression.to_text(), owner_count, direction)
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= SWEEP_PLAN_MEMO_LIMIT:
+            plans.clear()
+        plan = plans[key] = _plan_sweep(snapshot, expression, owner_count, direction)
+    return plan
+
+
+def _plan_sweep(
+    snapshot: CompiledGraph,
+    expression: PathExpression,
+    owner_count: int,
+    direction: str,
+) -> SweepPlan:
+    """Estimate both directions and pick one (:func:`plan_audience_sweep`)."""
     node_count = snapshot.number_of_live_nodes()
     forward_cost = _estimate_sweep_cost(
         snapshot, tuple(expression), owner_count, owner_count
@@ -719,13 +757,20 @@ class MaskSweep:
     Slots are packed ``node * num_states + state`` keys.  The sparse
     ``seen`` dict maps each slot some owner's walk has reached to the mask
     of those owners; ``pending`` holds the not-yet-propagated part of the
-    slots on the worklist.  Two invariants hold between calls: a key is in
-    ``seen`` iff its mask is non-zero, and ``pending``'s keys are a subset
-    of ``seen``'s — so a first visit needs no ``pending`` lookup, and the
-    sweep's time and memory are proportional to the slots it visits, not
-    to ``|V|``.  The worklist is FIFO so the owners' frontiers
-    advance level-aligned and merge into single slot visits — a slot's CSR
-    rows are rescanned only when genuinely new owner bits arrive
+    slots on the worklist.  Only slots of *expanding* states — states with
+    an outgoing move — ever enter ``pending`` and the worklist: the accept
+    state and every max-depth state take no edge, so their slots are
+    written to ``seen`` and nothing else.  The first write to an accept
+    slot also appends its node to ``accepts``.  These invariants hold
+    between calls: a key is in ``seen`` iff its mask is non-zero;
+    ``pending``'s keys are a subset of ``seen``'s, so a first visit needs
+    no ``pending`` lookup; every ``pending`` and queued key belongs to an
+    expanding state; and each node whose accept slot is in ``seen`` appears
+    in ``accepts`` exactly once.  The sweep's time and memory are
+    proportional to the slots it visits, not to ``|V|``, and its worklist
+    holds only the slots that expand.  The worklist is FIFO so the owners'
+    frontiers advance level-aligned and merge into single slot visits — a
+    slot's CSR rows are rescanned only when genuinely new owner bits arrive
     (``new = mask & ~seen[slot]``), which is the whole win over a per-owner
     sweep: overlapping owner neighbourhoods cost one traversal, not one per
     owner.
@@ -749,8 +794,10 @@ class MaskSweep:
         "pending",
         "queue",
         "head",
+        "accepts",
         "chain_memo",
         "state_moves",
+        "expands",
         "tripped",
         "scanned",
     )
@@ -763,12 +810,16 @@ class MaskSweep:
         self.pending: Dict[int, int] = {}
         self.queue: List[int] = []
         self.head = 0
+        #: Nodes whose accept slot is in ``seen``, in first-visit order.
+        self.accepts: List[int] = []
         # Spontaneous-advance chains of condition-gated states, memoized per
         # (state, node) slot: condition outcomes are stable within a sweep (the
         # automaton's per-(step, node) memo), so the chain never changes and the
         # closure call leaves the edge loop after the first visit.
         self.chain_memo: Dict[int, Tuple[int, ...]] = {}
         self.state_moves = _hoisted_state_moves(snapshot, automaton)
+        #: Per state: whether its slots can take an edge (and so need queueing).
+        self.expands: List[bool] = [bool(moves) for moves in self.state_moves]
         #: Whether a guard budget ever cut :meth:`run` short.
         self.tripped = False
         #: CSR entries scanned over the sweep's lifetime.
@@ -777,27 +828,38 @@ class MaskSweep:
     def seed(self, node: int, state: int, mask: int) -> None:
         """Inject owner bits at ``(node, state)``, with spontaneous advances."""
         num_states = self.num_states
+        accept_id = self.automaton.accept_id
         seen = self.seen
         pending = self.pending
+        expands = self.expands
         for closed in self.automaton.closure(state, node):
             key = node * num_states + closed
             previous = seen.get(key, 0)
             add = mask & ~previous
-            if add:
-                seen[key] = previous | add
-                waiting = pending.get(key)
-                if waiting is None:
-                    self.queue.append(key)
-                    pending[key] = add
-                else:
-                    pending[key] = waiting | add
+            if not add:
+                continue
+            seen[key] = previous | add
+            if not expands[closed]:
+                if closed == accept_id and not previous:
+                    self.accepts.append(node)
+                continue
+            waiting = pending.get(key)
+            if waiting is None:
+                self.queue.append(key)
+                pending[key] = add
+            else:
+                pending[key] = waiting | add
 
     def has_work(self) -> bool:
         """Whether seeded or guard-interrupted work awaits the next :meth:`run`."""
         return self.head < len(self.queue)
 
     def run(self) -> bool:
-        """Drain the worklist; ``False`` when a guard budget cut it short."""
+        """Drain the worklist; ``False`` when a guard budget cut it short.
+
+        An active guard is charged once per popped (expanding) slot plus the
+        CSR entries scanned since the previous pop.
+        """
         guard = active_guard()
         queue = self.queue
         head = self.head
@@ -805,6 +867,9 @@ class MaskSweep:
         pending = self.pending
         num_states = self.num_states
         state_moves = self.state_moves
+        expands = self.expands
+        accept_id = self.automaton.accept_id
+        accepts = self.accepts
         static_closure = self.automaton.static_closures()
         closure = self.automaton.closure
         chain_memo = self.chain_memo
@@ -823,13 +888,11 @@ class MaskSweep:
                 delta = pending.pop(key, 0)
                 if not delta:
                     continue
+                # Only expanding slots are queued, so the state has moves.
                 node, state = divmod(key, num_states)
-                moves = state_moves[state]
-                if not moves:
-                    continue
                 next_state = state + 1
                 next_static = static_closure[next_state]
-                for offsets, targets, overlay, _label_id, _forward in moves:
+                for offsets, targets, overlay, _label_id, _forward in state_moves[state]:
                     # Slicing the CSR row and iterating the array directly
                     # saves an index lookup per edge — this loop is the
                     # sweep's entire cost.
@@ -855,13 +918,18 @@ class MaskSweep:
                                 # First visit: pending's keys are a subset of
                                 # seen's, so the slot cannot be queued yet.
                                 seen[neighbor_key] = delta
-                                pending[neighbor_key] = delta
-                                queue.append(neighbor_key)
+                                if expands[closed]:
+                                    pending[neighbor_key] = delta
+                                    queue.append(neighbor_key)
+                                elif closed == accept_id:
+                                    accepts.append(neighbor)
                                 continue
                             add = delta & ~previous
                             if not add:
                                 continue
                             seen[neighbor_key] = previous | add
+                            if not expands[closed]:
+                                continue
                             waiting = pending.get(neighbor_key)
                             if waiting is None:
                                 queue.append(neighbor_key)
@@ -883,18 +951,16 @@ class MaskSweep:
     ) -> Iterator[Tuple[int, int]]:
         """``(node, owner mask)`` for each node some owner's walk accepts.
 
-        Without ``nodes`` every visited accept slot is reported, in no
-        particular order, at a cost proportional to the slots the sweep
-        touched; with ``nodes`` only those are probed.
+        Without ``nodes`` every visited accept slot is reported, in
+        first-visit order, from the ``accepts`` record; with ``nodes`` only
+        those are probed.
         """
         seen = self.seen
         num_states = self.num_states
         accept_id = self.automaton.accept_id
         if nodes is None:
-            for key, mask in seen.items():
-                node, state = divmod(key, num_states)
-                if state == accept_id:
-                    yield node, mask
+            for node in self.accepts:
+                yield node, seen[node * num_states + accept_id]
             return
         for node in nodes:
             mask = seen.get(node * num_states + accept_id)
@@ -965,8 +1031,11 @@ def _sweep_forward(
     sweep.run()
     audiences: List[List[int]] = [[] for _ in sources]
     bits_of = MaskBitsMemo()
-    for node, mask in sorted(sweep.accepted()):
-        for bit in bits_of[mask]:
+    seen = sweep.seen
+    num_states = sweep.num_states
+    accept_id = automaton.accept_id
+    for node in sorted(sweep.accepts):
+        for bit in bits_of[seen[node * num_states + accept_id]]:
             audiences[bit].append(node)
     return audiences
 

@@ -3,9 +3,14 @@
 A :class:`QueryGuard` bounds how much work a single query may do.  The
 traversal cores (:mod:`repro.reachability.compiled_search` and the cluster
 matcher) call :meth:`QueryGuard.spend` from inside their sweep loops — once
-per popped frontier entry, charged with the number of CSR positions scanned
-since the previous tick — so a runaway product-graph search is interrupted
-*cooperatively*, at a loop boundary, never mid-datastructure-update.
+per expanded frontier entry, charged with the number of CSR positions
+scanned since the previous tick — so a runaway product-graph search is
+interrupted *cooperatively*, at a loop boundary, never
+mid-datastructure-update.  The mask sweep queues only slots that can take an
+edge: a terminal slot (accept or max-depth state) is written but never
+popped, so it is paid for by the CSR entry that reached it.  A budget
+therefore still bounds total work, loosened at most by the automaton's
+longest spontaneous-advance chain.
 
 Two trip modes, chosen per query shape by :class:`~repro.service.facade.GraphService`:
 
@@ -80,12 +85,12 @@ def deadline_scope(deadline: Optional[float]):
 class QueryGuard:
     """Step-budget and deadline enforcement for a single query at a time.
 
-    ``max_steps`` bounds explored work (frontier pops + CSR positions
-    scanned, the same unit the planner's cost model estimates in);
-    ``max_seconds`` bounds wall-clock time per query.  Either may be
-    ``None`` (unlimited).  The deadline is only consulted every
-    ``check_interval`` spent steps — a monotonic-clock read per frontier pop
-    would dominate the sweep loops it is protecting.
+    ``max_steps`` bounds explored work (expanded frontier entries + CSR
+    positions scanned, the same unit the planner's cost model estimates in:
+    seeds plus edge expansions); ``max_seconds`` bounds wall-clock time per
+    query.  Either may be ``None`` (unlimited).  The deadline is only
+    consulted every ``check_interval`` spent steps — a monotonic-clock read
+    per frontier pop would dominate the sweep loops it is protecting.
 
     The guard object is reused across queries: :meth:`scope` resets the
     per-query counters, installs the guard in the context variable and

@@ -35,6 +35,9 @@ __all__ = [
 #: limit).
 MAX_FRAME_BYTES = 1 << 20
 
+#: Member types :func:`jsonable` returns as they are (``jsonable(x) is x``).
+_JSON_SCALARS = frozenset((bool, int, float, str, type(None)))
+
 
 def jsonable(value: Any) -> Any:
     """Recursively convert a result value into JSON-encodable form.
@@ -46,6 +49,9 @@ def jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (set, frozenset)):
+        if _JSON_SCALARS.issuperset(map(type, value)):
+            # Every member is its own jsonable() form: skip the walk.
+            return sorted(value, key=repr)
         return sorted((jsonable(item) for item in value), key=repr)
     if isinstance(value, (list, tuple)):
         return [jsonable(item) for item in value]

@@ -13,6 +13,14 @@ the same fixpoint — on arbitrary small graphs and expressions:
 * after a drain the sparse tables hold no zero mask and nothing pending,
   and decoding the visited accept slots equals probing every node;
 * the accepted sets equal :mod:`repro.testing.oracle`.
+
+Terminal slots (the accept state, every max-depth state) are written to
+``seen`` but never queued, and accept slots are recorded on first visit.
+Between any two calls — after a seed at any state, a drain, or a guard
+trip — the ``accepts`` record must equal a scan of ``seen`` with no node
+twice, and no ``pending`` or queued key may belong to a state that takes no
+edge; forward and reverse automata over attribute-conditioned expressions
+(whose closures are not static) are both held to it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from repro.reachability.compiled_search import (
     CompiledAutomaton,
     MaskBitsMemo,
     MaskSweep,
+    reverse_seed_nodes,
+    reversed_automaton,
 )
 from repro.reliability.guard import QueryGuard
 from repro.testing.graphs import LABELS, adversarial_graph
@@ -70,10 +80,28 @@ def _audiences(sweep, owners):
     return audiences
 
 
+def _assert_record_and_worklist(sweep):
+    """The accept record equals a scan of ``seen``; only expanding slots queue."""
+    num_states = sweep.num_states
+    automaton = sweep.automaton
+    scan = sorted(
+        (key // num_states, mask)
+        for key, mask in sweep.seen.items()
+        if key % num_states == automaton.accept_id
+    )
+    assert sorted(sweep.accepted()) == scan
+    assert len(sweep.accepts) == len(set(sweep.accepts))
+    # A state expands iff it may take one more edge of its step.
+    assert all(automaton.can_more[key % num_states] for key in sweep.pending)
+    assert all(automaton.can_more[key % num_states] for key in sweep.queue)
+    assert sweep.pending.keys() <= sweep.seen.keys()
+
+
 def _assert_drained_tables(sweep):
     """The sparse tables' invariants after a drain, and both decode forms agree."""
     assert all(sweep.seen.values())  # a key is in seen iff its mask is non-zero
     assert not sweep.pending
+    _assert_record_and_worklist(sweep)
     every_node = range(sweep.snapshot.number_of_nodes())
     assert set(sweep.accepted()) == set(sweep.accepted(every_node))
 
@@ -132,6 +160,7 @@ def test_a_guard_trip_is_resumable(seed, budget, mode):
             partial & ~unguarded.seen.get(key, 0) == 0
             for key, partial in resumed.seen.items()
         )
+        _assert_record_and_worklist(resumed)
     assert resumed.run()  # the budget is lifted: no guard in scope
     assert not resumed.has_work()
     _assert_drained_tables(unguarded)
@@ -141,3 +170,80 @@ def test_a_guard_trip_is_resumable(seed, budget, mode):
     assert _audiences(resumed, owners) == {
         owner: reference_targets(graph, owner, expression) for owner in owners
     }
+
+
+def _conditioned_material(seed):
+    """Small graph plus an expression whose steps mostly carry conditions."""
+    rng = random.Random(seed)
+    graph = adversarial_graph(rng, users=(3, 12), edges_per_user=(1, 3))
+    expression = random_expression(
+        rng, LABELS, max_steps=3, max_depth=3, condition_probability=0.7
+    )
+    return rng, graph, expression
+
+
+@given(st.integers(0, 10**6))
+@settings(**SETTINGS)
+def test_the_accept_record_matches_seen_on_forward_and_reverse_automata(seed):
+    rng, graph, expression = _conditioned_material(seed)
+    users = sorted(graph.users(), key=str)
+    owners = rng.sample(users, rng.randint(1, min(4, len(users))))
+    forward = _fresh_sweep(graph, expression)
+    _seed(forward, owners, range(len(owners)))
+    _assert_record_and_worklist(forward)
+    assert forward.run()
+    _assert_drained_tables(forward)
+    assert _audiences(forward, owners) == {
+        owner: reference_targets(graph, owner, expression) for owner in owners
+    }
+
+    # The reverse sweep: bit t stands for target t, read at each owner.
+    snapshot = forward.snapshot
+    backward = MaskSweep(snapshot, reversed_automaton(snapshot, expression))
+    for node in reverse_seed_nodes(forward.automaton):
+        backward.seed(node, backward.automaton.start_id, 1 << node)
+    _assert_record_and_worklist(backward)
+    assert backward.run()
+    _assert_drained_tables(backward)
+    user_of = snapshot.node_ids
+    masks = dict(backward.accepted())
+    bits_of = MaskBitsMemo()
+    for owner in users:
+        mask = masks.get(snapshot.index_of(owner), 0)
+        assert {user_of[bit] for bit in bits_of[mask]} == reference_targets(
+            graph, owner, expression
+        )
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(**SETTINGS)
+def test_seeds_at_arbitrary_states_keep_the_record(seed, reverse):
+    """The router's ``deliver`` path: seeds at any state, the accept state too."""
+    rng, graph, expression = _conditioned_material(seed)
+    snapshot = compile_graph(graph)
+    automaton = (
+        reversed_automaton(snapshot, expression)
+        if reverse
+        else CompiledAutomaton(expression, snapshot)
+    )
+    sweep = MaskSweep(snapshot, automaton)
+    nodes = range(snapshot.number_of_nodes())
+    seeds = []
+    for _ in range(rng.randint(1, 8)):
+        state = rng.choice([automaton.accept_id, rng.randrange(automaton.num_states)])
+        seeds.append((rng.choice(nodes), state, 1 << rng.randrange(6)))
+    once = MaskSweep(snapshot, automaton)
+    for node, state, mask in seeds:
+        once.seed(node, state, mask)
+    assert once.run()
+    for index, (node, state, mask) in enumerate(seeds):
+        sweep.seed(node, state, mask)
+        _assert_record_and_worklist(sweep)
+        if index % 2:
+            assert sweep.run()
+            _assert_drained_tables(sweep)
+    assert sweep.run()
+    _assert_drained_tables(sweep)
+    _assert_drained_tables(once)
+    assert sweep.seen == once.seen
+    assert sorted(sweep.accepts) == sorted(once.accepts)

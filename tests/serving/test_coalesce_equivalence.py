@@ -186,8 +186,10 @@ def test_guard_tripped_batches_fall_back_to_sequential(seed):
     and every answer (including per-request partials) must equal the
     sequential twin's.  Reach and audience use disjoint expression pools
     so no shape is served from memo warmth the sequential twin never built.
+    Steps are expanded frontier entries plus CSR positions scanned, so the
+    budget is smaller than the number of slots a batch visits.
     """
-    guard_kwargs = dict(max_steps=100, check_interval=16)
+    guard_kwargs = dict(max_steps=70, check_interval=16)
     served_service, sequential_service, workload = _twin_services(
         users=160,
         seed=31 + seed,
@@ -523,7 +525,7 @@ def test_busy_period_batches_match_sequential(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_busy_period_batches_that_trip_the_guard_fall_back(seed):
-    guard_kwargs = dict(max_steps=100, check_interval=16)
+    guard_kwargs = dict(max_steps=70, check_interval=16)
     served_service, sequential_service, workload = _twin_services(
         users=160, seed=89 + seed, query_guard=QueryGuard(**guard_kwargs)
     )

@@ -634,9 +634,25 @@ def test_a_full_write_buffer_pauses_reading_until_it_drains():
 # ------------------------------------------------------------ encoder bytes
 
 
+def _reference_jsonable(value):
+    """Reference conversion: set members converted one by one, then sorted."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (set, frozenset)):
+        return sorted((_reference_jsonable(item) for item in value), key=repr)
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _reference_jsonable(item) for key, item in value.items()}
+    return str(value)
+
+
 def _reference_encoding(frame):
     """The encoder ``encode_frame`` replaced: a jsonable() copy, then dumps."""
-    return (json.dumps(jsonable(frame), separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return (
+        json.dumps(_reference_jsonable(frame), separators=(",", ":"), sort_keys=True)
+        + "\n"
+    ).encode()
 
 
 def _emitted_frames(monkeypatch):
@@ -714,6 +730,16 @@ class _Opaque:
         {"id": None, "ok": True, "result": {"nested": ({"x": {1.5, 2}}, [None, True])}},
         {"id": "é", "ok": True, "result": {"reason": "naïve ✓", "value": float("inf")}},
         {"id": {"nested": [{"b": 1, "a": 2}]}, "ok": True, "result": {"object": _Opaque()}},
+        # Sets of JSON scalars skip the per-member walk; other members take it.
+        {"id": 1, "ok": True, "result": {"audience": {10, 2, -3, 2**70, 0}}},
+        {"id": 1, "ok": True, "result": {"audience": {"b", "a", "B", "", "é"}}},
+        {"id": 1, "ok": True, "result": {"audience": {3, "3", 10, "a", -1, "10"}}},
+        {"id": 1, "ok": True, "result": {"audience": {True, 2.5, None, "x", float("-inf")}}},
+        {"id": 1, "ok": True, "result": {"audience": frozenset({False, 1e-9, -2.0})}},
+        {"id": 1, "ok": True, "result": {"audience": {(2, "b"), (1, "a"), 3, "c"}}},
+        {"id": 1, "ok": True, "result": {"audience": {(1, (2, 3)), frozenset({4})}}},
+        {"id": 1, "ok": True, "result": {"audience": {_Opaque(), "a", 1}}},
+        {"id": 1, "ok": True, "result": {"audience": set(), "empty": frozenset()}},
     ],
 )
 def test_encode_frame_bytes_equal_the_reference_on_edge_values(frame):
