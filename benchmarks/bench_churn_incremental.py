@@ -9,7 +9,7 @@ the touched rows in per-label row overlays that point queries read directly;
 an overlay is folded into its CSR pair only past a size threshold or when a
 whole-graph consumer asks for the raw arrays.
 
-Four experiments on the 5000-user scalability graph (300 users in
+Three experiments on the 5000-user scalability graph (300 users in
 ``BENCH_SMOKE=1`` mode, the CI smoke job):
 
 1. **Snapshot refresh cost** — apply one churn burst of ~1% of |E|
@@ -32,11 +32,6 @@ Four experiments on the 5000-user scalability graph (300 users in
    delta path in O(|burst|); the acceptance row mirrors experiment 1's
    >= 5x at full size.  The arm also verifies ``SnapshotStore.checkpoint``
    emits a *delta segment* (not a rebase) for the removal-bearing journal.
-4. **Index-backed refresh** (PR 7) — ``ClusterIndexEvaluator.refresh()``
-   on a sparse forward-only graph (the regime where line-graph components
-   stay small; oriented indexes tend to one giant SCC and fall back):
-   bounded re-condensation of only the dirty components vs a cold
-   ``build()`` per burst, timed to first ``find_targets`` answer.
 
 Every run (smoke included) also asserts the overlay contract: a
 sub-threshold burst followed by a point query folds nothing, and the patched
@@ -51,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import tempfile
 import time
 from collections import Counter
@@ -59,9 +53,6 @@ from pathlib import Path
 
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.snapshot import SnapshotStore
-from repro.graph.social_graph import SocialGraph
-from repro.policy.path_expression import PathExpression
-from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.engine import ReachabilityEngine
 from repro.workloads.generator import WorkloadSpec, apply_churn_op, build_workload
 
@@ -71,7 +62,6 @@ SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 SIZE = 300 if SMOKE else 5000
 REFRESH_BURSTS = 3 if SMOKE else 8
 RATIOS = (1, 10) if SMOKE else (1, 10, 100, 1000)
-INDEX_ROUNDS = 3 if SMOKE else 8
 SEED = 43
 
 #: Full-size acceptance floor: delta-apply vs full rebuild on the refresh
@@ -351,157 +341,6 @@ def remove_heavy_experiment() -> dict:
     }
 
 
-def _sparse_graph(user_count: int, seed: int) -> SocialGraph:
-    """A sparse community-structured forward-only friend-heavy graph.
-
-    Sparse so the line graph condenses into many small components — the
-    regime where the bounded re-condensation genuinely engages (dense or
-    oriented ``include_reverse=True`` graphs collapse into one giant line
-    SCC and the touched-fraction fallback correctly rebuilds instead) —
-    and community-structured (edges stay within ~25-user neighbourhoods,
-    the shape of real social graphs) so the line DAG's ancestor chains
-    stay short and both arms run at interactive cost.  Note the honest
-    finding this arm documents: the greedy 2-hop cover is recomputed in
-    full on *both* paths and dominates them, so the wall-clock speedup
-    hovers around 1x — the refresh's savings (skipped re-Tarjan and line
-    construction) are real but cover-bound.  The arm's assertions are
-    therefore engagement (the bounded path actually runs, every round)
-    and equivalence (it answers exactly like a cold rebuild), not a
-    speedup floor; bounded cover maintenance is the open item that would
-    move the needle.
-    """
-    rng = random.Random(seed)
-    graph = SocialGraph(name="perf9-sparse")
-    users = [f"u{i}" for i in range(user_count)]
-    for user in users:
-        graph.add_user(user)
-    labels = ("friend", "friend", "friend", "colleague", "parent")
-    community = 25
-    target = int(user_count * 1.3)
-    edges = set()
-    attempts = 0
-    while len(edges) < target and attempts < target * 50:
-        attempts += 1
-        base = rng.randrange(user_count)
-        other = (base // community) * community + rng.randrange(community)
-        if other >= user_count or other == base:
-            continue
-        edge = (users[base], users[other], rng.choice(labels))
-        if edge not in edges:
-            edges.add(edge)
-            graph.add_relationship(*edge)
-    return graph
-
-
-def _index_burst(graph: SocialGraph, rng: random.Random, size: int, tag: int):
-    """One valid mixed burst (edge churn + some user churn) for the graph."""
-    ops = []
-    edges = [(rel.source, rel.target, rel.label) for rel in graph.relationships()]
-    edge_set = set(edges)
-    pool = sorted(graph.users(), key=str)
-    serial = 0
-    remove_next = True
-    while len(ops) < size:
-        if rng.random() < 0.12 and len(pool) > 2:
-            user = pool.pop(rng.randrange(len(pool)))
-            edges = [e for e in edges if user not in (e[0], e[1])]
-            edge_set = set(edges)
-            ops.append(("remove_user", user))
-            name = f"nu{tag}-{serial}"
-            serial += 1
-            pool.append(name)
-            ops.append(("add_user", name))
-            continue
-        if remove_next and edges:
-            position = rng.randrange(len(edges))
-            edge = edges[position]
-            edges[position] = edges[-1]
-            edges.pop()
-            edge_set.discard(edge)
-            ops.append(("remove_edge",) + edge)
-            remove_next = False
-            continue
-        for _attempt in range(32):
-            candidate = (rng.choice(pool), rng.choice(pool), "friend")
-            if candidate[0] != candidate[1] and candidate not in edge_set:
-                edge_set.add(candidate)
-                edges.append(candidate)
-                ops.append(("add_edge",) + candidate)
-                break
-        remove_next = True
-    return ops
-
-
-def index_refresh_experiment() -> dict:
-    """Experiment 4: bounded cluster-index refresh vs cold rebuild per burst.
-
-    Both arms replay identical bursts (same seed against identical graph
-    replicas); the incremental arm keeps the journal on so
-    ``ClusterIndexEvaluator.refresh()`` can hand the burst to
-    ``InternedLineIndex.refresh_from_ops``, the rebuild arm disables it
-    (``journal_limit = 0``) so every refresh is a cold ``build()``.  Timed
-    to first ``find_targets`` answer after each burst.
-    """
-    expression = PathExpression.parse(QUERY_EXPRESSION)
-    rows = []
-    arms = {}
-    for mode in ("incremental", "rebuild"):
-        graph = _sparse_graph(SIZE, SEED + 2)
-        burst_size = max(8, graph.number_of_relationships() // 100)
-        if mode == "rebuild":
-            graph.journal_limit = 0
-        evaluator = ClusterIndexEvaluator(graph, include_reverse=False).build()
-        rng = random.Random(SEED + 3)
-        refresh_seconds = []
-        modes_taken: Counter = Counter()
-        for round_index in range(INDEX_ROUNDS):
-            for op in _index_burst(graph, rng, burst_size, round_index):
-                apply_churn_op(graph, op)
-            owner = sorted(graph.users(), key=str)[
-                (round_index * 17) % graph.number_of_users()
-            ]
-            started = time.perf_counter()
-            evaluator.refresh()
-            evaluator.find_targets(owner, expression)
-            refresh_seconds.append(time.perf_counter() - started)
-            modes_taken[evaluator.last_refresh_mode] += 1
-        rows.append(
-            {
-                "mode": mode,
-                "rounds": INDEX_ROUNDS,
-                "burst_size": burst_size,
-                "mean_refresh_seconds": sum(refresh_seconds) / len(refresh_seconds),
-                "total_refresh_seconds": sum(refresh_seconds),
-                "modes_taken": dict(modes_taken),
-            }
-        )
-        arms[mode] = (graph, evaluator)
-
-    # Equivalence: same bursts, so the incrementally maintained index must
-    # answer exactly like the one rebuilt from scratch every round.
-    inc_graph, inc_evaluator = arms["incremental"]
-    rebuild_graph, rebuild_evaluator = arms["rebuild"]
-    assert inc_graph == rebuild_graph
-    for owner in sorted(inc_graph.users(), key=str)[::7][:24]:
-        assert inc_evaluator.find_targets(owner, expression) == (
-            rebuild_evaluator.find_targets(owner, expression)
-        ), owner
-
-    inc_row = next(row for row in rows if row["mode"] == "incremental")
-    rebuild_row = next(row for row in rows if row["mode"] == "rebuild")
-    # The whole point of the arm: the bounded path must actually engage.
-    assert inc_row["modes_taken"].get("incremental", 0) > 0, inc_row
-    return {
-        "rows": rows,
-        "users": inc_graph.number_of_users(),
-        "relationships": inc_graph.number_of_relationships(),
-        "incremental_rounds": inc_row["modes_taken"].get("incremental", 0),
-        "speedup": (
-            rebuild_row["mean_refresh_seconds"] / inc_row["mean_refresh_seconds"]
-        ),
-    }
-
-
 def throughput_experiment() -> dict:
     rows = []
     for ratio in RATIOS:
@@ -550,7 +389,6 @@ def run_benchmark() -> dict:
     refresh = refresh_experiment()
     throughput = throughput_experiment()
     remove_heavy = remove_heavy_experiment()
-    index_refresh = index_refresh_experiment()
     return {
         "experiment": "PERF-9 incremental snapshot maintenance under churn",
         "smoke": SMOKE,
@@ -562,7 +400,6 @@ def run_benchmark() -> dict:
         "refresh": refresh,
         "throughput": throughput,
         "remove_heavy": remove_heavy,
-        "index_refresh": index_refresh,
     }
 
 
@@ -615,26 +452,7 @@ def _format_table(summary: dict) -> str:
         f"remove-heavy delta speedup: {remove_heavy['speedup']:.1f}x "
         f"(target >= {summary['speedup_target']:.0f}x); "
         f"checkpoint action: {remove_heavy['checkpoint']['action']}",
-        "",
     ]
-    index_refresh = summary["index_refresh"]
-    lines += [
-        "cluster-index refresh-to-first-query (sparse forward-only graph, "
-        f"{index_refresh['users']} users / "
-        f"{index_refresh['relationships']} edges):",
-        f"{'mode':<12} {'first-query s':>14} {'total s':>10} {'modes taken'}",
-        "-" * 60,
-    ]
-    for row in index_refresh["rows"]:
-        lines.append(
-            f"{row['mode']:<12} {row['mean_refresh_seconds']:>14.4f} "
-            f"{row['total_refresh_seconds']:>10.3f} {row['modes_taken']}"
-        )
-    lines.append(
-        f"index refresh speedup: {index_refresh['speedup']:.1f}x "
-        f"({index_refresh['incremental_rounds']}/"
-        f"{index_refresh['rows'][0]['rounds']} rounds incremental)"
-    )
     return "\n".join(lines)
 
 

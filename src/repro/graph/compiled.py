@@ -548,13 +548,14 @@ class CompiledGraph:
     def pin(self) -> "CompiledGraph":
         """Freeze this snapshot's structure for its remaining lifetime.
 
-        A pinned snapshot is never patched by :meth:`apply_deltas` through
-        :func:`compile_graph`: once the graph mutates, the next refresh
+        A pinned snapshot is never patched — :meth:`apply_deltas` refuses
+        it, with no exception: once the graph mutates, the next refresh
         builds a *new* snapshot object and this one keeps the build-time
         structure forever.  Long-lived consumers with stale-read semantics
         (the cluster index answers every query from the snapshot captured at
         ``build()``) pin so that delta maintenance for everyone else cannot
-        mutate the state they hold.  Returns ``self`` for chaining.
+        mutate the state they hold; to see newer structure they rebuild on
+        a fresh snapshot.  Returns ``self`` for chaining.
         """
         self._pinned = True
         return self

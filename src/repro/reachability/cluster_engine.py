@@ -98,8 +98,6 @@ class ClusterIndexEvaluator:
         self._audience_automata = AutomatonCache()
         self._audience_epoch: Optional[int] = None
         self.build_seconds = 0.0
-        self.refresh_seconds = 0.0
-        self.last_refresh_mode: Optional[str] = None
         self._built = False
 
     # ---------------------------------------------------------------- build
@@ -111,6 +109,8 @@ class ClusterIndexEvaluator:
         string-facing :class:`LineGraph` / :class:`JoinIndex` views (base
         tables, clusters, W-table — the paper artifacts) decode from it
         lazily on first access, so evaluation never pays for them.
+        The index is never maintained in place: after mutations, bringing it
+        up to date is another ``build()`` over a fresh snapshot.
         """
         started = time.perf_counter()
         self._line_graph = None
@@ -129,39 +129,6 @@ class ClusterIndexEvaluator:
         self._built = True
         self.build_seconds = time.perf_counter() - started
         return self
-
-    def refresh(self) -> str:
-        """Bring the index up to date with the live graph, cheaply if possible.
-
-        Tries the bounded in-place re-condensation
-        (:meth:`InternedLineIndex.refresh_from_ops`) on the journal burst
-        since the index's snapshot epoch before falling back to a cold
-        :meth:`build`.  Returns the mode taken — ``"noop"`` (already
-        current), ``"incremental"``, or ``"rebuild"`` — and records it in
-        :attr:`last_refresh_mode`; ``refresh_seconds`` holds the cost of
-        the last non-noop refresh (build_seconds on a rebuild).
-        """
-        if not self._built or self._index is None:
-            self.build()
-            self.refresh_seconds = self.build_seconds
-            self.last_refresh_mode = "rebuild"
-            return "rebuild"
-        if self.graph.epoch == self._index.snapshot.epoch:
-            self.last_refresh_mode = "noop"
-            return "noop"
-        ops = self.graph.mutations_since(self._index.snapshot.epoch)
-        if ops is not None and self._index.refresh_from_ops(ops):
-            # The lazy string-facing views read the live graph; drop any
-            # materialized copies so statistics() stays current.
-            self._line_graph = None
-            self._join_index = None
-            self.refresh_seconds = self._index.refresh_seconds
-            self.last_refresh_mode = "incremental"
-            return "incremental"
-        self.build()
-        self.refresh_seconds = self.build_seconds
-        self.last_refresh_mode = "rebuild"
-        return "rebuild"
 
     def _views(self) -> Tuple[LineGraph, JoinIndex]:
         """Materialize (or return) the string-facing line graph + join index."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReachabilityError
 from repro.graph.compiled import (
@@ -61,12 +61,6 @@ REVERSE_BYTE = 0
 # edge or user deltas drop the cached entries and the next
 # interned_line_index() call rebuilds just the orientation it is asked for.
 register_derived_policy("line-index", "structural")
-
-#: :meth:`InternedLineIndex.refresh_from_ops` falls back to a full rebuild
-#: once the burst touches more than this fraction of the line vertices —
-#: past that point re-running Tarjan over everything is cheaper than the
-#: bookkeeping of the contracted pass.
-REFRESH_REBUILD_FRACTION = 0.25
 
 
 def tarjan_scc_dense(
@@ -276,11 +270,6 @@ class InternedLineIndex:
         "comp_lout",
         "centers",
         "build_seconds",
-        "refresh_seconds",
-        "refreshes",
-        "_dag_edges",
-        "_dead_vertices",
-        "_vertex_of",
         "_rep_names",
     )
 
@@ -352,12 +341,6 @@ class InternedLineIndex:
                 target_comp = comp_of[start_vertices[cursor]]
                 if target_comp != source_comp:
                     dag_edges.add(source_comp * comp_count + target_comp)
-        # Retained for :meth:`refresh_from_ops`: DAG edges between components
-        # untouched by a burst survive verbatim (a line edge between intact
-        # components can only vanish when one of its endpoints is removed,
-        # which would dirty that component), so the contracted pass reuses
-        # this set instead of rescanning every line edge.
-        self._dag_edges: Set[int] = dag_edges
         dag_offsets, dag_targets = build_csr(
             [divmod(edge, comp_count) for edge in dag_edges], comp_count
         )
@@ -380,264 +363,7 @@ class InternedLineIndex:
             for comp in range(comp_count)
         ]
         self._rep_names: Optional[List[str]] = None
-        self._dead_vertices: Set[int] = set()
-        self._vertex_of: Optional[Dict[Tuple[int, int, int], int]] = None
         self.build_seconds = time.perf_counter() - started
-        self.refresh_seconds = 0.0
-        self.refreshes = 0
-
-    # --------------------------------------------------------- maintenance
-
-    def _vertex_map(self) -> Dict[Tuple[int, int, int], int]:
-        """Lazily build {(start, end, label_id): forward vertex} over live rows.
-
-        Node indices are stable across snapshot patches (removals tombstone
-        their slot in place), so the keys stay valid between refreshes; the
-        map is maintained incrementally once built.
-        """
-        if self._vertex_of is None:
-            mapping: Dict[Tuple[int, int, int], int] = {}
-            comp_of = self.comp_of
-            dirs = self.dirs
-            starts = self.starts
-            ends = self.ends
-            label_ids = self.label_ids
-            for vertex in range(self.count):
-                if dirs[vertex] != FORWARD_BYTE or comp_of[vertex] < 0:
-                    continue
-                mapping[(starts[vertex], ends[vertex], label_ids[vertex])] = vertex
-            self._vertex_of = mapping
-        return self._vertex_of
-
-    def refresh_from_ops(self, ops: Sequence[tuple]) -> bool:
-        """Absorb a journaled mutation burst without a full rebuild.
-
-        Only line-graph components touched by the burst's edge removals are
-        re-condensed: intact components enter a contracted graph as single
-        supernodes (reusing the stored condensation edges between them),
-        survivors of dirty components and newly added line vertices join as
-        free agents, and Tarjan runs over that contracted graph instead of
-        every line vertex.  The 2-hop cover is then recomputed at component
-        level — together this skips both O(line-edges) phases of a cold
-        build (the dense Tarjan sweep and the condensation dedup scan).
-
-        Returns ``False`` when the burst cannot be absorbed — unknown ops,
-        journal/graph inconsistency, or more than
-        :data:`REFRESH_REBUILD_FRACTION` of the vertices touched — in which
-        case the caller should rebuild from scratch; the index itself is
-        untouched unless the snapshot patch already succeeded, and a failed
-        attempt after that point is answered by the caller discarding this
-        instance.  On success the pinned snapshot has been patched to the
-        live epoch and the index mutated in place to match, with removed
-        line vertices tombstoned (``comp_of`` = -1) rather than compacted.
-        """
-        started = time.perf_counter()
-        snapshot = self.snapshot
-        graph = snapshot.graph
-        if graph is None:
-            return False
-        if self._dead_vertices and len(self._dead_vertices) * 2 > self.count:
-            return False  # too much tombstone debt: a rebuild resets the arrays
-        # Net effect per (source, target, label): the journal is replayable,
-        # so the last op wins and intermediate flips cancel out.
-        net: Dict[Tuple[Any, Any, str], int] = {}
-        for op in ops:
-            kind = op[0]
-            if kind == "add_edge":
-                net[(op[1], op[2], op[3])] = 1
-            elif kind == "remove_edge":
-                net[(op[1], op[2], op[3])] = -1
-            elif kind not in ("add_user", "update_user", "remove_user"):
-                return False
-        vertex_of = self._vertex_map()
-        node_index = snapshot.node_index
-        label_index = snapshot.label_index
-        removed_keys: List[Tuple[int, int, int]] = []
-        removed_vertices: List[int] = []
-        pending_adds: List[Tuple[Any, Any, str]] = []
-        for (source, target, label), effect in net.items():
-            if effect == 1:
-                pending_adds.append((source, target, label))
-                continue
-            source_idx = node_index.get(source)
-            target_idx = node_index.get(target)
-            label_id = label_index.get(label)
-            if source_idx is None or target_idx is None or label_id is None:
-                continue  # edge born and gone within the burst
-            key = (source_idx, target_idx, label_id)
-            vertex = vertex_of.get(key)
-            if vertex is None:
-                continue  # added earlier in the same burst: never indexed
-            removed_keys.append(key)
-            removed_vertices.append(vertex)
-        per_edge = 2 if self.include_reverse else 1
-        comp_of = self.comp_of
-        dirty_comps: Set[int] = set()
-        for vertex in removed_vertices:
-            dirty_comps.add(comp_of[vertex])
-            if self.include_reverse:
-                dirty_comps.add(comp_of[vertex + 1])
-        touched = sum(self.comp_sizes[comp] for comp in dirty_comps)
-        touched += per_edge * len(pending_adds)
-        if touched > max(1, self.count) * REFRESH_REBUILD_FRACTION:
-            return False
-        # Patch the (pinned) snapshot in place.  The pin exists so nobody
-        # patches it *under* the index; the refresh is the one controlled
-        # transition where index and snapshot move together, so lifting the
-        # pin for its duration is sound.
-        was_pinned = snapshot._pinned
-        snapshot._pinned = False
-        try:
-            patched = snapshot.apply_deltas(ops)
-        finally:
-            snapshot._pinned = was_pinned
-        if not patched:
-            return False  # caller rebuilds on a freshly compiled snapshot
-        # Resolve additions post-patch (new users/labels are interned now).
-        node_index = snapshot.node_index
-        label_index = snapshot.label_index
-        resolved_adds: List[Tuple[int, int, int]] = []
-        for source, target, label in pending_adds:
-            source_idx = node_index.get(source)
-            target_idx = node_index.get(target)
-            label_id = label_index.get(label)
-            if source_idx is None or target_idx is None or label_id is None:
-                return False  # journal out of sync with the graph
-            resolved_adds.append((source_idx, target_idx, label_id))
-        # Tombstone removed line vertices before the membership checks below
-        # so a re-added edge at a reused node slot lands on a fresh vertex.
-        dead = self._dead_vertices
-        for key, vertex in zip(removed_keys, removed_vertices):
-            del vertex_of[key]
-            dead.add(vertex)
-            if self.include_reverse:
-                dead.add(vertex + 1)
-        for key in resolved_adds:
-            if key in vertex_of:
-                continue  # removed and re-added within the burst: still indexed
-            source_idx, target_idx, label_id = key
-            vertex = len(self.starts)
-            vertex_of[key] = vertex
-            self.starts.append(source_idx)
-            self.ends.append(target_idx)
-            self.label_ids.append(label_id)
-            self.dirs.append(FORWARD_BYTE)
-            if self.include_reverse:
-                self.starts.append(target_idx)
-                self.ends.append(source_idx)
-                self.label_ids.append(label_id)
-                self.dirs.append(REVERSE_BYTE)
-        count = len(self.starts)
-        self.count = count
-        live = [vertex for vertex in range(count) if vertex not in dead]
-        node_count = snapshot.number_of_nodes()
-        starts = self.starts
-        ends = self.ends
-        self.start_offsets, self.start_vertices = build_csr(
-            [(starts[vertex], vertex) for vertex in live], node_count
-        )
-        end_offsets, end_vertices = build_csr(
-            [(ends[vertex], vertex) for vertex in live], node_count
-        )
-        # Contracted condensation: intact old components collapse to one
-        # supernode each; survivors of dirty components and new vertices are
-        # free agents with their own node.
-        old_count = len(comp_of)
-        contracted_of = array("l", [-1]) * count
-        intact_id: Dict[int, int] = {}
-        next_id = 0
-        agents: List[int] = []
-        for vertex in live:
-            if vertex < old_count:
-                comp = comp_of[vertex]
-                if comp >= 0 and comp not in dirty_comps:
-                    contracted = intact_id.get(comp)
-                    if contracted is None:
-                        contracted = intact_id[comp] = next_id
-                        next_id += 1
-                    contracted_of[vertex] = contracted
-                    continue
-            agents.append(vertex)
-        for vertex in agents:
-            contracted_of[vertex] = next_id
-            next_id += 1
-        contracted_count = next_id
-        # Edges: intact<->intact pairs survive from the stored condensation
-        # (they can only change when an endpoint vertex is removed, which
-        # dirties its component); everything incident to an agent is scanned
-        # through the rebuilt CSRs.
-        old_comp_count = self.comp_count
-        packed_edges: Set[int] = set()
-        for packed in self._dag_edges:
-            source_comp, target_comp = divmod(packed, old_comp_count)
-            source_cid = intact_id.get(source_comp)
-            target_cid = intact_id.get(target_comp)
-            if source_cid is not None and target_cid is not None:
-                packed_edges.add(source_cid * contracted_count + target_cid)
-        start_offsets = self.start_offsets
-        start_vertices = self.start_vertices
-        for agent in agents:
-            agent_cid = contracted_of[agent]
-            head = ends[agent]
-            for cursor in range(start_offsets[head], start_offsets[head + 1]):
-                succ_cid = contracted_of[start_vertices[cursor]]
-                if succ_cid != agent_cid:
-                    packed_edges.add(agent_cid * contracted_count + succ_cid)
-            tail = starts[agent]
-            for cursor in range(end_offsets[tail], end_offsets[tail + 1]):
-                pred_cid = contracted_of[end_vertices[cursor]]
-                if pred_cid != agent_cid:
-                    packed_edges.add(pred_cid * contracted_count + agent_cid)
-        contracted_offsets, contracted_targets = build_csr(
-            [divmod(edge, contracted_count) for edge in packed_edges],
-            contracted_count,
-        )
-        contracted_comp, comp_count = tarjan_scc_dense(
-            contracted_count, contracted_offsets, contracted_targets
-        )
-        new_comp_of = array("l", [-1]) * count
-        for vertex in live:
-            new_comp_of[vertex] = contracted_comp[contracted_of[vertex]]
-        comp_sizes = [0] * comp_count
-        for comp, contracted in intact_id.items():
-            comp_sizes[contracted_comp[contracted]] += self.comp_sizes[comp]
-        for vertex in agents:
-            comp_sizes[contracted_comp[contracted_of[vertex]]] += 1
-        dag_edges: Set[int] = set()
-        for packed in packed_edges:
-            source_cid, target_cid = divmod(packed, contracted_count)
-            source_comp = contracted_comp[source_cid]
-            target_comp = contracted_comp[target_cid]
-            if source_comp != target_comp:
-                dag_edges.add(source_comp * comp_count + target_comp)
-        dag_offsets, dag_targets = build_csr(
-            [divmod(edge, comp_count) for edge in dag_edges], comp_count
-        )
-        # The contracted Tarjan numbers final components in reverse
-        # topological order just like the dense pass, so descending ids
-        # remain a valid topological order for the cover recursion.
-        topo = range(comp_count - 1, -1, -1)
-        lin, lout, centers = two_hop_cover_dense(comp_count, dag_offsets, dag_targets, topo)
-        self.comp_of = new_comp_of
-        self.comp_count = comp_count
-        self.comp_sizes = comp_sizes
-        self._dag_edges = dag_edges
-        self.centers = centers
-        self.comp_lin = [
-            frozenset(lin[comp] | {comp}) if comp_sizes[comp] > 1 else frozenset(lin[comp])
-            for comp in range(comp_count)
-        ]
-        self.comp_lout = [
-            frozenset(lout[comp] | {comp}) if comp_sizes[comp] > 1 else frozenset(lout[comp])
-            for comp in range(comp_count)
-        ]
-        self._rep_names = None
-        # Re-seed the derived cache: the structural sweep inside the patch
-        # dropped every cached line index, but this one is current again.
-        snapshot.derived[("line-index", self.include_reverse)] = self
-        self.refresh_seconds = time.perf_counter() - started
-        self.refreshes += 1
-        return True
 
     # ------------------------------------------------------------- queries
 
@@ -652,26 +378,17 @@ class InternedLineIndex:
         return not self.comp_lout[first_comp].isdisjoint(self.comp_lin[second_comp])
 
     def number_of_line_edges(self) -> int:
-        """Return the (implicit) line-graph edge count over live vertices."""
+        """Return the (implicit) line-graph edge count."""
         start_offsets = self.start_offsets
-        ends = self.ends
-        comp_of = self.comp_of
         return sum(
-            start_offsets[ends[vertex] + 1] - start_offsets[ends[vertex]]
-            for vertex in range(self.count)
-            if comp_of[vertex] >= 0
+            start_offsets[end + 1] - start_offsets[end] for end in self.ends
         )
 
     def labeling_size(self) -> int:
         """Return ``sum |Lin(v)| + |Lout(v)|`` over line vertices (Definition 5)."""
-        comp_of = self.comp_of
         comp_lin = self.comp_lin
         comp_lout = self.comp_lout
-        return sum(
-            len(comp_lin[comp_of[vertex]]) + len(comp_lout[comp_of[vertex]])
-            for vertex in range(self.count)
-            if comp_of[vertex] >= 0
-        )
+        return sum(len(comp_lin[comp]) + len(comp_lout[comp]) for comp in self.comp_of)
 
     # ------------------------------------------------------------- decoding
 
@@ -703,10 +420,7 @@ class InternedLineIndex:
         """
         if self._rep_names is None:
             reps: List[Optional[str]] = [None] * self.comp_count
-            for vertex in range(self.count):
-                comp = self.comp_of[vertex]
-                if comp < 0:
-                    continue
+            for vertex, comp in enumerate(self.comp_of):
                 vertex_id = self.vertex_id(vertex)
                 current = reps[comp]
                 if current is None or vertex_id < current:
@@ -718,12 +432,10 @@ class InternedLineIndex:
         """Return build-time and size metrics for the index benchmarks."""
         return {
             "build_seconds": self.build_seconds,
-            "refresh_seconds": self.refresh_seconds,
-            "refreshes": float(self.refreshes),
             "index_entries": float(self.labeling_size()),
             "centers": float(len(self.centers)),
             "components": float(self.comp_count),
-            "line_vertices": float(self.count - len(self._dead_vertices)),
+            "line_vertices": float(self.count),
             "line_edges": float(self.number_of_line_edges()),
         }
 

@@ -54,7 +54,12 @@ from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine, available_backends
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.guard import QueryGuard
-from repro.service.planner import _RATE_BUCKETS, INDEX_BACKENDS, QueryPlanner
+from repro.service.planner import (
+    _RATE_BUCKETS,
+    INDEX_BACKENDS,
+    PRICED_BACKENDS,
+    QueryPlanner,
+)
 from repro.sharding.router import ShardRouter
 from repro.sharding.shard import ShardedGraph
 from repro.service.queries import (
@@ -88,9 +93,11 @@ class GraphService:
         The :class:`PolicyStore` access checks evaluate against (a fresh
         empty store by default).
     backends:
-        The backend names the planner may choose among (default: every
-        registered backend).  Pinning a query to a backend outside this set
-        raises :class:`UnknownBackendError`.
+        The backend names queries may run on (default: every registered
+        backend).  Auto-selection prices ``bfs`` against
+        ``transitive-closure`` among them; every other name runs only when
+        pinned.  Pinning a query to a backend outside this set raises
+        :class:`UnknownBackendError`.
     default_backend:
         A service-wide pin: every query without its own ``backend=`` runs
         there.  ``None`` / ``"auto"`` (the default) enables per-query
@@ -118,10 +125,13 @@ class GraphService:
         unguarded — the hot loops pay a single context-variable read.
     breakers:
         Per-backend :class:`~repro.reliability.breaker.CircuitBreaker`
-        overrides for index maintenance.  By default every index backend in
-        ``backends`` gets one: repeated build/refresh failures price the
-        backend out of auto-planning (queries reroute to a walking backend)
-        until a half-open probe succeeds.  Pass ``{}`` to disable breakers.
+        overrides for index maintenance.  By default only the index backend
+        auto-selection can choose (``transitive-closure``, when configured)
+        gets one: repeated build failures price it out of auto-planning
+        (queries reroute to a walking backend) until a half-open probe
+        succeeds.  A pin-only index such as ``cluster-index`` gets none: a
+        pinned query whose build fails sees the evaluator's own error.  Pass
+        ``{}`` to disable breakers.
     shards:
         ``> 1`` makes ``"sharded"`` a valid backend pin (per query, or
         service-wide through ``default_backend``): a pinned query runs on
@@ -182,22 +192,23 @@ class GraphService:
         self._default_pin = self._normalize_pin(default_backend)
         self._cache_size = cache_size
         self.query_guard = query_guard
-        #: One breaker per index backend (walking backends never need one:
-        #: they have no maintenance step that can fail).
+        #: One breaker per index backend auto-selection can choose (walking
+        #: backends have no maintenance step that can fail, and a pin has
+        #: nothing to reroute to).
         self.breakers: Dict[str, CircuitBreaker] = (
             dict(breakers)
             if breakers is not None
             else {
                 name: CircuitBreaker()
                 for name in self._backends
-                if name in INDEX_BACKENDS
+                if name in INDEX_BACKENDS and name in PRICED_BACKENDS
             }
         )
         #: Degradation observability (all surfaced by :meth:`statistics`).
         self.queries_degraded = 0
         self.queries_rerouted = 0
         self.checkpoint_failures = 0
-        self.planner = QueryPlanner(backend_options=self._backend_options)
+        self.planner = QueryPlanner()
         self._engines: Dict[str, ReachabilityEngine] = {}
         self._access_engines: Dict[str, AccessControlEngine] = {}
         self._built_epoch: Dict[str, int] = {}
@@ -278,18 +289,13 @@ class GraphService:
             self._engines[backend] = engine
             self._built_epoch[backend] = epoch
         elif backend in INDEX_BACKENDS and self._built_epoch.get(backend) != epoch:
-            # The cluster evaluator absorbs the journal gap through its
-            # bounded in-place re-condensation when it can, and falls back
-            # to build() itself when it cannot; the closure only rebuilds.
-            evaluator = engine.evaluator
-            self._maintain_index(
-                backend, getattr(evaluator, "refresh", evaluator.build)
-            )
+            # A stale index rebuilds on the current snapshot.
+            self._maintain_index(backend, engine.evaluator.build)
             self._built_epoch[backend] = epoch
         return engine
 
     def _maintain_index(self, backend: str, action):
-        """Run one build/refresh under the backend's circuit breaker.
+        """Run one index build under the backend's circuit breaker.
 
         Records success (with duration, so a configured slow threshold can
         count a crawling build against the backend) or failure; the
@@ -330,7 +336,7 @@ class GraphService:
 
     @property
     def backends(self) -> Tuple[str, ...]:
-        """The backend names the planner may choose among."""
+        """The backend names queries may run on (auto or pinned)."""
         return self._backends
 
     def _freshness(self) -> Dict[str, bool]:
@@ -338,7 +344,7 @@ class GraphService:
         epoch = self.graph.epoch
         return {
             # Online walks compile the snapshot lazily; an index is fresh when
-            # it was built (or refreshed) at this epoch.
+            # it was built at this epoch.
             name: name not in INDEX_BACKENDS or self._built_epoch.get(name) == epoch
             for name in self._backends
         }
@@ -473,16 +479,6 @@ class GraphService:
         if (int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0) != before:
             self._plan_generation += 1  # the planner prices the bucket
 
-    def _refresh_ops(self) -> Optional[int]:
-        """Journal length between the cluster index's last (re)build and now.
-
-        ``None`` when the index was never built or the compacting journal no
-        longer covers the gap — both price as a full build in the planner.
-        """
-        built = self._built_epoch.get("cluster-index")
-        ops = None if built is None else self.graph.mutations_since(built)
-        return None if ops is None else len(ops)
-
     # ------------------------------------------------------------ execution
 
     def execute(
@@ -542,7 +538,6 @@ class GraphService:
                     return entry.engine, entry.plan
             pricing.update(
                 unreachable_rate=min(map(self._unreachable_rate, texts), default=0.0),
-                refresh_ops=self._refresh_ops(),
                 vetoed=self._vetoed(),
             )
         plan = plan_for(
@@ -560,7 +555,7 @@ class GraphService:
                 access_engine if access else engine,
                 replace(plan, route="sharded"),
             )
-        # Acquisition may build or refresh an index and runs here, *outside*
+        # Acquisition may build an index and runs here, *outside*
         # the caller's guard scope: the per-query budget bounds the query's
         # own traversal, not an index build it happens to trigger (the
         # breaker owns build pathology).

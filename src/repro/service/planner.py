@@ -12,12 +12,11 @@ interpreter work), the same currency :func:`~repro.reachability.
 compiled_search.plan_audience_sweep` uses, so direction and backend
 estimates compose:
 
-* **Online walks** (``bfs`` / ``dfs``) cost the geometric frontier estimate
-  over the snapshot's per-label :meth:`~repro.graph.compiled.CompiledGraph.
+* **The online walk** (``bfs``) costs the geometric frontier estimate over
+  the snapshot's per-label :meth:`~repro.graph.compiled.CompiledGraph.
   degree_statistics` — every depth level of every step multiplies the
   frontier by the label's mean degree (per allowed orientation), saturating
-  at ``|V|``.  The two online backends answer identically; ``bfs`` is
-  preferred on ties because its witnesses are shortest.
+  at ``|V|``.
 * **``transitive-closure``** puts an O(1) closure probe in front of the
   same walk: a query whose target is not forward-reachable *at all* is
   denied without any traversal.  How often that fires is not a property of
@@ -28,27 +27,21 @@ estimates compose:
   closure's per-query estimate undercuts the walk, on grant-heavy streams
   it never does.  What keeps it from being chosen casually is its build
   estimate (``|V|`` sweeps per label filter).
-* **``cluster-index``** is priced at a *multiple* of the walk plus fixed
-  and per-line-query overheads.  That is the measured reality of this
-  codebase (PERF-1: the compiled product walk beats the index on point
-  queries at every size — the interned index's PERF-6 win is over the
-  *string* pipeline), so auto-selection never routes point queries to it;
-  it stays fully available as a pin.  Its availability rules (expansion
-  limit, reverse orientation) are tracked on the estimate table — they
-  exclude it from *auto*-selection, while a pinned plan still runs and
-  surfaces the evaluator's own error at execution time, exactly as a
-  directly-constructed evaluator would.
+
+These two are the only priced rows (:data:`PRICED_BACKENDS`).  Every other
+backend name — ``dfs``, ``cluster-index``, ``sharded``, any registered
+extra — is a **pin**: no measurement has one of them ahead of the walk on
+any query shape (PERF-1, PERF-10), so auto-selection never considers them,
+and a pinned query runs where it was pinned.  A service configured without
+``bfs`` has nothing to price; auto then runs its first backend, the same
+rule the sweep-shaped plans and expression-free checks use.
 
 **Index-build amortization.**  A build estimate is charged over the
 service's *stability* — the number of queries answered since the last graph
 mutation.  While writes keep arriving, ``build / stability`` stays huge and
 the planner stays online; once the graph settles and a stream of queries
-accrues, the charge melts until an index flips to cheapest, the service
-builds it once, and every later query rides it for free.  A cluster index
-that has been built before is cheaper to bring back: the caller passes the
-journal length since its snapshot epoch (``refresh_ops``) and the charge
-becomes the bounded incremental-refresh estimate (fixed + per-op), capped
-by the full build for bursts the evaluator would rebuild on anyway.  Each cached plan
+accrues, the charge melts until the closure flips to cheapest, the service
+builds it once, and every later query rides it for free.  Each cached plan
 records the stability at which this flip becomes possible
 (``revisit_at``), so the warm path re-plans exactly when the answer could
 change and not before.
@@ -71,7 +64,6 @@ from repro.exceptions import UnknownBackendError
 from repro.graph.compiled import CompiledGraph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
-from repro.reachability.query import DEFAULT_EXPANSION_LIMIT
 
 __all__ = ["BackendEstimate", "ExecutionPlan", "QueryPlanner"]
 
@@ -79,29 +71,30 @@ __all__ = ["BackendEstimate", "ExecutionPlan", "QueryPlanner"]
 #: mutation; the service rebuilds them before routing a query their way.
 INDEX_BACKENDS = frozenset({"transitive-closure", "cluster-index"})
 
+#: The backends auto-selection prices against each other; every other name
+#: is a pin (see the module docstring).
+PRICED_BACKENDS = ("bfs", "transitive-closure")
+
 # Calibration constants, in explored-work units (~one CSR edge expansion).
 # They only need to be right relative to each other; PERF-10's mixed-stream
 # scenario is the regression harness for the flip behaviour they induce.
 _ONLINE_FIXED = 8.0          # per-query setup of the compiled product walk
-_DFS_TIEBREAK = 1.05         # same asymptotics; bfs preferred (shortest witness)
 _TC_PRUNE_FIXED = 4.0        # O(1) closure probe in front of the walk
 _TC_PRUNABLE_SHARE = 0.75    # share of observed denials the closure can prune
                              # (forward-only: a constrained denial is usually a
                              # path denial; mixed directions prune ~never)
 _TC_MIXED_SHARE = 0.0        # the undirected closure prunes ~nothing on
                              # connected graphs: no discount at all
-_CLUSTER_FIXED = 24.0        # expansion + hop-spec setup per query
-_CLUSTER_PER_LINE_QUERY = 6.0
-_CLUSTER_WALK_FACTOR = 4.0   # measured: interned matching trails the compiled
-                             # product walk on point queries (PERF-1)
-_CLUSTER_BUILD_UNIT = 8.0    # per line vertex (Tarjan + 2-hop + tables)
-_CLUSTER_REFRESH_FIXED = 256.0  # snapshot delta patch + contracted-pass setup
-_CLUSTER_REFRESH_UNIT = 16.0    # per journaled op the bounded refresh absorbs
 _TC_BUILD_UNIT = 0.25        # per (node x label-filter x (node + edge)); low
                              # because the geometric walk model underestimates
                              # real exploration on scale-free graphs, and the
                              # two must flip at a realistic stability
 _RATE_BUCKETS = 8            # unreachable-rate resolution of point plans
+
+
+def _default_backend(backends: Sequence[str]) -> str:
+    """The unpriced auto choice: ``bfs`` when configured, else the first backend."""
+    return "bfs" if "bfs" in backends else backends[0]
 
 
 @dataclass(frozen=True)
@@ -130,8 +123,10 @@ class ExecutionPlan:
     the query or the service) chose it.  ``direction`` is the *requested*
     audience-sweep direction (the executed
     :class:`~repro.reachability.compiled_search.SweepPlan` travels on the
-    result next to this plan).  ``estimates`` holds the full per-backend
-    cost table so benchmarks can grade the heuristic after the fact.
+    result next to this plan).  ``estimates`` holds the cost rows of the
+    configured :data:`PRICED_BACKENDS` so benchmarks can grade the
+    heuristic after the fact; it is empty when nothing was priced (sweep
+    shapes, expression-free checks, services without ``bfs``).
     """
 
     kind: str
@@ -168,18 +163,7 @@ class _CachedPlan:
 class QueryPlanner:
     """Chooses a backend (and carries the direction pin) for every query."""
 
-    def __init__(
-        self,
-        *,
-        backend_options: Optional[Mapping[str, Mapping[str, object]]] = None,
-        cache_size: int = 1024,
-    ) -> None:
-        # The cluster backend's availability depends on two of its options.
-        cluster_options = dict((backend_options or {}).get("cluster-index", {}))
-        self._expansion_limit = cluster_options.get(
-            "expansion_limit", DEFAULT_EXPANSION_LIMIT
-        )
-        self._cluster_reverse = bool(cluster_options.get("include_reverse", True))
+    def __init__(self, *, cache_size: int = 1024) -> None:
         self._cache: "OrderedDict[Tuple, _CachedPlan]" = OrderedDict()
         self._cache_size = max(0, cache_size)
         #: Planner observability: how many plans were computed vs served
@@ -228,11 +212,6 @@ class QueryPlanner:
                 break
         return cost
 
-    def _cluster_build_cost(self, snapshot: CompiledGraph) -> float:
-        edges = sum(row.edges for row in snapshot.degree_statistics())
-        line_vertices = edges * (2 if self._cluster_reverse else 1)
-        return _CLUSTER_BUILD_UNIT * (snapshot.number_of_live_nodes() + line_vertices)
-
     def _tc_build_cost(self, snapshot: CompiledGraph) -> float:
         nodes = snapshot.number_of_live_nodes()
         edges = sum(row.edges for row in snapshot.degree_statistics())
@@ -243,11 +222,10 @@ class QueryPlanner:
         self,
         snapshot: CompiledGraph,
         expression: PathExpression,
-        backends: Sequence[str],
+        priced: Sequence[str],
         fresh: Mapping[str, bool],
         stability: int,
         unreachable_rate: float,
-        refresh_ops: Optional[int],
     ) -> Tuple[BackendEstimate, ...]:
         walk = self._walk_cost(snapshot, expression)
         amortize_over = float(max(1, stability))
@@ -257,16 +235,12 @@ class QueryPlanner:
         prunable_share = _TC_PRUNABLE_SHARE if forward_only else _TC_MIXED_SHARE
         prunable = max(0.0, min(1.0, unreachable_rate)) * prunable_share
         estimates = []
-        for name in backends:
+        for name in priced:
             build = 0.0
-            available = True
             note = ""
             if name == "bfs":
                 query = _ONLINE_FIXED + walk
-            elif name == "dfs":
-                query = (_ONLINE_FIXED + walk) * _DFS_TIEBREAK
-                note = "same walk as bfs; bfs preferred for shortest witnesses"
-            elif name == "transitive-closure":
+            else:  # transitive-closure
                 query = _ONLINE_FIXED + _TC_PRUNE_FIXED + (1.0 - prunable) * walk
                 if prunable:
                     note = (
@@ -275,47 +249,6 @@ class QueryPlanner:
                     )
                 if not fresh.get(name, False):
                     build = self._tc_build_cost(snapshot)
-            elif name == "cluster-index":
-                expansions = expression.expansion_count()
-                if expansions > self._expansion_limit:
-                    available = False
-                    note = f"expansion count {expansions} above the index limit"
-                    query = inf
-                elif not self._cluster_reverse and any(
-                    step.direction is not Direction.OUTGOING for step in expression
-                ):
-                    available = False
-                    note = "index built without reverse line vertices"
-                    query = inf
-                else:
-                    query = (
-                        _CLUSTER_FIXED
-                        + _CLUSTER_PER_LINE_QUERY * expansions
-                        + _CLUSTER_WALK_FACTOR * walk
-                    )
-                if available and not fresh.get(name, False):
-                    build = self._cluster_build_cost(snapshot)
-                    if refresh_ops is not None:
-                        # A previously built index can absorb the journal gap
-                        # through the bounded in-place re-condensation, which
-                        # scales with the burst instead of the line graph; the
-                        # evaluator still rebuilds past its touched-fraction
-                        # threshold, so the full build stays the ceiling.
-                        refresh = (
-                            _CLUSTER_REFRESH_FIXED
-                            + _CLUSTER_REFRESH_UNIT * refresh_ops
-                        )
-                        if refresh < build:
-                            build = refresh
-                            note = (
-                                f"incremental refresh priced over {refresh_ops} "
-                                "journaled ops"
-                            )
-            else:
-                # Unknown names are planned pessimistically rather than
-                # rejected: the registry is extensible.
-                query = _ONLINE_FIXED + walk
-                note = "unknown backend: assumed online-walk cost"
             charge = build / amortize_over if build else 0.0
             estimates.append(
                 BackendEstimate(
@@ -324,7 +257,6 @@ class QueryPlanner:
                     build_cost=build,
                     build_charge=charge,
                     total=query + charge,
-                    available=available,
                     note=note,
                 )
             )
@@ -390,7 +322,6 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str] = None,
         unreachable_rate: float = 0.0,
-        refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
     ) -> ExecutionPlan:
         """Plan one point reachability query (also the access-check unit).
@@ -398,18 +329,14 @@ class QueryPlanner:
         ``unreachable_rate`` is the caller's observed share of queries on
         this expression that came back unreachable — the feedback signal the
         transitive-closure prune estimate scales with (``0.0``, the default,
-        prices the closure as pure overhead).  ``refresh_ops`` is the number
-        of journaled mutations a stale cluster index could absorb through
-        its bounded incremental refresh; ``None`` (no index built yet, or
-        the journal no longer covers the gap) prices a full build.
-        ``vetoed`` backends (typically: index backends whose circuit breaker
+        prices the closure as pure overhead).  ``vetoed`` backends (typically: index backends whose circuit breaker
         is open) are priced out of *auto*-selection — marked
         ``available=False`` in the estimate table — while a pin still routes
         to them and surfaces the failure at execution time.
         """
         return self._plan_costed(
             "reach", snapshot, (expression,), backends, fresh, stability, pinned,
-            unreachable_rate, refresh_ops, vetoed,
+            unreachable_rate, vetoed,
         )
 
     def plan_access(
@@ -422,13 +349,12 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str] = None,
         unreachable_rate: float = 0.0,
-        refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
     ) -> ExecutionPlan:
         """Plan one access check: every rule condition is a reach query."""
         return self._plan_costed(
             "access", snapshot, tuple(expressions), backends, fresh, stability,
-            pinned, unreachable_rate, refresh_ops, vetoed,
+            pinned, unreachable_rate, vetoed,
         )
 
     def _plan_costed(
@@ -441,49 +367,37 @@ class QueryPlanner:
         stability: int,
         pinned: Optional[str],
         unreachable_rate: float = 0.0,
-        refresh_ops: Optional[int] = None,
         vetoed: AbstractSet[str] = frozenset(),
     ) -> ExecutionPlan:
         epoch = snapshot.epoch
         # Bucketed so a drifting observed rate re-plans a handful of times
         # per expression, not once per query.
         rate_bucket = int(max(0.0, min(1.0, unreachable_rate)) * _RATE_BUCKETS)
-        # Log-bucketed: the refresh charge only needs order-of-magnitude
-        # resolution, and journal growth must not re-plan per mutation.
-        refresh_bucket = -1 if refresh_ops is None else refresh_ops.bit_length()
         key = (kind, tuple(expression.to_text() for expression in expressions), pinned)
         inputs = (
             epoch,
             tuple(backends),
             tuple(sorted(name for name, is_fresh in fresh.items() if is_fresh)),
             rate_bucket,
-            refresh_bucket,
             tuple(sorted(vetoed)),
         )
         cached = self._cached(key, inputs, stability)
         if cached is not None:
             return cached
         self.plans_computed += 1
-        if not expressions:
-            # Nothing to evaluate (e.g. a resource with no rules): any
-            # backend answers from policy alone; prefer the online default.
-            chosen_name = pinned or ("bfs" if "bfs" in backends else backends[0])
-            plan = ExecutionPlan(
-                kind=kind,
-                backend=chosen_name,
-                backend_forced=pinned is not None,
-                epoch=epoch,
-                stability=stability,
-                reason="no path expressions to evaluate",
-            )
-            self._remember(key, plan, inf, inputs)
-            return plan
+        # The closure is priced against the walk; without the walk there is
+        # nothing to price it against.
+        priced = (
+            [name for name in PRICED_BACKENDS if name in backends]
+            if "bfs" in backends
+            else []
+        )
         # Sum the per-expression tables into one per-backend table.
         summed: Dict[str, BackendEstimate] = {}
         for expression in expressions:
             for estimate in self._reach_estimates(
-                snapshot, expression, backends, fresh, stability,
-                rate_bucket / _RATE_BUCKETS, refresh_ops,
+                snapshot, expression, priced, fresh, stability,
+                rate_bucket / _RATE_BUCKETS,
             ):
                 previous = summed.get(estimate.backend)
                 if previous is None:
@@ -498,54 +412,55 @@ class QueryPlanner:
                         total=previous.query_cost
                         + estimate.query_cost
                         + max(previous.build_charge, estimate.build_charge),
-                        available=previous.available and estimate.available,
                         note=previous.note or estimate.note,
                     )
-        estimates = tuple(summed[name] for name in backends if name in summed)
-        if vetoed:
-            # A vetoed backend keeps its cost row (benchmarks grade the
-            # heuristic from the table) but cannot win auto-selection.
-            estimates = tuple(
-                replace(estimate, available=False, note="circuit breaker open")
-                if estimate.backend in vetoed and estimate.available
-                else estimate
-                for estimate in estimates
-            )
-        if pinned is not None:
-            plan = ExecutionPlan(
-                kind=kind,
-                backend=pinned,
-                backend_forced=True,
-                epoch=epoch,
-                stability=stability,
-                estimates=estimates,
-                reason=f"backend pinned to {pinned!r} by the caller",
-            )
-            # A pinned plan never flips; cache until the epoch moves.
-            self._remember(key, plan, inf, inputs)
-            return plan
-        viable = [estimate for estimate in estimates if estimate.available]
-        if not viable:
-            raise UnknownBackendError("<none viable>", sorted(backends))
-        chosen = min(viable, key=lambda estimate: estimate.total)
-        reason = (
-            f"{chosen.backend} estimated cheapest at {chosen.total:.0f} units"
-            + (
-                f" (incl. build amortized over {max(1, stability)} stable queries)"
-                if chosen.build_charge
-                else ""
-            )
+        # A vetoed backend keeps its cost row (benchmarks grade the
+        # heuristic from the table) but cannot win auto-selection.
+        estimates = tuple(
+            replace(estimate, available=False, note="circuit breaker open")
+            if estimate.backend in vetoed
+            else estimate
+            for estimate in summed.values()
         )
+        # Pinned and unpriced plans never flip; they stay until the epoch moves.
+        revisit_at = inf
+        if pinned is not None:
+            backend = pinned
+            reason = f"backend pinned to {pinned!r} by the caller"
+        elif not estimates:
+            # Nothing to evaluate (e.g. a resource with no rules: any backend
+            # answers from policy alone), or nothing to price.
+            backend = _default_backend(backends)
+            reason = (
+                "no path expressions to evaluate"
+                if not expressions
+                else f"{backend} runs unpriced: bfs is not configured"
+            )
+        else:
+            viable = [estimate for estimate in estimates if estimate.available]
+            if not viable:
+                raise UnknownBackendError("<none viable>", sorted(backends))
+            chosen = min(viable, key=lambda estimate: estimate.total)
+            backend = chosen.backend
+            reason = (
+                f"{backend} estimated cheapest at {chosen.total:.0f} units"
+                + (
+                    f" (incl. build amortized over {max(1, stability)} stable queries)"
+                    if chosen.build_charge
+                    else ""
+                )
+            )
+            revisit_at = self._revisit_at(viable, chosen)
         plan = ExecutionPlan(
             kind=kind,
-            backend=chosen.backend,
-            backend_forced=False,
+            backend=backend,
+            backend_forced=pinned is not None,
             epoch=epoch,
             stability=stability,
             estimates=estimates,
             reason=reason,
         )
-        self._remember(key, plan, self._revisit_at(viable, chosen), inputs)
+        self._remember(key, plan, revisit_at, inputs)
         return plan
 
     def plan_audience(
@@ -604,7 +519,7 @@ class QueryPlanner:
             backend = pinned
             reason = f"backend pinned to {pinned!r} by the caller"
         else:
-            backend = "bfs" if "bfs" in backends else backends[0]
+            backend = _default_backend(backends)
             reason = auto_reason.format(backend=backend)
         plan = ExecutionPlan(
             kind=kind,

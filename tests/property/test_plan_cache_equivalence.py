@@ -77,23 +77,19 @@ def _churn(graph, rng, count):
 
 
 def _break(service):
-    """Make every later build or refresh of the closure raise."""
+    """Make every later build of the closure raise."""
     evaluator = service.engine("transitive-closure").evaluator
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic maintenance failure")
 
-    evaluator.saved = (evaluator.build, getattr(evaluator, "refresh", None))
+    evaluator.saved = evaluator.build
     evaluator.build = boom
-    if evaluator.saved[1] is not None:
-        evaluator.refresh = boom
 
 
 def _fix(service):
     evaluator = service._engines["transitive-closure"].evaluator
-    evaluator.build, refresh = evaluator.saved
-    if refresh is not None:
-        evaluator.refresh = refresh
+    evaluator.build = evaluator.saved
 
 
 def _stream(graph, store, rng):
@@ -133,7 +129,7 @@ def _stream(graph, store, rng):
     yield from point_queries(20)
     yield from denial_tail(300)
     yield ("break",)
-    yield ("churn", 1)  # stales the closure: its next refresh fails
+    yield ("churn", 1)  # stales the closure: its next rebuild fails
     yield from denial_tail(400)
     yield ("clock",)  # half-open: the next closure plan is the probe, and fails
     yield from denial_tail(100)

@@ -1,12 +1,15 @@
-"""Bounded incremental re-condensation of the interned cluster index.
+"""Bringing a stale interned cluster index up to date: a rebuild.
 
-Differential property harness: after a journaled churn burst,
-``InternedLineIndex.refresh_from_ops`` must leave the index
-indistinguishable from one built fresh over the final graph — the full
-live-vertex reachability matrix, the Definition-5 labeling size, the line
-edge count and the per-component representatives all have to agree.  The
-evaluator-level tests then check ``ClusterIndexEvaluator.refresh()`` mode
-selection and that refreshed query answers agree with every other backend.
+The index is never maintained in place.  Differential property harness:
+after a churn burst, the index rebuilt over the graph's current compiled
+snapshot — pinned away, or delta-patched in place with tombstoned and
+reused slots — must be indistinguishable from one built fresh over a clean
+copy of the final graph: the full reachability matrix, the Definition-5
+labeling size, the line edge count and the per-component representatives
+all have to agree.  The index it replaces keeps answering from its pinned
+build-time snapshot.  The evaluator-level tests check that only
+``ClusterIndexEvaluator.build()`` moves a held evaluator on, and that the
+rebuilt answers agree with every other backend.
 """
 
 from __future__ import annotations
@@ -20,14 +23,10 @@ from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.interned import (
-    REFRESH_REBUILD_FRACTION,
-    InternedLineIndex,
-    interned_line_index,
-)
+from repro.reachability.interned import InternedLineIndex, interned_line_index
 
 LABELS = ["friend", "follows", "coworker"]
-REFRESH_SEEDS = range(120)
+REBUILD_SEEDS = range(120)
 
 
 def sparse_graph(seed, users=30, edges=34):
@@ -91,149 +90,152 @@ def fresh_copy(graph, names, edges):
     return out
 
 
+def fresh_index(graph, names, edges, include_reverse):
+    return InternedLineIndex(
+        compile_graph(fresh_copy(graph, names, edges)), include_reverse=include_reverse
+    )
+
+
 def reach_matrix(index):
-    """Full reachability matrix over live vertices, keyed by decoded ids."""
-    live = [v for v in range(index.count) if index.comp_of[v] >= 0]
-    ids = {v: index.vertex_id(v) for v in live}
-    return {(ids[a], ids[b]): index.reaches(a, b) for a in live for b in live}
+    """Full reachability matrix over the line vertices, keyed by decoded ids."""
+    ids = {v: index.vertex_id(v) for v in range(index.count)}
+    return {(ids[a], ids[b]): index.reaches(a, b) for a in ids for b in ids}
 
 
-def assert_indexes_equivalent(refreshed, fresh):
-    assert reach_matrix(refreshed) == reach_matrix(fresh)
-    assert refreshed.labeling_size() == fresh.labeling_size()
-    assert refreshed.number_of_line_edges() == fresh.number_of_line_edges()
-    assert sorted(refreshed.representative_names()) == sorted(
+def assert_indexes_equivalent(rebuilt, fresh):
+    assert reach_matrix(rebuilt) == reach_matrix(fresh)
+    assert rebuilt.labeling_size() == fresh.labeling_size()
+    assert rebuilt.number_of_line_edges() == fresh.number_of_line_edges()
+    assert sorted(rebuilt.representative_names()) == sorted(
         fresh.representative_names()
     )
 
 
-class TestRefreshFromOps:
-    @pytest.mark.parametrize("seed", REFRESH_SEEDS)
-    def test_incremental_refresh_matches_fresh_build(self, seed):
+class TestRebuildAfterChurn:
+    @pytest.mark.parametrize("seed", REBUILD_SEEDS)
+    def test_rebuild_over_a_pinned_index_matches_fresh_build(self, seed):
         graph, names, edges, rng = sparse_graph(seed)
         index = interned_line_index(graph, include_reverse=False, refresh=True)
-        index.snapshot.pin()
+        snapshot = index.snapshot.pin()
+        epoch = snapshot.epoch
+        before = reach_matrix(index)
         churn(graph, names, edges, rng, rounds=6)
-        ops = graph.mutations_since(index.snapshot.epoch)
-        assert ops is not None
-        if not index.refresh_from_ops(ops):
-            return  # touched-fraction fallback: the caller rebuilds
-        assert index.refreshes == 1
-        assert index.snapshot.epoch == graph.epoch
-        fresh = InternedLineIndex(
-            compile_graph(fresh_copy(graph, names, edges)), include_reverse=False
-        )
-        assert_indexes_equivalent(index, fresh)
+        rebuilt = interned_line_index(graph, include_reverse=False)
+        # The pinned snapshot was not patched: the rebuild got a new one.
+        assert rebuilt.snapshot is not snapshot
+        assert rebuilt.snapshot.epoch == graph.epoch
+        assert snapshot.pinned and snapshot.epoch == epoch
+        assert reach_matrix(index) == before
+        assert_indexes_equivalent(rebuilt, fresh_index(graph, names, edges, False))
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_repeated_refreshes_stay_equivalent(self, seed):
-        """Three churn generations in a row exercise the maintained
-        vertex map, tombstone accumulation and carried component sizes."""
+    def test_repeated_rebuilds_over_a_patched_snapshot_stay_equivalent(self, seed):
+        """Three churn generations on an unpinned snapshot: each one is
+        delta-patched in place (tombstoned and reused slots) and the index
+        cached on it is dropped, so the next lookup rebuilds over it."""
         graph, names, edges, rng = sparse_graph(seed)
         index = interned_line_index(graph, include_reverse=False, refresh=True)
-        index.snapshot.pin()
+        snapshot = index.snapshot
         for _generation in range(3):
             churn(graph, names, edges, rng, rounds=4)
-            ops = graph.mutations_since(index.snapshot.epoch)
-            assert ops is not None
-            if not index.refresh_from_ops(ops):
-                return
-            fresh = InternedLineIndex(
-                compile_graph(fresh_copy(graph, names, edges)),
-                include_reverse=False,
-            )
-            assert_indexes_equivalent(index, fresh)
+            rebuilt = interned_line_index(graph, include_reverse=False)
+            assert rebuilt is not index
+            assert rebuilt.snapshot is snapshot  # patched, not recompiled
+            assert rebuilt.snapshot.epoch == graph.epoch
+            assert_indexes_equivalent(rebuilt, fresh_index(graph, names, edges, False))
+            index = rebuilt
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_oriented_refresh_matches_fresh_build(self, seed):
+    def test_oriented_rebuild_matches_fresh_build(self, seed):
         """The oriented (include_reverse) index usually has one giant line
-        SCC, so removals mostly trip the threshold — but add-dominant bursts
-        refresh incrementally and must agree with a fresh build."""
+        SCC; removals split it, and the rebuild must agree with a fresh
+        build either way."""
         graph, names, edges, rng = sparse_graph(seed)
         index = interned_line_index(graph, include_reverse=True, refresh=True)
         index.snapshot.pin()
-        for _ in range(3):
-            a, b = rng.sample(names, 2)
-            label = rng.choice(LABELS)
-            if (a, b, label) not in edges:
-                graph.add_relationship(a, b, label)
-                edges.add((a, b, label))
-        ops = graph.mutations_since(index.snapshot.epoch)
-        assert ops is not None
-        assert index.refresh_from_ops(ops)
-        fresh = InternedLineIndex(
-            compile_graph(fresh_copy(graph, names, edges)), include_reverse=True
-        )
-        assert_indexes_equivalent(index, fresh)
+        churn(graph, names, edges, rng, rounds=5)
+        rebuilt = interned_line_index(graph, include_reverse=True)
+        assert rebuilt.snapshot is not index.snapshot
+        assert_indexes_equivalent(rebuilt, fresh_index(graph, names, edges, True))
 
-    def test_remove_then_readd_same_edge_is_a_noop_for_the_vertex(self):
+    def test_remove_then_readd_same_edge_rebuilds_the_same_index(self):
         graph, names, edges, rng = sparse_graph(7)
         index = interned_line_index(graph, include_reverse=False, refresh=True)
-        index.snapshot.pin()
+        before = reach_matrix(index)
         edge = sorted(edges, key=str)[0]
         graph.remove_relationship(*edge)
         graph.add_relationship(*edge)
-        ops = graph.mutations_since(index.snapshot.epoch)
-        before = index.count
-        assert index.refresh_from_ops(ops)
-        assert index.count == before  # the vertex never left
-        fresh = InternedLineIndex(
-            compile_graph(fresh_copy(graph, names, edges)), include_reverse=False
-        )
-        assert_indexes_equivalent(index, fresh)
+        rebuilt = interned_line_index(graph, include_reverse=False)
+        assert rebuilt is not index  # the epoch moved: the cached index went
+        assert rebuilt.count == index.count
+        assert reach_matrix(rebuilt) == before
+        assert_indexes_equivalent(rebuilt, fresh_index(graph, names, edges, False))
 
-    def test_giant_component_removal_falls_back(self):
-        """Touching more than REFRESH_REBUILD_FRACTION of the vertices must
-        refuse the incremental path instead of doing hidden O(n) work."""
+    def test_a_pinned_snapshot_refuses_every_patch(self):
+        """Splitting a giant line SCC on a pinned snapshot: the patch is
+        refused outright and the held index keeps its one component."""
         graph = SocialGraph()
         for i in range(8):
             graph.add_user(f"u{i}")
         for i in range(8):
             graph.add_relationship(f"u{i}", f"u{(i + 1) % 8}", "friend")
         index = interned_line_index(graph, include_reverse=False, refresh=True)
-        index.snapshot.pin()
+        snapshot = index.snapshot.pin()
         assert max(index.comp_sizes) == 8  # one cycle = one line SCC
-        assert REFRESH_REBUILD_FRACTION < 1.0
+        epoch = snapshot.epoch
         graph.remove_relationship("u0", "u1", "friend")
-        ops = graph.mutations_since(index.snapshot.epoch)
-        assert index.refresh_from_ops(ops) is False
-        assert index.refreshes == 0
+        ops = graph.mutations_since(epoch)
+        assert ops
+        assert snapshot.apply_deltas(ops) is False
+        assert snapshot.epoch == epoch and snapshot.pinned
+        assert max(index.comp_sizes) == 8
+        rebuilt = interned_line_index(graph, include_reverse=False)
+        assert rebuilt.snapshot is not snapshot
+        assert rebuilt.count == 7 and max(rebuilt.comp_sizes) == 1
 
 
-class TestEvaluatorRefresh:
+class TestEvaluatorRebuild:
     def expr(self, text):
         return PathExpression.parse(text)
 
-    def test_refresh_modes(self):
+    def test_only_build_moves_a_held_evaluator_on(self):
         graph, names, edges, rng = sparse_graph(3)
         evaluator = ClusterIndexEvaluator(graph, include_reverse=False).build()
-        assert evaluator.refresh() == "noop"
-        a, b = names[0], names[-1]
-        if (a, b, "friend") not in edges:
-            graph.add_relationship(a, b, "friend")
-        assert evaluator.refresh() == "incremental"
-        assert evaluator.last_refresh_mode == "incremental"
-        assert evaluator.refresh() == "noop"
-        # A burst past the threshold (remove most edges) forces a rebuild.
-        for edge in sorted(edges, key=str):
-            graph.remove_relationship(*edge)
-        assert evaluator.refresh() == "rebuild"
-        assert evaluator.refresh_seconds == evaluator.build_seconds
+        expression = self.expr("friend+[1,3]")
+        index = evaluator._index
+        epoch = index.snapshot.epoch
+        a, b = names[0], "newcomer"
+        graph.add_user(b)
+        graph.add_relationship(a, b, "friend")
+        # Stale reads: the evaluator still holds its build-time index.
+        assert evaluator._index is index and index.snapshot.epoch == epoch
+        assert index.snapshot.pinned
+        assert b not in evaluator.find_targets(a, expression)
+        evaluator.build()
+        assert evaluator._index is not index
+        assert evaluator._index.snapshot.epoch == graph.epoch
+        assert b in evaluator.find_targets(a, expression)
+        # A second build with nothing new still builds fresh.
+        current = evaluator._index
+        evaluator.build()
+        assert evaluator._index is not current
+        assert evaluator._index.snapshot.epoch == graph.epoch
 
-    def test_refresh_without_journal_rebuilds(self):
-        graph, _names, _edges, _rng = sparse_graph(4)
-        graph.journal_limit = 0  # journaling off: no ops to replay
+    def test_build_without_journal_still_catches_up(self):
+        graph, names, _edges, _rng = sparse_graph(4)
+        graph.journal_limit = 0  # journaling off: every snapshot recompiles
         evaluator = ClusterIndexEvaluator(graph, include_reverse=False).build()
         graph.add_relationship("u0", "u5", "friend")
-        assert evaluator.refresh() == "rebuild"
+        evaluator.build()
+        assert evaluator._index.snapshot.epoch == graph.epoch
+        assert "u5" in evaluator.find_targets("u0", self.expr("friend"))
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_refreshed_evaluator_agrees_with_every_backend(self, seed):
+    def test_rebuilt_evaluator_agrees_with_every_backend(self, seed):
         graph, names, edges, rng = sparse_graph(seed)
         evaluator = ClusterIndexEvaluator(graph, include_reverse=False).build()
         churn(graph, names, edges, rng, rounds=5)
-        mode = evaluator.refresh()
-        assert mode in ("incremental", "rebuild")
+        evaluator.build()
         final = fresh_copy(graph, names, edges)
         rebuilt = ClusterIndexEvaluator(final, include_reverse=False).build()
         bfs = OnlineBFSEvaluator(final)
@@ -250,8 +252,8 @@ class TestEvaluatorRefresh:
                 assert got == want
 
 
-class TestServiceRefreshIntegration:
-    def test_facade_routes_stale_cluster_through_refresh(self):
+class TestServiceRebuildIntegration:
+    def test_facade_rebuilds_a_stale_cluster_index(self):
         from repro.service.facade import GraphService
 
         graph, names, edges, rng = sparse_graph(11)
@@ -260,30 +262,36 @@ class TestServiceRefreshIntegration:
             backend_options={"cluster-index": {"include_reverse": False}},
         )
         engine = service.engine("cluster-index")
-        assert engine.evaluator.last_refresh_mode is None  # first build
+        index = engine.evaluator._index
         a, b = names[0], names[-1]
         if (a, b, "friend") not in edges:
             graph.add_relationship(a, b, "friend")
         engine = service.engine("cluster-index")
-        assert engine.evaluator.last_refresh_mode == "incremental"
-        # The routed engine answers from the refreshed (current) snapshot.
+        # The routed engine answers from a rebuilt (current) snapshot.
+        assert engine.evaluator._index is not index
         assert engine.evaluator._index.snapshot.epoch == graph.epoch
+        assert index.snapshot.pinned
 
-    def test_planner_prices_refresh_below_full_build(self):
-        from repro.service.planner import QueryPlanner
+    def test_pinned_cluster_answers_track_the_live_graph(self):
+        from repro.service.facade import GraphService
 
-        graph, _names, _edges, _rng = sparse_graph(12)
-        snapshot = compile_graph(graph)
-        planner = QueryPlanner()
-        expression = PathExpression.parse("friend+[1,2]")
-        backends = ("bfs", "cluster-index")
-        common = dict(
-            backends=backends, fresh={"bfs": True, "cluster-index": False},
-            stability=4,
+        graph, names, edges, rng = sparse_graph(12)
+        service = GraphService(
+            graph,
+            default_backend="cluster-index",
+            backend_options={"cluster-index": {"include_reverse": False}},
         )
-        cold = planner.plan_reach(snapshot, expression, **common)
-        warm = planner.plan_reach(snapshot, expression, refresh_ops=3, **common)
-        cold_cluster = cold.estimate_for("cluster-index")
-        warm_cluster = warm.estimate_for("cluster-index")
-        assert warm_cluster.build_cost < cold_cluster.build_cost
-        assert "refresh" in warm_cluster.note
+        expression = PathExpression.parse("friend+[1,2]")
+        for _round in range(3):
+            churn(graph, names, edges, rng, rounds=4)
+            bfs = OnlineBFSEvaluator(fresh_copy(graph, names, edges))
+            for source in names[:6]:
+                for target in names[-6:]:
+                    result = service.reach(
+                        source, target, expression, collect_witness=False
+                    )
+                    assert result.plan.backend == "cluster-index"
+                    assert result.plan.backend_forced
+                    assert result.reachable == bfs.evaluate(
+                        source, target, expression
+                    ).reachable

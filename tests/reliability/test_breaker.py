@@ -128,13 +128,11 @@ def break_index_maintenance(service, backend="transitive-closure"):
         raise RuntimeError("synthetic maintenance failure")
 
     evaluator.build = boom
-    if hasattr(evaluator, "refresh"):
-        evaluator.refresh = boom
 
 
-def test_default_service_has_breakers_for_index_backends():
+def test_only_the_auto_selectable_index_gets_a_default_breaker():
     service = GraphService(broken_chain_graph())
-    assert set(service.breakers) == {"transitive-closure", "cluster-index"}
+    assert set(service.breakers) == {"transitive-closure"}
     service_without = GraphService(broken_chain_graph(), breakers={})
     assert service_without.breakers == {}
 
@@ -191,7 +189,6 @@ def test_half_open_probe_restores_the_backend():
     warm_until_tc_chosen(service, text)
 
     evaluator = service._engines["transitive-closure"].evaluator
-    original_refresh = getattr(evaluator, "refresh", None)
     original_build = evaluator.build
     break_index_maintenance(service)
     graph.add_user("mutation")
@@ -206,10 +203,6 @@ def test_half_open_probe_restores_the_backend():
     # to the closure is the probe, and its successful build closes the
     # breaker for everyone.
     evaluator.build = original_build
-    if original_refresh is not None:
-        evaluator.refresh = original_refresh
-    elif hasattr(evaluator, "refresh"):
-        del evaluator.refresh
     clock.now = 31.0
     assert breaker.state == CircuitBreaker.HALF_OPEN
     restored = None
@@ -232,3 +225,20 @@ def test_pinned_queries_bypass_the_veto_and_surface_the_error():
     graph.add_user("mutation")
     with pytest.raises(RuntimeError, match="synthetic maintenance failure"):
         service.reach("u0", "u29", text, backend="transitive-closure")
+
+
+def test_a_pinned_cluster_index_build_failure_propagates():
+    """No breaker and no reroute: the pin asked for this backend."""
+    text = "friend+[1,29]"
+    graph = broken_chain_graph()
+    service = GraphService(graph)
+    assert not service.reach("u0", "u29", text, backend="cluster-index").reachable
+    break_index_maintenance(service, "cluster-index")
+    graph.add_user("mutation")  # stale index: the next pinned query rebuilds
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="synthetic maintenance failure"):
+            service.reach("u0", "u29", text, backend="cluster-index")
+    assert service.queries_rerouted == 0
+    assert "cluster-index" not in service.breakers
+    # Auto-selected queries never touch the pin-only index.
+    assert service.reach("u0", "u29", text).plan.backend in ("bfs", "transitive-closure")

@@ -9,9 +9,11 @@ import pytest
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
-from repro.service.planner import QueryPlanner
+from repro.service import GraphService
+from repro.service.planner import PRICED_BACKENDS, QueryPlanner
 
 BACKENDS = ("bfs", "dfs", "transitive-closure", "cluster-index")
+PINS_ONLY = ("dfs", "cluster-index")
 
 #: Nothing fresh but the online walks — the cold-start state of a service.
 COLD = {"bfs": True, "dfs": True, "transitive-closure": False, "cluster-index": False}
@@ -44,23 +46,47 @@ class TestReachCostModel:
             )
             assert verdict.backend == "bfs"
             assert not verdict.backend_forced
-            # The full cost table travels on the plan for post-hoc grading.
-            assert {e.backend for e in verdict.estimates} == set(BACKENDS)
+            # The priced rows travel on the plan for post-hoc grading.
+            assert tuple(e.backend for e in verdict.estimates) == PRICED_BACKENDS
 
-    def test_cluster_index_is_never_cheapest_on_point_queries(self, snapshot):
-        # Measured reality (PERF-1): the compiled product walk beats the
-        # cluster index on point queries, so the honest model prices it out
-        # of auto-selection; it stays fully available as a pin.
-        fresh_cluster = dict(COLD, **{"cluster-index": True})
-        for expression in (CHEAP, HEAVY, MIXED_DIRECTIONS):
-            verdict = plan(
-                QueryPlanner(), snapshot, expression,
-                fresh=fresh_cluster, stability=10**9,
+    def test_the_table_holds_only_the_configured_priced_rows(self, snapshot):
+        for backends, rows in (
+            (BACKENDS, PRICED_BACKENDS),
+            (("cluster-index", "dfs", "bfs"), ("bfs",)),
+            (("transitive-closure", "bfs"), PRICED_BACKENDS),
+        ):
+            verdict = QueryPlanner().plan_reach(
+                snapshot, HEAVY, backends=backends, fresh=COLD, stability=10**9,
+                unreachable_rate=1.0,
             )
-            assert verdict.backend != "cluster-index"
-            cluster = verdict.estimate_for("cluster-index")
-            bfs = verdict.estimate_for("bfs")
-            assert cluster.query_cost > bfs.query_cost
+            assert tuple(e.backend for e in verdict.estimates) == rows
+            assert verdict.backend in rows
+
+    def test_pin_only_backends_are_never_auto_selected(self, snapshot):
+        # Not even fresh, at unbounded stability, on a denial-heavy stream.
+        fresh_everything = dict.fromkeys(BACKENDS, True)
+        for expression in (CHEAP, HEAVY, MIXED_DIRECTIONS):
+            for rate in (0.0, 1.0):
+                verdict = plan(
+                    QueryPlanner(), snapshot, expression,
+                    fresh=fresh_everything, stability=10**9, rate=rate,
+                )
+                assert verdict.backend in PRICED_BACKENDS
+
+    def test_without_bfs_nothing_is_priced(self, snapshot):
+        # The closure is priced against the walk; with no walk configured
+        # auto runs the first backend, the sweep plans' rule.
+        for backends in (PINS_ONLY, ("transitive-closure", "dfs")):
+            verdict = QueryPlanner().plan_reach(
+                snapshot, HEAVY, backends=backends, fresh=COLD, stability=10**9,
+                unreachable_rate=1.0,
+            )
+            assert verdict.backend == backends[0] and not verdict.backend_forced
+            assert verdict.estimates == ()
+            audience = QueryPlanner().plan_audience(
+                snapshot, HEAVY, 4, backends=backends, fresh=COLD, stability=0
+            )
+            assert audience.backend == verdict.backend
 
     def test_denial_feedback_prefers_a_fresh_closure(self, snapshot):
         verdict = plan(
@@ -96,25 +122,21 @@ class TestReachCostModel:
         assert flipped.estimate_for("transitive-closure").build_charge < 1.0
 
     def test_without_feedback_no_stability_flips_anything(self, snapshot):
-        # rate=0: the closure is pure overhead, cluster is a slower walk —
-        # bfs stays cheapest at any stability.
+        # rate=0: the closure is pure overhead — bfs stays cheapest at any
+        # stability.
         verdict = plan(QueryPlanner(), snapshot, HEAVY, fresh=COLD, stability=10**9)
         assert verdict.backend == "bfs"
 
     def test_pinned_backend_is_forced_and_not_second_guessed(self, snapshot):
-        for name in ("transitive-closure", "cluster-index", "dfs"):
+        for name in ("transitive-closure", *PINS_ONLY):
             verdict = plan(
                 QueryPlanner(), snapshot, CHEAP, fresh=COLD, stability=0, pinned=name
             )
             assert verdict.backend == name
             assert verdict.backend_forced
-
-    def test_expansion_limit_rules_the_cluster_index_out(self, snapshot):
-        planner = QueryPlanner(backend_options={"cluster-index": {"expansion_limit": 2}})
-        wide = PathExpression.parse("friend+[1,3]/friend+[1,3]")  # 9 expansions
-        verdict = plan(planner, snapshot, wide, fresh=COLD, stability=0)
-        cluster = verdict.estimate_for("cluster-index")
-        assert not cluster.available and "expansion" in cluster.note
+            # A pin's own row is never priced: availability (expansion limit,
+            # orientation) is the evaluator's to report at execution time.
+            assert tuple(e.backend for e in verdict.estimates) == PRICED_BACKENDS
 
 
 class TestPlanCache:
@@ -193,3 +215,16 @@ class TestSignatures:
         parameters = inspect.signature(getattr(QueryPlanner, name)).parameters
         assert {"backends", "fresh", "stability", "pinned"} <= set(parameters)
         assert not [name for name in parameters if name.startswith("shard")]
+
+
+class TestServiceAutoSelection:
+    def test_a_service_without_bfs_auto_runs_its_first_backend(self):
+        graph = preferential_attachment_graph(60, edges_per_node=2, seed=3)
+        service = GraphService(graph, backends=PINS_ONLY)
+        users = sorted(graph.users())
+        reach = service.reach(users[0], users[-1], "friend+[1,2]")
+        assert reach.plan.backend == "dfs" and not reach.plan.backend_forced
+        assert reach.plan.estimates == ()
+        audience = service.audience(users[:3], "friend+[1,2]")
+        assert audience.plan.backend == "dfs"
+        assert "cluster-index" not in service._engines  # never built behind auto

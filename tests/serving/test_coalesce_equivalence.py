@@ -232,9 +232,11 @@ def test_guard_tripped_batches_fall_back_to_sequential(seed):
 def test_breaker_rerouted_backend_still_equivalent():
     """Coalesced answers stay correct when the index backend is broken.
 
-    Forcing the cluster-index breaker open makes the planner reroute to a
-    walking backend; the bulk sweeps still answer, and answers still match
-    a sequential twin whose breaker is equally open.
+    Forcing the transitive closure's breaker open (the one index backend the
+    planner auto-selects, so the one with a default breaker) prices it out
+    and keeps every query on a walking backend; the bulk sweeps still
+    answer, and answers still match a sequential twin whose breaker is
+    equally open.
     """
     served_service, sequential_service, workload = _twin_services(seed=47)
     for service in (served_service, sequential_service):
