@@ -1,9 +1,9 @@
 """Ordered label-constraint reachability query evaluation (Section 3).
 
-The package provides the online baselines (BFS / DFS), the transitive-closure
-baseline, and the paper's index pipeline (line graph → SCC condensation →
-interval labeling → 2-hop cover → base tables / W-table / cluster join index
-→ post-processing), all behind the common
+The package provides the online baselines (BFS / DFS, one walk), the
+transitive-closure baseline, and the paper's index pipeline (line graph →
+SCC condensation → interval labeling → 2-hop cover → base tables / W-table /
+cluster join index → post-processing), all behind the common
 :class:`~repro.reachability.engine.ReachabilityEngine` facade.
 """
 
@@ -14,11 +14,9 @@ from repro.reachability.compiled_search import (
     AudienceSweep,
     AutomatonCache,
     CompiledAutomaton,
-    SearchOutcome,
     SweepPlan,
     audience_sweep,
     plan_audience_sweep,
-    product_search,
     reversed_automaton,
     reversed_expression,
 )
@@ -52,10 +50,8 @@ __all__ = [
     "StepAutomaton",
     "AutomatonCache",
     "CompiledAutomaton",
-    "SearchOutcome",
     "SweepPlan",
     "AudienceSweep",
-    "product_search",
     "audience_sweep",
     "plan_audience_sweep",
     "reversed_expression",

@@ -12,11 +12,13 @@ paper wants to avoid on large graphs.
 
 The search runs on the graph's compiled CSR snapshot
 (:mod:`repro.graph.compiled`): user ids and labels are interned to dense
-integers, the product walk touches only ``array('l')`` adjacency, and witness
-paths are reconstructed into :class:`Relationship` objects on demand.  All of
-it lives on :class:`~repro.reachability.compiled_search.CompiledSearchMixin`,
-shared with the depth-first twin; the cache-free walk the test suite compares
-both against is :mod:`repro.testing.oracle`.
+integers, the product walk is a one-bit
+:class:`~repro.reachability.compiled_search.MaskSweep` over ``array('l')``
+adjacency, and witness paths are decoded from its parent links into
+:class:`Relationship` objects on demand.  All of it lives on
+:class:`~repro.reachability.compiled_search.CompiledSearchMixin`, shared with
+the ``dfs`` name; the cache-free walk the test suite compares both against is
+:mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Integer product search over a :class:`~repro.graph.compiled.CompiledGraph`.
 
-This module is the shared traversal core of the online evaluators: the same
-constrained product walk as :mod:`repro.reachability.bfs` /
-:mod:`repro.reachability.dfs`, but run entirely on dense integers.
+This module is the shared traversal core of the online evaluators: the
+constrained product walk of the paper's BFS / DFS baselines, run entirely on
+dense integers.
 
 * :class:`CompiledAutomaton` flattens a :class:`~repro.reachability.
   automaton.StepAutomaton` into per-state lookup lists bound to one graph
@@ -10,36 +10,34 @@ constrained product walk as :mod:`repro.reachability.bfs` /
   epsilon-closure of states whose steps carry no attribute conditions is
   precomputed into a shared tuple.  Attribute conditions are evaluated at
   most once per (step, node) thanks to a byte-array memo.
-* :func:`product_search` walks the product of the CSR adjacency and the
-  compiled automaton.  A search node is packed into a single int
-  (``node * num_states + state``) so the visited set only ever hashes small
-  integers; witness information is kept as packed parent links and
-  reconstructed into :class:`~repro.graph.paths.Path` objects only on
-  demand, through :class:`SearchOutcome`.
+* :class:`MaskSweep` is the one frontier loop.  It walks the product of the
+  CSR adjacency and the compiled automaton; a search node is packed into a
+  single int (``node * num_states + state``), so its tables only ever hash
+  small integers, and each visited slot holds a bitmask of the owners whose
+  walk reached it (Python ints over a dense owner index, in sparse dict
+  tables, so a sweep costs what it visits rather than ``O(|V|)``).  A point
+  query (``evaluate``, ``find_targets``) is a sweep seeded with one bit; its
+  ``stop`` node ends the drain once accepted, and on request it keeps packed
+  parent links that decode into :class:`~repro.graph.paths.Path` witnesses.
 * :func:`audience_sweep` is the batched ``find_targets`` form: a **single
-  multi-source product sweep** that keeps, per visited ``(node, state)``
-  slot, a bitmask of the owners whose walk has reached that slot (Python
-  ints over a dense owner index, held in sparse dict tables, so a sweep
-  costs what it visits rather than ``O(|V|)``).  Overlapping owner
-  neighbourhoods are traversed once — a slot's outgoing CSR rows are
+  multi-source product sweep** with one owner bit per source.  Overlapping
+  owner neighbourhoods are traversed once — a slot's outgoing CSR rows are
   rescanned only when *new* owner bits arrive — instead of once per owner.
-  :class:`MaskSweep` is the one propagation loop behind it, and — being
-  resumable — also what every shard of :mod:`repro.sharding.router` runs
-  between message rounds.  A
+  Being resumable, the sweep is also what every shard of
+  :mod:`repro.sharding.router` runs between message rounds.  A
   :func:`direction planner <plan_audience_sweep>` decides per expression
   whether to run the sweep forward from the owners or backward from the
   whole vertex set over the :func:`reversed automaton <reversed_expression>`.
 
-Both the breadth-first and the depth-first evaluator are
-:class:`CompiledSearchMixin` — they differ only in which end of the frontier
-is popped.  The cache-free reference these cores are tested against lives in
+The ``bfs`` and ``dfs`` evaluators are both :class:`CompiledSearchMixin`
+and run the same FIFO walk; they differ only in ``name``.  The cache-free
+reference these cores are tested against lives in
 :mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
@@ -70,13 +68,11 @@ __all__ = [
     "CompiledAutomaton",
     "AutomatonCache",
     "CompiledSearchMixin",
-    "SearchOutcome",
     "SweepPlan",
     "AudienceSweep",
     "MaskSweep",
     "MaskBitsMemo",
     "reverse_seed_nodes",
-    "product_search",
     "audience_sweep",
     "plan_audience_sweep",
     "reversed_expression",
@@ -92,9 +88,10 @@ _Edge = Tuple[int, int, int, bool]
 
 #: One edge orientation a product state may take: the label's row view
 #: ``(offsets, targets, overlay)`` (see :data:`repro.graph.compiled.RowView`),
-#: then the label id and whether edges are walked source -> target.  Both
-#: traversal loops read a node's row the same way: ``overlay[node]`` when the
-#: overlay is non-empty and has the node, else the base slice.
+#: then the label id and whether edges are walked source -> target.  Every
+#: row reader (the sweep loop, the row-level tests) reads a node's row the
+#: same way: ``overlay[node]`` when the overlay is non-empty and has the
+#: node, else the base slice.
 _Move = Tuple[Sequence[int], Sequence[int], Dict[int, Sequence[int]], int, bool]
 
 
@@ -253,13 +250,11 @@ class CompiledSearchMixin:
 
     :class:`~repro.reachability.bfs.OnlineBFSEvaluator` and
     :class:`~repro.reachability.dfs.OnlineDFSEvaluator` are this class plus
-    the two things a subclass sets: ``name`` and ``_depth_first``.  No
-    precomputation: the snapshot is acquired per query through
-    ``compile_graph``, so under churn the evaluator rides the
+    a ``name``.  Every query runs :class:`MaskSweep`: a point query seeds
+    one bit at the source.  No precomputation: the snapshot is acquired per
+    query through ``compile_graph``, so under churn the evaluator rides the
     delta-maintenance path.
     """
-
-    _depth_first = False
 
     def __init__(self, graph: SocialGraph) -> None:
         require_social_graph(graph, type(self).__name__)
@@ -274,27 +269,16 @@ class CompiledSearchMixin:
         """Index statistics (trivially empty for the online evaluator)."""
         return {"index_entries": 0, "build_seconds": 0.0}
 
-    def _search(
-        self,
-        source: UserId,
-        expression: PathExpression,
-        result: EvaluationResult,
-        *,
-        stop_at: Optional[UserId],
-        collect_witness: bool,
-    ) -> "SearchOutcome":
+    def _point_sweep(
+        self, source: UserId, expression: PathExpression, *, witness: bool = False
+    ) -> "MaskSweep":
+        """A sweep seeded with the one bit of ``source``, not yet run."""
         snapshot = compile_graph(self.graph)
-        source_index = snapshot.index_of(source)
-        stop_index = None if stop_at is None else snapshot.index_of(stop_at)
-        return product_search(
-            snapshot,
-            self._automata.get(expression, snapshot),
-            source_index,
-            stop_index,
-            result,
-            collect_witness=collect_witness,
-            depth_first=self._depth_first,
-        )
+        sweep = MaskSweep(snapshot, self._automata.get(expression, snapshot))
+        if witness:
+            sweep.parents = {}
+        sweep.seed(snapshot.index_of(source), sweep.automaton.start_id, 1)
+        return sweep
 
     def evaluate(
         self,
@@ -304,15 +288,23 @@ class CompiledSearchMixin:
         *,
         collect_witness: bool = True,
     ) -> EvaluationResult:
-        """Return whether ``target`` is reachable from ``source`` under ``expression``."""
+        """Return whether ``target`` is reachable from ``source`` under ``expression``.
+
+        Counters: ``states_visited`` is the number of product slots reached,
+        ``edges_expanded`` the number of CSR entries scanned.
+        """
         started = time.perf_counter()
         result = EvaluationResult(reachable=False, backend=self.name)
-        outcome = self._search(
-            source, expression, result, stop_at=target, collect_witness=collect_witness
-        )
-        result.reachable = outcome.contains(target)
+        sweep = self._point_sweep(source, expression, witness=collect_witness)
+        target_index = sweep.snapshot.index_of(target)
+        sweep.run(target_index)
+        accept_key = target_index * sweep.num_states + sweep.automaton.accept_id
+        result.reachable = accept_key in sweep.seen
         if collect_witness and result.reachable:
-            result.witness = outcome.witness(target)
+            result.witness = sweep.witness(target_index)
+        result.count("states_visited", len(sweep.seen))
+        if sweep.scanned:
+            result.count("edges_expanded", sweep.scanned)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -321,10 +313,10 @@ class CompiledSearchMixin:
 
         Used to materialize the full authorized audience of an access rule.
         """
-        result = EvaluationResult(reachable=False, backend=self.name)
-        return self._search(
-            source, expression, result, stop_at=None, collect_witness=False
-        ).users()
+        sweep = self._point_sweep(source, expression)
+        sweep.run()
+        user_of = sweep.snapshot.node_ids
+        return {user_of[node] for node in sweep.accepts}
 
     def sweep_targets_many(
         self,
@@ -335,9 +327,8 @@ class CompiledSearchMixin:
     ) -> Tuple[Dict[UserId, Set[UserId]], "SweepPlan"]:
         """Batched :meth:`find_targets`: one automaton, one shared owner sweep.
 
-        Runs the multi-source owner-bitset sweep (:func:`audience_sweep`;
-        audience materialization has no exploration order, so BFS and DFS
-        share it).  ``direction`` pins the planner's forward/reverse choice.
+        Runs the multi-source owner-bitset sweep (:func:`audience_sweep`).
+        ``direction`` pins the planner's forward/reverse choice.
         Returns ``({owner: audience}, executed SweepPlan)``.
         """
         sources = list(sources)
@@ -357,150 +348,6 @@ class CompiledSearchMixin:
     ) -> Dict[UserId, Set[UserId]]:
         """Audiences-only form of :meth:`sweep_targets_many`."""
         return self.sweep_targets_many(sources, expression, direction=direction)[0]
-
-
-class SearchOutcome:
-    """Accepted nodes of one product search, with on-demand witness decoding."""
-
-    __slots__ = ("_snapshot", "_source", "_accepted", "_parents")
-
-    def __init__(
-        self,
-        snapshot: CompiledGraph,
-        source: int,
-        accepted: Dict[int, Optional[int]],
-        parents: Optional[Dict[int, Tuple[Optional[int], Optional[_Edge]]]],
-    ) -> None:
-        self._snapshot = snapshot
-        self._source = source
-        self._accepted = accepted
-        self._parents = parents
-
-    def contains(self, user: UserId) -> bool:
-        """Whether ``user`` was accepted by the search."""
-        index = self._snapshot.node_index.get(user)
-        return index is not None and index in self._accepted
-
-    def users(self) -> Set[UserId]:
-        """Return the accepted nodes translated back to user ids."""
-        user_of = self._snapshot.node_ids
-        return {user_of[index] for index in self._accepted}
-
-    def witness(self, user: UserId) -> Optional[Path]:
-        """Reconstruct the witness path to ``user`` (``None`` without parents)."""
-        if self._parents is None:
-            return None
-        index = self._snapshot.node_index.get(user)
-        if index is None:
-            return None
-        key = self._accepted.get(index)
-        if key is None:
-            return None
-        edges: List[_Edge] = []
-        current: Optional[int] = key
-        while current is not None:
-            parent, edge = self._parents[current]
-            if edge is not None:
-                edges.append(edge)
-            current = parent
-        edges.reverse()
-        snapshot = self._snapshot
-        traversals = [
-            Traversal(snapshot.relationship(rel_source, rel_target, label_id), forward=forward)
-            for rel_source, rel_target, label_id, forward in edges
-        ]
-        return Path(snapshot.user_of(self._source), traversals)
-
-
-def product_search(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    source: int,
-    stop_at: Optional[int],
-    result: EvaluationResult,
-    *,
-    collect_witness: bool,
-    depth_first: bool = False,
-) -> SearchOutcome:
-    """Run the constrained product walk from ``source`` on integer CSR arrays.
-
-    ``stop_at`` short-circuits the walk once that node is accepted (the
-    ``evaluate`` form); ``None`` exhausts the reachable product space (the
-    ``find_targets`` form).  Counters: one ``states_visited`` per product
-    state discovered, one ``edges_expanded`` per CSR entry scanned.
-
-    An active :class:`~repro.reliability.guard.QueryGuard` is ticked once
-    per popped frontier entry, charged with the edges scanned since the
-    previous tick — a blown budget either raises (``"raise"`` mode) or ends
-    the walk early (``"partial"`` mode; the under-approximated outcome is
-    only surfaced through result shapes that carry a ``partial`` flag).
-    """
-    num_states = automaton.num_states
-    accept_id = automaton.accept_id
-    closure = automaton.closure
-    state_moves = _hoisted_state_moves(snapshot, automaton)
-
-    visited: Set[int] = set()
-    accepted: Dict[int, Optional[int]] = {}
-    parents: Optional[Dict[int, Tuple[Optional[int], Optional[_Edge]]]] = (
-        {} if collect_witness else None
-    )
-    frontier: deque = deque()
-    edges_expanded = 0
-
-    for state in closure(automaton.start_id, source):
-        key = source * num_states + state
-        if key not in visited:
-            visited.add(key)
-            if parents is not None:
-                parents[key] = (None, None)
-            frontier.append(key)
-            if state == accept_id and source not in accepted:
-                accepted[source] = key if collect_witness else None
-
-    guard = active_guard()
-    charged = 0
-    pop = frontier.pop if depth_first else frontier.popleft
-    while frontier:
-        if stop_at is not None and stop_at in accepted:
-            break
-        if guard is not None:
-            if not guard.spend(1 + edges_expanded - charged):
-                break
-            charged = edges_expanded
-        key = pop()
-        node, state = divmod(key, num_states)
-        next_state = state + 1
-        for offsets, targets, overlay, label_id, forward in state_moves[state]:
-            if overlay and node in overlay:
-                row = overlay[node]
-            else:
-                row = targets[offsets[node]:offsets[node + 1]]
-            edges_expanded += len(row)
-            for neighbor in row:
-                edge: Optional[_Edge] = None
-                for closed in closure(next_state, neighbor):
-                    neighbor_key = neighbor * num_states + closed
-                    if neighbor_key in visited:
-                        continue
-                    visited.add(neighbor_key)
-                    if parents is not None:
-                        if edge is None:
-                            edge = (
-                                (node, neighbor, label_id, True)
-                                if forward
-                                else (neighbor, node, label_id, False)
-                            )
-                        parents[neighbor_key] = (key, edge)
-                    frontier.append(neighbor_key)
-                    if closed == accept_id and neighbor not in accepted:
-                        accepted[neighbor] = neighbor_key if collect_witness else None
-
-    if visited:
-        result.count("states_visited", len(visited))
-    if edges_expanded:
-        result.count("edges_expanded", edges_expanded)
-    return SearchOutcome(snapshot, source, accepted, parents)
 
 
 def _hoisted_state_moves(
@@ -752,7 +599,7 @@ def _plan_sweep(
 
 
 class MaskSweep:
-    """The one mask-propagation core: a resumable multi-source owner-bitmask sweep.
+    """The one traversal loop: a resumable multi-source owner-bitmask sweep.
 
     Slots are packed ``node * num_states + state`` keys.  The sparse
     ``seen`` dict maps each slot some owner's walk has reached to the mask
@@ -784,6 +631,14 @@ class MaskSweep:
     the tables — continues from exactly the monotone state reached so far.
     Acceptance is read off the ``node * num_states + accept_id`` slots
     (:meth:`accepted`).
+
+    A point query is a sweep seeded with one bit.  :meth:`run` may then be
+    given a ``stop`` node, and setting ``parents`` to an empty dict before
+    seeding records, on each slot's first visit, ``slot -> (parent slot,
+    packed edge)``; :meth:`witness` decodes those links into a path.  The
+    FIFO worklist makes every decoded witness a shortest one.  Parent links
+    are defined only for one-bit sweeps: in a wider sweep the first visitor
+    of a slot need not lie on every owner's walk.
     """
 
     __slots__ = (
@@ -800,6 +655,7 @@ class MaskSweep:
         "expands",
         "tripped",
         "scanned",
+        "parents",
     )
 
     def __init__(self, snapshot: CompiledGraph, automaton: CompiledAutomaton) -> None:
@@ -824,6 +680,8 @@ class MaskSweep:
         self.tripped = False
         #: CSR entries scanned over the sweep's lifetime.
         self.scanned = 0
+        #: ``slot -> (parent slot, packed edge)`` when witnesses are wanted.
+        self.parents: Optional[Dict[int, Tuple[Optional[int], Optional[_Edge]]]] = None
 
     def seed(self, node: int, state: int, mask: int) -> None:
         """Inject owner bits at ``(node, state)``, with spontaneous advances."""
@@ -839,6 +697,8 @@ class MaskSweep:
             if not add:
                 continue
             seen[key] = previous | add
+            if not previous and self.parents is not None:
+                self.parents[key] = (None, None)
             if not expands[closed]:
                 if closed == accept_id and not previous:
                     self.accepts.append(node)
@@ -854,17 +714,21 @@ class MaskSweep:
         """Whether seeded or guard-interrupted work awaits the next :meth:`run`."""
         return self.head < len(self.queue)
 
-    def run(self) -> bool:
+    def run(self, stop: Optional[int] = None) -> bool:
         """Drain the worklist; ``False`` when a guard budget cut it short.
 
         An active guard is charged once per popped (expanding) slot plus the
-        CSR entries scanned since the previous pop.
+        CSR entries scanned since the previous pop.  With ``stop`` the drain
+        ends once that node's accept slot is in ``seen``; the slot being
+        expanded at that moment goes back on the worklist with its owner
+        bits, so a later ``run()`` resumes to the same fixpoint.
         """
         guard = active_guard()
         queue = self.queue
         head = self.head
         seen = self.seen
         pending = self.pending
+        parents = self.parents
         num_states = self.num_states
         state_moves = self.state_moves
         expands = self.expands
@@ -875,6 +739,8 @@ class MaskSweep:
         chain_memo = self.chain_memo
         scanned = 0
         charged = 0
+        if stop is not None and stop * num_states + accept_id in seen:
+            return True
         try:
             while head < len(queue):
                 if guard is not None:
@@ -892,7 +758,7 @@ class MaskSweep:
                 node, state = divmod(key, num_states)
                 next_state = state + 1
                 next_static = static_closure[next_state]
-                for offsets, targets, overlay, _label_id, _forward in state_moves[state]:
+                for offsets, targets, overlay, label_id, forward in state_moves[state]:
                     # Slicing the CSR row and iterating the array directly
                     # saves an index lookup per edge — this loop is the
                     # sweep's entire cost.
@@ -918,11 +784,24 @@ class MaskSweep:
                                 # First visit: pending's keys are a subset of
                                 # seen's, so the slot cannot be queued yet.
                                 seen[neighbor_key] = delta
+                                if parents is not None:
+                                    parents[neighbor_key] = (
+                                        key,
+                                        (node, neighbor, label_id, True)
+                                        if forward
+                                        else (neighbor, node, label_id, False),
+                                    )
                                 if expands[closed]:
                                     pending[neighbor_key] = delta
                                     queue.append(neighbor_key)
                                 elif closed == accept_id:
                                     accepts.append(neighbor)
+                                    if neighbor == stop:
+                                        # Requeue the slot mid-expansion: its
+                                        # bits have not reached every edge yet.
+                                        head -= 1
+                                        pending[key] = pending.get(key, 0) | delta
+                                        return True
                                 continue
                             add = delta & ~previous
                             if not add:
@@ -941,10 +820,32 @@ class MaskSweep:
             head = 0
             return True
         finally:
-            # However the loop ended (drained, tripped, raised), the tables
+            # However the loop ended (drained, stopped, tripped, raised), the tables
             # and the worklist position stay consistent for a later run().
             self.head = head
             self.scanned += scanned
+
+    def witness(self, node: int) -> Optional[Path]:
+        """Decode the parent links into the path to ``node``'s accept slot.
+
+        ``None`` when no links were kept or the node was not accepted.
+        """
+        parents = self.parents
+        key = node * self.num_states + self.automaton.accept_id
+        if parents is None or key not in parents:
+            return None
+        edges: List[_Edge] = []
+        parent, edge = parents[key]
+        while edge is not None:
+            edges.append(edge)
+            key = parent
+            parent, edge = parents[key]
+        snapshot = self.snapshot
+        traversals = [
+            Traversal(snapshot.relationship(rel_source, rel_target, label_id), forward=forward)
+            for rel_source, rel_target, label_id, forward in reversed(edges)
+        ]
+        return Path(snapshot.user_of(key // self.num_states), traversals)
 
     def accepted(
         self, nodes: Optional[Iterable[int]] = None
@@ -1100,12 +1001,12 @@ def audience_sweep(
 ) -> AudienceSweep:
     """Materialize the accepted node set of every owner in ``sources`` at once.
 
-    The multi-source form of the ``find_targets`` product walk: one frontier
-    pass shared by all owners, with per-slot owner bitmasks instead of one
-    walk per owner.
+    The multi-source form of :meth:`CompiledSearchMixin.find_targets`: the
+    same :class:`MaskSweep`, seeded with one owner bit per source instead of
+    one sweep per owner.
     ``direction`` is resolved by :func:`plan_audience_sweep` unless an
     explicit ``plan`` is handed in.  Distance limits are enforced by the
-    automaton's depth-encoded states, exactly as in :func:`product_search`.
+    automaton's depth-encoded states.
 
     Returns an :class:`AudienceSweep` with one list of accepted node indices
     per source, in input order, and the executed :class:`SweepPlan`.

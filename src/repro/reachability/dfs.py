@@ -1,15 +1,11 @@
-"""Online constrained depth-first search.
+"""The ``dfs`` backend name: the same constrained walk as ``bfs``.
 
-The depth-first twin of :class:`~repro.reachability.bfs.OnlineBFSEvaluator`
-(the paper mentions both as the straightforward baselines).  Semantics are
-identical — the two must agree on every query — but the exploration order
-differs: DFS dives along one branch first, which tends to find *a* witness
-faster on graphs with long chains, at the cost of not returning shortest
-witnesses.  The frontier is an explicit stack, so deep graphs do not hit
-Python's recursion limit.
-
-Everything but the pop order is shared with the BFS evaluator through
-:class:`~repro.reachability.compiled_search.CompiledSearchMixin`.
+The paper names depth-first and breadth-first search as the two
+straightforward baselines (Section 1).  Both names select
+:class:`~repro.reachability.compiled_search.CompiledSearchMixin`, whose one
+traversal loop is the FIFO :class:`~repro.reachability.compiled_search.
+MaskSweep`, so ``dfs`` answers every query exactly as ``bfs`` does and its
+witnesses are shortest ones too.  The name stays because callers pin it.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ __all__ = ["OnlineDFSEvaluator"]
 
 
 class OnlineDFSEvaluator(CompiledSearchMixin):
-    """Evaluate ordered label-constraint reachability queries by constrained DFS."""
+    """Evaluate ordered label-constraint reachability queries under the ``dfs`` name."""
 
     name = "dfs"
-    _depth_first = True

@@ -7,7 +7,7 @@ queries:
     Online constrained breadth-first search — no precomputation, the paper's
     straightforward baseline.
 ``dfs``
-    Online constrained depth-first search (same semantics, different order).
+    A pin name for the same online walk as ``bfs`` (shortest witnesses too).
 ``transitive-closure``
     Full transitive-closure precomputation used to prune, plus constrained
     search for the survivors — the paper's second baseline.

@@ -6,11 +6,12 @@ matcher) call :meth:`QueryGuard.spend` from inside their sweep loops — once
 per expanded frontier entry, charged with the number of CSR positions
 scanned since the previous tick — so a runaway product-graph search is
 interrupted *cooperatively*, at a loop boundary, never
-mid-datastructure-update.  The mask sweep queues only slots that can take an
-edge: a terminal slot (accept or max-depth state) is written but never
-popped, so it is paid for by the CSR entry that reached it.  A budget
-therefore still bounds total work, loosened at most by the automaton's
-longest spontaneous-advance chain.
+mid-datastructure-update.  Point queries and audiences alike run on the mask
+sweep, which queues only slots that can take an edge: a terminal slot
+(accept or max-depth state) is written but never popped, so it is paid for
+by the CSR entry that reached it.  One tick is therefore one *expanding*
+pop, and a budget still bounds total work, loosened at most by the
+automaton's longest spontaneous-advance chain.
 
 Two trip modes, chosen per query shape by :class:`~repro.service.facade.GraphService`:
 
@@ -85,9 +86,10 @@ def deadline_scope(deadline: Optional[float]):
 class QueryGuard:
     """Step-budget and deadline enforcement for a single query at a time.
 
-    ``max_steps`` bounds explored work (expanded frontier entries + CSR
+    ``max_steps`` bounds explored work (expanding frontier pops + CSR
     positions scanned, the same unit the planner's cost model estimates in:
-    seeds plus edge expansions); ``max_seconds`` bounds wall-clock time per
+    seeds plus edge expansions), the same unit for point queries and
+    audiences; ``max_seconds`` bounds wall-clock time per
     query.  Either may be ``None`` (unlimited).  The deadline is only
     consulted every ``check_interval`` spent steps — a monotonic-clock read
     per frontier pop would dominate the sweep loops it is protecting.

@@ -272,9 +272,11 @@ class ShardRouter:
     ) -> EvaluationResult:
         """Point reachability: shard-local first, summary-pruned escalation.
 
-        Witness collection is not offered by the sharded walk (masks carry
-        no parent links); ``witness`` is always ``None``, exactly like the
-        multi-source sweep the audiences ride on.
+        Witness collection is not offered by the sharded walk: parent links
+        exist only in one-bit sweeps, and a sharded round cannot decode
+        per-owner witnesses from masks that cross shards as messages.
+        ``witness`` is always ``None``, exactly like the multi-source sweep
+        the audiences ride on.
         """
         expression = as_path_expression(expression)
         self.refresh()

@@ -1,13 +1,13 @@
 """Reference semantics: the cache-free constrained BFS over the live graph.
 
-Every optimised traversal in :mod:`repro.reachability` — the compiled
-product search, the mask sweeps, the interned line matcher, the closure
-prune, the shard rounds — must agree with the functions here.  They walk the
-product of the graph's plain adjacency (``out_relationships`` /
-``in_relationships``) and a :class:`~repro.reachability.automaton.
+Every optimised traversal in :mod:`repro.reachability` — the mask sweep
+behind point queries, witnesses and audiences, the interned line matcher,
+the closure prune, the shard rounds — must agree with the functions here.
+They walk the product of the graph's plain adjacency (``out_relationships``
+/ ``in_relationships``) and a :class:`~repro.reachability.automaton.
 StepAutomaton`, share no code with the compiled paths and keep no state
-between calls, so a bug common to every ``product_search`` caller still
-shows up as a disagreement.  Anything exposing ``has_user``, the two
+between calls, so a bug common to every ``MaskSweep`` caller still shows up
+as a disagreement.  Anything exposing ``has_user``, the two
 relationship iterators and ``raw_attributes`` (or ``attributes``) works,
 including a :class:`~repro.graph.views.GraphView`.
 """

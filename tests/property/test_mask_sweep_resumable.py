@@ -21,6 +21,13 @@ trip — the ``accepts`` record must equal a scan of ``seen`` with no node
 twice, and no ``pending`` or queued key may belong to a state that takes no
 edge; forward and reverse automata over attribute-conditioned expressions
 (whose closures are not static) are both held to it.
+
+Point queries are the same sweep seeded with one bit, optionally keeping
+parent links, and run with a ``stop`` node — accepted, unreachable, or the
+source itself.  The answer must equal the oracle, a witness must be as long
+as the oracle's BFS witness, the invariants above must hold after the stop,
+and a stopped or guard-tripped point sweep resumed with ``run()`` must reach
+the unstopped fixpoint, parent links included.
 """
 
 from __future__ import annotations
@@ -41,7 +48,11 @@ from repro.reachability.compiled_search import (
 )
 from repro.reliability.guard import QueryGuard
 from repro.testing.graphs import LABELS, adversarial_graph
-from repro.testing.oracle import reference_targets
+from repro.testing.oracle import (
+    reference_reachable,
+    reference_search,
+    reference_targets,
+)
 from repro.workloads.queries import random_expression
 from tests.property.test_property_backends import SETTINGS
 
@@ -247,3 +258,92 @@ def test_seeds_at_arbitrary_states_keep_the_record(seed, reverse):
     _assert_drained_tables(once)
     assert sweep.seen == once.seen
     assert sorted(sweep.accepts) == sorted(once.accepts)
+
+
+def _point_sweep(graph, expression, source, parents):
+    """The point-query form: one bit seeded at ``source``, not yet run."""
+    sweep = _fresh_sweep(graph, expression)
+    if parents:
+        sweep.parents = {}
+    sweep.seed(sweep.snapshot.index_of(source), sweep.automaton.start_id, 1)
+    return sweep
+
+
+def _stop_users(rng, graph, expression, source):
+    """One accepted user, one unreachable user (where they exist), the source."""
+    reached = reference_targets(graph, source, expression)
+    users = sorted(graph.users(), key=str)
+    stops = [source]
+    for pool in (
+        [user for user in users if user in reached],
+        [user for user in users if user not in reached],
+    ):
+        if pool:
+            stops.append(rng.choice(pool))
+    return stops
+
+
+def _point_answer(sweep, node):
+    return node * sweep.num_states + sweep.automaton.accept_id in sweep.seen
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(**SETTINGS)
+def test_a_stopped_point_sweep_answers_and_resumes(seed, parents):
+    rng, graph, expression = _conditioned_material(seed)
+    source = rng.choice(sorted(graph.users(), key=str))
+    full = _point_sweep(graph, expression, source, parents)
+    assert full.run()
+    _assert_drained_tables(full)
+    assert {full.snapshot.node_ids[node] for node in full.accepts} == (
+        reference_targets(graph, source, expression)
+    )
+    for stop_user in _stop_users(rng, graph, expression, source):
+        sweep = _point_sweep(graph, expression, source, parents)
+        stop = sweep.snapshot.index_of(stop_user)
+        assert sweep.run(stop)
+        answer = _point_answer(sweep, stop)
+        assert answer == reference_reachable(graph, source, stop_user, expression)
+        _assert_record_and_worklist(sweep)
+        witness = sweep.witness(stop)
+        if parents and answer:
+            shortest = reference_search(
+                graph, source, expression, stop_at=stop_user, collect_witness=True
+            )[stop_user]
+            assert (witness.start, witness.end) == (source, stop_user)
+            assert len(witness) == len(shortest)
+        else:
+            assert witness is None
+        assert sweep.run()  # resumed past the stop
+        assert not sweep.has_work()
+        _assert_drained_tables(sweep)
+        assert sweep.seen == full.seen
+        assert sweep.parents == full.parents
+
+
+@given(st.integers(0, 10**6), st.integers(1, 8), st.booleans())
+@settings(**SETTINGS)
+def test_a_tripped_point_sweep_resumes_to_the_fixpoint(seed, budget, parents):
+    rng, graph, expression = _conditioned_material(seed)
+    source = rng.choice(sorted(graph.users(), key=str))
+    full = _point_sweep(graph, expression, source, parents)
+    assert full.run()
+    for stop_user in _stop_users(rng, graph, expression, source):
+        sweep = _point_sweep(graph, expression, source, parents)
+        stop = sweep.snapshot.index_of(stop_user)
+        guard = QueryGuard(max_steps=budget)
+        with guard.scope(QueryGuard.PARTIAL):
+            complete = sweep.run(stop)
+        assert complete == (not guard.tripped) == (not sweep.tripped)
+        _assert_record_and_worklist(sweep)
+        # Whatever the budget, a positive answer is never a false one.
+        if _point_answer(sweep, stop):
+            assert reference_reachable(graph, source, stop_user, expression)
+        assert sweep.run(stop)  # the budget is lifted: no guard in scope
+        assert _point_answer(sweep, stop) == reference_reachable(
+            graph, source, stop_user, expression
+        )
+        assert sweep.run()
+        _assert_drained_tables(sweep)
+        assert sweep.seen == full.seen
+        assert sweep.parents == full.parents

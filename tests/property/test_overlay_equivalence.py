@@ -11,8 +11,8 @@ fold having run**, be indistinguishable from ``CompiledGraph(graph)``:
 * every row read the way the traversal loops read it equals the fresh row
   (as a multiset);
 * ``degree_statistics()`` equals the from-scratch tuple for every label;
-* ``product_search`` (the ``evaluate`` / ``find_targets`` core) and both
-  directions of ``audience_sweep`` equal :mod:`repro.testing.oracle`.
+* a one-bit ``MaskSweep`` (the ``evaluate`` / ``find_targets`` walk) and
+  both directions of ``audience_sweep`` equal :mod:`repro.testing.oracle`.
 
 The same holds after a clone (``compacted()``), after a forced fold, after
 ``SnapshotStore.save`` -> ``load``, and on a mapped snapshot patched
@@ -36,10 +36,9 @@ from repro.policy.path_expression import PathExpression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.compiled_search import (
     CompiledAutomaton,
+    MaskSweep,
     audience_sweep,
-    product_search,
 )
-from repro.reachability.result import EvaluationResult
 from repro.testing.oracle import reference_reachable, reference_targets
 from tests.property.test_property_backends import SETTINGS, expressions, social_graphs
 
@@ -114,6 +113,13 @@ def decoded_rows(snapshot: CompiledGraph, label_id: int, *, backward: bool):
     return rows
 
 
+def _point_sweep(snapshot: CompiledGraph, automaton, node: int) -> MaskSweep:
+    """The point-query form: one bit seeded at ``node``, not yet run."""
+    sweep = MaskSweep(snapshot, automaton)
+    sweep.seed(node, automaton.start_id, 1)
+    return sweep
+
+
 def assert_equivalent(snapshot: CompiledGraph, graph, expression) -> None:
     """``snapshot`` (any state) against a fresh compile and the oracle."""
     fresh = CompiledGraph(graph)
@@ -143,20 +149,15 @@ def assert_equivalent(snapshot: CompiledGraph, graph, expression) -> None:
         automaton = CompiledAutomaton(text, snapshot)
         expected = {user: reference_targets(graph, user, text) for user in graph.users()}
         for node in live:
-            outcome = product_search(
-                snapshot, automaton, node, None,
-                EvaluationResult(reachable=False, backend="test"),
-                collect_witness=False,
-            )
-            assert outcome.users() == expected[user_of[node]]
-        stop = live[len(live) // 2]  # the evaluate (stop_at) form, one target
+            sweep = _point_sweep(snapshot, automaton, node)
+            assert sweep.run()
+            assert {user_of[n] for n in sweep.accepts} == expected[user_of[node]]
+        stop = live[len(live) // 2]  # the evaluate (stop) form, one target
+        stop_key = stop * automaton.num_states + automaton.accept_id
         for node in live:
-            outcome = product_search(
-                snapshot, automaton, node, stop,
-                EvaluationResult(reachable=False, backend="test"),
-                collect_witness=False,
-            )
-            assert outcome.contains(user_of[stop]) == (
+            sweep = _point_sweep(snapshot, automaton, node)
+            assert sweep.run(stop)
+            assert (stop_key in sweep.seen) == (
                 user_of[stop] in expected[user_of[node]]
             )
         for direction in ("forward", "reverse"):

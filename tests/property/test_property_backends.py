@@ -8,6 +8,8 @@ decisions of the cache-free walk in :mod:`repro.testing.oracle`.
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +21,11 @@ from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
-from repro.testing.oracle import reference_reachable, reference_targets
+from repro.testing.oracle import (
+    reference_reachable,
+    reference_search,
+    reference_targets,
+)
 
 LABELS = ("friend", "colleague", "parent")
 
@@ -139,23 +145,37 @@ def test_cluster_index_audiences_match_the_oracle(data):
 @given(graph_and_query())
 @settings(**SETTINGS)
 def test_bfs_witness_is_a_valid_answer(data):
-    """Whenever BFS says reachable, the witness path must itself satisfy the query."""
-    graph, source, target, expression = data
+    """Whenever BFS says reachable, the witness path must itself satisfy the query.
+
+    It must also be a shortest one: as long as the oracle's BFS witness.
+    Every (source, target) pair is tried, not only the drawn one, under the
+    drawn expression and under one long undirected step per label, so pairs
+    joined by paths of several lengths turn up in every run.
+    """
+    graph, _source, _target, drawn = data
     bfs = OnlineBFSEvaluator(graph)
-    result = bfs.evaluate(source, target, expression, collect_witness=True)
-    if not result.reachable:
-        return
-    witness = result.witness
-    assert witness is not None
-    assert witness.start == source and witness.end == target
-    assert expression.min_length() <= len(witness) <= expression.max_length()
-    # Every traversed relationship exists in the graph.
-    for traversal in witness:
-        rel = traversal.relationship
-        assert graph.has_relationship(rel.source, rel.target, rel.label)
-    # The label run-lengths fit the per-step depth intervals, in order.
-    runs = witness.label_runs()
-    step_labels = [step.label for step in expression]
-    # Merge consecutive identical labels across step boundaries conservatively:
-    # just check the overall label multiset is drawn from the expression labels.
-    assert {label for label, _count in runs} <= set(step_labels)
+    users = sorted(graph.users())
+    wide = [PathExpression.parse(f"{label}*[1,4]") for label in LABELS]
+    for expression, source, target in itertools.product([drawn] + wide, users, users):
+        result = bfs.evaluate(source, target, expression, collect_witness=True)
+        if not result.reachable:
+            continue
+        witness = result.witness
+        assert witness is not None
+        assert witness.start == source and witness.end == target
+        assert expression.min_length() <= len(witness) <= expression.max_length()
+        shortest = reference_search(
+            graph, source, expression, stop_at=target, collect_witness=True
+        )[target]
+        assert len(witness) == len(shortest)
+        # Every traversed relationship exists in the graph.
+        for traversal in witness:
+            rel = traversal.relationship
+            assert graph.has_relationship(rel.source, rel.target, rel.label)
+        # The label run-lengths fit the per-step depth intervals, in order.
+        runs = witness.label_runs()
+        step_labels = [step.label for step in expression]
+        # Merge consecutive identical labels across step boundaries
+        # conservatively: just check the overall label multiset is drawn from
+        # the expression labels.
+        assert {label for label, _count in runs} <= set(step_labels)
