@@ -104,7 +104,7 @@ def _sweep_checksum(snapshot, owners) -> int:
     from repro.reachability.compiled_search import CompiledAutomaton, audience_sweep
 
     automaton = CompiledAutomaton(PathExpression.parse(EXPRESSION), snapshot)
-    sweep = audience_sweep(snapshot, automaton, owners, direction="forward")
+    sweep = audience_sweep(snapshot, automaton, owners)
     return sum(len(audience) for audience in sweep.audiences)
 
 

@@ -77,7 +77,7 @@ def main() -> None:
     # The shared "friend*[1,2]" condition of bob and carol was materialized
     # by ONE sweep; its plan travels on the result.
     for text, plan in bulk.sweep_plans.items():
-        print(f"  sweep for {text!r}: direction={plan.direction} ({plan.owners} owners)")
+        print(f"  sweep for {text!r}: {plan.owners} owners")
 
     # 7. The same batching exists for raw reachability: one AudienceQuery
     #    materializes several owners' reachable sets in one shared product

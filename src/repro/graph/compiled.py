@@ -297,8 +297,7 @@ class LabelDegreeStats:
 
     ``mean_degree`` is edges over nodes (identical for the out and in sides
     — every edge has one source and one target); the max degrees expose
-    hubs.  The audience direction planner consumes these to estimate
-    forward-vs-reverse sweep fan-out.
+    hubs.  The query planner consumes these to estimate walk fan-out.
     """
 
     label: str
@@ -713,7 +712,7 @@ class CompiledGraph:
         edge op, and this method assembles the tuple in O(labels).  The
         tuple is cached in :attr:`derived` under the ``"structural"`` delta
         policy, so attribute-only patches return the same object.  The
-        planners read these to price walks and to pick sweep directions.
+        query planner reads these to price walks.
         """
         cached: Optional[Tuple[LabelDegreeStats, ...]] = self.derived.get(
             "degree_statistics"

@@ -27,8 +27,7 @@ attribute write through ``graph.attributes(u)`` — invalidates them), and
 constructor keyword ``cache_size=0`` disables the memo.  The bulk
 :meth:`AccessControlEngine.audiences_with_plans` groups access conditions
 across the requested resources by path expression and answers each group
-with one multi-source owner-bitset sweep; ``direction=`` pins that sweep's
-planner and the executed per-expression
+with one multi-source owner-bitset sweep, and the executed per-expression
 :class:`~repro.reachability.compiled_search.SweepPlan` objects are
 **returned with the audiences** (no entry for expressions served entirely
 from the memo).
@@ -166,21 +165,16 @@ class AccessControlEngine:
         """Return the subset of ``candidates`` that may access the resource."""
         return {user for user in candidates if self.is_allowed(user, resource_id)}
 
-    def authorized_audience(
-        self, resource_id: Hashable, *, direction: str = "auto"
-    ) -> Set[Hashable]:
+    def authorized_audience(self, resource_id: Hashable) -> Set[Hashable]:
         """Materialize the full audience of a resource (every authorized user).
 
         Computed from the owner outwards with ``find_targets``, which is much
         cheaper than testing every user of the network individually.
         """
-        return self.authorized_audiences([resource_id], direction=direction)[resource_id]
+        return self.authorized_audiences([resource_id])[resource_id]
 
     def audiences_with_plans(
-        self,
-        resource_ids: Iterable[Hashable],
-        *,
-        direction: str = "auto",
+        self, resource_ids: Iterable[Hashable]
     ) -> Tuple[Dict[Hashable, Set[Hashable]], Dict[str, object]]:
         """Materialize the audiences of many resources in one bulk pass.
 
@@ -188,8 +182,7 @@ class AccessControlEngine:
         path expression and each group is answered by one
         :meth:`ReachabilityEngine.sweep_targets_many` call — a single
         multi-source owner-bitset sweep shared by every owner of the group —
-        then recombined per rule.  ``direction`` pins the sweep planner
-        (forward from the owners or reverse from the whole vertex set).
+        then recombined per rule.
 
         Returns ``(audiences, plans)`` where ``plans`` maps expression text
         to the executed :class:`~repro.reachability.compiled_search.
@@ -212,9 +205,7 @@ class AccessControlEngine:
         audience_of: Dict[Tuple[str, Hashable], Set[Hashable]] = {}
         plans: Dict[str, object] = {}
         for text, (path, owners) in sweeps.items():
-            computed, plan = self.reachability.sweep_targets_many(
-                owners, path, direction=direction
-            )
+            computed, plan = self.reachability.sweep_targets_many(owners, path)
             for owner, targets in computed.items():
                 audience_of[(text, owner)] = targets
             if plan is not None:
@@ -229,13 +220,10 @@ class AccessControlEngine:
         return audiences, plans
 
     def authorized_audiences(
-        self,
-        resource_ids: Iterable[Hashable],
-        *,
-        direction: str = "auto",
+        self, resource_ids: Iterable[Hashable]
     ) -> Dict[Hashable, Set[Hashable]]:
         """Audiences-only form of :meth:`audiences_with_plans`."""
-        return self.audiences_with_plans(resource_ids, direction=direction)[0]
+        return self.audiences_with_plans(resource_ids)[0]
 
     @staticmethod
     def _combine_rule_audience(

@@ -16,9 +16,6 @@ from repro.reachability.compiled_search import (
     CompiledAutomaton,
     SweepPlan,
     audience_sweep,
-    plan_audience_sweep,
-    reversed_automaton,
-    reversed_expression,
 )
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.engine import (
@@ -53,9 +50,6 @@ __all__ = [
     "SweepPlan",
     "AudienceSweep",
     "audience_sweep",
-    "plan_audience_sweep",
-    "reversed_expression",
-    "reversed_automaton",
     "InternedLineIndex",
     "interned_line_index",
     "OnlineBFSEvaluator",

@@ -200,13 +200,7 @@ class ClusterIndexEvaluator:
         self._check_directions(expression)
         return self._find_targets_interned(source, expression, {})
 
-    def sweep_targets_many(
-        self,
-        sources: Iterable[Hashable],
-        expression: PathExpression,
-        *,
-        direction: str = "auto",
-    ):
+    def sweep_targets_many(self, sources: Iterable[Hashable], expression: PathExpression):
         """Materialize audiences for many owners in one multi-source sweep.
 
         The sweep runs the shared owner-bitset product walk
@@ -219,7 +213,7 @@ class ClusterIndexEvaluator:
         ``expansion_limit`` guard is still enforced so this method raises on
         exactly the expressions :meth:`find_targets` raises on (the engine
         memoizes both under the same key, so diverging here would make
-        results call-order dependent).  ``direction`` pins the planner.
+        results call-order dependent).
 
         Returns ``({owner: audience}, executed SweepPlan)``.
         """
@@ -242,8 +236,7 @@ class ClusterIndexEvaluator:
             if source in node_index
         ]
         sweep = audience_sweep(
-            snapshot, automaton, [index for _position, index in present],
-            direction=direction,
+            snapshot, automaton, [index for _position, index in present]
         )
         user_of = snapshot.node_ids
         audiences: Dict[Hashable, Set[Hashable]] = {source: set() for source in sources}
@@ -252,10 +245,10 @@ class ClusterIndexEvaluator:
         return audiences, sweep.plan
 
     def find_targets_many(
-        self, sources, expression: PathExpression, *, direction: str = "auto"
+        self, sources, expression: PathExpression
     ) -> Dict[Hashable, Set[Hashable]]:
         """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression, direction=direction)[0]
+        return self.sweep_targets_many(sources, expression)[0]
 
     def _check_directions(self, expression: PathExpression) -> None:
         """A forward-only line graph cannot evaluate steps that traverse edges backwards."""

@@ -24,10 +24,8 @@ dense integers.
   owner neighbourhoods are traversed once — a slot's outgoing CSR rows are
   rescanned only when *new* owner bits arrive — instead of once per owner.
   Being resumable, the sweep is also what every shard of
-  :mod:`repro.sharding.router` runs between message rounds.  A
-  :func:`direction planner <plan_audience_sweep>` decides per expression
-  whether to run the sweep forward from the owners or backward from the
-  whole vertex set over the :func:`reversed automaton <reversed_expression>`.
+  :mod:`repro.sharding.router` runs between message rounds.  Like the
+  paper's baseline, every audience is walked forward from its owner.
 
 The ``bfs`` and ``dfs`` evaluators are both :class:`CompiledSearchMixin`
 and run the same FIFO walk; they differ only in ``name``.  The cache-free
@@ -40,7 +38,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import (
-    AbstractSet,
     Dict,
     Iterable,
     Iterator,
@@ -54,13 +51,11 @@ from typing import (
 from repro.graph.compiled import (
     CompiledGraph,
     compile_graph,
-    register_derived_policy,
     require_social_graph,
 )
 from repro.graph.paths import Path, Traversal
 from repro.graph.social_graph import SocialGraph, UserId
 from repro.policy.path_expression import PathExpression
-from repro.policy.steps import Direction, Step
 from repro.reachability.result import EvaluationResult
 from repro.reliability.guard import active_guard
 
@@ -72,15 +67,8 @@ __all__ = [
     "AudienceSweep",
     "MaskSweep",
     "MaskBitsMemo",
-    "reverse_seed_nodes",
     "audience_sweep",
-    "plan_audience_sweep",
-    "reversed_expression",
-    "reversed_automaton",
 ]
-
-#: Accepted values of every ``direction=`` parameter along the audience path.
-SWEEP_DIRECTIONS = ("auto", "forward", "reverse")
 
 #: A packed CSR edge as stored in parent links: (rel source, rel target,
 #: label id, traversed forward?).
@@ -319,16 +307,11 @@ class CompiledSearchMixin:
         return {user_of[node] for node in sweep.accepts}
 
     def sweep_targets_many(
-        self,
-        sources: Iterable[UserId],
-        expression: PathExpression,
-        *,
-        direction: str = "auto",
+        self, sources: Iterable[UserId], expression: PathExpression
     ) -> Tuple[Dict[UserId, Set[UserId]], "SweepPlan"]:
         """Batched :meth:`find_targets`: one automaton, one shared owner sweep.
 
         Runs the multi-source owner-bitset sweep (:func:`audience_sweep`).
-        ``direction`` pins the planner's forward/reverse choice.
         Returns ``({owner: audience}, executed SweepPlan)``.
         """
         sources = list(sources)
@@ -336,7 +319,7 @@ class CompiledSearchMixin:
         automaton = self._automata.get(expression, snapshot)
         indices = [snapshot.index_of(source) for source in sources]
         user_of = snapshot.node_ids
-        sweep = audience_sweep(snapshot, automaton, indices, direction=direction)
+        sweep = audience_sweep(snapshot, automaton, indices)
         audiences = {
             source: {user_of[node] for node in accepted}
             for source, accepted in zip(sources, sweep.audiences)
@@ -344,10 +327,10 @@ class CompiledSearchMixin:
         return audiences, sweep.plan
 
     def find_targets_many(
-        self, sources, expression: PathExpression, *, direction: str = "auto"
+        self, sources, expression: PathExpression
     ) -> Dict[UserId, Set[UserId]]:
         """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression, direction=direction)[0]
+        return self.sweep_targets_many(sources, expression)[0]
 
 
 def _hoisted_state_moves(
@@ -370,232 +353,15 @@ def _hoisted_state_moves(
 
 
 # --------------------------------------------------------------------------
-# Multi-source owner-bitset sweep + direction planner
+# Multi-source owner-bitset sweep
 # --------------------------------------------------------------------------
-
-#: ``+`` and ``-`` swap when a path is walked target -> owner; ``*`` is its
-#: own mirror image.
-_FLIPPED_DIRECTION = {
-    Direction.OUTGOING: Direction.INCOMING,
-    Direction.INCOMING: Direction.OUTGOING,
-    Direction.ANY: Direction.ANY,
-}
-
-# Reversed automata live on snapshot.derived under the conservative default
-# delta policy ("always"): any in-place patch drops the cache, and the
-# live-epoch check below additionally covers snapshots that outlive graph
-# mutations (the cluster backend's pinned build-time snapshot) — compiled
-# automata memoize per-(step, node) condition outcomes and must never serve
-# values frozen at an earlier epoch.
-_REVERSED_AUTOMATA_KEY = "compiled_search.reversed_automata"
-
-# Sweep plans read only degree_statistics() and the live node count, both of
-# which only structural patches change — the line index's survival rule.
-_SWEEP_PLANS_KEY = "compiled_search.sweep_plans"
-register_derived_policy(_SWEEP_PLANS_KEY, "structural")
-
-#: Most ``(expression text, owner count, direction)`` plans one snapshot
-#: memoizes; a full memo is cleared before the next plan is stored.
-SWEEP_PLAN_MEMO_LIMIT = 512
-
-
-def reversed_expression(expression: PathExpression) -> PathExpression:
-    """Return the expression matching every satisfying path walked backwards.
-
-    A path ``owner -> ... -> target`` satisfying ``expression`` corresponds
-    one-to-one to a path ``target -> ... -> owner`` satisfying the reversed
-    expression: step order is reversed, each step's direction is flipped and
-    its depth interval kept.  Attribute conditions shift one step towards
-    the owner — a forward step's conditions constrain the user at the *end*
-    of its edge run, and the backward walk reaches that user at the end of
-    the *following* reversed step's run.  The last forward step's conditions
-    constrain the backward walk's start nodes and therefore do not appear in
-    the reversed expression at all: reverse sweeps must filter their seeds
-    with them instead (see :func:`reverse_seed_nodes`).
-    """
-    steps = tuple(expression)
-    reversed_steps: List[Step] = []
-    for position in range(len(steps) - 1, -1, -1):
-        step = steps[position]
-        reversed_steps.append(
-            Step(
-                label=step.label,
-                direction=_FLIPPED_DIRECTION[step.direction],
-                depths=step.depths,
-                conditions=steps[position - 1].conditions if position > 0 else (),
-            )
-        )
-    return PathExpression(tuple(reversed_steps))
-
-
-def reversed_automaton(
-    snapshot: CompiledGraph, expression: PathExpression
-) -> CompiledAutomaton:
-    """Return the compiled automaton of ``reversed_expression(expression)``.
-
-    Cached in ``snapshot.derived`` (keyed by the forward expression's text),
-    so it shares the snapshot's lifetime and inherits epoch-based
-    invalidation — exactly like the interned line index.  A snapshot that
-    outlives graph mutations (the cluster index answers from its build-time
-    snapshot) still sees *live* attribute dicts, so the cache is additionally
-    dropped whenever the live graph epoch moves: compiled automata memoize
-    per-(step, node) condition outcomes and must not serve values frozen at
-    an earlier epoch.
-    """
-    live_epoch = getattr(snapshot.graph, "epoch", snapshot.epoch)
-    entry = snapshot.derived.get(_REVERSED_AUTOMATA_KEY)
-    if entry is None or entry[0] != live_epoch:
-        entry = (live_epoch, {})
-        snapshot.derived[_REVERSED_AUTOMATA_KEY] = entry
-    cache: Dict[str, CompiledAutomaton] = entry[1]
-    key = expression.to_text()
-    automaton = cache.get(key)
-    if automaton is None:
-        automaton = cache[key] = CompiledAutomaton(
-            reversed_expression(expression), snapshot
-        )
-    return automaton
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The direction planner's verdict for one audience sweep.
+    """What one audience sweep ran: ``owners`` seed bits, swept forward."""
 
-    ``direction`` is what actually ran: ``"forward"`` (multi-source from the
-    owners) or ``"reverse"`` (multi-source from the whole vertex set over the
-    reversed automaton).  Costs are the planner's estimates in arbitrary
-    explored-work units; they are computed even when the caller forced the
-    direction, so benchmarks can grade the heuristic.
-    """
-
-    direction: str
-    forced: bool
     owners: int
-    forward_cost: float
-    reverse_cost: float
-    reason: str
-
-
-def _estimate_sweep_cost(
-    snapshot: CompiledGraph,
-    steps: Sequence[Step],
-    seed_count: int,
-    mask_bits: int,
-) -> float:
-    """Rough explored-work estimate of one multi-source sweep.
-
-    A geometric frontier model over the snapshot's per-label degree
-    statistics: every depth level of every step expands the frontier by the
-    label's mean degree (counted once per allowed edge orientation), and the
-    frontier saturates at ``|V|``.  Owners are assumed degree-typical.  Mask
-    width enters as a slow multiplier: big-int bitset ops on a few words are
-    drowned out by interpreter overhead, so each extra 16 words of mask
-    costs roughly one more interpreter-op equivalent per edge.
-    """
-    node_count = max(1, snapshot.number_of_live_nodes())
-    stats = snapshot.degree_statistics()
-    frontier = float(seed_count)
-    cost = float(seed_count)
-    for step in steps:
-        label_id = snapshot.label_id(step.label)
-        if label_id < 0:
-            break  # no edges carry this label: the sweep dies here
-        orientations = int(step.direction.allows_forward()) + int(
-            step.direction.allows_backward()
-        )
-        mean_degree = stats[label_id].mean_degree * orientations
-        for _depth in range(step.max_depth()):
-            expansions = frontier * mean_degree
-            cost += expansions
-            frontier = min(float(node_count), expansions)
-            if not frontier:
-                break
-        if not frontier:
-            break
-    words = 1 + (max(0, mask_bits - 1) >> 6)
-    return cost * (1.0 + words / 16.0)
-
-
-def plan_audience_sweep(
-    snapshot: CompiledGraph,
-    expression: PathExpression,
-    owner_count: int,
-    *,
-    direction: str = "auto",
-) -> SweepPlan:
-    """Choose the direction of one audience sweep.
-
-    Forward sweeps seed ``owner_count`` nodes with ``owner_count``-bit
-    masks; reverse sweeps seed the whole vertex set with ``|V|``-bit masks
-    over the reversed automaton.  Reverse wins when the owner set is large
-    (the two costs converge as ``owner_count -> |V|``) or when the forward
-    first step fans out much harder than the reversed one — e.g. a
-    high-degree ``*`` first step feeding into a rare last label.
-    ``direction`` other than ``"auto"`` pins the outcome (used by the
-    differential tests and benchmarks); costs are estimated either way.
-
-    Plans are memoized in ``snapshot.derived`` per ``(expression text,
-    owner_count, direction)`` — at most :data:`SWEEP_PLAN_MEMO_LIMIT` of
-    them — under the ``"structural"`` delta policy: edge and user patches
-    re-plan, attribute-only patches keep the memo.
-    """
-    if direction not in SWEEP_DIRECTIONS:
-        raise ValueError(
-            f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
-        )
-    plans = snapshot.derived.get(_SWEEP_PLANS_KEY)
-    if plans is None:
-        plans = snapshot.derived[_SWEEP_PLANS_KEY] = {}
-    key = (expression.to_text(), owner_count, direction)
-    plan = plans.get(key)
-    if plan is None:
-        if len(plans) >= SWEEP_PLAN_MEMO_LIMIT:
-            plans.clear()
-        plan = plans[key] = _plan_sweep(snapshot, expression, owner_count, direction)
-    return plan
-
-
-def _plan_sweep(
-    snapshot: CompiledGraph,
-    expression: PathExpression,
-    owner_count: int,
-    direction: str,
-) -> SweepPlan:
-    """Estimate both directions and pick one (:func:`plan_audience_sweep`)."""
-    node_count = snapshot.number_of_live_nodes()
-    forward_cost = _estimate_sweep_cost(
-        snapshot, tuple(expression), owner_count, owner_count
-    )
-    reverse_cost = _estimate_sweep_cost(
-        snapshot, tuple(reversed_expression(expression)), node_count, node_count
-    )
-    if direction != "auto":
-        return SweepPlan(
-            direction=direction,
-            forced=True,
-            owners=owner_count,
-            forward_cost=forward_cost,
-            reverse_cost=reverse_cost,
-            reason=f"direction pinned to {direction!r} by the caller",
-        )
-    if reverse_cost < forward_cost:
-        chosen, reason = "reverse", (
-            f"reverse sweep estimated cheaper ({reverse_cost:.0f} vs "
-            f"{forward_cost:.0f}) for {owner_count} owners over {node_count} nodes"
-        )
-    else:
-        chosen, reason = "forward", (
-            f"forward sweep estimated cheaper ({forward_cost:.0f} vs "
-            f"{reverse_cost:.0f}) for {owner_count} owners over {node_count} nodes"
-        )
-    return SweepPlan(
-        direction=chosen,
-        forced=False,
-        owners=owner_count,
-        forward_cost=forward_cost,
-        reverse_cost=reverse_cost,
-        reason=reason,
-    )
 
 
 class MaskSweep:
@@ -893,33 +659,6 @@ class MaskBitsMemo(dict):
         return bits
 
 
-def reverse_seed_nodes(
-    automaton: CompiledAutomaton, skip: AbstractSet[int] = frozenset()
-) -> List[int]:
-    """The nodes a reverse sweep of ``automaton``'s expression must seed.
-
-    Every live node outside ``skip`` (a shard passes its ghosts: their home
-    shard seeds them) that satisfies the last forward step's attribute
-    conditions — the one constraint :func:`reversed_expression` cannot
-    carry.  Tombstoned slots carry no edges, but they must not be seeded
-    either: their attribute entries are gone, so a condition probe would
-    fail, and a dead bit reaching nothing still widens every mask word for
-    free.  ``automaton`` is the *forward* automaton: its per-(step, node)
-    memo covers the last step, so repeated reverse sweeps re-evaluate
-    nothing.
-    """
-    snapshot = automaton.snapshot
-    excluded = snapshot.dead_slots | skip if skip else snapshot.dead_slots
-    nodes = [
-        node for node in range(snapshot.number_of_nodes()) if node not in excluded
-    ]
-    last_index = len(automaton.expression) - 1
-    if automaton.expression[last_index].conditions:
-        holds = automaton.condition_holds
-        nodes = [node for node in nodes if holds(last_index, node)]
-    return nodes
-
-
 def _sweep_forward(
     snapshot: CompiledGraph,
     automaton: CompiledAutomaton,
@@ -939,27 +678,6 @@ def _sweep_forward(
         for bit in bits_of[seen[node * num_states + accept_id]]:
             audiences[bit].append(node)
     return audiences
-
-
-def _sweep_reverse(
-    snapshot: CompiledGraph,
-    automaton: CompiledAutomaton,
-    sources: Sequence[int],
-) -> List[List[int]]:
-    """Multi-source sweep over the reversed automaton from the whole vertex set.
-
-    Bit ``t`` stands for the candidate *target* node ``t``; the seeds are
-    :func:`reverse_seed_nodes`.  A bit reaching an owner's accepting slot
-    means the backward walk ``t -> owner`` succeeded, i.e. ``t`` belongs to
-    that owner's audience.
-    """
-    reverse = reversed_automaton(snapshot, automaton.expression)
-    sweep = MaskSweep(snapshot, reverse)
-    for node in reverse_seed_nodes(automaton):
-        sweep.seed(node, reverse.start_id, 1 << node)
-    sweep.run()
-    masks = dict(sweep.accepted(sources))
-    return [_mask_bits(masks.get(node, 0)) for node in sources]
 
 
 class AudienceSweep:
@@ -985,40 +703,25 @@ class AudienceSweep:
 
     def __repr__(self) -> str:
         flag = " partial" if self.partial else ""
-        return (
-            f"<AudienceSweep {len(self.audiences)} owners via "
-            f"{self.plan.direction}{flag}>"
-        )
+        return f"<AudienceSweep {len(self.audiences)} owners{flag}>"
 
 
 def audience_sweep(
     snapshot: CompiledGraph,
     automaton: CompiledAutomaton,
     sources: Sequence[int],
-    *,
-    direction: str = "auto",
-    plan: Optional[SweepPlan] = None,
 ) -> AudienceSweep:
     """Materialize the accepted node set of every owner in ``sources`` at once.
 
     The multi-source form of :meth:`CompiledSearchMixin.find_targets`: the
     same :class:`MaskSweep`, seeded with one owner bit per source instead of
-    one sweep per owner.
-    ``direction`` is resolved by :func:`plan_audience_sweep` unless an
-    explicit ``plan`` is handed in.  Distance limits are enforced by the
-    automaton's depth-encoded states.
+    one sweep per owner.  Distance limits are enforced by the automaton's
+    depth-encoded states.
 
     Returns an :class:`AudienceSweep` with one list of accepted node indices
     per source, in input order, and the executed :class:`SweepPlan`.
     """
-    if plan is None:
-        plan = plan_audience_sweep(
-            snapshot, automaton.expression, len(sources), direction=direction
-        )
-    if plan.direction == "reverse":
-        audiences = _sweep_reverse(snapshot, automaton, sources)
-    else:
-        audiences = _sweep_forward(snapshot, automaton, sources)
+    audiences = _sweep_forward(snapshot, automaton, sources)
     guard = active_guard()
     partial = bool(guard is not None and guard.tripped)
-    return AudienceSweep(audiences, plan, partial)
+    return AudienceSweep(audiences, SweepPlan(owners=len(sources)), partial)

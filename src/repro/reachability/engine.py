@@ -39,9 +39,7 @@ committed mutation, including writes through the live mapping returned by
   it absorbs journal-covered mutation bursts in O(|delta|) instead of
   rebuilding, without changing anything observable here.
 * :meth:`ReachabilityEngine.sweep_targets_many` serves warm owners from
-  the target-set memo and sweeps only the misses.  ``direction=`` pins the
-  audience sweep planner (``"auto"`` | ``"forward"`` | ``"reverse"``) and
-  is validated even when everything is served from cache; the executed
+  the target-set memo and sweeps only the misses; the executed
   :class:`~repro.reachability.compiled_search.SweepPlan` is **returned
   with the audiences** (``None`` when nothing was swept).
 """
@@ -57,7 +55,7 @@ from repro.graph.social_graph import SocialGraph
 from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.compiled_search import SWEEP_DIRECTIONS, SweepPlan
+from repro.reachability.compiled_search import SweepPlan
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.result import EvaluationResult
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
@@ -245,8 +243,6 @@ class ReachabilityEngine:
         self,
         sources: Iterable[Hashable],
         expression: Union[str, PathExpression],
-        *,
-        direction: str = "auto",
     ) -> Tuple[Dict[Hashable, Set[Hashable]], Optional[SweepPlan]]:
         """Materialize audiences for many owners at once, with the plan run.
 
@@ -255,26 +251,17 @@ class ReachabilityEngine:
         owner-bitset sweep shared by all owners.  The epoch-stamped
         target-set memo is consulted per owner first, so a warm cache serves
         the cached owners from the memo and sweeps only the misses — as one
-        mask.  ``direction`` pins the sweep planner (``"forward"`` or
-        ``"reverse"``; default ``"auto"`` lets the planner decide).
+        mask.
 
         Returns ``(audiences, plan)``.  The executed
         :class:`~repro.reachability.compiled_search.SweepPlan` belongs to
         *this* call — ``None`` when nothing was swept (every owner came from
         the memo).
         """
-        if direction not in SWEEP_DIRECTIONS:
-            # Validate up front: on a warm cache nothing is swept and a
-            # typo'd pinned direction would otherwise be silently accepted.
-            raise ValueError(
-                f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
-            )
         expression = as_path_expression(expression)
         sources = list(dict.fromkeys(sources))
         if not self._cache_ready():
-            return self._evaluator.sweep_targets_many(
-                sources, expression, direction=direction
-            )
+            return self._evaluator.sweep_targets_many(sources, expression)
         text = expression.to_text()
         audiences: Dict[Hashable, Set[Hashable]] = {}
         missing: List[Hashable] = []
@@ -289,9 +276,7 @@ class ReachabilityEngine:
         plan: Optional[SweepPlan] = None
         if missing:
             self.cache_misses += len(missing)
-            computed, plan = self._evaluator.sweep_targets_many(
-                missing, expression, direction=direction
-            )
+            computed, plan = self._evaluator.sweep_targets_many(missing, expression)
             for source, targets in computed.items():
                 self._cache_put(self._targets_cache, (source, text), frozenset(targets))
                 audiences[source] = targets
@@ -301,11 +286,9 @@ class ReachabilityEngine:
         self,
         sources: Iterable[Hashable],
         expression: Union[str, PathExpression],
-        *,
-        direction: str = "auto",
     ) -> Dict[Hashable, Set[Hashable]]:
         """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression, direction=direction)[0]
+        return self.sweep_targets_many(sources, expression)[0]
 
     def statistics(self) -> Dict[str, float]:
         """Return the backend's index statistics (size, build time...)."""

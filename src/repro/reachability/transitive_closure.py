@@ -239,9 +239,7 @@ class TransitiveClosureEvaluator:
             raise IndexNotBuiltError("call build() before evaluating queries")
         return self._bfs.find_targets(source, expression)
 
-    def sweep_targets_many(
-        self, sources, expression: PathExpression, *, direction: str = "auto"
-    ):
+    def sweep_targets_many(self, sources, expression: PathExpression):
         """Batched :meth:`find_targets`, delegated to the multi-source BFS sweep.
 
         The closure prunes single (source, target) decisions, not audience
@@ -250,13 +248,13 @@ class TransitiveClosureEvaluator:
         """
         if not self._built:
             raise IndexNotBuiltError("call build() before evaluating queries")
-        return self._bfs.sweep_targets_many(sources, expression, direction=direction)
+        return self._bfs.sweep_targets_many(sources, expression)
 
     def find_targets_many(
-        self, sources, expression: PathExpression, *, direction: str = "auto"
+        self, sources, expression: PathExpression
     ) -> Dict[Hashable, Set[Hashable]]:
         """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression, direction=direction)[0]
+        return self.sweep_targets_many(sources, expression)[0]
 
     # ---------------------------------------------------------------- prune
 

@@ -7,11 +7,10 @@ engines use to separate *what* from *how*:
 
 * **Queries** (:mod:`repro.service.queries`) — immutable request objects:
   :class:`ReachQuery`, :class:`AudienceQuery`, :class:`AccessQuery`,
-  :class:`BulkAccessQuery`.  ``backend=`` and ``direction=`` are *plan
-  pins*, not dispatch mechanics.
+  :class:`BulkAccessQuery`.  ``backend=`` is a *plan pin*, not a
+  dispatch mechanic.
 * **Planning** (:mod:`repro.service.planner`) — :class:`QueryPlanner`
-  extends the PR 3 sweep-direction planner with per-query **backend
-  auto-selection**: a cost model over the snapshot's degree statistics, the
+  performs per-query **backend auto-selection**: a cost model over the snapshot's degree statistics, the
   query shape (steps, depth widths, expansion count), the owner-set width,
   and index-build amortization over the mutation-free streak the service
   has observed.  The verdict is an :class:`ExecutionPlan`.

@@ -503,28 +503,27 @@ class GraphService:
         *,
         access: bool = False,
         texts: Optional[Tuple[str, ...]] = None,
-        **pricing,
     ):
         """Plan one query, choose its route, acquire what runs it.
 
         The one request path of every verb (docs/architecture.md, "Request
         path"): ``plan_for`` is the planner method for the query's shape,
         ``subject`` its positional arguments after the snapshot, ``backend``
-        the query's own pin, ``access`` whether :meth:`access_engine` rather
-        than :meth:`engine` acquires, and ``pricing`` the keywords only some
-        shapes take (outcome feedback for point plans, the sweep direction
-        for bulk plans).  The routing rule is one line: a query runs on the
-        shard stack iff its pin (own, else the service default) is
-        ``"sharded"`` — whatever its shape; the sharded walk carries no
-        parent links, so a pinned witness / explanation is answered without
-        one.  Returns the engine to run and the plan as executed.
+        the query's own pin, and ``access`` whether :meth:`access_engine`
+        rather than :meth:`engine` acquires.  The routing rule is one line: a
+        query runs on the shard stack iff its pin (own, else the service
+        default) is ``"sharded"`` — whatever its shape; the sharded walk
+        carries no parent links, so a pinned witness / explanation is
+        answered without one.  Returns the engine to run and the plan as
+        executed.
 
         Point shapes pass their expression ``texts`` and take the warm route:
         while every breaker is closed, a plan bound at this epoch and plan
-        generation runs on its bound engine, unpriced; a miss prices and
-        binds the plan unless it was rerouted.
+        generation runs on its bound engine, unpriced; a miss prices it with
+        outcome feedback and binds the plan unless it was rerouted.
         """
         pin = self._normalize_pin(backend) or self._default_pin
+        pricing = {}
         if texts is not None:
             key = ("access" if access else "reach", texts, pin)
             generation = self._plan_generation
@@ -536,7 +535,7 @@ class GraphService:
                 )
                 if entry is not None:
                     return entry.engine, entry.plan
-            pricing.update(
+            pricing = dict(
                 unreachable_rate=min(map(self._unreachable_rate, texts), default=0.0),
                 vetoed=self._vetoed(),
             )
@@ -577,7 +576,6 @@ class GraphService:
         self,
         owners: Sequence[Hashable],
         expression: PathExpression,
-        direction: str,
         backend: Optional[str],
     ):
         """One audience materialization: planned, guarded, settled.
@@ -589,15 +587,10 @@ class GraphService:
         under-count and are never fed.
         """
         engine, plan = self._route(
-            self.planner.plan_audience,
-            (expression, len(owners)),
-            backend,
-            direction=direction,
+            self.planner.plan_audience, (expression, len(owners)), backend
         )
         with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plan = engine.sweep_targets_many(
-                owners, expression, direction=direction
-            )
+            audiences, sweep_plan = engine.sweep_targets_many(owners, expression)
         partial = self._degraded()
         if audiences and not partial:
             live = max(1, compile_graph(self.graph).number_of_live_nodes())
@@ -634,7 +627,7 @@ class GraphService:
         self._tick()
         expression = as_path_expression(query.expression)
         plan, audiences, sweep_plan, partial = self._sweep(
-            query.owners, expression, query.direction, query.backend
+            query.owners, expression, query.backend
         )
         return AudienceResult(
             plan=plan,
@@ -649,7 +642,6 @@ class GraphService:
         pairs: Iterable[Tuple[Hashable, Hashable]],
         expression: Expression,
         *,
-        direction: str = "auto",
         backend: Optional[str] = None,
     ) -> BulkReachResult:
         """Answer many ``(source, target)`` reach questions in one shared sweep.
@@ -685,7 +677,7 @@ class GraphService:
         sources = list(dict.fromkeys(source for source, _target in pair_list))
         # This *is* an audience materialization, over the distinct sources.
         plan, audiences, sweep_plan, partial = self._sweep(
-            sources, expression, direction, backend
+            sources, expression, backend
         )
         reachable = {
             (source, target): target in audiences.get(source, ())
@@ -747,12 +739,9 @@ class GraphService:
             (len(distinct),),
             query.backend,
             access=True,
-            direction=query.direction,
         )
         with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plans = access.audiences_with_plans(
-                query.resource_ids, direction=query.direction
-            )
+            audiences, sweep_plans = access.audiences_with_plans(query.resource_ids)
         partial = self._degraded()
         if not partial:
             # Cardinality feedback: a resource's authorized audience is a
@@ -809,13 +798,10 @@ class GraphService:
         owners,
         expression: Expression,
         *,
-        direction: str = "auto",
         backend: Optional[str] = None,
     ) -> AudienceResult:
         """Materialize the audience of one owner or of many owners at once."""
-        return self._execute_audience(
-            AudienceQuery(owners, expression, direction, backend)
-        )
+        return self._execute_audience(AudienceQuery(owners, expression, backend))
 
     def check(
         self,
@@ -842,19 +828,14 @@ class GraphService:
         self,
         resource_ids,
         *,
-        direction: str = "auto",
         backend: Optional[str] = None,
     ) -> BulkAccessResult:
         """Materialize the authorized audiences of many resources at once."""
-        return self._execute_bulk(
-            BulkAccessQuery(resource_ids, direction, backend)
-        )
+        return self._execute_bulk(BulkAccessQuery(resource_ids, backend))
 
-    def authorized_audience(
-        self, resource_id: Hashable, *, direction: str = "auto"
-    ) -> Set[Hashable]:
+    def authorized_audience(self, resource_id: Hashable) -> Set[Hashable]:
         """The full audience of one resource (convenience over bulk_access)."""
-        return self.bulk_access([resource_id], direction=direction)[resource_id]
+        return self.bulk_access([resource_id])[resource_id]
 
     # ---------------------------------------------------------------- stats
 

@@ -1,16 +1,13 @@
 """Per-query backend selection — the *how* of the request/plan/execute split.
 
-:class:`QueryPlanner` extends the PR 3 audience-sweep direction planner one
-level up: besides *which way* to sweep, it decides *which backend* executes
-each query.  The verdict is an :class:`ExecutionPlan` that travels with the
-result, so every answer can show how it was produced.
+:class:`QueryPlanner` decides *which backend* executes each query.  The
+verdict is an :class:`ExecutionPlan` that travels with the result, so every
+answer can show how it was produced.
 
 Cost model
 ----------
 All costs are in **explored-work units** (roughly: one CSR edge expansion of
-interpreter work), the same currency :func:`~repro.reachability.
-compiled_search.plan_audience_sweep` uses, so direction and backend
-estimates compose:
+interpreter work):
 
 * **The online walk** (``bfs``) costs the geometric frontier estimate over
   the snapshot's per-label :meth:`~repro.graph.compiled.CompiledGraph.
@@ -120,10 +117,9 @@ class ExecutionPlan:
     """The planner's verdict for one query — carried by every result.
 
     ``backend`` is what actually runs; ``backend_forced`` whether a pin (on
-    the query or the service) chose it.  ``direction`` is the *requested*
-    audience-sweep direction (the executed
-    :class:`~repro.reachability.compiled_search.SweepPlan` travels on the
-    result next to this plan).  ``estimates`` holds the cost rows of the
+    the query or the service) chose it.  The executed
+    :class:`~repro.reachability.compiled_search.SweepPlan` of an audience
+    shape travels on the result next to this plan.  ``estimates`` holds the cost rows of the
     configured :data:`PRICED_BACKENDS` so benchmarks can grade the
     heuristic after the fact; it is empty when nothing was priced (sweep
     shapes, expression-free checks, services without ``bfs``).
@@ -132,7 +128,6 @@ class ExecutionPlan:
     kind: str
     backend: str
     backend_forced: bool
-    direction: str = "auto"
     epoch: int = 0
     stability: int = 0
     estimates: Tuple[BackendEstimate, ...] = ()
@@ -161,7 +156,7 @@ class _CachedPlan:
 
 
 class QueryPlanner:
-    """Chooses a backend (and carries the direction pin) for every query."""
+    """Chooses a backend for every query."""
 
     def __init__(self, *, cache_size: int = 1024) -> None:
         self._cache: "OrderedDict[Tuple, _CachedPlan]" = OrderedDict()
@@ -473,21 +468,18 @@ class QueryPlanner:
         fresh: Mapping[str, bool],
         stability: int,
         pinned: Optional[str] = None,
-        direction: str = "auto",
     ) -> ExecutionPlan:
         """Plan one audience materialization (single- or multi-owner).
 
         Every backend funnels audience queries into the same multi-source
         owner-bitset sweep over a fresh snapshot, so backend choice cannot
         change the work done — auto-selection keeps the query online (no
-        index to go stale, no build to amortize) and leaves the real
-        decision, forward vs reverse, to the sweep-direction planner whose
-        executed :class:`~repro.reachability.compiled_search.SweepPlan`
-        rides on the result.  ``pinned`` still routes through any backend.
+        index to go stale, no build to amortize).  ``pinned`` still routes
+        through any backend.
         """
         return self._plan_sweep(
             "audience", expression.to_text(), snapshot, backends, stability,
-            pinned, direction,
+            pinned,
             "all backends share the multi-source audience sweep; "
             "{backend} runs it on the live snapshot with no index to build",
         )
@@ -500,7 +492,6 @@ class QueryPlanner:
         backends: Sequence[str],
         stability: int,
         pinned: Optional[str],
-        direction: str,
         auto_reason: str,
     ) -> ExecutionPlan:
         """The one body of the sweep-shaped plans (audience, bulk access).
@@ -510,7 +501,7 @@ class QueryPlanner:
         un-pinned plan's reason, with ``{backend}`` filled in.
         """
         epoch = snapshot.epoch
-        key = (kind, subject, pinned, direction, tuple(backends))
+        key = (kind, subject, pinned, tuple(backends))
         cached = self._cached(key, (epoch,), stability)
         if cached is not None:
             return cached
@@ -525,7 +516,6 @@ class QueryPlanner:
             kind=kind,
             backend=backend,
             backend_forced=pinned is not None,
-            direction=direction,
             epoch=epoch,
             stability=stability,
             reason=reason,
@@ -542,12 +532,11 @@ class QueryPlanner:
         fresh: Mapping[str, bool],
         stability: int,
         pinned: Optional[str] = None,
-        direction: str = "auto",
     ) -> ExecutionPlan:
         """Plan one bulk audience materialization across many resources."""
         return self._plan_sweep(
             "bulk-access", expression_count, snapshot, backends, stability,
-            pinned, direction,
+            pinned,
             "bulk audiences run one shared sweep per distinct expression; "
             "{backend} sweeps the live snapshot directly",
         )

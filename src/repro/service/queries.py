@@ -1,14 +1,11 @@
 """Typed query objects — the *what* of the request/plan/execute split.
 
 Each query is an immutable dataclass naming everything the planner needs and
-nothing about *how* the answer is computed.  The two optional knobs that used
-to be dispatch mechanics are now **plan pins**:
-
-* ``backend`` — pin the query to one reachability backend (``"bfs"``,
-  ``"dfs"``, ``"transitive-closure"``, ``"cluster-index"``).  ``None`` (or
-  ``"auto"``) lets the :class:`~repro.service.planner.QueryPlanner` choose.
-* ``direction`` — pin the audience sweep's direction (``"forward"`` or
-  ``"reverse"``); ``"auto"`` keeps the PR 3 sweep planner in charge.
+nothing about *how* the answer is computed.  The one optional knob that used
+to be a dispatch mechanic is now a **plan pin**: ``backend`` pins the query
+to one reachability backend (``"bfs"``, ``"dfs"``, ``"transitive-closure"``,
+``"cluster-index"``); ``None`` (or ``"auto"``) lets the
+:class:`~repro.service.planner.QueryPlanner` choose.
 
 Expressions may be path-expression text or parsed
 :class:`~repro.policy.path_expression.PathExpression` objects; the service
@@ -22,7 +19,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Tuple, Union
 
 from repro.policy.path_expression import PathExpression
-from repro.reachability.compiled_search import SWEEP_DIRECTIONS
 
 __all__ = [
     "Expression",
@@ -34,13 +30,6 @@ __all__ = [
 ]
 
 Expression = Union[str, PathExpression]
-
-
-def _check_direction(direction: str) -> None:
-    if direction not in SWEEP_DIRECTIONS:
-        raise ValueError(
-            f"unknown sweep direction {direction!r}; expected one of {SWEEP_DIRECTIONS}"
-        )
 
 
 def _as_tuple(values, *, what: str) -> Tuple[Hashable, ...]:
@@ -85,12 +74,10 @@ class AudienceQuery:
 
     owners: Tuple[Hashable, ...]
     expression: Expression
-    direction: str = "auto"
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "owners", _as_tuple(self.owners, what="owners"))
-        _check_direction(self.direction)
 
     @property
     def kind(self) -> str:
@@ -116,14 +103,12 @@ class BulkAccessQuery:
     """Materialize the authorized audiences of many resources in one pass."""
 
     resource_ids: Tuple[Hashable, ...]
-    direction: str = "auto"
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "resource_ids", _as_tuple(self.resource_ids, what="resource_ids")
         )
-        _check_direction(self.direction)
 
     @property
     def kind(self) -> str:

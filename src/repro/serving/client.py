@@ -67,12 +67,9 @@ class AsyncGraphClient:
         owner: Hashable,
         expression,
         *,
-        direction: str = "auto",
         timeout: Optional[float] = None,
     ) -> ServedAudience:
-        return await self.session.audience(
-            owner, expression, direction=direction, timeout=timeout
-        )
+        return await self.session.audience(owner, expression, timeout=timeout)
 
     async def check(
         self,

@@ -19,10 +19,12 @@ Ops (see ``docs/serving_protocol.md`` for the field tables):
 =========  ==========================================================
 ``ping``   liveness; echoes ``{"pong": true}``
 ``reach``  tenant, source, target, expression[, witness, timeout]
-``audience``  tenant, owner, expression[, direction, timeout]
+``audience``  tenant, owner, expression[, timeout]
 ``check``  tenant, requester, resource[, timeout]
 ``stats``  tenant -> that tenant's counters; no tenant -> aggregate
 =========  ==========================================================
+
+A field an op does not list is ignored.
 
 Typed failures (admission rejections, budget trips, unknown tenants or
 nodes, malformed frames) become structured error frames; the connection
@@ -244,7 +246,6 @@ class Connection(asyncio.Protocol):
                 _audience_result,
                 owner,
                 expression,
-                direction=frame.get("direction", "auto"),
                 timeout=frame.get("timeout"),
             )
         elif op == "ping":

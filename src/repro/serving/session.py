@@ -140,7 +140,6 @@ class _ReachRequest:
 class _AudienceRequest:
     owner: Hashable
     expression: str
-    direction: str
     deadline: Optional[float]
 
 
@@ -164,6 +163,16 @@ def _expression_text(expression) -> str:
     return expression.to_text()
 
 
+def _require_hashable(*ids: Hashable) -> None:
+    """Refuse an unhashable node or resource id (a JSON list or object).
+
+    A batch hashes every member's ids together, so one unhashable id would
+    fail the whole batch; refused here, it fails only its own request.
+    """
+    for value in ids:
+        hash(value)
+
+
 class TenantSession:
     """Async front door of one tenant's :class:`GraphService`.
 
@@ -179,7 +188,8 @@ class TenantSession:
     :meth:`enqueue_audience`, :meth:`enqueue_check`): it admits the
     request — raising if it is refused — and later calls ``respond`` once
     with the served answer or a :class:`~repro.serving.coalescer.Raised`;
-    the admission slot is released just before that call.  The wire
+    the admission slot is released just before that call.  An unhashable
+    node or resource id is refused before admission.  The wire
     server calls the entries from its read callback; the coroutines
     :meth:`reach`, :meth:`audience` and :meth:`check` await them.
     """
@@ -239,13 +249,10 @@ class TenantSession:
         owner: Hashable,
         expression,
         *,
-        direction: str = "auto",
         timeout: Optional[float] = None,
     ) -> ServedAudience:
         """Serve one owner's audience (coalescing same-expression owners)."""
-        return await awaited(
-            self.enqueue_audience, owner, expression, direction=direction, timeout=timeout
-        )
+        return await awaited(self.enqueue_audience, owner, expression, timeout=timeout)
 
     async def check(
         self,
@@ -276,6 +283,7 @@ class TenantSession:
     ) -> None:
         """Callback entry of :meth:`reach`; a witness ask is answered before
         this returns (it runs solo, on the spot)."""
+        _require_hashable(source, target)
         text = _expression_text(expression)
         request = _ReachRequest(source, target, text, self._admit(timeout))
         if witness:
@@ -290,13 +298,13 @@ class TenantSession:
         expression,
         respond: Respond,
         *,
-        direction: str = "auto",
         timeout: Optional[float] = None,
     ) -> None:
         """Callback entry of :meth:`audience`."""
+        _require_hashable(owner)
         text = _expression_text(expression)
-        request = _AudienceRequest(owner, text, direction, self._admit(timeout))
-        self._enqueue(("audience", text, direction), request, respond)
+        request = _AudienceRequest(owner, text, self._admit(timeout))
+        self._enqueue(("audience", text), request, respond)
 
     def enqueue_check(
         self,
@@ -307,6 +315,7 @@ class TenantSession:
         timeout: Optional[float] = None,
     ) -> None:
         """Callback entry of :meth:`check`."""
+        _require_hashable(requester, resource_id)
         request = _AccessRequest(requester, resource_id, self._admit(timeout))
         self._enqueue(("access",), request, respond)
 
@@ -351,7 +360,7 @@ class TenantSession:
         try:
             self.coalescer.enqueue(key, request, self._releasing(respond))
         except BaseException:
-            self.admission.release()  # never queued (an unhashable key): no answer comes
+            self.admission.release()  # never queued (e.g. called off the loop): no answer comes
             raise
 
     def _own_statistics(self) -> Dict[str, float]:
@@ -369,7 +378,7 @@ class TenantSession:
         if key[0] == "reach":
             return self._reach_batch(key[1], requests, earliest)
         if key[0] == "audience":
-            return self._audience_batch(key[1], key[2], requests, earliest)
+            return self._audience_batch(key[1], requests, earliest)
         if key[0] == "access":
             return self._access_batch(requests, earliest)
         raise RuntimeError(f"unknown coalesce key: {key!r}")
@@ -437,16 +446,12 @@ class TenantSession:
         )
 
     def _audience_batch(
-        self,
-        text: str,
-        direction: str,
-        requests: List[_AudienceRequest],
-        earliest: Optional[float],
+        self, text: str, requests: List[_AudienceRequest], earliest: Optional[float]
     ) -> List:
         size = len(requests)
         owners = list(dict.fromkeys(request.owner for request in requests))
         with deadline_scope(earliest):
-            result = self.service.audience(owners, text, direction=direction)
+            result = self.service.audience(owners, text)
         if result.partial:
             self.fallbacks += size
             return [self._solo_audience(request) for request in requests]
@@ -467,9 +472,7 @@ class TenantSession:
     def _solo_audience(self, request: _AudienceRequest):
         try:
             with deadline_scope(request.deadline):
-                result = self.service.audience(
-                    request.owner, request.expression, direction=request.direction
-                )
+                result = self.service.audience(request.owner, request.expression)
         except Exception as error:
             return Raised(error)
         return ServedAudience(

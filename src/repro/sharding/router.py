@@ -35,18 +35,14 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.compiled import CompiledGraph, compile_graph, register_derived_policy
+from repro.graph.compiled import CompiledGraph, register_derived_policy
 from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.steps import Direction
 from repro.reachability.compiled_search import (
-    SWEEP_DIRECTIONS,
     CompiledAutomaton,
     MaskBitsMemo,
     MaskSweep,
     SweepPlan,
-    plan_audience_sweep,
-    reverse_seed_nodes,
-    reversed_expression,
 )
 from repro.reachability.result import EvaluationResult
 from repro.sharding.shard import GHOST_ATTR, ShardedGraph
@@ -347,61 +343,14 @@ class ShardRouter:
     # ------------------------------------------------------------ bulk forms
 
     def sweep_targets_many(
-        self,
-        sources,
-        expression,
-        *,
-        direction: str = "auto",
+        self, sources, expression
     ) -> Tuple[Dict[Hashable, Set[Hashable]], ShardSweepPlan]:
         """Materialize many owners' audiences via per-shard mask sweeps."""
-        if direction not in SWEEP_DIRECTIONS:
-            raise ValueError(
-                f"unknown sweep direction {direction!r}; expected one of "
-                f"{SWEEP_DIRECTIONS}"
-            )
         expression = as_path_expression(expression)
         self.refresh()
         sources = list(dict.fromkeys(sources))
         self.queries += 1
         self.sweeps += 1
-        base_plan = plan_audience_sweep(
-            compile_graph(self.sharded.graph),
-            expression,
-            len(sources),
-            direction=direction,
-        )
-        if base_plan.direction == "reverse":
-            audiences, states, rounds, messages, escalated, tripped = (
-                self._reverse_sweep(sources, expression)
-            )
-        else:
-            audiences, states, rounds, messages, escalated, tripped = (
-                self._forward_sweep(sources, expression)
-            )
-        if escalated:
-            self.escalated_queries += 1
-        else:
-            self.local_queries += 1
-        partial = self._partial_shards(states) if tripped else ()
-        plan = ShardSweepPlan(
-            direction=base_plan.direction,
-            forced=base_plan.forced,
-            owners=len(sources),
-            forward_cost=base_plan.forward_cost,
-            reverse_cost=base_plan.reverse_cost,
-            reason=(
-                f"{base_plan.reason}; sharded across "
-                f"{self.sharded.shard_count} shards"
-            ),
-            shards=len(states),
-            rounds=rounds,
-            messages=messages,
-            escalated=escalated,
-            partial_shards=partial,
-        )
-        return audiences, plan
-
-    def _forward_sweep(self, sources, expression: PathExpression):
         states, state_for = self._state_factory(expression)
         seeds: Dict[int, List[Tuple[Hashable, int, int]]] = {}
         for bit, user in enumerate(sources):
@@ -409,6 +358,10 @@ class ShardRouter:
         rounds, messages, escalated, tripped = self._run_rounds(
             states, state_for, seeds
         )
+        if escalated:
+            self.escalated_queries += 1
+        else:
+            self.local_queries += 1
         audiences: Dict[Hashable, Set[Hashable]] = {
             source: set() for source in sources
         }
@@ -419,49 +372,15 @@ class ShardRouter:
                 user = user_of[node]
                 for bit in bits_of[mask]:
                     audiences[sources[bit]].add(user)
-        return audiences, states, rounds, messages, escalated, tripped
-
-    def _reverse_sweep(self, sources, expression: PathExpression):
-        """Global-bit reverse sweep: every shard seeds its owned vertex set.
-
-        Bit ``g`` stands for the user with :attr:`ShardedGraph.global_ids`
-        id ``g``; per shard the seeds are the unsharded sweep's
-        :func:`~repro.reachability.compiled_search.reverse_seed_nodes`, minus
-        the ghosts (their home shard seeds them).
-        """
-        for user in sources:
-            self._home_of(user)  # validate before any work
-        states, state_for = self._state_factory(reversed_expression(expression))
-        global_ids = self.sharded.global_ids
-        seeds: Dict[int, List[Tuple[Hashable, int, int]]] = {}
-        for shard, snapshot in enumerate(self.sharded.snapshots()):
-            if not snapshot.number_of_live_nodes():
-                continue
-            user_of = snapshot.node_ids
-            shard_seeds = [
-                (user_of[node], -1, 1 << global_ids[user_of[node]])
-                for node in reverse_seed_nodes(
-                    CompiledAutomaton(expression, snapshot),
-                    set(ghost_indices(snapshot)),
-                )
-            ]
-            if shard_seeds:
-                seeds[shard] = shard_seeds
-        rounds, messages, escalated, tripped = self._run_rounds(
-            states, state_for, seeds
+        plan = ShardSweepPlan(
+            owners=len(sources),
+            shards=len(states),
+            rounds=rounds,
+            messages=messages,
+            escalated=escalated,
+            partial_shards=self._partial_shards(states) if tripped else (),
         )
-        user_by_gid = {gid: user for user, gid in global_ids.items()}
-        audiences: Dict[Hashable, Set[Hashable]] = {}
-        bits_of = MaskBitsMemo()
-        for owner in sources:
-            members: Set[Hashable] = set()
-            state = states.get(self.sharded.shard_of(owner))
-            if state is not None:
-                # At most one entry: the owner's own accept mask, if non-empty.
-                for _node, mask in state.accepted((state.snapshot.index_of(owner),)):
-                    members = {user_by_gid[bit] for bit in bits_of[mask]}
-            audiences[owner] = members
-        return audiences, states, rounds, messages, escalated, tripped
+        return audiences, plan
 
     # ----------------------------------------------------------------- stats
 

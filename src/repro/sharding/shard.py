@@ -64,9 +64,6 @@ class ShardedGraph:
         #: Assignment history: survives ``remove_user`` so a re-added user
         #: returns to its former shard (stable ids across churn).
         self._shard_of: Dict[UserId, int] = dict(partition.shard_of)
-        #: Dense global node ids for reverse (audience-bit) sweeps; grows
-        #: monotonically, survives removals like ``_shard_of`` does.
-        self.global_ids: Dict[UserId, int] = {}
         self.mirrors: List[SocialGraph] = []
         self._owned_counts: List[int] = []
         self.boundary_edge_count = 0
@@ -106,8 +103,6 @@ class ShardedGraph:
         for user in graph.users():
             if user not in self._shard_of:
                 self._assign_new(user)
-            if user not in self.global_ids:
-                self.global_ids[user] = len(self.global_ids)
             shard = self._shard_of[user]
             self.mirrors[shard].add_user(user, **graph.raw_attributes(user))
             self._owned_counts[shard] += 1
@@ -220,8 +215,6 @@ class ShardedGraph:
         shard = self._shard_of.get(user)
         if shard is None:
             shard = self._assign_new(user)
-        if user not in self.global_ids:
-            self.global_ids[user] = len(self.global_ids)
         mirror = self.mirrors[shard]
         attrs = (
             dict(self.graph.raw_attributes(user))

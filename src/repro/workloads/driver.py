@@ -117,14 +117,13 @@ def run_workload(
     workload: Workload,
     *,
     explain: bool = False,
-    direction: str = "auto",
     churn: Optional[bool] = None,
 ) -> WorkloadReport:
     """Replay one workload through the service; returns the aggregate report.
 
     ``churn`` replays the workload's mutation bursts interleaved evenly
     between request slices (default: on exactly when the workload carries
-    bursts).  ``direction`` pins the audience sweeps; ``explain`` collects
+    bursts).  ``explain`` collects
     full decisions on the request stream (off by default — the fast path the
     throughput benchmarks exercise).
     """
@@ -159,7 +158,7 @@ def run_workload(
 
     started = time.perf_counter()
     for batch in workload.audience_requests:
-        result = service.bulk_access(batch, direction=direction)
+        result = service.bulk_access(batch)
         report.audience_batches += 1
         report.audiences_materialized += len(result.audiences)
         report.count_backend(result.plan.backend)

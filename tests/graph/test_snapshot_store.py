@@ -187,11 +187,9 @@ def test_standalone_load_answers_sweeps_without_a_graph(tmp_path):
     assert loaded.labels == snapshot.labels
     expression = PathExpression.parse("friend+[1,3]")
     sources = list(range(loaded.number_of_nodes()))
-    got = audience_sweep(
-        loaded, CompiledAutomaton(expression, loaded), sources, direction="forward"
-    )
+    got = audience_sweep(loaded, CompiledAutomaton(expression, loaded), sources)
     expected = audience_sweep(
-        snapshot, CompiledAutomaton(expression, snapshot), sources, direction="forward"
+        snapshot, CompiledAutomaton(expression, snapshot), sources
     )
     assert got.audiences == expected.audiences
 
@@ -207,7 +205,7 @@ def test_standalone_attribute_conditions_read_persisted_attrs(tmp_path):
     loaded = load_snapshot(path)
     expression = PathExpression.parse("friend+[1,1]{age < 30}")
     automaton = CompiledAutomaton(expression, loaded)
-    sweep = audience_sweep(loaded, automaton, [0, 1], direction="forward")
+    sweep = audience_sweep(loaded, automaton, [0, 1])
     # b (age 61) fails the condition, so a's audience is empty; conditions
     # apply to traversed nodes, and b is the only candidate from a.
     assert list(sweep.audiences[0]) == []
@@ -599,10 +597,7 @@ def _worker_sweep(path, expression_text, queue):
     expression = PathExpression.parse(expression_text)
     automaton = CompiledAutomaton(expression, snapshot)
     sweep = audience_sweep(
-        snapshot,
-        automaton,
-        list(range(snapshot.number_of_nodes())),
-        direction="forward",
+        snapshot, automaton, list(range(snapshot.number_of_nodes()))
     )
     queue.put([sorted(audience) for audience in sweep.audiences])
 
@@ -635,7 +630,6 @@ def test_multiple_processes_share_one_mapping(tmp_path):
         snapshot,
         CompiledAutomaton(parsed, snapshot),
         list(range(snapshot.number_of_nodes())),
-        direction="forward",
     )
     expected = [sorted(audience) for audience in local.audiences]
     assert all(result == expected for result in results)

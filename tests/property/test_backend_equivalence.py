@@ -13,9 +13,8 @@ contain at least one self-loop, exercising the fixed line-graph
 self-succession semantics.
 
 A second seeded harness differentials the **multi-source owner-bitset
-audience sweep**: on every backend, ``find_targets_many`` — under every
-planner outcome (``auto`` plus forced ``forward`` / ``reverse``) — must
-return exactly the audiences of a per-owner ``find_targets`` loop and of the
+audience sweep**: on every backend, ``find_targets_many`` must return
+exactly the audiences of a per-owner ``find_targets`` loop and of the
 oracle, including self-loops, duplicate owners, empty owner lists and owners
 absent from the graph.
 """
@@ -30,7 +29,6 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph.social_graph import SocialGraph
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.compiled_search import SWEEP_DIRECTIONS
 from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.testing.graphs import LABELS, adversarial_graph
@@ -102,11 +100,11 @@ def test_case_budget_meets_the_acceptance_floor():
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 def test_multisource_sweep_matches_per_owner_find_targets(seed):
-    """Multi-source sweep == per-owner loop, under every forced planner choice.
+    """Multi-source sweep == per-owner loop.
 
     Owner sets cover the batch shapes the engine actually sees: the empty
-    batch, the whole vertex set (where the reverse sweep's cost converges on
-    the forward one's) and random subsets with duplicates.
+    batch, the whole vertex set (|V|-bit masks) and random subsets with
+    duplicates.
     """
     rng = random.Random(42_000 + seed)
     graph = adversarial_graph(rng)
@@ -130,13 +128,8 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
                     owner: backend.find_targets(owner, expression) for owner in owners
                 }
                 assert per_owner == expected, (seed, name, owners, expression.to_text())
-                for direction in SWEEP_DIRECTIONS:
-                    got = backend.find_targets_many(
-                        owners, expression, direction=direction
-                    )
-                    assert got == per_owner, (
-                        seed, name, direction, owners, expression.to_text()
-                    )
+                got = backend.find_targets_many(owners, expression)
+                assert got == per_owner, (seed, name, owners, expression.to_text())
 
 
 def test_absent_owners_follow_each_backends_contract():
@@ -154,38 +147,12 @@ def test_absent_owners_follow_each_backends_contract():
 
     expression = PathExpression.parse("friend+[1,2]")
     backends = _backends(graph)
-    for direction in SWEEP_DIRECTIONS:
-        for name in ("bfs", "dfs", "transitive-closure"):
-            with pytest.raises(NodeNotFoundError):
-                backends[name].find_targets_many(
-                    ["a", "ghost"], expression, direction=direction
-                )
-        cluster = backends["cluster-index"]
-        audiences = cluster.find_targets_many(
-            ["a", "ghost"], expression, direction=direction
-        )
-        assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
-
-
-def test_forced_directions_are_recorded_on_the_plan():
-    """Pinning the planner must be visible on the returned plan."""
-    rng = random.Random(77)
-    graph = adversarial_graph(rng)
-    users = sorted(graph.users())
-    from repro.policy.path_expression import PathExpression
-
-    expression = PathExpression.parse("friend+[1,2]")
-    for name, backend in _backends(graph).items():
-        for direction in ("forward", "reverse"):
-            _audiences, plan = backend.sweep_targets_many(
-                users, expression, direction=direction
-            )
-            assert plan is not None and plan.direction == direction, (name, direction)
-            assert plan.forced
-        _audiences, auto_plan = backend.sweep_targets_many(users, expression)
-        assert auto_plan is not None and not auto_plan.forced
-        assert auto_plan.direction in ("forward", "reverse")
-        assert auto_plan.forward_cost >= 0 and auto_plan.reverse_cost >= 0
+    for name in ("bfs", "dfs", "transitive-closure"):
+        with pytest.raises(NodeNotFoundError):
+            backends[name].find_targets_many(["a", "ghost"], expression)
+    cluster = backends["cluster-index"]
+    audiences = cluster.find_targets_many(["a", "ghost"], expression)
+    assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
 
 
 def test_self_loop_double_traversal_regression():

@@ -19,8 +19,10 @@ Terminal slots (the accept state, every max-depth state) are written to
 Between any two calls — after a seed at any state, a drain, or a guard
 trip — the ``accepts`` record must equal a scan of ``seen`` with no node
 twice, and no ``pending`` or queued key may belong to a state that takes no
-edge; forward and reverse automata over attribute-conditioned expressions
-(whose closures are not static) are both held to it.
+edge.  Attribute-conditioned expressions (whose closures are not static),
+expressions walking ``-`` steps from a condition-gated first step, and
+sweeps seeding every live node with its own bit (|V|-bit masks) are all
+held to it.
 
 Point queries are the same sweep seeded with one bit, optionally keeping
 parent links, and run with a ``stop`` node — accepted, unreachable, or the
@@ -39,12 +41,12 @@ from hypothesis import strategies as st
 
 from repro.exceptions import QueryBudgetExceeded
 from repro.graph.compiled import compile_graph
+from repro.policy.path_expression import PathExpression
+from repro.policy.steps import Direction
 from repro.reachability.compiled_search import (
     CompiledAutomaton,
     MaskBitsMemo,
     MaskSweep,
-    reverse_seed_nodes,
-    reversed_automaton,
 )
 from repro.reliability.guard import QueryGuard
 from repro.testing.graphs import LABELS, adversarial_graph
@@ -53,7 +55,7 @@ from repro.testing.oracle import (
     reference_search,
     reference_targets,
 )
-from repro.workloads.queries import random_expression
+from repro.workloads.queries import random_expression, random_step
 from tests.property.test_property_backends import SETTINGS
 
 
@@ -183,60 +185,87 @@ def test_a_guard_trip_is_resumable(seed, budget, mode):
     }
 
 
-def _conditioned_material(seed):
+def _incoming_expression(rng):
+    """An expression with ``-`` steps whose first step carries a condition."""
+    steps = [
+        random_step(
+            rng, LABELS, condition_probability=1.0,
+            directions=((Direction.INCOMING, 1.0),),
+        )
+    ]
+    for _ in range(rng.randint(0, 2)):
+        steps.append(
+            random_step(
+                rng, LABELS, condition_probability=0.5,
+                directions=((Direction.INCOMING, 0.6), (Direction.ANY, 0.4)),
+            )
+        )
+    return PathExpression.of(*steps)
+
+
+def _conditioned_material(seed, incoming=False):
     """Small graph plus an expression whose steps mostly carry conditions."""
     rng = random.Random(seed)
     graph = adversarial_graph(rng, users=(3, 12), edges_per_user=(1, 3))
-    expression = random_expression(
-        rng, LABELS, max_steps=3, max_depth=3, condition_probability=0.7
-    )
-    return rng, graph, expression
-
-
-@given(st.integers(0, 10**6))
-@settings(**SETTINGS)
-def test_the_accept_record_matches_seen_on_forward_and_reverse_automata(seed):
-    rng, graph, expression = _conditioned_material(seed)
-    users = sorted(graph.users(), key=str)
-    owners = rng.sample(users, rng.randint(1, min(4, len(users))))
-    forward = _fresh_sweep(graph, expression)
-    _seed(forward, owners, range(len(owners)))
-    _assert_record_and_worklist(forward)
-    assert forward.run()
-    _assert_drained_tables(forward)
-    assert _audiences(forward, owners) == {
-        owner: reference_targets(graph, owner, expression) for owner in owners
-    }
-
-    # The reverse sweep: bit t stands for target t, read at each owner.
-    snapshot = forward.snapshot
-    backward = MaskSweep(snapshot, reversed_automaton(snapshot, expression))
-    for node in reverse_seed_nodes(forward.automaton):
-        backward.seed(node, backward.automaton.start_id, 1 << node)
-    _assert_record_and_worklist(backward)
-    assert backward.run()
-    _assert_drained_tables(backward)
-    user_of = snapshot.node_ids
-    masks = dict(backward.accepted())
-    bits_of = MaskBitsMemo()
-    for owner in users:
-        mask = masks.get(snapshot.index_of(owner), 0)
-        assert {user_of[bit] for bit in bits_of[mask]} == reference_targets(
-            graph, owner, expression
+    if incoming:
+        expression = _incoming_expression(rng)
+    else:
+        expression = random_expression(
+            rng, LABELS, max_steps=3, max_depth=3, condition_probability=0.7
         )
+    return rng, graph, expression
 
 
 @given(st.integers(0, 10**6), st.booleans())
 @settings(**SETTINGS)
-def test_seeds_at_arbitrary_states_keep_the_record(seed, reverse):
+def test_the_accept_record_matches_seen_on_conditioned_automata(seed, incoming):
+    rng, graph, expression = _conditioned_material(seed, incoming)
+    users = sorted(graph.users(), key=str)
+    owners = rng.sample(users, rng.randint(1, min(4, len(users))))
+    sweep = _fresh_sweep(graph, expression)
+    _seed(sweep, owners, range(len(owners)))
+    _assert_record_and_worklist(sweep)
+    assert sweep.run()
+    _assert_drained_tables(sweep)
+    assert _audiences(sweep, owners) == {
+        owner: reference_targets(graph, owner, expression) for owner in owners
+    }
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(**SETTINGS)
+def test_every_live_node_seeded_with_its_own_bit(seed, incoming):
+    """|V|-bit masks: bit ``n`` stands for the owner at node ``n``."""
+    _rng, graph, expression = _conditioned_material(seed, incoming)
+    sweep = _fresh_sweep(graph, expression)
+    snapshot = sweep.snapshot
+    live = [
+        node
+        for node in range(snapshot.number_of_nodes())
+        if node not in snapshot.dead_slots
+    ]
+    for node in live:
+        sweep.seed(node, sweep.automaton.start_id, 1 << node)
+    _assert_record_and_worklist(sweep)
+    assert sweep.run()
+    _assert_drained_tables(sweep)
+    user_of = snapshot.node_ids
+    audiences = {node: set() for node in live}
+    bits_of = MaskBitsMemo()
+    for node, mask in sweep.accepted():
+        for bit in bits_of[mask]:
+            audiences[bit].add(user_of[node])
+    for node in live:
+        assert audiences[node] == reference_targets(graph, user_of[node], expression)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(**SETTINGS)
+def test_seeds_at_arbitrary_states_keep_the_record(seed, incoming):
     """The router's ``deliver`` path: seeds at any state, the accept state too."""
-    rng, graph, expression = _conditioned_material(seed)
+    rng, graph, expression = _conditioned_material(seed, incoming)
     snapshot = compile_graph(graph)
-    automaton = (
-        reversed_automaton(snapshot, expression)
-        if reverse
-        else CompiledAutomaton(expression, snapshot)
-    )
+    automaton = CompiledAutomaton(expression, snapshot)
     sweep = MaskSweep(snapshot, automaton)
     nodes = range(snapshot.number_of_nodes())
     seeds = []

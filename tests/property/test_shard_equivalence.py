@@ -4,8 +4,7 @@ The safety net for the community-sharding layer: 100+ seeded graphs
 (planted-partition community graphs mixed with the awkward random shapes of
 the backend harness — self-loops, multi-label edges, disconnected islands)
 are partitioned at every shard count in {1, 2, 4, 8}, and every query shape
-— point reach, audience sweeps under every planner direction (auto plus
-forced forward / reverse), access checks and bulk audiences — must return
+— point reach, audience sweeps, access checks and bulk audiences — must return
 exactly the answer of the reference walk in :mod:`repro.testing.oracle`
 over the unsharded graph.  Owners are drawn to straddle shard boundaries
 (ghost users) whenever the partition produces any, and a subset of seeds
@@ -101,8 +100,6 @@ def test_sharded_answers_equal_unsharded(seed):
         )
         for _ in range(2)
     ]
-    directions = ["auto", ("forward", "reverse")[seed % 2]]
-
     for shards in SHARD_COUNTS:
         sharded = ShardedGraph(graph, shards=shards, seed=11)
         router = ShardRouter(sharded)
@@ -118,16 +115,11 @@ def test_sharded_answers_equal_unsharded(seed):
                     assert backend.find_targets(owner, expression) == want, (
                         seed, shards, name, owner, text,
                     )
-            for direction in directions:
-                audiences, plan = router.sweep_targets_many(
-                    owners, expression, direction=direction
-                )
-                assert isinstance(plan, ShardSweepPlan)
-                assert plan.partial_shards == ()  # unguarded: always complete
-                for owner, want in expected.items():
-                    assert audiences[owner] == want, (
-                        seed, shards, direction, owner, text,
-                    )
+            audiences, plan = router.sweep_targets_many(owners, expression)
+            assert isinstance(plan, ShardSweepPlan)
+            assert plan.partial_shards == ()  # unguarded: always complete
+            for owner, want in expected.items():
+                assert audiences[owner] == want, (seed, shards, owner, text)
             for _pair in range(3):
                 source = rng.choice(users)
                 target = rng.choice(users)

@@ -104,46 +104,16 @@ class TestPolicyBulkAudiences:
         assert engine.reachability.cache_info()["misses"] == 1
 
 
-class TestDirectionPlanning:
-    def test_every_direction_agrees_through_the_facade(self, figure1):
-        owners = sorted(figure1.users())
-        reference = None
-        for direction in ("auto", "forward", "reverse"):
-            engine = ReachabilityEngine(figure1, "bfs", cache_size=0)
-            audiences = engine.find_targets_many(
-                owners, "friend+[1,2]", direction=direction
-            )
-            if reference is None:
-                reference = audiences
-            assert audiences == reference, direction
-
-    def test_unknown_direction_raises(self, figure1):
-        engine = ReachabilityEngine(figure1, "bfs", cache_size=0)
-        with pytest.raises(ValueError):
-            engine.find_targets_many(["Alice"], "friend+[1]", direction="sideways")
-
-    def test_unknown_direction_raises_even_on_a_warm_cache(self, figure1):
-        engine = ReachabilityEngine(figure1, "bfs")
-        engine.find_targets_many(["Alice"], "friend+[1]")  # warm the memo
-        with pytest.raises(ValueError):
-            engine.find_targets_many(["Alice"], "friend+[1]", direction="sideways")
-
+class TestSweepPlans:
     def test_plan_is_returned_and_none_when_served_from_cache(self, figure1):
         engine = ReachabilityEngine(figure1, "bfs")
         _audiences, plan = engine.sweep_targets_many(["Alice", "Bill"], "friend+[1]")
-        assert plan is not None and plan.owners == 2 and not plan.forced
-        # Fully warm: nothing is swept, so there is no plan to report —
-        # even under a pinned direction.
-        for direction in ("auto", "reverse"):
-            _audiences, plan = engine.sweep_targets_many(
-                ["Alice", "Bill"], "friend+[1]", direction=direction
-            )
-            assert plan is None
-        _audiences, plan = engine.sweep_targets_many(
-            ["Alice", "Colin"], "friend+[1]", direction="reverse"
-        )
+        assert plan is not None and plan.owners == 2
+        # Fully warm: nothing is swept, so there is no plan to report.
+        _audiences, plan = engine.sweep_targets_many(["Alice", "Bill"], "friend+[1]")
+        assert plan is None
+        _audiences, plan = engine.sweep_targets_many(["Alice", "Colin"], "friend+[1]")
         assert plan is not None and plan.owners == 1
-        assert plan.forced and plan.direction == "reverse"
 
     def test_policy_engine_records_plans_per_expression(self, figure1):
         store = PolicyStore()
@@ -152,46 +122,10 @@ class TestDirectionPlanning:
         store.share("David", "jokes")
         store.add_rule(AccessRule.build("jokes", "David", "friend*[1]"))
         engine = AccessControlEngine(figure1, store, backend="bfs", cache_size=0)
-        bulk, plans = engine.audiences_with_plans(
-            ["photos", "jokes"], direction="forward"
-        )
+        bulk, plans = engine.audiences_with_plans(["photos", "jokes"])
         assert set(plans) == {"friend+[1,2]", "friend*[1]"}
-        for plan in plans.values():
-            assert plan.direction == "forward" and plan.forced
+        assert {plan.owners for plan in plans.values()} == {1}
         assert bulk == engine.authorized_audiences(["photos", "jokes"])
-
-
-class TestReversedExpression:
-    def test_steps_reverse_directions_flip_conditions_shift(self):
-        from repro.reachability.compiled_search import reversed_expression
-
-        expression = PathExpression.parse(
-            "friend+[1,2]{age >= 18}/colleague-[1]/parent*[2,3]"
-        )
-        reversed_ = reversed_expression(expression)
-        # Step order reversed, + <-> - flipped, * kept; conditions move one
-        # step towards the owner and the last step's conditions disappear
-        # (reverse sweeps apply them to their seeds instead).
-        assert reversed_.to_text() == "parent*[2,3]/colleague+[1]{age >= 18}/friend-[1,2]"
-
-    def test_reversal_is_an_involution_without_trailing_conditions(self):
-        from repro.reachability.compiled_search import reversed_expression
-
-        expression = PathExpression.parse("friend+[1,2]{age >= 18}/colleague-[1]")
-        twice = reversed_expression(reversed_expression(expression))
-        assert twice.to_text() == expression.to_text()
-
-    def test_reversed_automaton_is_cached_on_the_snapshot(self, figure1):
-        from repro.graph.compiled import compile_graph
-        from repro.reachability.compiled_search import reversed_automaton
-
-        snapshot = compile_graph(figure1)
-        expression = PathExpression.parse("friend+[1,2]")
-        first = reversed_automaton(snapshot, expression)
-        assert reversed_automaton(snapshot, expression) is first
-        figure1.add_relationship("Bill", "Alice", "colleague")
-        rebuilt = compile_graph(figure1)
-        assert reversed_automaton(rebuilt, expression) is not first
 
 
 class TestClusterSweepSeesLiveAttributes:
@@ -213,16 +147,12 @@ class TestClusterSweepSeesLiveAttributes:
         evaluator = create_evaluator("cluster-index", graph)
         expression = PathExpression.parse("friend+[1]{age >= 60}")
 
-        for direction in ("forward", "reverse"):
-            assert evaluator.find_targets_many(
-                ["o"], expression, direction=direction
-            ) == {"o": {"a"}}
+        assert evaluator.find_targets_many(["o"], expression) == {"o": {"a"}}
         graph.update_user("b", age=99)
-        for direction in ("forward", "reverse"):
-            assert evaluator.find_targets_many(
-                ["o"], expression, direction=direction
-            ) == {"o": evaluator.find_targets("o", expression)}, direction
-            assert evaluator.find_targets_many(["o"], expression)["o"] == {"a", "b"}
+        assert evaluator.find_targets_many(["o"], expression) == {
+            "o": evaluator.find_targets("o", expression)
+        }
+        assert evaluator.find_targets_many(["o"], expression)["o"] == {"a", "b"}
 
 
 class TestClusterSweepEnforcesTheExpansionLimit:

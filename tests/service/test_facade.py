@@ -109,6 +109,16 @@ class TestBackendPins:
         with pytest.raises(UnknownBackendError):
             service_over(figure1, default_backend="oracle")
 
+    def test_a_sweep_direction_in_the_backend_slot_is_refused(self, figure1):
+        # Audiences have one direction (forward from the owner); a caller
+        # still passing "forward" / "reverse" positionally hits the pin check.
+        service = service_over(figure1)
+        for stale in ("forward", "reverse"):
+            with pytest.raises(UnknownBackendError):
+                service.execute(AudienceQuery("Alice", "friend+[1]", stale))
+            with pytest.raises(UnknownBackendError):
+                service.execute(BulkAccessQuery(["photos"], stale))
+
     def test_restricted_backend_set(self, figure1):
         service = GraphService(figure1, backends=("bfs", "dfs"))
         assert service.backends == ("bfs", "dfs")

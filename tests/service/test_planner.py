@@ -187,14 +187,12 @@ class TestPlanCache:
 
 
 class TestAudiencePlanning:
-    def test_auto_keeps_audiences_online_and_carries_the_direction_pin(self, snapshot):
+    def test_auto_keeps_audiences_online(self, snapshot):
         verdict = QueryPlanner().plan_audience(
             snapshot, HEAVY, 32,
             backends=BACKENDS, fresh=TC_FRESH, stability=10**9,
-            direction="reverse",
         )
         assert verdict.backend == "bfs"
-        assert verdict.direction == "reverse"
         assert verdict.kind == "audience"
 
     def test_pin_routes_audiences_through_any_backend(self, snapshot):

@@ -38,10 +38,6 @@ class TestAudienceQuery:
     def test_sets_get_a_deterministic_order(self):
         assert AudienceQuery({"b", "a"}, "friend+[1]").owners == ("a", "b")
 
-    def test_direction_is_validated(self):
-        with pytest.raises(ValueError):
-            AudienceQuery("a", "friend+[1]", direction="sideways")
-
     def test_kind(self):
         assert AudienceQuery("a", "friend+[1]").kind == "audience"
 
@@ -58,6 +54,3 @@ class TestBulkAccessQuery:
         assert BulkAccessQuery("photos").resource_ids == ("photos",)
         assert BulkAccessQuery(["a", "b"]).resource_ids == ("a", "b")
 
-    def test_direction_is_validated(self):
-        with pytest.raises(ValueError):
-            BulkAccessQuery(["a"], direction="nope")

@@ -171,7 +171,7 @@ def test_a_cancelled_awaiter_holds_its_slot_until_its_batch_has_run():
     assert asyncio.run(main()) == (1, 0, True)
 
 
-def test_an_unhashable_direction_is_refused_without_leaking_its_slot():
+def test_an_unhashable_owner_is_refused_without_leaking_its_slot():
     service, workload = _service()
     owner = sorted(workload.graph.users())[0]
 
@@ -179,9 +179,9 @@ def test_an_unhashable_direction_is_refused_without_leaking_its_slot():
         session = TenantSession("t", service, window=0.5)
         try:
             with pytest.raises(TypeError):
-                await session.audience(owner, "friend+[1]", direction=["forward"])
-            return session.admission.pending
+                await session.audience([owner], "friend+[1]")
+            return session.admission.pending, session.admission.admitted
         finally:
             await session.close()
 
-    assert asyncio.run(main()) == 0
+    assert asyncio.run(main()) == (0, 0)
