@@ -11,7 +11,7 @@ Two baselines fall in this experiment:
   committed PERF-6 artefact records its 3.7-4.4x loss.)
 * **per-owner audience loop** — ``find_targets`` once per owner recompiles
   nothing (the automaton cache already helps) but pays per-call set churn;
-  ``ReachabilityEngine.find_targets_many`` sweeps all owners over hoisted
+  ``ReachabilityEngine.sweep_targets_many`` sweeps all owners over hoisted
   per-state CSR selections and bytearray seen-sets.
 
 The experiment measures, on the 5000-user scalability graph (300 users in
@@ -147,7 +147,7 @@ def bench_queries(graph) -> dict:
 
 
 def bench_batched_audiences(graph) -> dict:
-    """Per-owner ``find_targets`` loop vs the batched ``find_targets_many`` sweep."""
+    """Per-owner ``find_targets`` loop vs the batched ``sweep_targets_many`` sweep."""
     engine = ReachabilityEngine(graph, "bfs", cache_size=0)
     owners = sorted(graph.users(), key=str)[:AUDIENCE_OWNERS]
     loop_seconds = 0.0
@@ -157,7 +157,7 @@ def bench_batched_audiences(graph) -> dict:
         looped = {owner: engine.find_targets(owner, text) for owner in owners}
         loop_seconds += time.perf_counter() - started
         started = time.perf_counter()
-        batched = engine.find_targets_many(owners, text)
+        batched, _plan = engine.sweep_targets_many(owners, text)
         batched_seconds += time.perf_counter() - started
         assert looped == batched
     return {

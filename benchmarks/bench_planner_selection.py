@@ -21,7 +21,7 @@ Two promises of the `GraphService` query planner are measured:
      from the owner by *any* forward path — the common case of access
      control: most of the network is not in the audience).
 
-   Pinned ``bfs`` / ``dfs`` explore the owner's whole reachable ball for
+   Pinned ``bfs`` explores the owner's whole reachable ball for
    every denial; pinned ``cluster-index`` does too, more slowly, *and*
    rebuilds its index after every phase-1 burst (the service refuses to
    serve from a stale index); pinned ``transitive-closure`` answers denials
@@ -81,7 +81,7 @@ TAIL_EXPRESSIONS = (
     "friend+[1,4]",
     "friend+[1,2]/parent+[1,2]/colleague+[1,2]",
 )
-PINNED_CONTENDERS = ("bfs", "dfs", "cluster-index", "transitive-closure")
+PINNED_CONTENDERS = ("bfs", "cluster-index", "transitive-closure")
 
 
 def _pairs(graph, count: int, stride: int = 13):

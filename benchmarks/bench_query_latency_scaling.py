@@ -35,7 +35,6 @@ QUERY_EXPRESSIONS = [
 # online baselines run on every size.
 BACKEND_SIZES = {
     "bfs": (50, 100, 200, 400, 800),
-    "dfs": (50, 100, 200, 400, 800),
     "transitive-closure": (50, 100, 200, 400, 800),
     "cluster-index": (50, 100, 200, 400),
 }

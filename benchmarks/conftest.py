@@ -43,7 +43,7 @@ def figure1():
 
 @pytest.fixture(scope="session")
 def figure1_engines(figure1):
-    """All four reachability backends built over the Figure-1 graph."""
+    """Every reachability backend built over the Figure-1 graph."""
     from repro.reachability import available_backends, create_evaluator
 
     return {name: create_evaluator(name, figure1) for name in available_backends()}

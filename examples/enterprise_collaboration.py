@@ -5,9 +5,8 @@ Social-network access control is not limited to consumer OSNs: the same
 reachability constraints express organizational policies ("my direct
 reports", "colleagues of my reports", "managers of people I befriended at
 other departments").  This example builds a layered organization graph,
-protects a handful of documents with such rules, validates the policy with
-the administration tooling, and compares decisions across all four
-reachability backends.
+protects a handful of documents with such rules, and compares decisions
+across every reachability backend.
 
 Run with::
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from repro import GraphService, PolicyStore
 from repro.graph.generators import layered_organization_graph
-from repro.policy.administration import analyze_policy
 from repro.reachability import available_backends
 
 
@@ -50,12 +48,6 @@ def main() -> None:
 
     # 4. A salary review: nobody but the owner (no rule at all).
     store.share(cto, "salary-review", kind="document")
-
-    # Validate the policy before enforcing it.
-    report = analyze_policy(store, graph)
-    print(f"policy analysis: {len(report.errors())} errors, {len(report.warnings())} warnings, "
-          f"{len(report.unprotected_resources)} unprotected resources "
-          f"({', '.join(map(str, report.unprotected_resources)) or 'none'})")
 
     # One service pinned to the paper's cluster index; the bulk call
     # materializes every document's audience in a single pass and carries

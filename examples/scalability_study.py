@@ -31,7 +31,7 @@ QUERY_EXPRESSIONS = (
 
 
 #: Owners whose full audiences are materialized in ONE bulk call per backend
-#: (find_targets_many: one compiled automaton, one shared multi-source sweep).
+#: (sweep_targets_many: one compiled automaton, one shared multi-source sweep).
 AUDIENCE_EXPRESSION = "friend*[1,2]"
 AUDIENCE_OWNERS = 16
 
@@ -88,7 +88,7 @@ def main() -> None:
     series = study(sizes)
     print(series.to_table())
     print()
-    print("reading guide: 'bfs'/'dfs' pay nothing up front and everything per query;")
+    print("reading guide: 'bfs' pays nothing up front and everything per query;")
     print("'transitive-closure' and 'cluster-index' pay an offline build (and storage)")
     print("to keep per-query latency flat as the graph grows.  'planner-auto' lets the")
     print("service's cost model pick a backend per query (build times show as zero")

@@ -9,12 +9,12 @@ A faithful, self-contained reproduction of
 The library has these layers (see docs/architecture.md for how they fit):
 
 * :mod:`repro.graph` — the directed, edge-labelled social graph substrate
-  (Definition 1), plus synthetic-network generators and serialization.
+  (Definition 1), plus synthetic-network generators and the snapshot store.
 * :mod:`repro.policy` — the access-control model (Definitions 2–3): path
   expressions, access conditions and rules, the policy store, the
   enforcement engine, auditing, and the Carminati-style baseline.
 * :mod:`repro.reachability` — ordered label-constraint reachability query
-  evaluation (Section 3): online BFS/DFS, transitive closure, and the
+  evaluation (Section 3): the online constrained walk, transitive closure, and the
   line-graph + 2-hop-cover + cluster-join-index pipeline.
 * :mod:`repro.service` — the stable public surface: typed queries, the
   query planner (per-query backend auto-selection), plan-carrying results
@@ -73,7 +73,6 @@ from repro.reachability import (
     ClusterIndexEvaluator,
     EvaluationResult,
     OnlineBFSEvaluator,
-    OnlineDFSEvaluator,
     ReachabilityEngine,
     ReachabilityQuery,
     TransitiveClosureEvaluator,
@@ -106,7 +105,6 @@ from repro.service import (
 from repro.serving import (
     AdmissionController,
     AdmissionRejected,
-    AsyncGraphClient,
     RequestCoalescer,
     ServingServer,
     TenantRegistry,
@@ -154,7 +152,6 @@ __all__ = [
     "ReachabilityQuery",
     "EvaluationResult",
     "OnlineBFSEvaluator",
-    "OnlineDFSEvaluator",
     "TransitiveClosureEvaluator",
     "ClusterIndexEvaluator",
     "available_backends",
@@ -177,7 +174,6 @@ __all__ = [
     # serving (async front-end: coalescing, tenants, admission control)
     "AdmissionController",
     "AdmissionRejected",
-    "AsyncGraphClient",
     "RequestCoalescer",
     "ServingServer",
     "TenantRegistry",

@@ -1,6 +1,5 @@
-"""Bundled datasets: the Figure-1 example graph and real-graph fixtures."""
+"""Bundled datasets: the Figure-1 example graph."""
 
-from repro.datasets.real_graphs import KARATE_CLUB_PATH, karate_club
 from repro.datasets.paper_graph import (
     EDGES,
     LABELS,
@@ -15,8 +14,6 @@ from repro.datasets.paper_graph import (
 
 __all__ = [
     "paper_graph",
-    "karate_club",
-    "KARATE_CLUB_PATH",
     "USERS",
     "EDGES",
     "LABELS",

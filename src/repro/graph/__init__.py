@@ -6,7 +6,6 @@ Public entry points:
 * :class:`~repro.graph.builder.GraphBuilder` / :func:`~repro.graph.builder.graph_from_edges`
   — convenient construction.
 * :mod:`~repro.graph.generators` — synthetic OSN topologies for benchmarks.
-* :mod:`~repro.graph.io` — JSON / edge-list serialization.
 * :mod:`~repro.graph.statistics` — workload characterization.
 * :mod:`~repro.graph.compiled` — derived CSR snapshots the reachability
   engines traverse (rebuilt lazily from the canonical graph by epoch).
@@ -20,7 +19,6 @@ from repro.graph.compiled import CompiledGraph, LabelDegreeStats, compile_graph
 from repro.graph.paths import Path, Traversal, is_adjacent_chain, path_from_nodes
 from repro.graph.snapshot import SnapshotStore, load_snapshot, save_snapshot
 from repro.graph.social_graph import AttributeMap, Relationship, SocialGraph
-from repro.graph.views import GraphView, label_view, trust_view, user_filter_view
 
 __all__ = [
     "SocialGraph",
@@ -38,8 +36,4 @@ __all__ = [
     "Traversal",
     "is_adjacent_chain",
     "path_from_nodes",
-    "GraphView",
-    "label_view",
-    "trust_view",
-    "user_filter_view",
 ]

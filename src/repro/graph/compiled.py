@@ -1173,13 +1173,13 @@ def require_social_graph(graph: object, consumer: str) -> None:
     """Raise the one ``TypeError`` evaluators and index builders give a non-graph.
 
     They work from ``compile_graph``'s snapshot and the graph's epoch, which
-    only a :class:`SocialGraph` has; a view is told where to go instead of
-    being walked by a second, duck-typed code path.
+    only a :class:`SocialGraph` has; anything else is told where to go
+    instead of being walked by a second, duck-typed code path.
     """
     if not isinstance(graph, SocialGraph):
         raise TypeError(
             f"{consumer} works from a SocialGraph's compiled snapshot and epoch, "
-            f"not a {type(graph).__name__}; for a view, copy it into a graph "
-            "first (SocialGraph.subgraph / GraphView.materialize) or walk it "
-            "with repro.testing.oracle"
+            f"not a {type(graph).__name__}; restrict a graph with "
+            "SocialGraph.subgraph, or walk a graph-like object with "
+            "repro.testing.oracle"
         )

@@ -10,18 +10,10 @@ Public entry points:
 * :class:`~repro.policy.engine.AccessControlEngine` — request interception,
   evaluation through a pluggable reachability backend, decisions with
   explanations.
-* :class:`~repro.policy.audit.AuditLog`, :mod:`~repro.policy.administration`
-  — operational tooling.
+* :class:`~repro.policy.audit.AuditLog` — the decision audit trail.
 * :mod:`~repro.policy.carminati` — the related-work baseline model.
 """
 
-from repro.policy.administration import (
-    PolicyReport,
-    ValidationIssue,
-    analyze_policy,
-    find_redundant_rules,
-    validate_rule,
-)
 from repro.policy.audit import AuditLog
 from repro.policy.carminati import CarminatiEngine, CarminatiRule
 from repro.policy.conditions import AttributeCondition, evaluate_conditions
@@ -52,11 +44,6 @@ __all__ = [
     "Effect",
     "AccessControlEngine",
     "AuditLog",
-    "PolicyReport",
-    "ValidationIssue",
-    "analyze_policy",
-    "find_redundant_rules",
-    "validate_rule",
     "CarminatiEngine",
     "CarminatiRule",
 ]

@@ -8,8 +8,8 @@ the requester, and grants or denies access.
 
 Design points:
 
-* The reachability backend is pluggable (``bfs``, ``dfs``,
-  ``transitive-closure`` or ``cluster-index``); all produce identical
+* The reachability backend is pluggable (``bfs``, ``transitive-closure``
+  or ``cluster-index``); all produce identical
   decisions, they only differ in cost profile.
 * The resource owner always has access to their own resources.
 * A resource with **no** rules is private to its owner (deny by default);

@@ -1,6 +1,6 @@
 """Ordered label-constraint reachability query evaluation (Section 3).
 
-The package provides the online baselines (BFS / DFS, one walk), the
+The package provides the online constrained walk (``bfs``), the
 transitive-closure baseline, and the paper's index pipeline (line graph →
 SCC condensation → interval labeling → 2-hop cover → base tables / W-table /
 cluster join index → post-processing), all behind the common
@@ -17,7 +17,6 @@ from repro.reachability.compiled_search import (
     SweepPlan,
     audience_sweep,
 )
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.engine import (
     BACKENDS,
     ReachabilityEngine,
@@ -53,7 +52,6 @@ __all__ = [
     "InternedLineIndex",
     "interned_line_index",
     "OnlineBFSEvaluator",
-    "OnlineDFSEvaluator",
     "TransitiveClosureIndex",
     "TransitiveClosureEvaluator",
     "ClusterIndexEvaluator",

@@ -1,6 +1,6 @@
 """A step automaton: the compiled form of a path expression.
 
-The online evaluators (BFS / DFS) walk the product of the social graph and a
+The online evaluator (``bfs``) walks the product of the social graph and a
 small automaton derived from the path expression.  An automaton *state* is a
 pair ``(step_index, depth)`` meaning "``depth`` edges of step ``step_index``
 have been traversed so far".  Transitions:

@@ -16,8 +16,8 @@ integers, the product walk is a one-bit
 :class:`~repro.reachability.compiled_search.MaskSweep` over ``array('l')``
 adjacency, and witness paths are decoded from its parent links into
 :class:`Relationship` objects on demand.  All of it lives on
-:class:`~repro.reachability.compiled_search.CompiledSearchMixin`, shared with
-the ``dfs`` name; the cache-free walk the test suite compares both against is
+:class:`~repro.reachability.compiled_search.CompiledSearchMixin`; the
+cache-free walk the test suite compares it against is
 :mod:`repro.testing.oracle`.
 """
 

@@ -93,7 +93,7 @@ class ClusterIndexEvaluator:
         # (shared with the graph), so the cache — whose automata memoize
         # per-(step, node) condition outcomes — must be invalidated on the
         # *live* graph epoch, not the snapshot's frozen one; that keeps
-        # find_targets_many's condition reads exactly as fresh as the
+        # sweep_targets_many's condition reads exactly as fresh as the
         # per-owner matcher's (which builds a new memo every call).
         self._audience_automata = AutomatonCache()
         self._audience_epoch: Optional[int] = None
@@ -243,12 +243,6 @@ class ClusterIndexEvaluator:
         for (position, _index), accepted in zip(present, sweep.audiences):
             audiences[sources[position]] = {user_of[node] for node in accepted}
         return audiences, sweep.plan
-
-    def find_targets_many(
-        self, sources, expression: PathExpression
-    ) -> Dict[Hashable, Set[Hashable]]:
-        """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression)[0]
 
     def _check_directions(self, expression: PathExpression) -> None:
         """A forward-only line graph cannot evaluate steps that traverse edges backwards."""

@@ -1,7 +1,7 @@
 """Integer product search over a :class:`~repro.graph.compiled.CompiledGraph`.
 
 This module is the shared traversal core of the online evaluators: the
-constrained product walk of the paper's BFS / DFS baselines, run entirely on
+constrained product walk of the paper's online baseline, run entirely on
 dense integers.
 
 * :class:`CompiledAutomaton` flattens a :class:`~repro.reachability.
@@ -27,9 +27,8 @@ dense integers.
   :mod:`repro.sharding.router` runs between message rounds.  Like the
   paper's baseline, every audience is walked forward from its owner.
 
-The ``bfs`` and ``dfs`` evaluators are both :class:`CompiledSearchMixin`
-and run the same FIFO walk; they differ only in ``name``.  The cache-free
-reference these cores are tested against lives in
+The ``bfs`` evaluator is :class:`CompiledSearchMixin` plus a ``name``.  The
+cache-free reference these cores are tested against lives in
 :mod:`repro.testing.oracle`.
 """
 
@@ -236,8 +235,7 @@ class AutomatonCache:
 class CompiledSearchMixin:
     """The online evaluator: constrained product search on the CSR snapshot.
 
-    :class:`~repro.reachability.bfs.OnlineBFSEvaluator` and
-    :class:`~repro.reachability.dfs.OnlineDFSEvaluator` are this class plus
+    :class:`~repro.reachability.bfs.OnlineBFSEvaluator` is this class plus
     a ``name``.  Every query runs :class:`MaskSweep`: a point query seeds
     one bit at the source.  No precomputation: the snapshot is acquired per
     query through ``compile_graph``, so under churn the evaluator rides the
@@ -325,12 +323,6 @@ class CompiledSearchMixin:
             for source, accepted in zip(sources, sweep.audiences)
         }
         return audiences, sweep.plan
-
-    def find_targets_many(
-        self, sources, expression: PathExpression
-    ) -> Dict[UserId, Set[UserId]]:
-        """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression)[0]
 
 
 def _hoisted_state_moves(

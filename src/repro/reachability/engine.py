@@ -1,13 +1,11 @@
 """The unified reachability engine: backend registry and facade.
 
-Four interchangeable backends evaluate ordered label-constraint reachability
+Three interchangeable backends evaluate ordered label-constraint reachability
 queries:
 
 ``bfs``
     Online constrained breadth-first search — no precomputation, the paper's
     straightforward baseline.
-``dfs``
-    A pin name for the same online walk as ``bfs`` (shortest witnesses too).
 ``transitive-closure``
     Full transitive-closure precomputation used to prune, plus constrained
     search for the survivors — the paper's second baseline.
@@ -56,7 +54,6 @@ from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import SweepPlan
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.result import EvaluationResult
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.reliability.guard import active_guard
@@ -72,7 +69,6 @@ EvaluatorFactory = Callable[..., object]
 
 BACKENDS: Dict[str, EvaluatorFactory] = {
     "bfs": OnlineBFSEvaluator,
-    "dfs": OnlineDFSEvaluator,
     "transitive-closure": TransitiveClosureEvaluator,
     "cluster-index": ClusterIndexEvaluator,
 }
@@ -281,14 +277,6 @@ class ReachabilityEngine:
                 self._cache_put(self._targets_cache, (source, text), frozenset(targets))
                 audiences[source] = targets
         return audiences, plan
-
-    def find_targets_many(
-        self,
-        sources: Iterable[Hashable],
-        expression: Union[str, PathExpression],
-    ) -> Dict[Hashable, Set[Hashable]]:
-        """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression)[0]
 
     def statistics(self) -> Dict[str, float]:
         """Return the backend's index statistics (size, build time...)."""

@@ -250,12 +250,6 @@ class TransitiveClosureEvaluator:
             raise IndexNotBuiltError("call build() before evaluating queries")
         return self._bfs.sweep_targets_many(sources, expression)
 
-    def find_targets_many(
-        self, sources, expression: PathExpression
-    ) -> Dict[Hashable, Set[Hashable]]:
-        """Audiences-only form of :meth:`sweep_targets_many`."""
-        return self.sweep_targets_many(sources, expression)[0]
-
     # ---------------------------------------------------------------- prune
 
     def _prune(self, source: Hashable, target: Hashable, expression: PathExpression) -> bool:

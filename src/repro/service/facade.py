@@ -364,7 +364,7 @@ class GraphService:
             name for name, breaker in self.breakers.items() if breaker.blocking
         )
 
-    _WALK_FALLBACKS = ("bfs", "dfs")
+    _WALK_FALLBACKS = ("bfs",)
 
     def _acquire_for_plan(self, plan, acquire):
         """Acquire the planned engine, failing over auto plans to a walk.

@@ -26,7 +26,7 @@ interpreter work):
   estimate (``|V|`` sweeps per label filter).
 
 These two are the only priced rows (:data:`PRICED_BACKENDS`).  Every other
-backend name — ``dfs``, ``cluster-index``, ``sharded``, any registered
+backend name — ``cluster-index``, ``sharded``, any registered
 extra — is a **pin**: no measurement has one of them ahead of the walk on
 any query shape (PERF-1, PERF-10), so auto-selection never considers them,
 and a pinned query runs where it was pinned.  A service configured without

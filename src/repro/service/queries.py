@@ -3,8 +3,8 @@
 Each query is an immutable dataclass naming everything the planner needs and
 nothing about *how* the answer is computed.  The one optional knob that used
 to be a dispatch mechanic is now a **plan pin**: ``backend`` pins the query
-to one reachability backend (``"bfs"``, ``"dfs"``, ``"transitive-closure"``,
-``"cluster-index"``); ``None`` (or ``"auto"``) lets the
+to one reachability backend (``"bfs"``, ``"transitive-closure"``,
+``"cluster-index"``, ``"sharded"``); ``None`` (or ``"auto"``) lets the
 :class:`~repro.service.planner.QueryPlanner` choose.
 
 Expressions may be path-expression text or parsed

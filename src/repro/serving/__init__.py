@@ -14,9 +14,9 @@ GraphService` instances into a multi-tenant asyncio front end:
 * :mod:`~repro.serving.admission` — bounded pending work with typed
   :class:`~repro.exceptions.AdmissionRejected` and per-request deadlines
   wired into the engine's :class:`~repro.reliability.guard.QueryGuard`;
-* :mod:`~repro.serving.client` / :mod:`~repro.serving.server` — the
-  in-process :class:`AsyncGraphClient` and the TCP JSON-lines protocol
-  server (``python -m repro.serving`` runs a demo instance).
+* :mod:`~repro.serving.server` — the TCP JSON-lines protocol server
+  (``python -m repro.serving`` runs a demo instance); in process, await
+  a :class:`TenantSession` directly.
 
 Everything is stdlib-only and runs on one asyncio event loop: a batch
 executes on the loop, and frames that arrive meanwhile wait in the socket
@@ -25,7 +25,6 @@ buffer until it returns.
 
 from repro.exceptions import AdmissionRejected, ProtocolError, UnknownTenantError
 from repro.serving.admission import AdmissionController
-from repro.serving.client import AsyncGraphClient
 from repro.serving.coalescer import BATCH_HISTOGRAM_BUCKETS, RequestCoalescer
 from repro.serving.server import ServingServer
 from repro.serving.session import (
@@ -39,7 +38,6 @@ from repro.serving.session import (
 __all__ = [
     "AdmissionController",
     "AdmissionRejected",
-    "AsyncGraphClient",
     "BATCH_HISTOGRAM_BUCKETS",
     "ProtocolError",
     "RequestCoalescer",

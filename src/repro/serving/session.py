@@ -37,8 +37,9 @@ the resource's authorized audience).  If the batch DOES trip
 execution**, each member under its own guard scope and deadline — partial
 semantics, typed budget errors and degradation counters then match the
 unbatched path by construction.  Requests bulk execution cannot express
-(witness collection, owner/no-rule/unknown-resource access checks, absent
-reach endpoints) take the **solo path** from the start.
+(witness collection, absent audience owners, owner/no-rule/unknown-resource
+and absent-requester access checks) take the **solo path** from the start;
+an absent reach endpoint is answered ``NodeNotFoundError`` on the spot.
 
 The one observable divergence is memo warmth: a batch leaves the engine's
 per-owner targets memo warmer than N point queries would, so a later
@@ -217,8 +218,9 @@ class TenantSession:
         #: tripped the guard (the equivalence fallback).
         self.fallbacks = 0
         #: Requests that bypassed bulk execution from the start (witness
-        #: reach; owner, no-rule and unknown-resource access checks).  A
-        #: fallback member counts in ``fallbacks`` only.
+        #: reach; absent audience owners; owner, no-rule, unknown-resource
+        #: and absent-requester access checks).  A fallback member counts
+        #: in ``fallbacks`` only.
         self.solo_requests = 0
         service.register_statistics_provider("coalescer", self.coalescer.statistics)
         service.register_statistics_provider("admission", self.admission.statistics)
@@ -449,25 +451,39 @@ class TenantSession:
         self, text: str, requests: List[_AudienceRequest], earliest: Optional[float]
     ) -> List:
         size = len(requests)
-        owners = list(dict.fromkeys(request.owner for request in requests))
+        outcomes: List[object] = [None] * size
+        bulk: List[int] = []
+        has_user = self.service.graph.has_user
+        for index, request in enumerate(requests):
+            # An absent owner would fail the whole sweep on a walking
+            # backend; answered alone, it gets the sequential answer for
+            # any pin (an error, or the cluster index's empty audience).
+            if has_user(request.owner):
+                bulk.append(index)
+            else:
+                self.solo_requests += 1
+                outcomes[index] = self._solo_audience(request)
+        if not bulk:
+            return outcomes
+        owners = list(dict.fromkeys(requests[i].owner for i in bulk))
         with deadline_scope(earliest):
             result = self.service.audience(owners, text)
         if result.partial:
-            self.fallbacks += size
-            return [self._solo_audience(request) for request in requests]
-        return [
-            ServedAudience(
+            self.fallbacks += len(bulk)
+            for index in bulk:
+                outcomes[index] = self._solo_audience(requests[index])
+            return outcomes
+        for index in bulk:
+            request = requests[index]
+            outcomes[index] = ServedAudience(
                 owner=request.owner,
                 expression=text,
-                # Absent owners are skipped by the sweep, exactly as a
-                # sequential single-owner call would skip them: empty.
                 audience=frozenset(result.audiences.get(request.owner, ())),
                 partial=False,
                 coalesced=size > 1,
                 batch_size=size,
             )
-            for request in requests
-        ]
+        return outcomes
 
     def _solo_audience(self, request: _AudienceRequest):
         try:
@@ -489,16 +505,19 @@ class TenantSession:
         outcomes: List[object] = [None] * size
         bulk: List[int] = []
         store = self.service.store
+        has_user = self.service.graph.has_user
         for index, request in enumerate(requests):
             # Trivial decisions (owner, no-rules default, unknown resource)
-            # never traverse; serve them through the unbatched path so their
-            # semantics — including the typed unknown-resource error and the
-            # default-effect grant the audience does NOT contain — are the
-            # sequential ones verbatim.
+            # never traverse, and an absent requester is an error the
+            # audience sweep cannot see; serve them through the unbatched
+            # path so their semantics — including the typed unknown-resource
+            # and unknown-user errors and the default-effect grant the
+            # audience does NOT contain — are the sequential ones verbatim.
             if (
                 not store.has_resource(request.resource_id)
                 or request.requester == store.resource(request.resource_id).owner
                 or not store.rules_for(request.resource_id)
+                or not has_user(request.requester)
             ):
                 self.solo_requests += 1
                 outcomes[index] = self._solo_check(request)

@@ -9,7 +9,7 @@ StepAutomaton`, share no code with the compiled paths and keep no state
 between calls, so a bug common to every ``MaskSweep`` caller still shows up
 as a disagreement.  Anything exposing ``has_user``, the two
 relationship iterators and ``raw_attributes`` (or ``attributes``) works,
-including a :class:`~repro.graph.views.GraphView`.
+not only a :class:`~repro.graph.social_graph.SocialGraph`.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
 from repro.reachability import available_backends, create_evaluator
 from repro.reachability.bfs import OnlineBFSEvaluator
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.testing.oracle import reference_reachable, reference_targets
 from repro.workloads.queries import random_query_mix
 
@@ -119,7 +118,7 @@ class TestEpochInvalidation:
         assert not evaluator.evaluate("Alice", "George", expr("colleague+[1]")).reachable
 
     def test_attribute_updates_invalidate_condition_memos(self, figure1):
-        evaluator = OnlineDFSEvaluator(figure1)
+        evaluator = OnlineBFSEvaluator(figure1)
         adult = expr("friend+[1]{age >= 18}")
         assert evaluator.evaluate("Alice", "Colin", adult).reachable
         evaluator.evaluate("Alice", "Colin", adult)  # warm the memo
@@ -128,7 +127,7 @@ class TestEpochInvalidation:
 
 
 class TestBackendEquivalenceThroughCompiledGraph:
-    """All four backends over the paper graph, against the reference oracle."""
+    """Every backend over the paper graph, against the reference oracle."""
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_paper_graph_decisions(self, backend):
@@ -142,10 +141,9 @@ class TestBackendEquivalenceThroughCompiledGraph:
                                         collect_witness=False).reachable
             assert actual == expected, (backend, source, target, expression.to_text())
 
-    @pytest.mark.parametrize("backend", ["bfs", "dfs"])
-    def test_compiled_witnesses_are_valid(self, backend):
+    def test_compiled_witnesses_are_valid(self):
         graph = preferential_attachment_graph(70, edges_per_node=3, seed=11)
-        evaluator = create_evaluator(backend, graph)
+        evaluator = create_evaluator("bfs", graph)
         queries = random_query_mix(graph, 30, seed=17, max_steps=2, max_depth=2,
                                    condition_probability=0.1)
         for source, target, expression in queries:
@@ -162,14 +160,12 @@ class TestBackendEquivalenceThroughCompiledGraph:
     def test_find_targets_matches_the_oracle(self):
         graph = preferential_attachment_graph(70, edges_per_node=3, seed=19)
         compiled_bfs = OnlineBFSEvaluator(graph)
-        compiled_dfs = OnlineDFSEvaluator(graph)
         for text in ("friend+[1,2]", "friend*[1,2]", "colleague-[1]/friend+[1,2]",
                      "friend+[1,3]{age >= 18}"):
             expression = expr(text)
             for source in sorted(graph.users(), key=str)[:8]:
                 expected = reference_targets(graph, source, expression)
                 assert compiled_bfs.find_targets(source, expression) == expected
-                assert compiled_dfs.find_targets(source, expression) == expected
 
 
 class TestDegreeStatistics:

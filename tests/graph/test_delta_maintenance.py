@@ -6,7 +6,7 @@ must be indistinguishable from a snapshot compiled from scratch — same node
 and label interning contracts, identical per-label forward/reverse adjacency
 (as decoded user-id sets; CSR row order is not part of the contract), the
 same merged adjacency, the same degree statistics, and identical answers
-from all four reachability backends.  (The hypothesis differential of the row
+from all three reachability backends.  (The hypothesis differential of the row
 overlay itself — no fold, forced fold, clone, save/load, mapped copy-on-write
 — lives in ``tests/property/test_overlay_equivalence.py``.)
 
@@ -33,7 +33,6 @@ from repro.policy.rules import AccessRule
 from repro.policy.store import PolicyStore
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.testing.graphs import LABELS, adversarial_graph
 from repro.workloads.queries import random_expression
@@ -162,11 +161,10 @@ def assert_snapshots_equivalent(patched: CompiledGraph, fresh: CompiledGraph):
 
 
 def assert_backends_agree_after_patch(rng: random.Random, graph: SocialGraph):
-    """All four backends over the patched snapshot vs a from-scratch oracle."""
+    """All three backends over the patched snapshot vs a from-scratch oracle."""
     oracle = OnlineBFSEvaluator(graph.copy())  # fresh graph, fresh snapshot
     contenders = {
         "bfs": OnlineBFSEvaluator(graph),
-        "dfs": OnlineDFSEvaluator(graph),
         "transitive-closure": TransitiveClosureEvaluator(graph).build(),
         "cluster-index": ClusterIndexEvaluator(graph).build(),
     }
@@ -190,7 +188,7 @@ def assert_backends_agree_after_patch(rng: random.Random, graph: SocialGraph):
             owner: oracle.find_targets(owner, expression) for owner in owners
         }
         for name, backend in contenders.items():
-            assert backend.find_targets_many(owners, expression) == expected_many, (
+            assert backend.sweep_targets_many(owners, expression)[0] == expected_many, (
                 name, owners, expression.to_text()
             )
 
@@ -555,7 +553,7 @@ class TestPinnedSnapshots:
         # Stale-read semantics: the post-build edge stays invisible, and the
         # per-owner and batched paths agree on that.
         assert evaluator.find_targets("a", expression) == {"b"}
-        assert evaluator.find_targets_many(["a", "c"], expression) == {
+        assert evaluator.sweep_targets_many(["a", "c"], expression)[0] == {
             "a": {"b"},
             "c": set(),
         }

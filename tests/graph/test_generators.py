@@ -65,9 +65,9 @@ class TestCrossProcessDeterminism:
     SCRIPT = (
         "import sys, hashlib; sys.path.insert(0, 'src');"
         "from repro.graph.generators import preferential_attachment_graph;"
-        "from repro.graph.io import to_edge_list;"
         "g = preferential_attachment_graph(80, edges_per_node=3, seed=5);"
-        "print(hashlib.sha256(to_edge_list(g).encode()).hexdigest())"
+        "edges = sorted(f'{r.source} {r.target} {r.label}' for r in g.relationships());"
+        "print(hashlib.sha256('\\n'.join(edges).encode()).hexdigest())"
     )
 
     def test_same_graph_under_different_hash_seeds(self):

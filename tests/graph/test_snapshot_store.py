@@ -39,7 +39,6 @@ from repro.policy.path_expression import PathExpression
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
 from repro.reachability.compiled_search import CompiledAutomaton, audience_sweep
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.testing.graphs import LABELS, adversarial_graph
 from repro.workloads.queries import random_expression
@@ -72,7 +71,6 @@ def _mutate(graph: SocialGraph, rng: random.Random, ops: int) -> None:
 def _backends(graph):
     return {
         "bfs": OnlineBFSEvaluator(graph),
-        "dfs": OnlineDFSEvaluator(graph),
         "transitive-closure": TransitiveClosureEvaluator(graph).build(),
         "cluster-index": ClusterIndexEvaluator(graph).build(),
     }

@@ -12,8 +12,6 @@ from repro import (
     PolicyStore,
 )
 from repro.graph.generators import layered_organization_graph, preferential_attachment_graph
-from repro.graph.io import from_json, to_json
-from repro.policy.administration import analyze_policy
 from repro.reachability import available_backends
 from repro.workloads.generator import WorkloadSpec, build_workload
 from repro.workloads.scenarios import SCENARIOS
@@ -37,9 +35,6 @@ class TestPhotoSharingLifecycle:
         assert engine.is_allowed("Bill", "album")
         assert engine.is_allowed("David", "album")
         assert not engine.is_allowed("Fred", "album")
-
-        # The policy is clean according to the administration tooling.
-        assert analyze_policy(store, figure1).is_clean()
 
         # She changes her mind and revokes the rule: back to private.
         store.remove_rule(rule.rule_id)
@@ -155,14 +150,3 @@ class TestCarminatiComparison:
         baseline.add_rule(CarminatiRule("res", "Alice", "friend", max_depth=1))
         assert baseline.authorized_audience("res") == ours
 
-
-class TestSerializationRoundTripThroughTheStack:
-    def test_decisions_identical_after_json_round_trip(self, figure1):
-        store = PolicyStore()
-        store.share("Alice", "res")
-        store.allow("res", "friend+[1,2]/colleague+[1]")
-        original_engine = AccessControlEngine(figure1, store)
-        restored_graph = from_json(to_json(figure1))
-        restored_engine = AccessControlEngine(restored_graph, store)
-        for user in figure1.users():
-            assert original_engine.is_allowed(user, "res") == restored_engine.is_allowed(user, "res")

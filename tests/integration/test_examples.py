@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.reachability import available_backends
+
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -52,9 +54,8 @@ def test_photo_sharing(capsys):
 
 def test_enterprise_collaboration(capsys):
     output = _run_example("enterprise_collaboration.py", capsys)
-    assert "policy analysis: 0 errors" in output
     assert "salary-review" in output
-    assert output.count("audience size = ") == 4  # one line per backend
+    assert output.count("audience size = ") == len(available_backends())  # one line per backend
 
 
 def test_scalability_study_with_small_sizes(capsys):

@@ -1,9 +1,9 @@
-"""Seeded random-graph differential harness: all four backends must agree.
+"""Seeded random-graph differential harness: all three backends must agree.
 
 The safety net for the interned cluster-index refactor: deterministic
 ``random``-seeded graphs (including self-loops, parallel multi-label edges
 and disconnected components) and random path expressions are thrown at every
-backend — ``bfs``, ``dfs``, ``transitive-closure`` and ``cluster-index`` —
+backend — ``bfs``, ``transitive-closure`` and ``cluster-index`` —
 and each must return exactly the ``evaluate`` decisions and ``find_targets``
 audiences of the cache-free reference walk in :mod:`repro.testing.oracle`.
 
@@ -13,7 +13,7 @@ contain at least one self-loop, exercising the fixed line-graph
 self-succession semantics.
 
 A second seeded harness differentials the **multi-source owner-bitset
-audience sweep**: on every backend, ``find_targets_many`` must return
+audience sweep**: on every backend, ``sweep_targets_many`` must return
 exactly the audiences of a per-owner ``find_targets`` loop and of the
 oracle, including self-loops, duplicate owners, empty owner lists and owners
 absent from the graph.
@@ -29,7 +29,6 @@ from repro.exceptions import NodeNotFoundError
 from repro.graph.social_graph import SocialGraph
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_reachable, reference_targets
@@ -53,7 +52,6 @@ def _force_self_loop(graph: SocialGraph, rng: random.Random) -> None:
 def _backends(graph):
     return {
         "bfs": OnlineBFSEvaluator(graph),
-        "dfs": OnlineDFSEvaluator(graph),
         "transitive-closure": TransitiveClosureEvaluator(graph).build(),
         "cluster-index": ClusterIndexEvaluator(graph).build(),
     }
@@ -128,7 +126,7 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
                     owner: backend.find_targets(owner, expression) for owner in owners
                 }
                 assert per_owner == expected, (seed, name, owners, expression.to_text())
-                got = backend.find_targets_many(owners, expression)
+                got = backend.sweep_targets_many(owners, expression)[0]
                 assert got == per_owner, (seed, name, owners, expression.to_text())
 
 
@@ -147,11 +145,11 @@ def test_absent_owners_follow_each_backends_contract():
 
     expression = PathExpression.parse("friend+[1,2]")
     backends = _backends(graph)
-    for name in ("bfs", "dfs", "transitive-closure"):
+    for name in ("bfs", "transitive-closure"):
         with pytest.raises(NodeNotFoundError):
-            backends[name].find_targets_many(["a", "ghost"], expression)
+            backends[name].sweep_targets_many(["a", "ghost"], expression)
     cluster = backends["cluster-index"]
-    audiences = cluster.find_targets_many(["a", "ghost"], expression)
+    audiences, _plan = cluster.sweep_targets_many(["a", "ghost"], expression)
     assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
 
 

@@ -105,7 +105,7 @@ def _stream(graph, store, rng):
 
     def point_queries(count):
         for _ in range(count):
-            pin = rng.choice((None, None, None, "dfs", "sharded"))
+            pin = rng.choice((None, None, None, "bfs", "sharded"))
             source, target = rng.choice(hot)
             if rng.random() < 0.5:
                 yield ("check", target, rng.choice(resources), pin)

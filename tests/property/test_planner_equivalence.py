@@ -28,7 +28,7 @@ GRAPH_SEEDS = range(12)
 EXPRESSIONS_PER_GRAPH = 6
 PAIRS_PER_EXPRESSION = 3
 
-PINS = ("bfs", "dfs", "transitive-closure", "cluster-index")
+PINS = ("bfs", "transitive-closure", "cluster-index")
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)

@@ -19,7 +19,6 @@ from repro.policy.path_expression import PathExpression
 from repro.policy.steps import DepthInterval, Direction, Step
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.cluster_engine import ClusterIndexEvaluator
-from repro.reachability.dfs import OnlineDFSEvaluator
 from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.testing.oracle import (
     reference_reachable,
@@ -112,12 +111,6 @@ def _agrees_with_the_oracle(evaluator, data) -> bool:
 @settings(**SETTINGS)
 def test_bfs_agrees_with_the_oracle(data):
     assert _agrees_with_the_oracle(OnlineBFSEvaluator(data[0]), data)
-
-
-@given(graph_and_query())
-@settings(**SETTINGS)
-def test_dfs_agrees_with_the_oracle(data):
-    assert _agrees_with_the_oracle(OnlineDFSEvaluator(data[0]), data)
 
 
 @given(graph_and_query())

@@ -6,8 +6,6 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.graph.io import from_json, to_json
-from repro.graph.social_graph import SocialGraph
 from repro.reachability.interval import IntervalLabeling, ReachabilityTable
 from repro.reachability.scc import condense, strongly_connected_components
 from repro.reachability.twohop import TwoHopCover, TwoHopIndex
@@ -142,37 +140,3 @@ def test_two_hop_labels_have_no_false_positives(adjacency):
             assert nx.has_path(graph, node, center)
         for center in cover.lin[node]:
             assert nx.has_path(graph, center, node)
-
-
-# --------------------------------------------------------------------------
-# Graph serialization
-# --------------------------------------------------------------------------
-
-@st.composite
-def social_graphs(draw):
-    count = draw(st.integers(1, 8))
-    users = [f"u{i}" for i in range(count)]
-    graph = SocialGraph(name="prop")
-    for user in users:
-        graph.add_user(user, age=draw(st.integers(10, 80)))
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(users),
-                st.sampled_from(users),
-                st.sampled_from(["friend", "colleague", "parent"]),
-            ),
-            max_size=20,
-            unique=True,
-        )
-    )
-    for source, target, label in edges:
-        if source != target:
-            graph.add_relationship(source, target, label, trust=0.5)
-    return graph
-
-
-@given(social_graphs())
-@settings(**SETTINGS)
-def test_json_round_trip_is_identity(graph):
-    assert from_json(to_json(graph)) == graph

@@ -17,7 +17,7 @@ from repro.reachability.engine import (
 
 class TestRegistry:
     def test_available_backends(self):
-        assert available_backends() == ["bfs", "cluster-index", "dfs", "transitive-closure"]
+        assert available_backends() == ["bfs", "cluster-index", "transitive-closure"]
         assert set(BACKENDS) == set(available_backends())
 
     def test_create_evaluator_builds_by_default(self, figure1):

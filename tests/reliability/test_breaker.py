@@ -155,7 +155,7 @@ def test_tripped_breaker_reroutes_auto_queries_to_a_walk():
         assert result.reachable == baseline.reachable  # differential check
         if "rerouted" in result.plan.reason:
             rerouted.append(result)
-            assert result.plan.backend in ("bfs", "dfs")
+            assert result.plan.backend == "bfs"
         if breaker.state == CircuitBreaker.OPEN:
             break
     assert rerouted, "maintenance failure never caused a reroute"

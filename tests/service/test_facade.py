@@ -49,9 +49,9 @@ class TestExecuteDispatch:
         service = service_over(figure1)
         engine = ReachabilityEngine(figure1, "bfs")
         result = service.execute(AudienceQuery(("Alice", "Bill"), "friend+[1,2]"))
-        assert dict(result.audiences) == engine.find_targets_many(
+        assert dict(result.audiences) == engine.sweep_targets_many(
             ["Alice", "Bill"], "friend+[1,2]"
-        )
+        )[0]
         assert result["Alice"] == result.audiences["Alice"]
         assert result.sweep_plan is not None and result.sweep_plan.owners == 2
 
@@ -81,8 +81,8 @@ class TestExecuteDispatch:
 class TestBackendPins:
     def test_per_query_pin_wins(self, figure1):
         service = service_over(figure1)
-        result = service.reach("Alice", "David", "friend+[1,2]", backend="dfs")
-        assert result.plan.backend == "dfs" and result.plan.backend_forced
+        result = service.reach("Alice", "David", "friend+[1,2]", backend="cluster-index")
+        assert result.plan.backend == "cluster-index" and result.plan.backend_forced
 
     def test_service_wide_default_backend(self, figure1):
         service = service_over(figure1, default_backend="cluster-index")
@@ -102,12 +102,15 @@ class TestBackendPins:
                     reference = result.reachable
                 assert result.reachable == reference, (backend, expression)
 
-    def test_unknown_pin_raises(self, figure1):
+    # "dfs" named the same walk as "bfs" until it was deleted; a stale pin
+    # of it must fail loudly, not fall back to the walk.
+    @pytest.mark.parametrize("name", ["oracle", "dfs"])
+    def test_unknown_pin_raises(self, figure1, name):
         service = service_over(figure1)
         with pytest.raises(UnknownBackendError):
-            service.reach("Alice", "Bill", "friend+[1]", backend="oracle")
+            service.reach("Alice", "Bill", "friend+[1]", backend=name)
         with pytest.raises(UnknownBackendError):
-            service_over(figure1, default_backend="oracle")
+            service_over(figure1, default_backend=name)
 
     def test_a_sweep_direction_in_the_backend_slot_is_refused(self, figure1):
         # Audiences have one direction (forward from the owner); a caller
@@ -120,8 +123,8 @@ class TestBackendPins:
                 service.execute(BulkAccessQuery(["photos"], stale))
 
     def test_restricted_backend_set(self, figure1):
-        service = GraphService(figure1, backends=("bfs", "dfs"))
-        assert service.backends == ("bfs", "dfs")
+        service = GraphService(figure1, backends=("bfs", "transitive-closure"))
+        assert service.backends == ("bfs", "transitive-closure")
         with pytest.raises(UnknownBackendError):
             service.reach("Alice", "Bill", "friend+[1]", backend="cluster-index")
 

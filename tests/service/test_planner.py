@@ -12,11 +12,11 @@ from repro.policy.path_expression import PathExpression
 from repro.service import GraphService
 from repro.service.planner import PRICED_BACKENDS, QueryPlanner
 
-BACKENDS = ("bfs", "dfs", "transitive-closure", "cluster-index")
-PINS_ONLY = ("dfs", "cluster-index")
+BACKENDS = ("bfs", "transitive-closure", "cluster-index")
+PINS_ONLY = ("cluster-index", "sharded")
 
 #: Nothing fresh but the online walks — the cold-start state of a service.
-COLD = {"bfs": True, "dfs": True, "transitive-closure": False, "cluster-index": False}
+COLD = {"bfs": True, "transitive-closure": False, "cluster-index": False}
 #: The transitive closure is built and current.
 TC_FRESH = dict(COLD, **{"transitive-closure": True})
 
@@ -52,7 +52,7 @@ class TestReachCostModel:
     def test_the_table_holds_only_the_configured_priced_rows(self, snapshot):
         for backends, rows in (
             (BACKENDS, PRICED_BACKENDS),
-            (("cluster-index", "dfs", "bfs"), ("bfs",)),
+            (("cluster-index", "sharded", "bfs"), ("bfs",)),
             (("transitive-closure", "bfs"), PRICED_BACKENDS),
         ):
             verdict = QueryPlanner().plan_reach(
@@ -76,7 +76,7 @@ class TestReachCostModel:
     def test_without_bfs_nothing_is_priced(self, snapshot):
         # The closure is priced against the walk; with no walk configured
         # auto runs the first backend, the sweep plans' rule.
-        for backends in (PINS_ONLY, ("transitive-closure", "dfs")):
+        for backends in (PINS_ONLY, ("transitive-closure", "cluster-index")):
             verdict = QueryPlanner().plan_reach(
                 snapshot, HEAVY, backends=backends, fresh=COLD, stability=10**9,
                 unreachable_rate=1.0,
@@ -218,11 +218,11 @@ class TestSignatures:
 class TestServiceAutoSelection:
     def test_a_service_without_bfs_auto_runs_its_first_backend(self):
         graph = preferential_attachment_graph(60, edges_per_node=2, seed=3)
-        service = GraphService(graph, backends=PINS_ONLY)
+        service = GraphService(graph, backends=("transitive-closure", "cluster-index"))
         users = sorted(graph.users())
         reach = service.reach(users[0], users[-1], "friend+[1,2]")
-        assert reach.plan.backend == "dfs" and not reach.plan.backend_forced
+        assert reach.plan.backend == "transitive-closure" and not reach.plan.backend_forced
         assert reach.plan.estimates == ()
         audience = service.audience(users[:3], "friend+[1,2]")
-        assert audience.plan.backend == "dfs"
+        assert audience.plan.backend == "transitive-closure"
         assert "cluster-index" not in service._engines  # never built behind auto

@@ -1,4 +1,5 @@
-"""A request with an unhashable id fails alone; its batch-mates are served.
+"""A request with an unhashable or absent id fails alone; its batch-mates
+are served.
 
 JSON lists and objects reach a frame's node and resource fields as they
 are.  A batch hashes every member's ids together (owner sets, pair maps,
@@ -6,6 +7,11 @@ resource lookups), so one such member used to fail its whole batch with
 ``TypeError``.  The session refuses it at its callback entry instead,
 before admission: only that requester sees the error, it takes no
 admission slot, and every batch-mate gets the sequential answer.
+
+An id the graph does not hold is hashable and admitted.  A bulk audience
+sweep raises ``NodeNotFoundError`` for the whole batch on an absent owner,
+and a bulk access check reads an absent requester as merely outside the
+audience, so such a member is answered on its own, sequentially.
 """
 
 import asyncio
@@ -13,6 +19,7 @@ import json
 
 import pytest
 
+from repro.exceptions import NodeNotFoundError
 from repro.serving.server import ServingServer
 from repro.serving.session import TenantRegistry, TenantSession
 from repro.workloads import WorkloadSpec, build_workload, install_policies
@@ -50,10 +57,25 @@ def _serve_beside(served_service, good, poisoned):
     return answers, bad, pending, admitted
 
 
-def _assert_batch_mates_served(good, answers, sequential_service):
+def _assert_batch_mates_served(good, answers, sequential_service, batch_size=None):
+    batch_size = len(good) if batch_size is None else batch_size
     for request, served in zip(good, answers):
         _assert_equivalent(request, served, _sequential_answer(sequential_service, request))
-        assert served.batch_size == len(good) and served.coalesced, (request, served)
+        assert served.batch_size == batch_size and served.coalesced, (request, served)
+
+
+def _ruled_checks(service, workload, count=2):
+    """Non-owner checks against ruled resources: the bulk access path."""
+    users = sorted(workload.graph.users())
+    ruled = [
+        (resource_id, owner)
+        for resource_id, owner, *_rest in workload.resources
+        if service.store.rules_for(resource_id)
+    ]
+    return [
+        ("check", next(user for user in users if user != owner), resource_id)
+        for resource_id, owner in ruled[:count]
+    ]
 
 
 @pytest.mark.parametrize("unhashable", UNHASHABLE, ids=("list", "object"))
@@ -92,17 +114,7 @@ def test_an_unhashable_audience_owner_fails_only_its_own_request(unhashable):
 @pytest.mark.parametrize("field", [1, 2], ids=("requester", "resource"))
 def test_an_unhashable_check_id_fails_only_its_own_request(field, unhashable):
     served_service, sequential_service, workload = _twin_services(seed=79)
-    users = sorted(workload.graph.users())
-    # Non-owner requesters against ruled resources: the batched (bulk) path.
-    ruled = [
-        (resource_id, owner)
-        for resource_id, owner, *_rest in workload.resources
-        if served_service.store.rules_for(resource_id)
-    ]
-    good = []
-    for resource_id, owner in ruled[:2]:
-        requester = next(user for user in users if user != owner)
-        good.append(("check", requester, resource_id))
+    good = _ruled_checks(served_service, workload)
     poisoned = ["check", good[0][1], good[0][2]]
     poisoned[field] = unhashable
     answers, bad, pending, admitted = _serve_beside(
@@ -113,7 +125,38 @@ def test_an_unhashable_check_id_fails_only_its_own_request(field, unhashable):
     assert (pending, admitted) == (0, len(good))
 
 
-def test_an_unhashable_owner_frame_fails_only_its_own_frame():
+def test_an_absent_audience_owner_fails_only_its_own_request():
+    served_service, sequential_service, workload = _twin_services(seed=73)
+    users = sorted(workload.graph.users())
+    good = [("audience", users[0], "friend+[1,2]"), ("audience", users[1], "friend+[1,2]")]
+    absent = ("audience", "nobody", "friend+[1,2]")
+    answers, bad, pending, admitted = _serve_beside(served_service, good, absent)
+    assert isinstance(bad, NodeNotFoundError)
+    assert isinstance(_sequential_answer(sequential_service, absent), NodeNotFoundError)
+    _assert_batch_mates_served(good, answers, sequential_service, batch_size=3)
+    assert (pending, admitted) == (0, 3)
+
+
+def test_an_absent_check_requester_fails_only_its_own_request():
+    served_service, sequential_service, workload = _twin_services(seed=79)
+    good = _ruled_checks(served_service, workload)
+    absent = ("check", "nobody", good[0][2])
+    answers, bad, pending, admitted = _serve_beside(served_service, good, absent)
+    # Sequentially, check() refuses a requester the graph does not hold.
+    assert isinstance(bad, NodeNotFoundError), bad
+    assert isinstance(_sequential_answer(sequential_service, absent), NodeNotFoundError)
+    _assert_batch_mates_served(good, answers, sequential_service, batch_size=3)
+    assert (pending, admitted) == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "bad_owner, error, batch_size",
+    [(["u0"], "TypeError", 2), ("nobody", "NodeNotFoundError", 3)],
+    ids=("unhashable", "absent"),
+)
+def test_a_malformed_owner_frame_fails_only_its_own_frame(bad_owner, error, batch_size):
+    # An unhashable owner is refused before admission and leaves its batch;
+    # an absent one is admitted, shares the batch and is answered alone.
     registry = TenantRegistry(window=WINDOW)
     workload = build_workload(WorkloadSpec(users=80, seed=5))
     session = registry.create("t0", workload.graph)
@@ -122,7 +165,7 @@ def test_an_unhashable_owner_frame_fails_only_its_own_frame():
     audience = {"op": "audience", "tenant": "t0", "expression": "friend+[1,2]"}
     frames = [
         {**audience, "id": "first", "owner": users[0]},
-        {**audience, "id": "bad", "owner": [users[0]]},
+        {**audience, "id": "bad", "owner": bad_owner},
         {**audience, "id": "second", "owner": users[1]},
     ]
 
@@ -143,11 +186,11 @@ def test_an_unhashable_owner_frame_fails_only_its_own_frame():
 
     responses, pending = asyncio.run(main())
     bad = responses.pop("bad")
-    assert bad["ok"] is False and bad["error"]["type"] == "TypeError"
+    assert bad["ok"] is False and bad["error"]["type"] == error, bad
     for (request_id, response), owner in zip(sorted(responses.items()), users):
         assert response["ok"] is True, response
         result = response["result"]
         expected = session.service.audience(owner, "friend+[1,2]").audiences[owner]
         assert set(result["audience"]) == expected, request_id
-        assert result["batch_size"] == 2 and result["coalesced"], request_id
+        assert result["batch_size"] == batch_size and result["coalesced"], request_id
     assert pending == 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import UnknownTenantError
 from repro.graph.social_graph import SocialGraph
-from repro.serving.client import AsyncGraphClient
 from repro.serving.session import TenantRegistry
 
 
@@ -51,22 +50,20 @@ def test_tenant_isolation_mutation_and_counters():
     """Mutating tenant A's graph must not change tenant B's answers, and
     per-tenant counters must not bleed."""
     registry = TenantRegistry(window=0.01)
-    registry.create("a", _chain_graph(["u1", "u2", "u3"]))
-    registry.create("b", _chain_graph(["u1", "u2", "u3"]))
-    client_a = AsyncGraphClient(registry, "a")
-    client_b = AsyncGraphClient(registry, "b")
+    session_a = registry.create("a", _chain_graph(["u1", "u2", "u3"]))
+    session_b = registry.create("b", _chain_graph(["u1", "u2", "u3"]))
 
     async def main():
-        assert (await client_a.reach("u1", "u3", "friend+[1]")).reachable is False
-        assert (await client_b.reach("u1", "u3", "friend+[1]")).reachable is False
+        assert (await session_a.reach("u1", "u3", "friend+[1]")).reachable is False
+        assert (await session_b.reach("u1", "u3", "friend+[1]")).reachable is False
         # Tenant A grows a direct edge; tenant B's graph is untouched.
         registry.get("a").service.graph.add_relationship("u1", "u3", "friend")
-        after_a = await client_a.reach("u1", "u3", "friend+[1]")
-        after_b = await client_b.reach("u1", "u3", "friend+[1]")
+        after_a = await session_a.reach("u1", "u3", "friend+[1]")
+        after_b = await session_b.reach("u1", "u3", "friend+[1]")
         assert after_a.reachable is True
         assert after_b.reachable is False
-        stats_a = await client_a.statistics()
-        stats_b = await client_b.statistics()
+        stats_a = await session_a.statistics()
+        stats_b = await session_b.statistics()
         # A answered one more query than B; counters are per tenant.
         assert stats_a["coalescer_requests_submitted"] == 2.0
         assert stats_b["coalescer_requests_submitted"] == 2.0
@@ -135,12 +132,11 @@ def test_a_busy_tenant_starts_one_batch_per_loop_iteration():
 
 def test_serving_statistics_aggregates_and_totals():
     registry = TenantRegistry(window=0.01)
-    registry.create("a", _chain_graph(["u1", "u2"]))
+    session_a = registry.create("a", _chain_graph(["u1", "u2"]))
     registry.create("b", _chain_graph(["u1", "u2"]))
 
     async def main():
-        client = AsyncGraphClient(registry, "a")
-        await client.reach("u1", "u2", "friend+[1]")
+        await session_a.reach("u1", "u2", "friend+[1]")
         aggregate = await registry.serving_statistics()
         assert set(aggregate) == {"a", "b", "_totals"}
         assert aggregate["a"]["admission_admitted"] == 1.0
@@ -163,15 +159,3 @@ def test_remove_tenant_closes_its_session():
 
     asyncio.run(main())
 
-
-def test_client_for_session_binds_single_tenant():
-    registry = TenantRegistry(window=0.01)
-    session = registry.create("solo", _chain_graph(["u1", "u2"]))
-    client = AsyncGraphClient.for_session(session)
-
-    async def main():
-        assert (await client.is_reachable("u1", "u2", "friend+[1]")) is True
-        assert (await client.is_reachable("u2", "u1", "friend+[1]")) is False
-        await registry.close()
-
-    asyncio.run(main())

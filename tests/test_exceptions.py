@@ -32,7 +32,7 @@ class TestHierarchy:
         assert "r1" in str(exceptions.RuleNotFoundError("r1"))
 
     def test_unknown_backend_lists_alternatives(self):
-        error = exceptions.UnknownBackendError("oracle", available=["bfs", "dfs"])
+        error = exceptions.UnknownBackendError("oracle", available=["bfs", "cluster-index"])
         assert "oracle" in str(error) and "bfs" in str(error)
 
     def test_path_expression_error_carries_location(self):
