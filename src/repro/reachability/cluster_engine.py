@@ -208,7 +208,8 @@ class ClusterIndexEvaluator:
         the index's **build-time snapshot**, so the stale-read
         semantics match the per-owner :meth:`find_targets` exactly: owners
         added after :meth:`build` (absent from the snapshot) get an empty
-        audience instead of raising, and post-build mutations stay
+        audience, an owner in neither the snapshot nor the live graph
+        raises ``NodeNotFoundError``, and post-build mutations stay
         invisible.  The sweep itself needs no depth expansion, but the
         ``expansion_limit`` guard is still enforced so this method raises on
         exactly the expressions :meth:`find_targets` raises on (the engine
@@ -230,11 +231,13 @@ class ClusterIndexEvaluator:
             self._audience_epoch = live_epoch
         automaton = self._audience_automata.get(expression, snapshot)
         node_index = snapshot.node_index
-        present = [
-            (position, node_index[source])
-            for position, source in enumerate(sources)
-            if source in node_index
-        ]
+        present = []
+        for position, source in enumerate(sources):
+            index = node_index.get(source)
+            if index is not None:
+                present.append((position, index))
+            elif not self.graph.has_user(source):
+                raise NodeNotFoundError(source)
         sweep = audience_sweep(
             snapshot, automaton, [index for _position, index in present]
         )
@@ -296,9 +299,12 @@ class ClusterIndexEvaluator:
     ) -> Set[Hashable]:
         index = self._index
         assert index is not None
-        # Unknown owners get an empty audience: no line vertex starts there.
+        # An owner added after build() gets an empty audience: no line
+        # vertex starts there.  One the live graph lacks too is unknown.
         source_index = index.snapshot.node_index.get(source)
         if source_index is None:
+            if not self.graph.has_user(source):
+                raise NodeNotFoundError(source)
             return set()
         result = EvaluationResult(reachable=False, backend=self.name)
         user_of = index.snapshot.node_ids

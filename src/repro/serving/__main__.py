@@ -21,7 +21,6 @@ from repro.workloads.generator import WorkloadSpec, build_workload
 
 def _build_registry(args: argparse.Namespace):
     registry = TenantRegistry(
-        window=args.window,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
     )
@@ -69,11 +68,9 @@ def main(argv=None) -> int:
     parser.add_argument("--users", type=int, default=300, help="users per tenant graph")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--window", type=float, default=0.002,
-        help="> 0 turns coalescing on (batches gather while an earlier "
-        "batch runs; the magnitude delays nothing), 0 turns it off",
+        "--max-batch", type=int, default=64,
+        help="cap on a coalesced batch; 1 serves request-at-a-time",
     )
-    parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--max-pending", type=int, default=256)
     args = parser.parse_args(argv)
     try:

@@ -22,9 +22,8 @@ turns a ``(key, requests)`` batch into per-request outcomes.
 
 Semantics
 ---------
-* ``window <= 0`` or ``max_batch == 1`` degrade to request-at-a-time
-  dispatch (every submission is its own batch) — the benchmark baseline.
-  Any positive ``window`` turns gathering on; its magnitude delays nothing.
+* ``max_batch == 1`` degrades to request-at-a-time dispatch (every
+  submission is its own batch) through the same path.
 * The runner holds **one batch at a time**.  Batches waiting for it queue
   in the order they were opened, and keep taking same-key members until
   they reach ``max_batch``; a full batch stops gathering and waits its turn.
@@ -121,22 +120,19 @@ class RequestCoalescer:
     """Batch concurrent same-key requests; fan results back to their callers.
 
     Must be used from a single asyncio event loop (the serving server's).
-    ``window > 0`` turns gathering on (how long a batch gathers is set by
-    the runner's busy period, not by this value); ``max_batch`` caps batch
-    size (a full batch stops gathering and waits its turn).
+    A batch gathers for as long as the runner is busy; ``max_batch`` caps
+    batch size (a full batch stops gathering and waits its turn).
     """
 
     def __init__(
         self,
         runner: BatchRunner,
         *,
-        window: float = 0.002,
         max_batch: int = 64,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._runner = runner
-        self.window = float(window)
         self.max_batch = int(max_batch)
         #: Queued batches still taking members, by key.
         self._open: Dict[Hashable, _Batch] = {}
@@ -167,8 +163,7 @@ class RequestCoalescer:
             if self._running is None:
                 # Idle: nothing to wait for beyond this iteration's arrivals.
                 asyncio.get_running_loop().call_soon(self._dispatch)
-            if self.window > 0:
-                self._open[key] = batch  # taking members
+            self._open[key] = batch  # taking members
         self.requests_submitted += 1
         batch.items.append((request, respond))
         if len(batch.items) >= self.max_batch:
@@ -256,6 +251,6 @@ class RequestCoalescer:
 
     def __repr__(self) -> str:
         return (
-            f"<RequestCoalescer window={self.window} max_batch={self.max_batch} "
+            f"<RequestCoalescer max_batch={self.max_batch} "
             f"batches={self.batches_executed}>"
         )

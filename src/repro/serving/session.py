@@ -181,8 +181,8 @@ class TenantSession:
     :class:`~repro.reliability.guard.QueryGuard` so deadlines are
     enforceable), or wrap an existing service directly.  All methods must
     be called from one event loop, and the underlying service runs on
-    that loop.  Any ``window > 0`` turns coalescing on: batches gather
-    while a batch runs, not for ``window`` seconds (see
+    that loop.  Batches gather while an earlier batch runs, and
+    ``max_batch=1`` serves request-at-a-time (see
     :mod:`repro.serving.coalescer`).
 
     Each op has one callback entry (:meth:`enqueue_reach`,
@@ -200,7 +200,6 @@ class TenantSession:
         tenant_id: Hashable,
         service: GraphService,
         *,
-        window: float = 0.002,
         max_batch: int = 64,
         max_pending: int = 256,
         default_timeout: Optional[float] = None,
@@ -210,9 +209,7 @@ class TenantSession:
         self.admission = AdmissionController(
             tenant_id, max_pending=max_pending, default_timeout=default_timeout
         )
-        self.coalescer = RequestCoalescer(
-            self._run_batch, window=window, max_batch=max_batch
-        )
+        self.coalescer = RequestCoalescer(self._run_batch, max_batch=max_batch)
         self._closed = False
         #: Requests answered by per-request re-execution after a batch
         #: tripped the guard (the equivalence fallback).
@@ -455,9 +452,9 @@ class TenantSession:
         bulk: List[int] = []
         has_user = self.service.graph.has_user
         for index, request in enumerate(requests):
-            # An absent owner would fail the whole sweep on a walking
-            # backend; answered alone, it gets the sequential answer for
-            # any pin (an error, or the cluster index's empty audience).
+            # An absent owner would fail the whole sweep; answered alone,
+            # it gets the sequential answer (NodeNotFoundError on every
+            # backend) and its batch-mates still get theirs.
             if has_user(request.owner):
                 bulk.append(index)
             else:
@@ -615,18 +612,16 @@ class TenantRegistry:
     (about three for a wire frame), not for all it has queued.  Nothing bounds one batch's
     work unless the guard has a step or time budget or the session a
     ``default_timeout``; the default guard has neither.  The registry only
-    routes and aggregates (``window``: see :class:`TenantSession`).
+    routes and aggregates (``max_batch``: see :class:`TenantSession`).
     """
 
     def __init__(
         self,
         *,
-        window: float = 0.002,
         max_batch: int = 64,
         max_pending: int = 256,
         default_timeout: Optional[float] = None,
     ) -> None:
-        self.window = window
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.default_timeout = default_timeout
@@ -639,7 +634,6 @@ class TenantRegistry:
         store: Optional[PolicyStore] = None,
         *,
         service: Optional[GraphService] = None,
-        window: Optional[float] = None,
         max_batch: Optional[int] = None,
         max_pending: Optional[int] = None,
         default_timeout: Optional[float] = None,
@@ -661,7 +655,6 @@ class TenantRegistry:
         session = TenantSession(
             tenant_id,
             service,
-            window=self.window if window is None else window,
             max_batch=self.max_batch if max_batch is None else max_batch,
             max_pending=self.max_pending if max_pending is None else max_pending,
             default_timeout=(

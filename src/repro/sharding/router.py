@@ -184,7 +184,7 @@ class ShardRouter:
 
     def _home_of(self, user: Hashable) -> int:
         if not self.sharded.graph.has_user(user):
-            raise NodeNotFoundError(f"user {user!r} is not in the graph")
+            raise NodeNotFoundError(user)
         return self.sharded.shard_of(user)
 
     def _state_factory(self, expression: PathExpression):

@@ -1,12 +1,7 @@
-"""Benchmark-harness support: workload generation, the service-driven replay
-driver, query mixes, scenarios, metrics."""
+"""Benchmark-harness support: workload generation, open-loop arrivals and
+policy installation, query mixes, scenarios, metrics."""
 
-from repro.workloads.driver import (
-    WorkloadReport,
-    install_policies,
-    open_loop_arrivals,
-    run_workload,
-)
+from repro.workloads.driver import install_policies, open_loop_arrivals
 from repro.workloads.generator import (
     GRAPH_FAMILIES,
     Workload,
@@ -14,7 +9,7 @@ from repro.workloads.generator import (
     build_graph,
     build_workload,
 )
-from repro.workloads.metrics import MetricSeries, Timer, format_table, measure, speedup
+from repro.workloads.metrics import MetricSeries, Timer, format_table
 from repro.workloads.queries import (
     expression_of_shape,
     random_expression,
@@ -24,10 +19,8 @@ from repro.workloads.queries import (
 from repro.workloads.scenarios import SCENARIOS, Scenario, scenario, scenario_names
 
 __all__ = [
-    "WorkloadReport",
     "install_policies",
     "open_loop_arrivals",
-    "run_workload",
     "GRAPH_FAMILIES",
     "Workload",
     "WorkloadSpec",
@@ -36,8 +29,6 @@ __all__ = [
     "MetricSeries",
     "Timer",
     "format_table",
-    "measure",
-    "speedup",
     "expression_of_shape",
     "random_expression",
     "random_query_mix",

@@ -2,7 +2,7 @@
 
 ``pytest-benchmark`` measures wall-clock time per call; the experiments in
 docs/benchmarks.md additionally need derived metrics (index sizes, throughput,
-speed-ups, crossover points) and a uniform way to print comparison tables.
+crossover points) and a uniform way to print comparison tables.
 This module centralizes those: a :class:`Timer`, a :class:`MetricSeries` for
 parameter sweeps, and table formatting used by every ``bench_*`` module so
 that the printed output of the harness reads like the paper's evaluation
@@ -11,12 +11,11 @@ section would.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-__all__ = ["Timer", "measure", "MetricSeries", "format_table", "speedup"]
+__all__ = ["Timer", "MetricSeries", "format_table"]
 
 
 class Timer:
@@ -32,24 +31,6 @@ class Timer:
 
     def __exit__(self, *_exc_info) -> None:
         self.elapsed = time.perf_counter() - self._started
-
-
-def measure(function: Callable[[], object], *, repeats: int = 3) -> Tuple[float, object]:
-    """Call ``function`` ``repeats`` times; return (median seconds, last result)."""
-    timings = []
-    result: object = None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        result = function()
-        timings.append(time.perf_counter() - started)
-    return statistics.median(timings), result
-
-
-def speedup(baseline_seconds: float, candidate_seconds: float) -> float:
-    """Return how many times faster the candidate is than the baseline."""
-    if candidate_seconds <= 0:
-        return float("inf")
-    return baseline_seconds / candidate_seconds
 
 
 @dataclass

@@ -713,3 +713,73 @@ def test_a_sub_threshold_burst_costs_the_same_work_at_any_graph_size():
         assert stats["snapshot_overlay_rows"] > 0.0
     assert small_stats["snapshot_overlay_rows"] == large_stats["snapshot_overlay_rows"]
     assert_snapshots_equivalent(snapshot, CompiledGraph(graph))
+
+
+@pytest.mark.parametrize("remove_user_fraction", [0.0, 0.5])
+def test_generated_churn_answers_like_a_rebuild(tmp_path, remove_user_fraction):
+    """Generated churn bursts replayed with the journal on and off.
+
+    The delta path (patch in place, tombstoning removed users) and the
+    rebuild path (``journal_limit = 0``) must end on equal graphs whose
+    snapshots have the same degree rows and answer every sampled query the
+    same.  A removal-bearing burst must still checkpoint as a delta segment.
+    """
+    from repro.graph.snapshot import SnapshotStore
+    from repro.reachability.engine import ReachabilityEngine
+    from repro.workloads.generator import WorkloadSpec, apply_churn_op, build_workload
+
+    spec = WorkloadSpec(
+        users=300,
+        seed=43,
+        churn_bursts=3,
+        churn_burst_size=20,
+        churn_attribute_fraction=0.2,
+        churn_remove_user_fraction=remove_user_fraction,
+    )
+
+    def degree_rows(snapshot):
+        return {
+            row.label: (row.edges, row.mean_degree, row.max_out_degree, row.max_in_degree)
+            for row in snapshot.degree_statistics()
+            if row.edges
+        }
+
+    graphs = {}
+    for mode in ("delta", "rebuild"):
+        workload = build_workload(spec)
+        graph = workload.graph
+        if mode == "rebuild":
+            graph.journal_limit = 0
+        snapshot = compile_graph(graph)
+        for burst in workload.churn:
+            for op in burst:
+                apply_churn_op(graph, op)
+            compile_graph(graph)
+        if mode == "delta":
+            assert compile_graph(graph) is snapshot, "bursts must patch in place"
+            if remove_user_fraction:
+                assert snapshot.delta_events["tombstones"] > 0, snapshot.delta_events
+        graphs[mode] = graph
+    assert graphs["delta"] == graphs["rebuild"]
+    assert degree_rows(compile_graph(graphs["delta"])) == degree_rows(
+        compile_graph(graphs["rebuild"])
+    )
+    delta = ReachabilityEngine(graphs["delta"], "bfs", cache_size=0)
+    rebuild = ReachabilityEngine(graphs["rebuild"], "bfs", cache_size=0)
+    users = sorted(graphs["delta"].users(), key=str)
+    for text in ("friend+[1,2]", "friend*[1,2]", "colleague+[1]"):
+        for i in range(20):
+            source = users[(i * 17) % len(users)]
+            target = users[(i * 51 + 1) % len(users)]
+            assert delta.is_reachable(source, target, text) == (
+                rebuild.is_reachable(source, target, text)
+            ), (text, source, target)
+
+    workload = build_workload(spec)
+    store = SnapshotStore(tmp_path / "churn.snap")
+    store.save(compile_graph(workload.graph))
+    if remove_user_fraction:
+        assert any(op[0] == "remove_user" for op in workload.churn[0])
+    for op in workload.churn[0]:
+        apply_churn_op(workload.graph, op)
+    assert store.checkpoint(workload.graph) == "delta"

@@ -15,8 +15,8 @@ self-succession semantics.
 A second seeded harness differentials the **multi-source owner-bitset
 audience sweep**: on every backend, ``sweep_targets_many`` must return
 exactly the audiences of a per-owner ``find_targets`` loop and of the
-oracle, including self-loops, duplicate owners, empty owner lists and owners
-absent from the graph.
+oracle, including self-loops, duplicate owners and empty owner lists; an
+owner absent from the graph raises on every backend.
 """
 
 from __future__ import annotations
@@ -133,9 +133,10 @@ def test_multisource_sweep_matches_per_owner_find_targets(seed):
 def test_absent_owners_follow_each_backends_contract():
     """Batched sweeps mirror ``find_targets`` for owners missing from the graph.
 
-    The online/closure backends raise ``NodeNotFoundError`` exactly like the
-    per-owner call; the cluster index answers from its build-time snapshot
-    and quietly reports an empty audience instead.
+    Every backend raises ``NodeNotFoundError`` for an owner the graph does
+    not hold, exactly like the per-owner call and the oracle.  The cluster
+    index answers from its build-time snapshot, so an owner added after
+    ``build()`` quietly gets an empty audience instead.
     """
     graph = SocialGraph()
     for user in ("a", "b"):
@@ -144,13 +145,20 @@ def test_absent_owners_follow_each_backends_contract():
     from repro.policy.path_expression import PathExpression
 
     expression = PathExpression.parse("friend+[1,2]")
-    backends = _backends(graph)
-    for name in ("bfs", "transitive-closure"):
+    with pytest.raises(NodeNotFoundError):
+        reference_targets(graph, "ghost", expression)
+    for name, backend in _backends(graph).items():
+        with pytest.raises(NodeNotFoundError) as raised:
+            backend.sweep_targets_many(["a", "ghost"], expression)
+        assert raised.value.node == "ghost", name
         with pytest.raises(NodeNotFoundError):
-            backends[name].sweep_targets_many(["a", "ghost"], expression)
-    cluster = backends["cluster-index"]
-    audiences, _plan = cluster.sweep_targets_many(["a", "ghost"], expression)
-    assert audiences == {"a": cluster.find_targets("a", expression), "ghost": set()}
+            backend.find_targets("ghost", expression)
+    cluster = ClusterIndexEvaluator(graph).build()
+    graph.add_user("late", age=30)
+    graph.add_relationship("late", "a", "friend")
+    audiences, _plan = cluster.sweep_targets_many(["a", "late"], expression)
+    assert audiences == {"a": cluster.find_targets("a", expression), "late": set()}
+    assert cluster.find_targets("late", expression) == set()
 
 
 def test_self_loop_double_traversal_regression():

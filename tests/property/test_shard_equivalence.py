@@ -126,11 +126,21 @@ def test_sharded_answers_equal_unsharded(seed):
                 want = reference_reachable(graph, source, target, expression)
                 got = router.evaluate(source, target, expression)
                 assert got.reachable == want, (seed, shards, source, target, text)
-        # Unknown users raise exactly like the unsharded evaluators.
-        with pytest.raises(NodeNotFoundError):
+        # Unknown users raise exactly like the unsharded evaluators: the
+        # same exception, naming the same node, with the same message.
+        single = ReachabilityEngine(graph, "bfs", cache_size=0)
+        with pytest.raises(NodeNotFoundError) as want:
+            single.evaluate("no-such-user", users[0], expressions[0])
+        with pytest.raises(NodeNotFoundError) as got:
             router.evaluate("no-such-user", users[0], expressions[0])
-        with pytest.raises(NodeNotFoundError):
+        assert got.value.node == want.value.node == "no-such-user"
+        assert str(got.value) == str(want.value)
+        with pytest.raises(NodeNotFoundError) as want:
+            single.sweep_targets_many(["no-such-user"], expressions[0])
+        with pytest.raises(NodeNotFoundError) as got:
             router.sweep_targets_many(["no-such-user"], expressions[0])
+        assert got.value.node == want.value.node == "no-such-user"
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("seed", [s for s in SEEDS if s % ACCESS_STRIDE == 0])

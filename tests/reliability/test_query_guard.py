@@ -124,6 +124,8 @@ def test_generous_budget_never_trips():
     )
     result = service.reach("u0", "u30", "friend+[1,39]")
     assert result.reachable
+    audience = service.audience([f"u{i}" for i in range(4)], "friend+[1,39]")
+    assert not audience.partial
     assert service.statistics()["guard_trips"] == 0.0
 
 

@@ -81,7 +81,7 @@ def test_session_sheds_load_when_queue_is_full():
 
     async def main():
         session = TenantSession(
-            "t", service, window=0.5, max_batch=64, max_pending=4
+            "t", service, max_batch=64, max_pending=4
         )
         try:
             outcomes = await asyncio.gather(
@@ -110,7 +110,7 @@ def test_expired_deadline_surfaces_typed_budget_error():
     users = sorted(workload.graph.users())
 
     async def main():
-        session = TenantSession("t", service, window=0.05)
+        session = TenantSession("t", service)
         try:
             return await asyncio.gather(
                 session.reach(
@@ -130,7 +130,7 @@ def test_generous_deadline_does_not_interfere():
     users = sorted(workload.graph.users())
 
     async def main():
-        session = TenantSession("t", service, window=0.02, default_timeout=30.0)
+        session = TenantSession("t", service, default_timeout=30.0)
         try:
             return await session.reach(users[0], users[5], "friend+[1,2]")
         finally:
@@ -160,7 +160,7 @@ def test_a_cancelled_awaiter_holds_its_slot_until_its_batch_has_run():
     users = sorted(workload.graph.users())
 
     async def main():
-        session = TenantSession("t", service, window=0.5)
+        session = TenantSession("t", service)
         pending = asyncio.ensure_future(session.reach(users[0], users[1], "friend+[1]"))
         await asyncio.sleep(0)  # admitted and queued
         pending.cancel()
@@ -176,7 +176,7 @@ def test_an_unhashable_owner_is_refused_without_leaking_its_slot():
     owner = sorted(workload.graph.users())[0]
 
     async def main():
-        session = TenantSession("t", service, window=0.5)
+        session = TenantSession("t", service)
         try:
             with pytest.raises(TypeError):
                 await session.audience([owner], "friend+[1]")

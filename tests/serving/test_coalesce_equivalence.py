@@ -3,8 +3,8 @@
 The serving tentpole's contract is that answers produced through the
 coalescer are indistinguishable from running the same requests one at a
 time against a plain :class:`GraphService`.  The harness drives K
-concurrent clients through a :class:`TenantSession` (a large gather
-window makes batching deterministic), replays the identical request list
+concurrent clients through a :class:`TenantSession` (requests submitted
+in one loop iteration share a batch), replays the identical request list
 sequentially against an independently built twin service over the same
 seeded workload, and compares every answer — including scenarios where a
 :class:`QueryGuard` trips the batch (exercising the sequential fallback)
@@ -22,10 +22,6 @@ from repro.reliability.guard import QueryGuard
 from repro.service.facade import GraphService
 from repro.serving.session import TenantSession
 from repro.workloads import WorkloadSpec, build_workload, install_policies
-
-#: Wide enough that every concurrently submitted request of a key lands in
-#: one batch regardless of scheduler jitter: batching becomes deterministic.
-WINDOW = 0.25
 
 EXPRESSIONS = (
     "friend+[1]",
@@ -138,7 +134,7 @@ def test_concurrent_clients_match_sequential(seed):
     requests = _random_requests(workload, rng, count=48)
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -156,7 +152,7 @@ def test_coalescing_actually_happened():
     users = sorted(workload.graph.users())[:16]
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             served = await asyncio.gather(
                 *(
@@ -215,7 +211,7 @@ def test_guard_tripped_batches_fall_back_to_sequential(seed):
             )
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -248,7 +244,7 @@ def test_breaker_rerouted_backend_still_equivalent():
     requests = _random_requests(workload, rng, count=24)
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -267,7 +263,7 @@ def test_absent_endpoint_errors_only_its_own_request():
     users = sorted(workload.graph.users())
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await asyncio.gather(
                 session.reach(users[0], users[1], "friend+[1,2]"),
@@ -304,7 +300,7 @@ def test_access_trivial_decisions_match_sequential():
     ]
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -321,7 +317,7 @@ def test_witness_requests_take_solo_path_and_return_paths():
     source, target = users[0], users[1]
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW)
+        session = TenantSession("t", served_service)
         try:
             return await session.reach(source, target, "friend+[1,2]", witness=True)
         finally:
@@ -351,7 +347,7 @@ def test_point_budget_errors_surface_typed_after_fallback():
     ]
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -382,7 +378,7 @@ def test_tripped_access_batch_counts_fallbacks_not_solo_requests():
     ]
 
     async def main():
-        session = TenantSession("t", service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", service, max_batch=64)
         try:
             return await _serve_all(session, requests)
         finally:
@@ -416,7 +412,7 @@ def test_batch_service_call_sees_no_requesters_context(max_batch):
     served_service.reach_many = spy
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=max_batch)
+        session = TenantSession("t", served_service, max_batch=max_batch)
 
         async def tagged(tag, source, target):
             _REQUESTER_TAG.set(tag)
@@ -472,7 +468,7 @@ def _serve_staggered(served_service, head, requests):
     requests = [requests[tail]] + requests[:tail] + requests[tail + 1:]
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW, max_batch=64)
+        session = TenantSession("t", served_service, max_batch=64)
         audience = served_service.audience
         clients, held = [], []
 

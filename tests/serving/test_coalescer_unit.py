@@ -23,7 +23,7 @@ def test_concurrent_same_key_requests_share_one_batch():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=0.05, max_batch=8)
+        coalescer = RequestCoalescer(_echo_runner(calls), max_batch=8)
         return await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(5))
         )
@@ -37,7 +37,7 @@ def test_distinct_keys_batch_separately():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=0.05)
+        coalescer = RequestCoalescer(_echo_runner(calls))
         return await asyncio.gather(
             coalescer.submit("a", 1), coalescer.submit("b", 2)
         )
@@ -46,11 +46,11 @@ def test_distinct_keys_batch_separately():
     assert sorted(key for key, _ in calls) == ["a", "b"]
 
 
-def test_zero_window_degrades_to_request_at_a_time():
+def test_max_batch_one_degrades_to_request_at_a_time():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=0.0)
+        coalescer = RequestCoalescer(_echo_runner(calls), max_batch=1)
         return await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(4))
         )
@@ -64,12 +64,12 @@ def test_max_batch_cap_flushes_early():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=5.0, max_batch=3)
+        coalescer = RequestCoalescer(_echo_runner(calls), max_batch=3)
         return await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(7))
         )
 
-    _run(main())  # completes promptly despite the 5s window: caps flush
+    _run(main())  # full batches stop gathering and run in turn
     sizes = sorted(len(batch) for _key, batch in calls)
     assert sizes == [1, 3, 3]
 
@@ -82,7 +82,7 @@ def test_raised_outcome_targets_only_its_request():
         ]
 
     async def main():
-        coalescer = RequestCoalescer(runner, window=0.05)
+        coalescer = RequestCoalescer(runner)
         return await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(4)),
             return_exceptions=True,
@@ -98,7 +98,7 @@ def test_runner_exception_fans_out_to_every_member():
         raise RuntimeError("backend exploded")
 
     async def main():
-        coalescer = RequestCoalescer(runner, window=0.05)
+        coalescer = RequestCoalescer(runner)
         outcomes = await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(3)),
             return_exceptions=True,
@@ -115,7 +115,7 @@ def test_mismatched_outcome_count_is_a_runner_failure():
         return ["only-one"]
 
     async def main():
-        coalescer = RequestCoalescer(runner, window=0.05)
+        coalescer = RequestCoalescer(runner)
         return await asyncio.gather(
             *(coalescer.submit("k", i) for i in range(2)),
             return_exceptions=True,
@@ -129,7 +129,7 @@ def test_statistics_and_histogram_buckets():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=0.05, max_batch=8)
+        coalescer = RequestCoalescer(_echo_runner(calls), max_batch=8)
         await asyncio.gather(*(coalescer.submit("k", i) for i in range(5)))
         await coalescer.submit("solo", 99)
         return coalescer
@@ -153,9 +153,9 @@ def test_drain_flushes_open_batches():
     calls = []
 
     async def main():
-        coalescer = RequestCoalescer(_echo_runner(calls), window=30.0)
+        coalescer = RequestCoalescer(_echo_runner(calls))
         pending = asyncio.ensure_future(coalescer.submit("k", 1))
-        await asyncio.sleep(0)  # the batch is open, timer far in the future
+        await asyncio.sleep(0)  # the batch is open, not yet dispatched
         await coalescer.drain()
         return await pending
 
@@ -171,8 +171,7 @@ def test_drain_flushes_open_batches():
 # batch, so a busy coalescer starts at most one batch per loop iteration.  A
 # full batch stops gathering but still waits its turn.  No timer anywhere:
 # the tests below synchronise on loop turns and on the runner's own gates,
-# never on the clock, and every ``window`` is far longer than a test may
-# take.
+# never on the clock.
 
 
 class _GatedRunner:
@@ -205,10 +204,10 @@ async def _turns(count=5):
         await asyncio.sleep(0)
 
 
-def test_idle_submit_is_dispatched_at_once_whatever_the_window():
+def test_idle_submit_is_dispatched_at_once():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         pending = asyncio.ensure_future(coalescer.submit("k", 1))
         # submit opens the batch, call_soon dispatches it, the run task starts.
         await _turns(3)
@@ -222,7 +221,7 @@ def test_idle_submit_is_dispatched_at_once_whatever_the_window():
 def test_idle_submits_of_one_iteration_share_the_batch():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         pending = [asyncio.ensure_future(coalescer.submit("k", i)) for i in range(3)]
         await _turns()
         assert runner.calls == [("k", [0, 1, 2])]
@@ -236,7 +235,7 @@ def test_idle_submits_of_one_iteration_share_the_batch():
 def test_busy_submits_gather_until_the_runner_is_free(turns_held):
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
         await _turns()
         for i in range(1, 9):  # one arrival per stretch of loop iterations
@@ -263,7 +262,7 @@ def test_busy_submits_gather_until_the_runner_is_free(turns_held):
 def test_queued_batches_run_one_at_a_time_in_the_order_opened():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         pending = [asyncio.ensure_future(coalescer.submit("first", 0))]
         await _turns()
         for key in ("c", "a", "b", "a", "c"):  # opened as c, a, b
@@ -298,7 +297,7 @@ def test_distinct_keys_arriving_together_start_one_per_iteration():
             started.append(iteration)
             return list(requests)
 
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         asyncio.get_running_loop().call_soon(tick)
         await asyncio.gather(*(coalescer.submit(key, 0) for key in "wxyz"))
         return calls, started
@@ -311,7 +310,7 @@ def test_distinct_keys_arriving_together_start_one_per_iteration():
 def test_a_full_batch_stops_gathering_and_waits_its_turn():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0, max_batch=3)
+        coalescer = RequestCoalescer(runner, max_batch=3)
         pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
         await _turns()
         for i in range(1, 5):
@@ -330,7 +329,7 @@ def test_a_full_batch_stops_gathering_and_waits_its_turn():
 def test_drain_runs_every_queued_batch_and_returns_when_the_runner_is_free():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         pending = [asyncio.ensure_future(coalescer.submit("k", 0))]
         await _turns()
         pending.append(asyncio.ensure_future(coalescer.submit("k", 1)))
@@ -355,7 +354,7 @@ def test_no_timer_is_ever_armed(monkeypatch):
 
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0, max_batch=3)
+        coalescer = RequestCoalescer(runner, max_batch=3)
         with monkeypatch.context() as patch:
             patch.setattr(asyncio.get_running_loop(), "call_later", no_timers)
             pending = [asyncio.ensure_future(coalescer.submit("k", 0))]  # idle
@@ -373,7 +372,7 @@ def test_no_timer_is_ever_armed(monkeypatch):
 def test_enqueue_responds_once_per_request_and_skips_a_cancelled_awaiter():
     async def main():
         runner = _GatedRunner()
-        coalescer = RequestCoalescer(runner, window=5.0)
+        coalescer = RequestCoalescer(runner)
         answers = []
         doomed = asyncio.ensure_future(coalescer.submit("k", 0))
         kept = asyncio.ensure_future(coalescer.submit("k", 1))
@@ -393,7 +392,7 @@ def test_enqueue_responds_once_per_request_and_skips_a_cancelled_awaiter():
 
 def test_an_unhashable_key_is_refused_before_anything_is_queued():
     async def main():
-        coalescer = RequestCoalescer(_echo_runner([]), window=5.0)
+        coalescer = RequestCoalescer(_echo_runner([]))
         with pytest.raises(TypeError):
             coalescer.enqueue(["not", "hashable"], 0, lambda outcome: None)
         return coalescer.statistics()

@@ -30,9 +30,6 @@ from tests.serving.test_coalesce_equivalence import (
     _twin_services,
 )
 
-#: Any window > 0 turns coalescing on; concurrent submissions share a batch.
-WINDOW = 0.01
-
 #: What JSON arrays and objects decode to.
 UNHASHABLE = ([], {"id": 1})
 
@@ -41,7 +38,7 @@ def _serve_beside(served_service, good, poisoned):
     """Serve ``good`` with ``poisoned`` in the middle, concurrently."""
 
     async def main():
-        session = TenantSession("t", served_service, window=WINDOW)
+        session = TenantSession("t", served_service)
         try:
             answers = await asyncio.gather(
                 *(_serve_one(session, request) for request in good[:1]),
@@ -137,6 +134,22 @@ def test_an_absent_audience_owner_fails_only_its_own_request():
     assert (pending, admitted) == (0, 3)
 
 
+def test_an_absent_audience_owner_fails_alone_on_a_pinned_cluster_index():
+    # The cluster index answers from its build snapshot, but an owner the
+    # live graph does not hold either is refused like on every other pin.
+    served_service, sequential_service, workload = _twin_services(
+        seed=73, default_backend="cluster-index"
+    )
+    users = sorted(workload.graph.users())
+    good = [("audience", users[0], "friend+[1,2]"), ("audience", users[1], "friend+[1,2]")]
+    absent = ("audience", "nobody", "friend+[1,2]")
+    answers, bad, pending, admitted = _serve_beside(served_service, good, absent)
+    assert isinstance(bad, NodeNotFoundError) and bad.node == "nobody", bad
+    assert isinstance(_sequential_answer(sequential_service, absent), NodeNotFoundError)
+    _assert_batch_mates_served(good, answers, sequential_service, batch_size=3)
+    assert (pending, admitted) == (0, 3)
+
+
 def test_an_absent_check_requester_fails_only_its_own_request():
     served_service, sequential_service, workload = _twin_services(seed=79)
     good = _ruled_checks(served_service, workload)
@@ -157,7 +170,7 @@ def test_an_absent_check_requester_fails_only_its_own_request():
 def test_a_malformed_owner_frame_fails_only_its_own_frame(bad_owner, error, batch_size):
     # An unhashable owner is refused before admission and leaves its batch;
     # an absent one is admitted, shares the batch and is answered alone.
-    registry = TenantRegistry(window=WINDOW)
+    registry = TenantRegistry()
     workload = build_workload(WorkloadSpec(users=80, seed=5))
     session = registry.create("t0", workload.graph)
     install_policies(session.service, workload)

@@ -73,7 +73,7 @@ def test_result_and_error_frames():
 
 
 def _registry():
-    registry = TenantRegistry(window=0.02)
+    registry = TenantRegistry()
     workload = build_workload(WorkloadSpec(users=80, seed=5))
     session = registry.create("t0", workload.graph)
     install_policies(session.service, workload)
@@ -516,7 +516,7 @@ def _record_reach_many(service):
 def test_two_tenants_interleaved_on_one_connection_never_share_a_batch():
     """Every tenant runs on the one event loop; their batches still stay
     apart, and each tenant's answers equal its own sequential replay."""
-    registry = TenantRegistry(window=0.02)
+    registry = TenantRegistry()
     replays, batches = {}, {}
     for tenant, seed in (("t0", 5), ("t1", 6)):
         workload = build_workload(WorkloadSpec(users=80, seed=seed))

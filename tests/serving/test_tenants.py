@@ -49,7 +49,7 @@ def test_registry_sessions_get_a_guard_by_default():
 def test_tenant_isolation_mutation_and_counters():
     """Mutating tenant A's graph must not change tenant B's answers, and
     per-tenant counters must not bleed."""
-    registry = TenantRegistry(window=0.01)
+    registry = TenantRegistry()
     session_a = registry.create("a", _chain_graph(["u1", "u2", "u3"]))
     session_b = registry.create("b", _chain_graph(["u1", "u2", "u3"]))
 
@@ -77,7 +77,7 @@ def test_a_busy_tenant_starts_one_batch_per_loop_iteration():
     """Tenants share the event loop.  A tenant with many queued batches
     hands its runner one per loop iteration, so another tenant's request
     that arrives meanwhile waits for a few of them, not for all of them."""
-    registry = TenantRegistry(window=0.01)
+    registry = TenantRegistry()
     heavy = registry.create("heavy", _chain_graph([f"u{i}" for i in range(12)]))
     light = registry.create("light", _chain_graph(["u1", "u2"]))
     expressions = [f"friend+[1,{hops}]" for hops in range(1, 9)]  # 8 coalesce keys
@@ -131,7 +131,7 @@ def test_a_busy_tenant_starts_one_batch_per_loop_iteration():
 
 
 def test_serving_statistics_aggregates_and_totals():
-    registry = TenantRegistry(window=0.01)
+    registry = TenantRegistry()
     session_a = registry.create("a", _chain_graph(["u1", "u2"]))
     registry.create("b", _chain_graph(["u1", "u2"]))
 

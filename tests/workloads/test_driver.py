@@ -1,11 +1,11 @@
-"""The service-driven workload replay driver."""
+"""Installing a generated workload's policies in a service."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.service import GraphService
-from repro.workloads.driver import install_policies, run_workload
+from repro.workloads.driver import install_policies
 from repro.workloads.generator import WorkloadSpec, build_workload
 
 
@@ -26,53 +26,3 @@ def test_install_policies_is_idempotent(workload):
     install_policies(service, workload)
     assert (service.store.resource_count(), service.store.rule_count()) == before
     assert before[0] == len(workload.resources)
-
-
-def test_replay_reports_the_stream(workload):
-    service = GraphService(workload.graph)
-    report = run_workload(service, workload)
-    assert report.requests == len(workload.requests)
-    assert 0 <= report.grants <= report.requests
-    assert 0.0 <= report.grant_rate <= 1.0
-    assert report.audience_batches == len(workload.audience_requests)
-    assert report.audiences_materialized == sum(
-        len(batch) for batch in workload.audience_requests
-    )
-    assert sum(report.backend_queries.values()) == (
-        report.requests + report.audience_batches
-    )
-    assert set(report.seconds) == {"requests", "churn", "audiences"}
-    assert report.total_seconds >= 0.0
-    assert str(report.requests) in report.describe()
-
-
-def test_replay_matches_a_pinned_reference(workload):
-    auto = run_workload(GraphService(workload.graph.copy()), workload)
-    pinned = run_workload(
-        GraphService(workload.graph.copy(), default_backend="bfs"), workload
-    )
-    assert auto.grants == pinned.grants
-    assert pinned.backend_queries == {
-        "bfs": pinned.requests + pinned.audience_batches
-    }
-
-
-def test_churn_bursts_interleave_with_the_stream():
-    workload = build_workload(
-        WorkloadSpec(
-            users=60, owners=3, requests=20, seed=23,
-            churn_bursts=4, churn_burst_size=5,
-        )
-    )
-    service = GraphService(workload.graph)
-    epoch_before = workload.graph.epoch
-    report = run_workload(service, workload)
-    assert report.churn_ops == 4 * 5
-    assert workload.graph.epoch == epoch_before + report.churn_ops
-    # The service kept answering across the bursts.
-    assert report.requests == 20
-
-    # churn=False replays the stream against the mutated-up-to-date graph
-    # without applying (already-applied) bursts again.
-    quiet = run_workload(service, workload, churn=False)
-    assert quiet.churn_ops == 0

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.workloads.metrics import MetricSeries, Timer, format_table, measure, speedup
+from repro.workloads.metrics import MetricSeries, Timer, format_table
 
 
 class TestTimer:
@@ -23,32 +21,6 @@ class TestTimer:
         with timer:
             time.sleep(0.005)
         assert timer.elapsed >= first
-
-
-class TestMeasure:
-    def test_returns_median_and_result(self):
-        calls = []
-
-        def work():
-            calls.append(1)
-            return "done"
-
-        elapsed, result = measure(work, repeats=5)
-        assert result == "done"
-        assert elapsed >= 0
-        assert len(calls) == 5
-
-    def test_at_least_one_repeat(self):
-        elapsed, result = measure(lambda: 42, repeats=0)
-        assert result == 42
-
-
-class TestSpeedup:
-    def test_faster_candidate(self):
-        assert speedup(2.0, 0.5) == pytest.approx(4.0)
-
-    def test_zero_candidate_is_infinite(self):
-        assert speedup(1.0, 0.0) == float("inf")
 
 
 class TestMetricSeries:
