@@ -23,9 +23,8 @@ The library has these layers (see docs/architecture.md for how they fit):
   coalescing, per-tenant sessions, admission control with deadlines, and
   the JSON-lines TCP protocol server (``python -m repro.serving``).
 * :mod:`repro.reliability` — deterministic fault injection over the
-  snapshot I/O seam, the crash-consistency simulator, query budgets
-  (:class:`~repro.reliability.QueryGuard`) and the index-maintenance
-  circuit breaker (:class:`~repro.reliability.CircuitBreaker`).
+  snapshot I/O seam, the crash-consistency simulator and query budgets
+  (:class:`~repro.reliability.QueryGuard`).
 
 Quickstart
 ----------
@@ -74,13 +73,11 @@ from repro.reachability import (
     EvaluationResult,
     OnlineBFSEvaluator,
     ReachabilityEngine,
-    ReachabilityQuery,
     TransitiveClosureEvaluator,
     available_backends,
     create_evaluator,
 )
 from repro.reliability import (
-    CircuitBreaker,
     CrashConsistencySimulator,
     FaultInjector,
     QueryGuard,
@@ -145,7 +142,6 @@ __all__ = [
     "CarminatiRule",
     # reachability
     "ReachabilityEngine",
-    "ReachabilityQuery",
     "EvaluationResult",
     "OnlineBFSEvaluator",
     "TransitiveClosureEvaluator",
@@ -172,7 +168,6 @@ __all__ = [
     "TenantSession",
     "UnknownTenantError",
     # reliability (fault injection, crash recovery, degradation)
-    "CircuitBreaker",
     "CrashConsistencySimulator",
     "FaultInjector",
     "QueryGuard",

@@ -29,7 +29,6 @@ from repro.reachability.linegraph import LineGraph, LineVertex
 from repro.reachability.query import (
     LineHop,
     LineQuery,
-    ReachabilityQuery,
     expand_line_queries,
 )
 from repro.reachability.result import EvaluationResult
@@ -64,7 +63,6 @@ __all__ = [
     "LineVertex",
     "LineHop",
     "LineQuery",
-    "ReachabilityQuery",
     "expand_line_queries",
     "EvaluationResult",
     "Condensation",

@@ -1,14 +1,12 @@
-"""Ordered label-constraint reachability queries and their line-query expansion.
+"""Line-query expansion of ordered label-constraint reachability queries.
 
-A :class:`ReachabilityQuery` is the object the access-control engine hands to
-an evaluation backend: a source (the resource owner), a target (the
-requester) and a :class:`~repro.policy.path_expression.PathExpression`
-describing the constraints on the connecting path.
-
-Section 3.1 of the paper transforms each such query into one or more **line
-queries** before evaluating it over the line-graph index: "Transforming an
-ordered label-constraint reachability query may result in one or multiple
-line queries depending on distance constraints".  A line query is a flat
+An ordered label-constraint reachability query asks whether a source (the
+resource owner) reaches a target (the requester) along a path that satisfies
+a :class:`~repro.policy.path_expression.PathExpression`.  Section 3.1 of the
+paper transforms each such query into one or more **line queries** before
+evaluating it over the line-graph index: "Transforming an ordered
+label-constraint reachability query may result in one or multiple line
+queries depending on distance constraints".  A line query is a flat
 sequence of single-edge hops — one hop per authorized depth unit — so the
 query of Figure 2 (``friend+[1,2]/colleague+[1]``) expands into two line
 queries, ``friend/colleague`` and ``friend/friend/colleague`` (Figure 4).
@@ -21,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import QueryError
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction, Step
 
 __all__ = [
-    "ReachabilityQuery",
     "LineHop",
     "LineQuery",
     "check_expansion_limit",
@@ -53,27 +50,6 @@ def check_expansion_limit(expression: PathExpression, limit: Optional[int]) -> N
             f"expression {expression.to_text()!r} expands into "
             f"{expression.expansion_count()} line queries, above the limit of {limit}"
         )
-
-
-@dataclass(frozen=True)
-class ReachabilityQuery:
-    """One ordered label-constraint reachability query (owner ⇝ requester?)."""
-
-    source: Hashable
-    target: Hashable
-    expression: PathExpression
-
-    @classmethod
-    def parse(cls, source: Hashable, target: Hashable, expression: str) -> "ReachabilityQuery":
-        """Build a query from a textual path expression."""
-        return cls(source, target, PathExpression.parse(expression))
-
-    def describe(self) -> str:
-        """Return the query in the paper's ``owner/path`` notation plus the target."""
-        return f"{self.source}/{self.expression.to_text()} ⇝ {self.target}"
-
-    def __str__(self) -> str:
-        return self.describe()
 
 
 @dataclass(frozen=True)

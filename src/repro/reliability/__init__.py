@@ -1,6 +1,6 @@
 """Reliability layer: fault injection, crash-safe recovery, degradation.
 
-Three cooperating pieces, none of which the hot paths pay for unless
+Two cooperating pieces, neither of which the hot paths pay for unless
 engaged:
 
 * :mod:`~repro.reliability.faults` + :mod:`~repro.reliability.crashsim` —
@@ -10,9 +10,11 @@ engaged:
 * :mod:`~repro.reliability.guard` — cooperative per-query step budgets and
   deadlines for the traversal sweeps (typed
   :class:`~repro.exceptions.QueryBudgetExceeded`, partial results on bulk
-  shapes);
-* :mod:`~repro.reliability.breaker` — a circuit breaker that prices failing
-  index backends out of the planner until half-open probes restore them.
+  shapes).
+
+A failed index build needs no piece here: the service stamps it with the
+graph epoch and prices the backend out of auto-planning until the graph
+changes (:class:`~repro.service.GraphService`).
 
 The dependency direction is strictly ``reliability -> graph``: the
 persistence layer knows only the neutral
@@ -20,7 +22,6 @@ persistence layer knows only the neutral
 """
 
 from repro.graph.snapshot import RecoveryReport, SnapshotIOHooks
-from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.crashsim import (
     CrashConsistencySimulator,
     CrashOutcome,
@@ -36,7 +37,6 @@ from repro.reliability.guard import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "CrashConsistencySimulator",
     "CrashOutcome",
     "CrashReport",

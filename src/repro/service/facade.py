@@ -10,7 +10,8 @@ The facade owns everything a serving process needs per graph:
   ReachabilityEngine` per backend name, created lazily, with index backends
   (transitive closure, cluster index) rebuilt before use whenever the graph
   has mutated since their last build — a query routed through the service
-  never reads a stale index;
+  never reads a stale index; a build that fails is stamped with the graph
+  epoch, and auto plans price that index out until the graph mutates;
 * the **planner** and its plan cache, plus the mutation-stability counter
   the index-build amortization feeds on;
 * every **cache** (parse, decision memo, target-set memo) via the per-
@@ -56,14 +57,8 @@ from repro.policy.engine import AccessControlEngine
 from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import BACKENDS, ReachabilityEngine, available_backends
-from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.guard import QueryGuard
-from repro.service.planner import (
-    _RATE_BUCKETS,
-    INDEX_BACKENDS,
-    PRICED_BACKENDS,
-    QueryPlanner,
-)
+from repro.service.planner import _RATE_BUCKETS, INDEX_BACKENDS, QueryPlanner
 from repro.sharding.router import ShardRouter
 from repro.sharding.shard import ShardedGraph
 from repro.service.results import (
@@ -132,14 +127,6 @@ class GraphService:
         bulk shapes (``audience``, ``bulk_access``) return early with
         ``partial=True`` on the result.  ``None`` (the default) runs
         unguarded — the hot loops pay a single context-variable read.
-    breakers:
-        Per-backend :class:`~repro.reliability.breaker.CircuitBreaker`
-        overrides for index maintenance.  By default only the index backend
-        auto-selection can choose (``transitive-closure``) gets one:
-        repeated build failures price it out of auto-planning (queries
-        reroute to ``bfs``) until a half-open probe succeeds.  A pin-only index such as ``cluster-index`` gets none: a
-        pinned query whose build fails sees the evaluator's own error.  Pass
-        ``{}`` to disable breakers.
     shards:
         ``> 1`` makes ``"sharded"`` a valid backend pin (per query, or
         service-wide through ``default_backend``): a pinned query runs on
@@ -162,7 +149,6 @@ class GraphService:
         audit_log: Optional[AuditLog] = None,
         snapshot_path: Optional[object] = None,
         query_guard: Optional[QueryGuard] = None,
-        breakers: Optional[Dict[str, CircuitBreaker]] = None,
         shards: int = 0,
     ) -> None:
         self.graph = graph
@@ -192,26 +178,19 @@ class GraphService:
         self._default_pin = self._normalize_pin(default_backend)
         self._cache_size = cache_size
         self.query_guard = query_guard
-        #: One breaker per index backend auto-selection can choose (walking
-        #: backends have no maintenance step that can fail, and a pin has
-        #: nothing to reroute to).
-        self.breakers: Dict[str, CircuitBreaker] = (
-            dict(breakers)
-            if breakers is not None
-            else {
-                name: CircuitBreaker()
-                for name in PRICED_BACKENDS
-                if name in INDEX_BACKENDS
-            }
-        )
         #: Degradation observability (all surfaced by :meth:`statistics`).
         self.queries_degraded = 0
         self.queries_rerouted = 0
+        self.index_build_failures = 0
         self.checkpoint_failures = 0
         self.planner = QueryPlanner()
         self._engines: Dict[str, ReachabilityEngine] = {}
         self._access_engines: Dict[str, AccessControlEngine] = {}
         self._built_epoch: Dict[str, int] = {}
+        # The graph epoch each index backend's last build failed at: a build
+        # reads only that epoch's snapshot, so it fails again until the graph
+        # changes, and auto plans price the backend out until then.
+        self._failed_epoch: Dict[str, int] = {}
         # Stability = queries answered since the graph last mutated; the
         # planner amortizes index builds over it (see repro.service.planner).
         self._seen_epoch = graph.epoch
@@ -294,25 +273,21 @@ class GraphService:
         return engine
 
     def _maintain_index(self, backend: str, action):
-        """Run one index build under the backend's circuit breaker.
+        """Run one index build, stamping a failure with the current epoch.
 
-        Records success (with duration, so a configured slow threshold can
-        count a crawling build against the backend) or failure; the
-        exception always propagates — callers on the *auto* path catch it
-        and reroute, a *pinned* caller sees the evaluator's own error.
+        The exception always propagates — callers on the *auto* path catch
+        it and reroute, a *pinned* caller sees the evaluator's own error.
         """
         self._plan_generation += 1  # freshness and the veto set may change
-        breaker = self.breakers.get(backend) if backend in INDEX_BACKENDS else None
-        if breaker is None:
+        if backend not in INDEX_BACKENDS:
             return action()
-        breaker.allow_probe()  # half-open: this build IS the probe
-        started = time.perf_counter()
         try:
             result = action()
-        except Exception as error:
-            breaker.record_failure(reason=f"{type(error).__name__}: {error}")
+        except Exception:
+            self._failed_epoch[backend] = self.graph.epoch
+            self.index_build_failures += 1
             raise
-        breaker.record_success(duration=time.perf_counter() - started)
+        self._failed_epoch.pop(backend, None)
         return result
 
     def access_engine(self, backend: str) -> AccessControlEngine:
@@ -344,27 +319,23 @@ class GraphService:
         }
 
     def _vetoed(self) -> frozenset:
-        """Index backends the planner must price out right now.
+        """Index backends whose last build failed at the current epoch.
 
-        An *open* breaker vetoes its backend outright.  A *half-open*
-        breaker stops blocking, so the next plan that would choose the
-        backend becomes the probe — :meth:`_maintain_index` claims the
-        probe slot when the build actually runs, and the build's outcome
-        settles the breaker (closed again, or reopened for another
-        cooldown).  Plans arriving while that probe is in flight see
-        ``blocking`` again and keep degrading.
+        Auto plans price them out until the graph mutates; the next plan
+        that chooses one after that rebuilds it on the new snapshot.
         """
+        epoch = self.graph.epoch
         return frozenset(
-            name for name, breaker in self.breakers.items() if breaker.blocking
+            name for name, failed in self._failed_epoch.items() if failed == epoch
         )
 
     def _acquire_for_plan(self, plan, acquire):
         """Acquire the planned engine, failing over auto plans to a walk.
 
         ``acquire`` is :meth:`engine` or :meth:`access_engine`.  Index
-        maintenance can fail at acquisition time (the breaker has already
-        recorded it).  A *pinned* plan propagates the evaluator's own error
-        — the caller asked for that backend specifically.  An *auto* plan
+        maintenance can fail at acquisition time (:meth:`_maintain_index`
+        has already stamped it).  A *pinned* plan propagates the evaluator's
+        own error — the caller asked for that backend specifically.  An *auto* plan
         reroutes to ``bfs``, which answers every query shape identically
         (just without the index's speed), and the rewritten plan travels on
         the result so the reroute is visible.
@@ -443,16 +414,11 @@ class GraphService:
         return outcome[1]
 
     def _observe_outcome(self, text: str, reachable: bool) -> None:
-        self._observe_rate(text, 0.0 if reachable else 1.0)
+        """Feed one point outcome on ``text`` into the unreachable-rate EWMA.
 
-    def _observe_rate(self, text: str, rate: float) -> None:
-        """Feed one (possibly fractional) unreachable-rate sample.
-
-        Point queries feed ``0.0``/``1.0`` outcomes; audience and bulk
-        shapes feed the *fraction* of the live graph their sweep did not
-        reach — one materialization is worth one sample, not thousands of
-        synthetic point outcomes, so a single bulk query cannot swamp the
-        estimator's ~32-query memory.
+        Only point answers (``reach`` and each evaluated ``check``
+        condition) feed it: the rate prices point plans, and the sweep
+        shapes never consult it.
         """
         outcome = self._reach_outcomes.get(text)
         if outcome is None:
@@ -460,8 +426,7 @@ class GraphService:
         floor = self._RATE_SAMPLE_FLOOR
         before = int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0
         outcome[0] += 1
-        sample = max(0.0, min(1.0, rate))
-        outcome[1] += self._RATE_ALPHA * (sample - outcome[1])
+        outcome[1] += self._RATE_ALPHA * ((0.0 if reachable else 1.0) - outcome[1])
         if (int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0) != before:
             self._plan_generation += 1  # the planner prices the bucket
 
@@ -490,23 +455,18 @@ class GraphService:
         executed.
 
         Point shapes pass their expression ``texts`` and take the warm route:
-        while every breaker is closed, a plan bound at this epoch and plan
-        generation runs on its bound engine, unpriced; a miss prices it with
-        outcome feedback and binds the plan unless it was rerouted.
+        a plan bound at this epoch and plan generation runs on its bound
+        engine, unpriced; a miss prices it with outcome feedback and the
+        failed-build veto, and binds the plan unless it was rerouted.
         """
         pin = self._normalize_pin(backend) or self._default_pin
         pricing = {}
         if texts is not None:
             key = ("access" if access else "reach", texts, pin)
             generation = self._plan_generation
-            # An open breaker half-opens by the clock, which no stamp follows.
-            closed = all(b.state == b.CLOSED for b in self.breakers.values())
-            if closed:
-                entry = self.planner.warm(
-                    key, self.graph.epoch, generation, self._stability
-                )
-                if entry is not None:
-                    return entry.engine, entry.plan
+            entry = self.planner.warm(key, self.graph.epoch, generation, self._stability)
+            if entry is not None:
+                return entry.engine, entry.plan
             pricing = dict(
                 unreachable_rate=min(map(self._unreachable_rate, texts), default=0.0),
                 vetoed=self._vetoed(),
@@ -527,12 +487,11 @@ class GraphService:
             )
         # Acquisition may build an index and runs here, *outside*
         # the caller's guard scope: the per-query budget bounds the query's
-        # own traversal, not an index build it happens to trigger (the
-        # breaker owns build pathology).
+        # own traversal, not an index build it happens to trigger.
         engine, routed = self._acquire_for_plan(
             plan, self.access_engine if access else self.engine
         )
-        if texts is not None and closed and routed is plan:
+        if texts is not None and routed is plan:
             self.planner.bind(key, plan, generation, engine)
         return engine, routed
 
@@ -551,23 +510,14 @@ class GraphService:
     ):
         """One audience materialization: planned, guarded, settled.
 
-        Returns ``(plan, audiences, sweep plan, partial)``.  Cardinality
-        feedback (bulk shapes feed the same estimator as point queries): the
-        mean *unreached* share of the live graph across the swept owners is
-        one fractional sample for this expression.  Partial sweeps
-        under-count and are never fed.
+        Returns ``(plan, audiences, sweep plan, partial)``.
         """
         engine, plan = self._route(
             self.planner.plan_audience, (expression, len(owners)), backend
         )
         with self._guard_scope(QueryGuard.PARTIAL):
             audiences, sweep_plan = engine.sweep_targets_many(owners, expression)
-        partial = self._degraded()
-        if audiences and not partial:
-            live = max(1, compile_graph(self.graph).number_of_live_nodes())
-            covered = sum(len(a) for a in audiences.values()) / len(audiences)
-            self._observe_rate(expression.to_text(), 1.0 - covered / live)
-        return plan, audiences, sweep_plan, partial
+        return plan, audiences, sweep_plan, self._degraded()
 
     def reach(
         self,
@@ -761,31 +711,12 @@ class GraphService:
         )
         with self._guard_scope(QueryGuard.PARTIAL):
             audiences, sweep_plans = access.audiences_with_plans(resource_ids)
-        partial = self._degraded()
-        if not partial:
-            # Cardinality feedback: a resource's authorized audience is a
-            # subset of what each of its conditions reaches, so the unreached
-            # share is an upper-bound sample per condition expression — one
-            # sample per (expression, bulk call), deduplicated, and never
-            # fed from a truncated (partial) materialization.
-            live = max(1, compile_graph(self.graph).number_of_live_nodes())
-            best_rate: Dict[str, float] = {}
-            for resource_id, audience in audiences.items():
-                rate = 1.0 - min(1.0, len(audience) / live)
-                for rule in self.store.rules_for(resource_id):
-                    for condition in rule.conditions:
-                        text = condition.path.to_text()
-                        best_rate[text] = min(
-                            best_rate.get(text, 1.0), rate
-                        )
-            for text, rate in best_rate.items():
-                self._observe_rate(text, rate)
         return BulkAccessResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
             audiences=audiences,
             sweep_plans=sweep_plans,
-            partial=partial,
+            partial=self._degraded(),
         )
 
     def authorized_audience(self, resource_id: Hashable) -> Set[Hashable]:
@@ -814,20 +745,11 @@ class GraphService:
             "backends_instantiated": float(len(self._engines)),
             "queries_degraded": float(self.queries_degraded),
             "queries_rerouted": float(self.queries_rerouted),
+            "index_build_failures": float(self.index_build_failures),
             "checkpoint_failures": float(self.checkpoint_failures),
         }
         if self.query_guard is not None:
             stats["guard_trips"] = float(self.query_guard.trip_count)
-        _BREAKER_STATE = {
-            CircuitBreaker.CLOSED: 0.0,
-            CircuitBreaker.HALF_OPEN: 0.5,
-            CircuitBreaker.OPEN: 1.0,
-        }
-        for name, breaker in self.breakers.items():
-            prefix = f"breaker_{name.replace('-', '_')}"
-            stats[f"{prefix}_state"] = _BREAKER_STATE[breaker.state]
-            stats[f"{prefix}_failures"] = float(breaker.consecutive_failures)
-            stats[f"{prefix}_trips"] = float(breaker.trip_count)
         # Index-size accounting (satellite of PERF-11): the cached compiled
         # snapshot's CSR bytes and whether it is a zero-copy mapping, plus
         # the persistent store's disk footprint.  Reads the cache only — a

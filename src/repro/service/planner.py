@@ -316,8 +316,9 @@ class QueryPlanner:
         ``unreachable_rate`` is the caller's observed share of queries on
         this expression that came back unreachable — the feedback signal the
         transitive-closure prune estimate scales with (``0.0``, the default,
-        prices the closure as pure overhead).  ``vetoed`` backends (typically: index backends whose circuit breaker
-        is open) are priced out of *auto*-selection — marked
+        prices the closure as pure overhead).  ``vetoed`` backends (index
+        backends whose last build failed at the current graph epoch) are
+        priced out of *auto*-selection — marked
         ``available=False`` in the estimate table — while a pin still routes
         to them and surfaces the failure at execution time.
         """
@@ -394,7 +395,7 @@ class QueryPlanner:
         # A vetoed backend keeps its cost row (benchmarks grade the
         # heuristic from the table) but cannot win auto-selection.
         estimates = tuple(
-            replace(estimate, available=False, note="circuit breaker open")
+            replace(estimate, available=False, note="index build failed at this epoch")
             if estimate.backend in vetoed
             else estimate
             for estimate in summed.values()

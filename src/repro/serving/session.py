@@ -60,7 +60,7 @@ from repro.policy.decisions import AccessDecision, Effect
 from repro.policy.store import PolicyStore
 from repro.reliability.guard import QueryGuard, deadline_scope
 from repro.service.facade import GraphService
-from repro.serving.admission import AdmissionController
+from repro.serving.admission import AdmissionController, _seconds
 from repro.serving.coalescer import Raised, RequestCoalescer, Respond, awaited
 
 __all__ = [
@@ -614,9 +614,17 @@ class TenantRegistry:
         max_pending: int = 256,
         default_timeout: Optional[float] = None,
     ) -> None:
+        # Checked here as each session checks them, so a bad default fails
+        # the registry's construction rather than every later create().
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         self.max_batch = max_batch
         self.max_pending = max_pending
-        self.default_timeout = default_timeout
+        self.default_timeout = (
+            None if default_timeout is None else _seconds(default_timeout, "default_timeout")
+        )
         self._sessions: Dict[Hashable, TenantSession] = {}
 
     def create(

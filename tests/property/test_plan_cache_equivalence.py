@@ -6,8 +6,8 @@ A seeded stream is replayed in lockstep through a default
 off).  The stream mixes repeated point checks and reaches (auto, pinned and
 sharded), churn bursts, a rule added to a resource mid-stream, a
 denial-heavy forward-only tail long enough for the transitive-closure flip,
-and an index whose maintenance fails until its breaker opens, half-opens,
-fails its probe and finally recovers.
+and an index whose build fails at two epochs in a row and, once fixed,
+rebuilds at the next.
 
 Query for query the answers, the executed backend, whether a pin forced it,
 the route and the plan's reason must agree.  The reason is compared with its
@@ -24,9 +24,8 @@ import pytest
 from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
 from repro.policy.store import PolicyStore
-from repro.reliability.breaker import CircuitBreaker
 from repro.service import GraphService
-from repro.service.planner import INDEX_BACKENDS, QueryPlanner
+from repro.service.planner import QueryPlanner
 from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_targets
 
@@ -34,28 +33,13 @@ SEEDS = range(6)
 HOT_TEXTS = ("friend+[1,2]", "colleague+[1]/friend+[1,2]", "friend*[1,2]")
 TAIL_TEXTS = ("friend+[1,3]", "friend+[1,2]/colleague+[1,2]", "parent+[1,3]")
 REACHABLE_EVERY = 8  # one tail query in eight is a grant
-COOLDOWN = 30.0
 _NUMBERS = re.compile(r"\d+(\.\d+)?")
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-def _twins(graph, store, clock):
+def _twins(graph, store):
     services = []
     for planner in (None, QueryPlanner(cache_size=0)):
-        breakers = {
-            name: CircuitBreaker(
-                failure_threshold=2, cooldown_seconds=COOLDOWN, clock=clock
-            )
-            for name in INDEX_BACKENDS
-        }
-        service = GraphService(graph, store, breakers=breakers, shards=2)
+        service = GraphService(graph, store, shards=2)
         if planner is not None:
             service.planner = planner
         services.append(service)
@@ -63,6 +47,7 @@ def _twins(graph, store, clock):
 
 
 def _churn(graph, rng, count):
+    """``count`` edge writes; each one moves the graph epoch."""
     users = sorted(graph.users(), key=str)
     for _ in range(count):
         relationships = list(graph.relationships())
@@ -72,7 +57,9 @@ def _churn(graph, rng, count):
             continue
         source, target = rng.sample(users, 2)
         label = rng.choice(LABELS)
-        if not graph.has_relationship(source, target, label):
+        if graph.has_relationship(source, target, label):
+            graph.remove_relationship(source, target, label)
+        else:
             graph.add_relationship(source, target, label)
 
 
@@ -131,11 +118,11 @@ def _stream(graph, store, rng):
     yield ("break",)
     yield ("churn", 1)  # stales the closure: its next rebuild fails
     yield from denial_tail(400)
-    yield ("clock",)  # half-open: the next closure plan is the probe, and fails
-    yield from denial_tail(100)
+    yield ("churn", 1)  # a new epoch: the next closure plan rebuilds, and fails
+    yield from denial_tail(300)
     yield ("fix",)
-    yield ("clock",)  # half-open again: this probe succeeds
-    yield from denial_tail(100)
+    yield ("churn", 1)  # a new epoch again: this rebuild succeeds
+    yield from denial_tail(300)
     yield from point_queries(20)
 
 
@@ -157,8 +144,7 @@ def _run(service, op):
 
 def _replay(graph, rng):
     store = PolicyStore()
-    clock = FakeClock()
-    cached, uncached = _twins(graph, store, clock)
+    cached, uncached = _twins(graph, store)
     backends = set()
     for position, op in enumerate(_stream(graph, store, rng)):
         if op[0] == "churn":
@@ -171,8 +157,6 @@ def _replay(graph, rng):
         elif op[0] == "fix":
             _fix(cached)
             _fix(uncached)
-        elif op[0] == "clock":
-            clock.now += COOLDOWN + 1.0
         else:
             got = _run(cached, op)
             assert got == _run(uncached, op), (position, op)
@@ -195,5 +179,6 @@ def test_cached_plans_equal_uncached_plans_on_a_perf10_shaped_graph():
     # The stream reached every event it was built to exercise.
     assert {"bfs", "transitive-closure"} <= backends
     assert service.queries_rerouted > 0
-    assert service.breakers["transitive-closure"].trip_count >= 2
-    assert service.breakers["transitive-closure"].state == CircuitBreaker.CLOSED
+    assert service.index_build_failures == 2  # one per broken epoch
+    # After the fix, auto plans chose the closure again and rebuilt it.
+    assert service._built_epoch["transitive-closure"] == graph.epoch

@@ -1,4 +1,4 @@
-"""Unit tests for reachability queries and line-query expansion (Fig. 4)."""
+"""Unit tests for line-query expansion (Fig. 4)."""
 
 from __future__ import annotations
 
@@ -7,19 +7,7 @@ import pytest
 from repro.exceptions import QueryError
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
-from repro.reachability.query import LineHop, ReachabilityQuery, expand_line_queries
-
-
-class TestReachabilityQuery:
-    def test_parse(self):
-        query = ReachabilityQuery.parse("Alice", "Fred", "friend+[1,2]/colleague+[1]")
-        assert query.source == "Alice" and query.target == "Fred"
-        assert query.expression.labels() == ("friend", "colleague")
-
-    def test_describe(self):
-        query = ReachabilityQuery.parse("Alice", "Fred", "friend")
-        assert "Alice/friend+[1]" in query.describe()
-        assert "Fred" in str(query)
+from repro.reachability.query import LineHop, expand_line_queries
 
 
 class TestLineHop:

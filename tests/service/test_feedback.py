@@ -1,15 +1,15 @@
-"""Cardinality feedback from every query shape into the planner's estimator.
+"""Cardinality feedback from point answers into the planner's estimator.
 
-The unreachable-rate EWMA used to learn only from ``reach`` queries; these
-tests pin down the PR 8 satellite: ``access`` feeds one outcome per
-evaluated condition, and ``audience`` / ``bulk_access`` feed *fractional*
-samples (the unreached share of the live graph) — except when the answer is
-partial, which must never be mistaken for low reachability.
+The unreachable-rate EWMA prices point plans, so only point answers feed
+it: ``reach`` one outcome per query, ``check`` one outcome per evaluated
+condition.  The sweep shapes (``audience``, ``reach_many``,
+``bulk_access``) never consult the rate and feed nothing.
 """
+
+import pytest
 
 from repro.graph.social_graph import SocialGraph
 from repro.policy.store import PolicyStore
-from repro.reliability.guard import QueryGuard
 from repro.service.facade import GraphService
 
 
@@ -45,40 +45,33 @@ def test_access_checks_feed_condition_outcomes():
     assert service._reach_outcomes[text][1] > rate  # denial raised the rate
 
 
-def test_audience_feeds_a_fractional_sample():
-    graph = ring_graph()
-    service = GraphService(graph)
+def test_reach_feeds_one_outcome_per_query():
+    service = GraphService(ring_graph())
     text = "friend+[1,3]"
-    result = service.audience(["u0"], text)
-    assert not result.partial
+    assert service.reach("u0", "u2", text).reachable
+    assert service._reach_outcomes[text] == [1, 0.0]
+    assert not service.reach("u0", "u10", text).reachable
     samples, rate = service._reach_outcomes[text]
-    assert samples == 1
-    # The audience reaches 3 of ~19 other users: a high unreached share,
-    # scaled by the EWMA alpha on the very first sample.
-    assert 0.0 < rate <= 1.0
+    assert samples == 2
+    assert rate == service._RATE_ALPHA  # one denial, weighted by alpha
 
 
-def test_partial_audience_feeds_nothing():
-    graph = ring_graph()
-    service = GraphService(graph, query_guard=QueryGuard(max_steps=2))
-    text = "friend+[1,19]"
-    result = service.audience(["u0", "u1"], text)
-    assert result.partial
-    assert text not in service._reach_outcomes
-
-
-def test_bulk_access_feeds_each_condition_once():
-    graph = ring_graph()
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda service, text: service.audience(["u0", "u5"], text),
+        lambda service, text: service.reach_many([("u0", "u2"), ("u0", "u10")], text),
+        lambda service, text: service.bulk_access(["album"]),
+    ],
+    ids=["audience", "reach_many", "bulk_access"],
+)
+def test_sweep_shapes_feed_nothing(sweep):
     store = PolicyStore()
     text = shared_album(store)
-    # A second resource with the same expression: the sample must still be
-    # deduplicated to one observation per expression per bulk call.
-    store.share("u5", "diary", kind="notes")
-    store.allow("diary", text)
-    service = GraphService(graph, store)
-    service.bulk_access(["album", "diary"])
-    samples, _rate = service._reach_outcomes[text]
-    assert samples == 1
+    service = GraphService(ring_graph(), store)
+    result = sweep(service, text)
+    assert not result.partial
+    assert service._reach_outcomes == {}
 
 
 def test_feedback_eventually_moves_the_rate_estimate():

@@ -8,7 +8,7 @@ in one loop iteration share a batch), replays the identical request list
 sequentially against an independently built twin service over the same
 seeded workload, and compares every answer — including scenarios where a
 :class:`QueryGuard` trips the batch (exercising the sequential fallback)
-and where a circuit breaker has rerouted the backend.
+and where a failed closure build has priced the index out of auto plans.
 """
 
 import asyncio
@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.exceptions import NodeNotFoundError, QueryBudgetExceeded
+from repro.reachability.transitive_closure import TransitiveClosureEvaluator
 from repro.reliability.guard import QueryGuard
 from repro.service.facade import GraphService
 from repro.serving.session import TenantSession
@@ -225,21 +226,44 @@ def test_guard_tripped_batches_fall_back_to_sequential(seed):
     assert served_service.statistics()["serving_fallbacks"] > 0
 
 
-def test_breaker_rerouted_backend_still_equivalent():
+def _fail_closure_build(monkeypatch, services, workload):
+    """Fail one pinned closure build on each service, at the current epoch.
+
+    The transitive closure is the one index backend the planner
+    auto-selects; its failed build prices it out of every auto plan until
+    the graph mutates, and every later build attempt would raise too.
+    """
+
+    def boom(self):
+        raise RuntimeError("synthetic maintenance failure")
+
+    monkeypatch.setattr(TransitiveClosureEvaluator, "build", boom)
+    users = sorted(workload.graph.users())
+    for service in services:
+        with pytest.raises(RuntimeError, match="synthetic maintenance failure"):
+            service.reach(
+                users[0], users[1], EXPRESSIONS[0], backend="transitive-closure"
+            )
+        assert service._vetoed() == {"transitive-closure"}
+
+
+def _assert_no_rebuild(services):
+    for service in services:
+        stats = service.statistics()
+        assert stats["index_build_failures"] == 1.0
+        assert stats["queries_rerouted"] == 0.0
+
+
+def test_failed_build_rerouted_backend_still_equivalent(monkeypatch):
     """Coalesced answers stay correct when the index backend is broken.
 
-    Forcing the transitive closure's breaker open (the one index backend the
-    planner auto-selects, so the one with a default breaker) prices it out
-    and keeps every query on a walking backend; the bulk sweeps still
-    answer, and answers still match a sequential twin whose breaker is
-    equally open.
+    A failed closure build keeps every query on a walking backend; the bulk
+    sweeps still answer, and answers still match a sequential twin whose
+    build failed the same way.
     """
     served_service, sequential_service, workload = _twin_services(seed=47)
-    for service in (served_service, sequential_service):
-        for breaker in service.breakers.values():
-            for _ in range(16):
-                breaker.record_failure(reason="forced for the test")
-            assert breaker.blocking
+    services = (served_service, sequential_service)
+    _fail_closure_build(monkeypatch, services, workload)
     rng = random.Random(7)
     requests = _random_requests(workload, rng, count=24)
 
@@ -254,6 +278,7 @@ def test_breaker_rerouted_backend_still_equivalent():
     for request, served in zip(requests, served_answers):
         expected = _sequential_answer(sequential_service, request)
         _assert_equivalent(request, served, expected)
+    _assert_no_rebuild(services)
 
 
 def test_absent_endpoint_errors_only_its_own_request():
@@ -544,14 +569,12 @@ def test_busy_period_batches_that_trip_the_guard_fall_back(seed):
     assert served_service.statistics()["serving_fallbacks"] > 0
 
 
-def test_busy_period_batches_on_a_breaker_rerouted_backend():
+def test_busy_period_batches_on_a_failed_build_rerouted_backend(monkeypatch):
     served_service, sequential_service, workload = _twin_services(seed=97)
-    for service in (served_service, sequential_service):
-        for breaker in service.breakers.values():
-            for _ in range(16):
-                breaker.record_failure(reason="forced for the test")
-            assert breaker.blocking
+    services = (served_service, sequential_service)
+    _fail_closure_build(monkeypatch, services, workload)
     head = _head_audiences(workload, EXPRESSIONS[1])
     requests = _random_requests(workload, random.Random(9), count=24)
     requests, answers, statistics = _serve_staggered(served_service, head, requests)
     _assert_busy_period_run(head, requests, answers, statistics, sequential_service)
+    _assert_no_rebuild(services)

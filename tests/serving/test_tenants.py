@@ -1,12 +1,14 @@
 """Tenant registry: routing, isolation, aggregate statistics."""
 
 import asyncio
+import math
 
 import pytest
 
-from repro.exceptions import UnknownTenantError
+from repro.exceptions import ProtocolError, UnknownTenantError
 from repro.graph.social_graph import SocialGraph
-from repro.serving.session import TenantRegistry
+from repro.service.facade import GraphService
+from repro.serving.session import TenantRegistry, TenantSession
 
 
 def _chain_graph(names):
@@ -38,6 +40,31 @@ def test_duplicate_tenant_rejected():
 def test_create_needs_graph_or_service():
     with pytest.raises(ValueError):
         TenantRegistry().create("alpha")
+
+
+@pytest.mark.parametrize(
+    "setting, error",
+    [
+        ({"default_timeout": math.nan}, ProtocolError),
+        ({"default_timeout": math.inf}, ProtocolError),
+        ({"default_timeout": True}, ProtocolError),
+        ({"default_timeout": "5"}, ProtocolError),
+        ({"max_pending": 0}, ValueError),
+        ({"max_pending": -1}, ValueError),
+        ({"max_batch": 0}, ValueError),
+        ({"max_batch": -1}, ValueError),
+    ],
+    ids=lambda value: "-".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, dict)
+    else value.__name__,
+)
+def test_registry_refuses_a_bad_default_at_construction(setting, error):
+    """A bad default fails the registry, with the error a session raises."""
+    with pytest.raises(error) as refused:
+        TenantRegistry(**setting)
+    with pytest.raises(error) as session_refused:
+        TenantSession("alpha", GraphService(_chain_graph(["a", "b"])), **setting)
+    assert str(refused.value) == str(session_refused.value)
 
 
 def test_registry_sessions_get_a_guard_by_default():
