@@ -348,10 +348,11 @@ def _format_table(summary: dict) -> str:
             f"{row['mode']:<20} {row['seconds']:>9.3f} {row['vs_auto']:>7.2f}x   "
             f"{', '.join(row['backends_used'])}"
         )
-    lines.append(
-        f"auto wins by {mixed['win_ratio']:.2f}x over the best pinned backend "
-        f"({mixed['best_pinned_mode']})"
-    )
+    ratio, best = mixed["win_ratio"], mixed["best_pinned_mode"]
+    if ratio > 1.0:
+        lines.append(f"auto wins by {ratio:.2f}x over the best pinned backend ({best})")
+    else:
+        lines.append(f"auto loses to the best pinned backend ({best}) ({ratio:.2f}x)")
     return "\n".join(lines)
 
 

@@ -1,9 +1,9 @@
 """Compiled CSR snapshots of a :class:`~repro.graph.social_graph.SocialGraph`.
 
-The canonical graph structure is a dict-of-dict-of-dict adjacency keyed by
-arbitrary hashable user ids — ideal for mutation and for the paper-facing
-API, terrible for the traversal hot paths: every hop hashes a user id,
-walks two dictionary levels and touches per-edge ``Relationship`` objects.
+The canonical graph structure is a dict-of-dict adjacency of per-pair
+``{label: attributes}`` rows keyed by arbitrary hashable user ids — ideal
+for mutation and for the paper-facing API, terrible for the traversal hot
+paths: every hop hashes a user id and walks nested dictionaries.
 
 :class:`CompiledGraph` is the derived, rebuildable index layer on top: a
 frozen snapshot that interns user ids and relationship labels to dense
@@ -89,6 +89,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -159,9 +160,11 @@ register_derived_policy("degree_statistics", "structural")
 def build_csr(pairs: Sequence[Tuple[int, int]], node_count: int) -> CSR:
     """Counting-sort ``(source, target)`` int pairs into a CSR adjacency.
 
-    The one CSR builder of the codebase — the snapshot's per-label adjacency
-    and every dense structure in :mod:`repro.reachability.interned` go
-    through it.
+    The CSR builder for pair lists — the snapshot's merged-adjacency folds
+    and :meth:`CompiledGraph.compacted`, :mod:`repro.reachability.scc` and
+    every dense structure in :mod:`repro.reachability.interned` go through
+    it.  A fresh compile appends rows straight into arrays and reverses
+    them with :func:`_transpose` instead, so it holds no pair list.
     """
     counts = [0] * node_count
     for source, _target in pairs:
@@ -178,6 +181,32 @@ def build_csr(pairs: Sequence[Tuple[int, int]], node_count: int) -> CSR:
         targets[cursor[source]] = target
         cursor[source] += 1
     return offsets, targets
+
+
+def _transpose(csr: CSR) -> CSR:
+    """Return the reverse of a CSR adjacency over the same node range.
+
+    A stable counting sort: each reverse row lists its sources in ascending
+    order — what :func:`build_csr` makes of the flipped pairs — without
+    materialising the pairs.
+    """
+    offsets, targets = csr
+    count = len(offsets) - 1
+    degrees = [0] * count
+    for target in targets:
+        degrees[target] += 1
+    reverse_offsets = array("l", accumulate(degrees, initial=0))
+    del degrees
+    cursor = reverse_offsets.tolist()
+    sources = array("l", [0]) * len(targets)
+    row_of = chain.from_iterable(
+        map(repeat, range(count), map(sub, islice(offsets, 1, None), offsets))
+    )
+    for source, target in zip(row_of, targets):
+        slot = cursor[target]
+        sources[slot] = source
+        cursor[target] = slot + 1
+    return reverse_offsets, sources
 
 
 #: Byte width of one CSR entry on this platform (``array('l')`` item size).
@@ -364,32 +393,33 @@ class CompiledGraph:
         self.attrs: List[Mapping[str, Any]] = [
             graph._nodes[user] for user in self.node_ids
         ]
-        per_label: List[List[Tuple[int, int]]] = [[] for _ in self.labels]
-        everything: List[Tuple[int, int]] = []
+        # One walk in index order appends each row straight into the
+        # forward arrays (no per-edge pairs are materialised); the merged
+        # adjacency collapses parallel labels to one entry per pair, which
+        # is enough for plain reachability sweeps.
         node_index = self.node_index
         label_index = self.label_index
-        for user, index in node_index.items():
-            for target, edges in graph._succ[user].items():
+        label_offsets = [array("l", [0]) for _ in self.labels]
+        label_targets = [array("l") for _ in self.labels]
+        append_to = [targets.append for targets in label_targets]
+        forward = list(zip(label_offsets, label_targets))
+        merged_offsets = array("l", [0])
+        merged_targets = array("l")
+        append_merged = merged_targets.append
+        rows = graph._succ
+        for user in self.node_ids:
+            for target, edges in rows[user].items():
                 target_index = node_index[target]
-                seen_pair = False
+                append_merged(target_index)
                 for label in edges:
-                    per_label[label_index[label]].append((index, target_index))
-                    if not seen_pair:
-                        # The merged adjacency collapses parallel labels: one
-                        # entry per (source, target) pair is enough for plain
-                        # reachability sweeps.
-                        everything.append((index, target_index))
-                        seen_pair = True
-        count = len(self.node_ids)
-        self._forward: List[CSR] = [build_csr(pairs, count) for pairs in per_label]
-        self._backward: List[CSR] = [
-            build_csr([(target, source) for source, target in pairs], count)
-            for pairs in per_label
-        ]
-        self._forward_all: CSR = build_csr(everything, count)
-        self._backward_all: CSR = build_csr(
-            [(target, source) for source, target in everything], count
-        )
+                    append_to[label_index[label]](target_index)
+            merged_offsets.append(len(merged_targets))
+            for offsets, targets in forward:
+                offsets.append(len(targets))
+        self._forward: List[CSR] = forward
+        self._backward: List[CSR] = [_transpose(csr) for csr in forward]
+        self._forward_all: CSR = (merged_offsets, merged_targets)
+        self._backward_all: CSR = _transpose(self._forward_all)
         #: derived per-snapshot indexes (e.g. the interned line index),
         #: keyed by the deriving module; they share this snapshot's lifetime,
         #: so epoch-based invalidation comes for free.  Delta patches sweep
@@ -1116,12 +1146,13 @@ class CompiledGraph:
     # --------------------------------------------------------------- witness
 
     def relationship(self, source: int, target: int, label_id: int) -> Relationship:
-        """Return the canonical :class:`Relationship` behind one CSR edge.
+        """Return the :class:`Relationship` behind one CSR edge.
 
         Witness paths are reconstructed on demand through this lookup, so the
-        search cores never touch per-edge objects.  Standalone (mapped)
-        snapshots have no canonical graph to consult and synthesize a bare
-        edge tuple instead.
+        search cores never touch per-edge objects.  The canonical graph
+        builds the value with the edge's live attributes; standalone
+        (mapped) snapshots have no graph to consult and synthesize a bare
+        edge instead.
         """
         if self.graph is None:
             return Relationship(

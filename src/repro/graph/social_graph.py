@@ -141,6 +141,10 @@ class Relationship:
     Identity (equality and hashing) is the ``(source, target, label)`` triple;
     the attribute mapping is carried along but does not participate, so that
     relationships can live in sets and act as dictionary keys.
+
+    A :class:`SocialGraph` stores no ``Relationship``: it builds one on each
+    read, and its ``attributes`` is the graph's stored mapping for the edge
+    (live — a write through it is seen by every later read).
     """
 
     source: UserId
@@ -167,6 +171,14 @@ class SocialGraph:
     the paper's vocabulary, but the structure is a general directed labelled
     multigraph and is reused as-is by the line-graph and index machinery.
 
+    Each edge is stored once.  A connected ordered pair ``(u, v)`` owns one
+    *row*, a ``{label: attributes}`` dict; ``_succ[u][v]`` and ``_pred[v][u]``
+    are that same dict object, so the two directions never disagree.  Every
+    enumeration runs source by source in insertion order, then target by
+    target in the order the pair was first connected, then label by label
+    in insertion order — the order the compiled snapshot's CSR rows, and so
+    every figure and witness, are built in.
+
     Examples
     --------
     >>> g = SocialGraph()
@@ -180,9 +192,11 @@ class SocialGraph:
     def __init__(self, name: str = "", *, journal_limit: int = DEFAULT_JOURNAL_LIMIT) -> None:
         self.name = name
         self._nodes: Dict[UserId, Dict[str, Any]] = {}
-        # _succ[u][v][label] -> Relationship ; _pred mirrors it for reverse walks.
-        self._succ: Dict[UserId, Dict[UserId, Dict[str, Relationship]]] = {}
-        self._pred: Dict[UserId, Dict[UserId, Dict[str, Relationship]]] = {}
+        # _succ[u][v] is the row {label: edge attributes} of the pair (u, v);
+        # _pred[v][u] is the *same* dict, for reverse walks.  A row exists
+        # only while the pair has at least one label.
+        self._succ: Dict[UserId, Dict[UserId, Dict[str, Dict[str, Any]]]] = {}
+        self._pred: Dict[UserId, Dict[UserId, Dict[str, Dict[str, Any]]]] = {}
         self._num_edges = 0
         self._label_counts: Dict[str, int] = {}
         self._epoch = 0
@@ -369,14 +383,21 @@ class SocialGraph:
     def remove_user(self, user: UserId) -> None:
         """Remove a user and every relationship incident to it."""
         self._require(user)
-        # A self-loop shows up in both incidence lists; deduplicate by key so
-        # it is removed exactly once.
-        incident = {
-            rel.key(): rel
-            for rel in list(self.out_relationships(user)) + list(self.in_relationships(user))
-        }
-        for rel in incident.values():
-            self.remove_relationship(rel.source, rel.target, rel.label)
+        # Out-edges first, then in-edges; a self-loop's row is in both
+        # incidence maps, so the in-edge pass skips it.
+        incident = [
+            (user, target, label)
+            for target, row in self._succ[user].items()
+            for label in row
+        ]
+        incident += [
+            (source, user, label)
+            for source, row in self._pred[user].items()
+            if source != user
+            for label in row
+        ]
+        for source, target, label in incident:
+            self.remove_relationship(source, target, label)
         del self._nodes[user]
         del self._succ[user]
         del self._pred[user]
@@ -441,37 +462,37 @@ class SocialGraph:
         """
         self._require(source)
         self._require(target)
-        if label in self._succ[source].get(target, {}):
+        row = self._succ[source].get(target)
+        if row is None:
+            row = self._succ[source][target] = self._pred[target][source] = {}
+        elif label in row:
             raise DuplicateEdgeError(
                 f"relationship {source!r} -[{label}]-> {target!r} already exists"
             )
-        rel = Relationship(source, target, str(label), dict(attributes))
-        self._succ[source].setdefault(target, {})[rel.label] = rel
-        self._pred[target].setdefault(source, {})[rel.label] = rel
+        label = str(label)
+        stored = row[label] = dict(attributes)
         self._num_edges += 1
-        self._label_counts[rel.label] = self._label_counts.get(rel.label, 0) + 1
-        self._record("add_edge", source, target, rel.label)
+        self._label_counts[label] = self._label_counts.get(label, 0) + 1
+        self._record("add_edge", source, target, label)
         if reciprocal and not self.has_relationship(target, source, label):
             self.add_relationship(target, source, label, **attributes)
-        return rel
+        return Relationship(source, target, label, stored)
 
     def remove_relationship(self, source: UserId, target: UserId, label: str) -> None:
         """Remove the relationship identified by ``(source, target, label)``."""
         try:
-            rel = self._succ[self._require(source)][target][label]
+            row = self._succ[self._require(source)][target]
+            del row[label]
         except KeyError:
             raise EdgeNotFoundError(source, target, label) from None
-        del self._succ[source][target][label]
-        if not self._succ[source][target]:
+        if not row:
             del self._succ[source][target]
-        del self._pred[target][source][label]
-        if not self._pred[target][source]:
             del self._pred[target][source]
         self._num_edges -= 1
-        self._label_counts[rel.label] -= 1
-        if not self._label_counts[rel.label]:
-            del self._label_counts[rel.label]
-        self._record("remove_edge", source, target, rel.label)
+        self._label_counts[label] -= 1
+        if not self._label_counts[label]:
+            del self._label_counts[label]
+        self._record("remove_edge", source, target, label)
 
     def has_relationship(self, source: UserId, target: UserId, label: Optional[str] = None) -> bool:
         """Return whether a relationship exists from ``source`` to ``target``.
@@ -486,29 +507,29 @@ class SocialGraph:
     def get_relationship(self, source: UserId, target: UserId, label: str) -> Relationship:
         """Return the :class:`Relationship` for the given triple."""
         try:
-            return self._succ[source][target][label]
+            attributes = self._succ[source][target][label]
         except KeyError:
             raise EdgeNotFoundError(source, target, label) from None
+        return Relationship(source, target, label, attributes)
 
     def relationships(self) -> Iterator[Relationship]:
         """Iterate over every relationship in the graph."""
-        for targets in self._succ.values():
-            for edges in targets.values():
-                yield from edges.values()
+        for source, target, label, attributes in self._edges():
+            yield Relationship(source, target, label, attributes)
 
     def out_relationships(self, user: UserId, label: Optional[str] = None) -> Iterator[Relationship]:
         """Iterate over relationships going out of ``user`` (optionally filtered by label)."""
-        for edges in self._succ[self._require(user)].values():
-            for rel in edges.values():
-                if label is None or rel.label == label:
-                    yield rel
+        for target, row in self._succ[self._require(user)].items():
+            for edge_label, attributes in row.items():
+                if label is None or edge_label == label:
+                    yield Relationship(user, target, edge_label, attributes)
 
     def in_relationships(self, user: UserId, label: Optional[str] = None) -> Iterator[Relationship]:
         """Iterate over relationships coming into ``user`` (optionally filtered by label)."""
-        for edges in self._pred[self._require(user)].values():
-            for rel in edges.values():
-                if label is None or rel.label == label:
-                    yield rel
+        for source, row in self._pred[self._require(user)].items():
+            for edge_label, attributes in row.items():
+                if label is None or edge_label == label:
+                    yield Relationship(source, user, edge_label, attributes)
 
     def successors(self, user: UserId, label: Optional[str] = None) -> Iterator[UserId]:
         """Iterate over users reachable from ``user`` by one (label-matching) edge."""
@@ -590,14 +611,8 @@ class SocialGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        if set(self._nodes) != set(other._nodes):
-            return False
-        for user, attrs in self._nodes.items():
-            if attrs != other._nodes[user]:
-                return False
-        mine = {rel.key(): dict(rel.attributes) for rel in self.relationships()}
-        theirs = {rel.key(): dict(rel.attributes) for rel in other.relationships()}
-        return mine == theirs
+        # Dict equality ignores order: same users and attributes, same rows.
+        return self._nodes == other._nodes and self._succ == other._succ
 
     # ----------------------------------------------------------------- views
 
@@ -606,8 +621,8 @@ class SocialGraph:
         clone = SocialGraph(name=self.name if name is None else name)
         for user, attrs in self._nodes.items():
             clone.add_user(user, **attrs)
-        for rel in self.relationships():
-            clone.add_relationship(rel.source, rel.target, rel.label, **dict(rel.attributes))
+        for source, target, label, attributes in self._edges():
+            clone.add_relationship(source, target, label, **attributes)
         return clone
 
     def subgraph(self, users: Iterable[UserId], name: str = "") -> "SocialGraph":
@@ -619,10 +634,10 @@ class SocialGraph:
         # Only the kept nodes' out-edges can be induced, so the scan is
         # O(edges leaving the kept set) rather than O(|E|).
         for user in keep:
-            for target, edges in self._succ[user].items():
+            for target, row in self._succ[user].items():
                 if target in keep:
-                    for rel in edges.values():
-                        sub.add_relationship(user, target, rel.label, **dict(rel.attributes))
+                    for label, attributes in row.items():
+                        sub.add_relationship(user, target, label, **attributes)
         return sub
 
     def reversed(self, name: str = "") -> "SocialGraph":
@@ -630,8 +645,8 @@ class SocialGraph:
         rev = SocialGraph(name=name or (self.name + "-reversed" if self.name else "reversed"))
         for user, attrs in self._nodes.items():
             rev.add_user(user, **attrs)
-        for rel in self.relationships():
-            rev.add_relationship(rel.target, rel.source, rel.label, **dict(rel.attributes))
+        for source, target, label, attributes in self._edges():
+            rev.add_relationship(target, source, label, **attributes)
         return rev
 
     # --------------------------------------------------------------- interop
@@ -643,8 +658,8 @@ class SocialGraph:
         graph = nx.MultiDiGraph(name=self.name)
         for user, attrs in self._nodes.items():
             graph.add_node(user, **attrs)
-        for rel in self.relationships():
-            graph.add_edge(rel.source, rel.target, key=rel.label, label=rel.label, **dict(rel.attributes))
+        for source, target, label, attributes in self._edges():
+            graph.add_edge(source, target, key=label, label=label, **attributes)
         return graph
 
     @classmethod
@@ -666,6 +681,13 @@ class SocialGraph:
         return sg
 
     # --------------------------------------------------------------- private
+
+    def _edges(self) -> Iterator[Tuple[UserId, UserId, str, Dict[str, Any]]]:
+        """Yield ``(source, target, label, attributes)`` in enumeration order."""
+        for source, targets in self._succ.items():
+            for target, row in targets.items():
+                for label, attributes in row.items():
+                    yield source, target, label, attributes
 
     def _require(self, user: UserId) -> UserId:
         if user not in self._nodes:

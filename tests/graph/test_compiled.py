@@ -68,7 +68,7 @@ class TestSnapshotCorrectness:
                 snapshot.index_of(rel.target),
                 snapshot.label_id(rel.label),
             )
-            assert rebuilt is rel
+            assert rebuilt == rel and rebuilt.attributes is rel.attributes
 
     def test_empty_graph_compiles(self, empty_graph):
         snapshot = compile_graph(empty_graph)

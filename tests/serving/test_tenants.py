@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ProtocolError, UnknownTenantError
 from repro.graph.social_graph import SocialGraph
+from repro.policy.store import PolicyStore
 from repro.service.facade import GraphService
 from repro.serving.session import TenantRegistry, TenantSession
 
@@ -65,6 +66,55 @@ def test_registry_refuses_a_bad_default_at_construction(setting, error):
     with pytest.raises(error) as session_refused:
         TenantSession("alpha", GraphService(_chain_graph(["a", "b"])), **setting)
     assert str(refused.value) == str(session_refused.value)
+
+
+def _photo_tenant(registry):
+    """A chain a -> b -> c whose owner ``a`` shares a photo with friends
+    up to two hops away."""
+    store = PolicyStore()
+    store.share("a", "photo")
+    store.allow("photo", "friend+[1,2]")
+    return registry.create("t", _chain_graph(["a", "b", "c"]), store)
+
+
+def test_registry_serves_at_the_smallest_batch_and_queue_bounds():
+    """``max_batch=1`` and ``max_pending=1`` are valid bounds, not refused."""
+    registry = TenantRegistry(max_batch=1, max_pending=1)
+    session = _photo_tenant(registry)
+    assert session.coalescer.max_batch == 1
+    assert session.admission.max_pending == 1
+
+    async def main():
+        try:
+            return await session.reach("a", "c", "friend+[1,2]")
+        finally:
+            await registry.close()
+
+    assert asyncio.run(main()).reachable is True
+
+
+def test_a_batch_of_one_is_not_coalesced():
+    """Each verb's batch path marks a lone request ``coalesced=False``."""
+    registry = TenantRegistry()
+    session = _photo_tenant(registry)
+
+    async def main():
+        try:
+            return (
+                await session.reach("a", "c", "friend+[1,2]"),
+                await session.audience("a", "friend+[1]"),
+                await session.check("c", "photo"),
+            )
+        finally:
+            await registry.close()
+
+    reach, audience, check = asyncio.run(main())
+    assert reach.reachable is True
+    assert audience.audience == frozenset({"b"})
+    assert check.granted is True and "audience sweep" in check.reason
+    for served in (reach, audience, check):
+        assert served.coalesced is False and served.batch_size == 1, served
+    assert session.solo_requests == 0  # every answer came from a batch path
 
 
 def test_registry_sessions_get_a_guard_by_default():
