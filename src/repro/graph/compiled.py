@@ -1,7 +1,7 @@
 """Compiled CSR snapshots of a :class:`~repro.graph.social_graph.SocialGraph`.
 
 The canonical graph structure is a dict-of-dict adjacency of per-pair
-``{label: attributes}`` rows keyed by arbitrary hashable user ids — ideal
+``(label, attributes, ...)`` rows keyed by arbitrary hashable user ids — ideal
 for mutation and for the paper-facing API, terrible for the traversal hot
 paths: every hop hashes a user id and walks nested dictionaries.
 
@@ -408,11 +408,11 @@ class CompiledGraph:
         append_merged = merged_targets.append
         rows = graph._succ
         for user in self.node_ids:
-            for target, edges in rows[user].items():
+            for target, row in rows[user].items():
                 target_index = node_index[target]
                 append_merged(target_index)
-                for label in edges:
-                    append_to[label_index[label]](target_index)
+                for slot in range(0, len(row), 2):
+                    append_to[label_index[row[slot]]](target_index)
             merged_offsets.append(len(merged_targets))
             for offsets, targets in forward:
                 offsets.append(len(targets))

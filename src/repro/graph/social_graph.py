@@ -49,6 +49,10 @@ __all__ = ["AttributeMap", "Relationship", "SocialGraph", "raw_attributes_getter
 
 UserId = Hashable
 
+#: One connected pair's edges, flat: ``(label, attributes, label,
+#: attributes, ...)`` in label insertion order.
+Row = Tuple[Any, ...]
+
 #: One journal record: the operation tag plus its identifying operands.
 #: ``("add_user", u)`` / ``("remove_user", u)`` / ``("update_user", u)`` /
 #: ``("add_edge", u, v, label)`` / ``("remove_edge", u, v, label)``.
@@ -72,6 +76,24 @@ def raw_attributes_getter(graph):
     """
     raw = getattr(graph, "raw_attributes", None)
     return raw if raw is not None else graph.attributes
+
+
+def _labelled(row: Row) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Yield a pair row's ``(label, attributes)`` pairs in insertion order."""
+    slots = iter(row)
+    return zip(slots, slots)
+
+
+def _degree(rows: Dict[UserId, Row], label: Optional[str]) -> int:
+    """Count the edges in one incidence map, optionally of one label."""
+    if label is None:
+        return sum(map(len, rows.values())) // 2
+    return sum(1 for row in rows.values() if label in row[::2])
+
+
+def _row_maps(rows: Dict[UserId, Row]) -> Dict[UserId, Dict[str, Dict[str, Any]]]:
+    """One incidence map's rows as ``{other: {label: attributes}}`` dicts."""
+    return {other: dict(_labelled(row)) for other, row in rows.items()}
 
 
 class AttributeMap(MutableMapping):
@@ -172,8 +194,12 @@ class SocialGraph:
     multigraph and is reused as-is by the line-graph and index machinery.
 
     Each edge is stored once.  A connected ordered pair ``(u, v)`` owns one
-    *row*, a ``{label: attributes}`` dict; ``_succ[u][v]`` and ``_pred[v][u]``
-    are that same dict object, so the two directions never disagree.  Every
+    *row*, an immutable flat tuple ``(label, attributes, label, attributes,
+    ...)`` in label insertion order; ``_succ[u][v]`` and ``_pred[v][u]`` are
+    that same tuple object, so the two directions never disagree.  Adding or
+    removing a label builds the pair's new row and rebinds both entries.
+    Each ``attributes`` is the edge's stored dict, which every
+    :class:`Relationship` read from the graph shares.  Every
     enumeration runs source by source in insertion order, then target by
     target in the order the pair was first connected, then label by label
     in insertion order — the order the compiled snapshot's CSR rows, and so
@@ -192,11 +218,13 @@ class SocialGraph:
     def __init__(self, name: str = "", *, journal_limit: int = DEFAULT_JOURNAL_LIMIT) -> None:
         self.name = name
         self._nodes: Dict[UserId, Dict[str, Any]] = {}
-        # _succ[u][v] is the row {label: edge attributes} of the pair (u, v);
-        # _pred[v][u] is the *same* dict, for reverse walks.  A row exists
-        # only while the pair has at least one label.
-        self._succ: Dict[UserId, Dict[UserId, Dict[str, Dict[str, Any]]]] = {}
-        self._pred: Dict[UserId, Dict[UserId, Dict[str, Dict[str, Any]]]] = {}
+        # _succ[u][v] is the row (label, edge attributes, ...) of the pair
+        # (u, v); _pred[v][u] is the *same* tuple, for reverse walks.  A row
+        # exists only while the pair has at least one label.  A tuple costs
+        # less per pair than a {label: attributes} dict, and in the e2e
+        # graph every pair carries exactly one label.
+        self._succ: Dict[UserId, Dict[UserId, Row]] = {}
+        self._pred: Dict[UserId, Dict[UserId, Row]] = {}
         self._num_edges = 0
         self._label_counts: Dict[str, int] = {}
         self._epoch = 0
@@ -388,13 +416,13 @@ class SocialGraph:
         incident = [
             (user, target, label)
             for target, row in self._succ[user].items()
-            for label in row
+            for label in row[::2]
         ]
         incident += [
             (source, user, label)
             for source, row in self._pred[user].items()
             if source != user
-            for label in row
+            for label in row[::2]
         ]
         for source, target, label in incident:
             self.remove_relationship(source, target, label)
@@ -462,15 +490,14 @@ class SocialGraph:
         """
         self._require(source)
         self._require(target)
-        row = self._succ[source].get(target)
-        if row is None:
-            row = self._succ[source][target] = self._pred[target][source] = {}
-        elif label in row:
+        label = str(label)
+        row = self._succ[source].get(target, ())
+        if label in row[::2]:
             raise DuplicateEdgeError(
                 f"relationship {source!r} -[{label}]-> {target!r} already exists"
             )
-        label = str(label)
-        stored = row[label] = dict(attributes)
+        stored = dict(attributes)
+        self._succ[source][target] = self._pred[target][source] = row + (label, stored)
         self._num_edges += 1
         self._label_counts[label] = self._label_counts.get(label, 0) + 1
         self._record("add_edge", source, target, label)
@@ -480,12 +507,11 @@ class SocialGraph:
 
     def remove_relationship(self, source: UserId, target: UserId, label: str) -> None:
         """Remove the relationship identified by ``(source, target, label)``."""
-        try:
-            row = self._succ[self._require(source)][target]
-            del row[label]
-        except KeyError:
-            raise EdgeNotFoundError(source, target, label) from None
-        if not row:
+        row, slot = self._find(source, target, label)
+        row = row[:slot] + row[slot + 2:]
+        if row:
+            self._succ[source][target] = self._pred[target][source] = row
+        else:
             del self._succ[source][target]
             del self._pred[target][source]
         self._num_edges -= 1
@@ -499,18 +525,15 @@ class SocialGraph:
 
         With ``label=None`` any label counts; otherwise the label must match.
         """
-        edges = self._succ.get(source, {}).get(target)
-        if not edges:
+        row = self._succ.get(source, {}).get(target)
+        if not row:
             return False
-        return True if label is None else label in edges
+        return True if label is None else label in row[::2]
 
     def get_relationship(self, source: UserId, target: UserId, label: str) -> Relationship:
         """Return the :class:`Relationship` for the given triple."""
-        try:
-            attributes = self._succ[source][target][label]
-        except KeyError:
-            raise EdgeNotFoundError(source, target, label) from None
-        return Relationship(source, target, label, attributes)
+        row, slot = self._find(source, target, label)
+        return Relationship(source, target, label, row[slot + 1])
 
     def relationships(self) -> Iterator[Relationship]:
         """Iterate over every relationship in the graph."""
@@ -520,27 +543,27 @@ class SocialGraph:
     def out_relationships(self, user: UserId, label: Optional[str] = None) -> Iterator[Relationship]:
         """Iterate over relationships going out of ``user`` (optionally filtered by label)."""
         for target, row in self._succ[self._require(user)].items():
-            for edge_label, attributes in row.items():
+            for edge_label, attributes in _labelled(row):
                 if label is None or edge_label == label:
                     yield Relationship(user, target, edge_label, attributes)
 
     def in_relationships(self, user: UserId, label: Optional[str] = None) -> Iterator[Relationship]:
         """Iterate over relationships coming into ``user`` (optionally filtered by label)."""
         for source, row in self._pred[self._require(user)].items():
-            for edge_label, attributes in row.items():
+            for edge_label, attributes in _labelled(row):
                 if label is None or edge_label == label:
                     yield Relationship(source, user, edge_label, attributes)
 
     def successors(self, user: UserId, label: Optional[str] = None) -> Iterator[UserId]:
         """Iterate over users reachable from ``user`` by one (label-matching) edge."""
-        for target, edges in self._succ[self._require(user)].items():
-            if label is None or label in edges:
+        for target, row in self._succ[self._require(user)].items():
+            if label is None or label in row[::2]:
                 yield target
 
     def predecessors(self, user: UserId, label: Optional[str] = None) -> Iterator[UserId]:
         """Iterate over users with a (label-matching) edge into ``user``."""
-        for source, edges in self._pred[self._require(user)].items():
-            if label is None or label in edges:
+        for source, row in self._pred[self._require(user)].items():
+            if label is None or label in row[::2]:
                 yield source
 
     def neighbors(self, user: UserId, label: Optional[str] = None) -> Iterator[UserId]:
@@ -573,17 +596,11 @@ class SocialGraph:
 
     def out_degree(self, user: UserId, label: Optional[str] = None) -> int:
         """Return the number of relationships going out of ``user``."""
-        targets = self._succ[self._require(user)]
-        if label is None:
-            return sum(map(len, targets.values()))
-        return sum(1 for edges in targets.values() if label in edges)
+        return _degree(self._succ[self._require(user)], label)
 
     def in_degree(self, user: UserId, label: Optional[str] = None) -> int:
         """Return the number of relationships coming into ``user``."""
-        sources = self._pred[self._require(user)]
-        if label is None:
-            return sum(map(len, sources.values()))
-        return sum(1 for edges in sources.values() if label in edges)
+        return _degree(self._pred[self._require(user)], label)
 
     def degree(self, user: UserId, label: Optional[str] = None) -> int:
         """Return the total (in + out) degree of ``user``."""
@@ -611,8 +628,12 @@ class SocialGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        # Dict equality ignores order: same users and attributes, same rows.
-        return self._nodes == other._nodes and self._succ == other._succ
+        # A row's label order is insertion history, not content: compare
+        # each source's rows as {target: {label: attributes}} mappings.
+        return self._nodes == other._nodes and all(
+            _row_maps(targets) == _row_maps(other._succ[source])
+            for source, targets in self._succ.items()
+        )
 
     # ----------------------------------------------------------------- views
 
@@ -636,7 +657,7 @@ class SocialGraph:
         for user in keep:
             for target, row in self._succ[user].items():
                 if target in keep:
-                    for label, attributes in row.items():
+                    for label, attributes in _labelled(row):
                         sub.add_relationship(user, target, label, **attributes)
         return sub
 
@@ -686,8 +707,17 @@ class SocialGraph:
         """Yield ``(source, target, label, attributes)`` in enumeration order."""
         for source, targets in self._succ.items():
             for target, row in targets.items():
-                for label, attributes in row.items():
+                for label, attributes in _labelled(row):
                     yield source, target, label, attributes
+
+    def _find(self, source: UserId, target: UserId, label: str) -> Tuple[Row, int]:
+        """Return the pair's row and the index of ``label`` in it; raise
+        :class:`EdgeNotFoundError` when the triple is not an edge."""
+        try:
+            row = self._succ[source][target]
+            return row, 2 * row[::2].index(label)
+        except (KeyError, ValueError):
+            raise EdgeNotFoundError(source, target, label) from None
 
     def _require(self, user: UserId) -> UserId:
         if user not in self._nodes:

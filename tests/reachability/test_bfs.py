@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import NodeNotFoundError
@@ -124,6 +126,13 @@ class TestFindTargets:
         result = evaluator.evaluate("Alice", "George", expr("friend+[1,3]"))
         assert result.counters["states_visited"] > 0
         assert result.counters["edges_expanded"] > 0
+
+    def test_evaluate_times_itself_within_the_call(self, evaluator):
+        started = time.perf_counter()
+        result = evaluator.evaluate("Alice", "Fred", expr("friend+[1,2]/colleague+[1]"))
+        wall = time.perf_counter() - started
+        assert result.reachable
+        assert 0.0 <= result.elapsed_seconds <= wall
 
 
 class TestIsolatedAndTinyGraphs:

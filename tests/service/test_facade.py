@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import UnknownBackendError
@@ -66,6 +68,22 @@ class TestVerbs:
         assert result["photos"] == service.authorized_audience("photos")
         assert result["jokes"] == service.authorized_audience("jokes")
         assert set(result.sweep_plans) <= {"friend+[1,2]/colleague+[1]", "friend-[1,2]"}
+
+    def test_reach_times_itself_within_the_call(self, figure1):
+        service = service_over(figure1)
+        started = time.perf_counter()
+        result = service.reach("Alice", "Fred", "friend+[1,2]/colleague+[1]")
+        wall = time.perf_counter() - started
+        assert result.reachable
+        assert 0.0 <= result.elapsed_seconds <= wall
+
+    def test_reach_many_times_itself_within_the_call(self, figure1):
+        service = service_over(figure1)
+        started = time.perf_counter()
+        result = service.reach_many([("Alice", "David"), ("Fred", "Bill")], "friend+[1,2]")
+        wall = time.perf_counter() - started
+        assert result[("Alice", "David")] and not result[("Fred", "Bill")]
+        assert 0.0 <= result.elapsed_seconds <= wall
 
 
 
