@@ -647,6 +647,12 @@ class TenantRegistry:
         """
         if tenant_id in self._sessions:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
+        # statistics() keys tenants by str(), beside its "_totals" entry.
+        name = str(tenant_id)
+        if name == "_totals" or any(str(known) == name for known in self._sessions):
+            raise ValueError(
+                f"tenant {tenant_id!r} would share the statistics key {name!r}"
+            )
         if service is None:
             if graph is None:
                 raise ValueError("create() needs a graph or a prebuilt service")
@@ -696,7 +702,8 @@ class TenantRegistry:
     def statistics(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant service counters plus a summed ``_totals`` entry.
 
-        Tenant keys are ``str()``-ed for the aggregate mapping; ``_totals``
+        Tenant keys are ``str()``-ed for the aggregate mapping (:meth:`create`
+        refuses an id whose key is taken, ``"_totals"`` included); ``_totals``
         sums every numeric counter across tenants (meaningful for the
         monotone counters — admitted, rejected, batches, fallbacks — and
         indicative for gauges).

@@ -38,6 +38,24 @@ def test_duplicate_tenant_rejected():
         registry.create("alpha", _chain_graph(["c", "d"]))
 
 
+def test_tenant_ids_that_share_a_statistics_key_are_refused():
+    """statistics() keys tenants by str() beside "_totals": an id whose key
+    is taken would drop a tenant or be overwritten by the totals."""
+    registry = TenantRegistry()
+    registry.create(1, _chain_graph(["a", "b"]))
+    with pytest.raises(ValueError):
+        registry.create("1", _chain_graph(["a", "b"]))
+    with pytest.raises(ValueError):
+        registry.create("_totals", _chain_graph(["a", "b"]))
+    registry.create("2", _chain_graph(["a", "b"]))
+    with pytest.raises(ValueError):
+        registry.create(2, _chain_graph(["a", "b"]))
+    assert registry.tenants == (1, "2")
+    statistics = registry.statistics()
+    assert sorted(statistics) == ["1", "2", "_totals"]
+    assert statistics["_totals"]["queries_executed"] == 0.0
+
+
 def test_create_needs_graph_or_service():
     with pytest.raises(ValueError):
         TenantRegistry().create("alpha")
