@@ -44,6 +44,7 @@ and inspection only.
 from __future__ import annotations
 
 import time
+from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import IndexNotBuiltError, NodeNotFoundError
@@ -68,6 +69,11 @@ __all__ = ["ClusterIndexEvaluator"]
 #: Per-hop matching spec:
 #: (label id, allows forward, allows backward, condition step index or -1).
 _HopSpec = Tuple[int, bool, bool, int]
+
+
+def _count(counts: Dict[str, int], name: str, amount: int = 1) -> None:
+    """Add ``amount`` to one work counter."""
+    counts[name] = counts.get(name, 0) + amount
 
 
 class ClusterIndexEvaluator:
@@ -189,10 +195,17 @@ class ClusterIndexEvaluator:
             raise NodeNotFoundError(target)
         self._check_directions(expression)
         started = time.perf_counter()
-        result = EvaluationResult(reachable=False, backend=self.name)
-        self._evaluate_interned(source, target, expression, result, collect_witness)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
+        counts: Dict[str, int] = {}
+        reachable, witness = self._evaluate_interned(
+            source, target, expression, counts, collect_witness
+        )
+        return EvaluationResult(
+            reachable=reachable,
+            witness=witness,
+            backend=self.name,
+            counters=MappingProxyType(counts),
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
     def find_targets(self, source: Hashable, expression: PathExpression) -> Set[Hashable]:
         """Return every user reachable from ``source`` under ``expression``."""
@@ -264,9 +277,10 @@ class ClusterIndexEvaluator:
         source: Hashable,
         target: Hashable,
         expression: PathExpression,
-        result: EvaluationResult,
+        counts: Dict[str, int],
         collect_witness: bool,
-    ) -> None:
+    ) -> Tuple[bool, Optional[Path]]:
+        """The verdict and witness of one query; work is added to ``counts``."""
         index = self._index
         assert index is not None
         # Users added after build() exist in the live graph but not in the
@@ -275,21 +289,19 @@ class ClusterIndexEvaluator:
         source_index = index.snapshot.node_index.get(source)
         target_index = index.snapshot.node_index.get(target, -1)
         if source_index is None:
-            return
+            return False, None
         condition_memo: Dict[int, bytearray] = {}
         for line_query in expand_line_queries(expression, limit=self.expansion_limit):
-            result.count("line_queries")
+            _count(counts, "line_queries")
             chain = self._match_interned(
-                line_query, expression, source_index, target_index, result,
+                line_query, expression, source_index, target_index, counts,
                 condition_memo, witness=collect_witness,
             )
             if chain is not None:
-                result.reachable = True
-                if collect_witness:
-                    result.witness = Path(
-                        source, [index.traversal(vertex) for vertex in chain]
-                    )
-                break
+                if not collect_witness:
+                    return True, None
+                return True, Path(source, [index.traversal(vertex) for vertex in chain])
+        return False, None
 
     def _find_targets_interned(
         self,
@@ -306,13 +318,13 @@ class ClusterIndexEvaluator:
             if not self.graph.has_user(source):
                 raise NodeNotFoundError(source)
             return set()
-        result = EvaluationResult(reachable=False, backend=self.name)
+        counts: Dict[str, int] = {}
         user_of = index.snapshot.node_ids
         ends = index.ends
         targets: Set[Hashable] = set()
         for line_query in expand_line_queries(expression, limit=self.expansion_limit):
             finals = self._match_interned(
-                line_query, expression, source_index, None, result,
+                line_query, expression, source_index, None, counts,
                 condition_memo, witness=False, first_only=False,
             )
             targets.update(user_of[ends[vertex]] for vertex in finals)
@@ -362,7 +374,7 @@ class ClusterIndexEvaluator:
         expression: PathExpression,
         source: int,
         target: Optional[int],
-        result: EvaluationResult,
+        counts: Dict[str, int],
         condition_memo: Dict[int, bytearray],
         *,
         witness: bool,
@@ -411,7 +423,7 @@ class ClusterIndexEvaluator:
             for cursor in range(start_offsets[source], start_offsets[source + 1])
             if acceptable(0, start_vertices[cursor])
         ]
-        result.count("tuples_examined", len(frontier))
+        _count(counts, "tuples_examined", len(frontier))
         if not frontier:
             return None if first_only else []
         parents: Optional[List[Dict[int, int]]] = None
@@ -445,8 +457,8 @@ class ClusterIndexEvaluator:
                     return None if first_only else []
                 for cursor in range(row_start, row_end):
                     successor = start_vertices[cursor]
-                    result.count("tuples_examined")
-                    result.count("join_checks")
+                    _count(counts, "tuples_examined")
+                    _count(counts, "join_checks")
                     if not reaches(tail, successor):
                         continue
                     if seen[successor]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Dict,
     Iterable,
@@ -280,19 +281,21 @@ class CompiledSearchMixin:
         ``edges_expanded`` the number of CSR entries scanned.
         """
         started = time.perf_counter()
-        result = EvaluationResult(reachable=False, backend=self.name)
         sweep = self._point_sweep(source, expression, witness=collect_witness)
         target_index = sweep.snapshot.index_of(target)
         sweep.run(target_index)
         accept_key = target_index * sweep.num_states + sweep.automaton.accept_id
-        result.reachable = accept_key in sweep.seen
-        if collect_witness and result.reachable:
-            result.witness = sweep.witness(target_index)
-        result.count("states_visited", len(sweep.seen))
+        reachable = accept_key in sweep.seen
+        counters = {"states_visited": len(sweep.seen)}
         if sweep.scanned:
-            result.count("edges_expanded", sweep.scanned)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
+            counters["edges_expanded"] = sweep.scanned
+        return EvaluationResult(
+            reachable=reachable,
+            witness=sweep.witness(target_index) if collect_witness and reachable else None,
+            backend=self.name,
+            counters=MappingProxyType(counters),
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
     def find_targets(self, source: UserId, expression: PathExpression) -> Set[UserId]:
         """Return every user reachable from ``source`` under ``expression``.

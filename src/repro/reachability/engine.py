@@ -29,9 +29,14 @@ committed mutation, including writes through the live mapping returned by
   wholesale the first time a call observes a moved epoch; entries are LRU
   with capacity ``cache_size``.  ``cache_size=0`` disables both memos (no
   entries, no hit/miss accounting) — benchmarks use it to measure raw
-  backend cost.  Expression text is coerced through the process-wide,
-  bounded :func:`~repro.policy.path_expression.as_path_expression` memo,
-  which is pure and never invalidated.
+  backend cost.  Memo entries are immutable and handed out as they are
+  stored: a hit returns the same frozen
+  :class:`~repro.reachability.result.EvaluationResult` (read-only
+  counters) or the same ``frozenset`` audience, so no caller can change
+  what a later hit returns and no hit pays for a copy.  Expression text is
+  coerced through the process-wide, bounded
+  :func:`~repro.policy.path_expression.as_path_expression` memo, which is
+  pure and never invalidated.
 * Under the facade, ``compile_graph`` keeps the CSR snapshot fresh the same
   way — since the delta-maintenance layer (see :mod:`repro.graph.compiled`)
   it absorbs journal-covered mutation bursts in O(|delta|) instead of
@@ -44,9 +49,20 @@ committed mutation, including writes through the live mapping returned by
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import UnknownBackendError
 from repro.graph.social_graph import SocialGraph
@@ -196,14 +212,12 @@ class ReachabilityEngine:
         if cached is not None:
             self._decision_cache.move_to_end(key)
             self.cache_hits += 1
-            # Hand out a copy so callers mutating counters cannot poison the memo.
-            return dataclasses.replace(cached, counters=dict(cached.counters))
+            return cached
         self.cache_misses += 1
         result = self._evaluator.evaluate(
             source, target, expression, collect_witness=collect_witness
         )
-        self._cache_put(self._decision_cache, key,
-                        dataclasses.replace(result, counters=dict(result.counters)))
+        self._cache_put(self._decision_cache, key, result)
         return result
 
     def is_reachable(
@@ -239,7 +253,7 @@ class ReachabilityEngine:
         self,
         sources: Iterable[Hashable],
         expression: Union[str, PathExpression],
-    ) -> Tuple[Dict[Hashable, Set[Hashable]], Optional[SweepPlan]]:
+    ) -> Tuple[Dict[Hashable, AbstractSet[Hashable]], Optional[SweepPlan]]:
         """Materialize audiences for many owners at once, with the plan run.
 
         The batched form of :meth:`find_targets`: the backend compiles its
@@ -249,24 +263,27 @@ class ReachabilityEngine:
         the cached owners from the memo and sweeps only the misses — as one
         mask.
 
-        Returns ``(audiences, plan)``.  The executed
-        :class:`~repro.reachability.compiled_search.SweepPlan` belongs to
-        *this* call — ``None`` when nothing was swept (every owner came from
-        the memo).
+        Returns ``(audiences, plan)``.  With the memo on, each audience is a
+        ``frozenset`` shared with the memo: a warm owner gets the memo's set
+        itself, and a swept owner's set is frozen once and stored as it is
+        handed out (with ``cache_size=0`` the backend's sets pass through).
+        The executed :class:`~repro.reachability.compiled_search.SweepPlan`
+        belongs to *this* call — ``None`` when nothing was swept (every
+        owner came from the memo).
         """
         expression = as_path_expression(expression)
         sources = list(dict.fromkeys(sources))
         if not self._cache_ready():
             return self._evaluator.sweep_targets_many(sources, expression)
         text = expression.to_text()
-        audiences: Dict[Hashable, Set[Hashable]] = {}
+        audiences: Dict[Hashable, AbstractSet[Hashable]] = {}
         missing: List[Hashable] = []
         for source in sources:
             cached = self._targets_cache.get((source, text))
             if cached is not None:
                 self._targets_cache.move_to_end((source, text))
                 self.cache_hits += 1
-                audiences[source] = set(cached)
+                audiences[source] = cached
             else:
                 missing.append(source)
         plan: Optional[SweepPlan] = None
@@ -274,8 +291,8 @@ class ReachabilityEngine:
             self.cache_misses += len(missing)
             computed, plan = self._evaluator.sweep_targets_many(missing, expression)
             for source, targets in computed.items():
-                self._cache_put(self._targets_cache, (source, text), frozenset(targets))
-                audiences[source] = targets
+                audiences[source] = targets = frozenset(targets)
+                self._cache_put(self._targets_cache, (source, text), targets)
         return audiences, plan
 
     def statistics(self) -> Dict[str, float]:

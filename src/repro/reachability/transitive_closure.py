@@ -25,6 +25,7 @@ the benchmarks.
 from __future__ import annotations
 
 import time
+from types import MappingProxyType
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import IndexNotBuiltError, NodeNotFoundError
@@ -216,22 +217,21 @@ class TransitiveClosureEvaluator:
             raise NodeNotFoundError(source)
         if not self.graph.has_user(target):
             raise NodeNotFoundError(target)
-        pruned = self._prune(source, target, expression)
-        if pruned:
-            result = EvaluationResult(reachable=False, backend=self.name)
-            result.count("closure_pruned")
-            result.elapsed_seconds = time.perf_counter() - started
-            return result
+        if self._prune(source, target, expression):
+            return EvaluationResult(
+                reachable=False,
+                backend=self.name,
+                counters=MappingProxyType({"closure_pruned": 1}),
+                elapsed_seconds=time.perf_counter() - started,
+            )
         inner = self._bfs.evaluate(source, target, expression, collect_witness=collect_witness)
-        result = EvaluationResult(
+        return EvaluationResult(
             reachable=inner.reachable,
             witness=inner.witness,
             backend=self.name,
-            counters=dict(inner.counters),
+            counters=MappingProxyType({**inner.counters, "closure_checked": 1}),
+            elapsed_seconds=time.perf_counter() - started,
         )
-        result.count("closure_checked")
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
 
     def find_targets(self, source: Hashable, expression: PathExpression) -> Set[Hashable]:
         """Return every user reachable from ``source`` under ``expression``."""

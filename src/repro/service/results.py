@@ -4,16 +4,25 @@ A :class:`PlannedResult` owns the :class:`~repro.service.planner.
 ExecutionPlan` that produced it (and, for audience shapes, the executed
 :class:`~repro.reachability.compiled_search.SweepPlan`), so a result's
 provenance cannot be overwritten by the next call.
+
+Each verb has one answer class, built once and passed on unchanged:
+:class:`ReachResult`, :class:`AudienceResult` and :class:`AccessResult` are
+what a library caller gets from :class:`~repro.service.GraphService` and
+what the serving layer hands its callers and encodes into wire frames.  A
+member of a coalesced batch gets its verb's class too, built from the
+batch's bulk answer, with ``batch_size`` saying how many requests shared
+that execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Hashable, Mapping, Optional, Set, Tuple
 
 from repro.graph.paths import Path
 from repro.policy.decisions import AccessDecision
 from repro.reachability.compiled_search import SweepPlan
+from repro.reachability.result import NO_COUNTERS
 from repro.service.planner import ExecutionPlan
 
 __all__ = [
@@ -28,15 +37,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlannedResult:
-    """Base of every service answer: the plan that ran plus wall-clock time."""
+    """Base of every service answer: the plan that ran plus wall-clock time.
+
+    ``batch_size`` is provenance too: the number of requests the serving
+    coalescer answered with the execution this result comes from (1 for a
+    direct call or a request served alone).  ``elapsed_seconds`` is that
+    execution's time.
+    """
 
     plan: ExecutionPlan
     elapsed_seconds: float
-
-    @property
-    def backend(self) -> str:
-        """The backend that actually executed this query."""
-        return self.plan.backend
+    batch_size: int = 1
 
 
 @dataclass(frozen=True)
@@ -45,18 +56,10 @@ class ReachResult(PlannedResult):
 
     reachable: bool = False
     witness: Optional[Path] = None
-    counters: Mapping[str, int] = field(default_factory=dict)
+    counters: Mapping[str, int] = field(default_factory=lambda: NO_COUNTERS)
 
     def __bool__(self) -> bool:
         return self.reachable
-
-    def describe(self) -> str:
-        """One-line human-readable summary (verdict, backend, witness)."""
-        verdict = "reachable" if self.reachable else "not reachable"
-        parts = [verdict, f"backend={self.plan.backend}"]
-        if self.witness is not None:
-            parts.append("via " + " -> ".join(str(node) for node in self.witness.nodes()))
-        return "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -73,18 +76,12 @@ class AudienceResult(PlannedResult):
     reached are empty — never trust a partial result as a full answer.
     """
 
-    audiences: Mapping[Hashable, Set[Hashable]] = field(default_factory=dict)
+    audiences: Mapping[Hashable, AbstractSet[Hashable]] = field(default_factory=dict)
     sweep_plan: Optional[SweepPlan] = None
     partial: bool = False
 
-    def __getitem__(self, owner: Hashable) -> Set[Hashable]:
+    def __getitem__(self, owner: Hashable) -> AbstractSet[Hashable]:
         return self.audiences[owner]
-
-    def __iter__(self):
-        return iter(self.audiences)
-
-    def __len__(self) -> int:
-        return len(self.audiences)
 
 
 @dataclass(frozen=True)
@@ -152,9 +149,3 @@ class BulkAccessResult(PlannedResult):
 
     def __getitem__(self, resource_id: Hashable) -> Set[Hashable]:
         return self.audiences[resource_id]
-
-    def __iter__(self):
-        return iter(self.audiences)
-
-    def __len__(self) -> int:
-        return len(self.audiences)

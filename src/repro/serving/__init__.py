@@ -27,13 +27,7 @@ from repro.exceptions import AdmissionRejected, ProtocolError, UnknownTenantErro
 from repro.serving.admission import AdmissionController
 from repro.serving.coalescer import BATCH_HISTOGRAM_BUCKETS, RequestCoalescer
 from repro.serving.server import ServingServer
-from repro.serving.session import (
-    ServedAccess,
-    ServedAudience,
-    ServedReach,
-    TenantRegistry,
-    TenantSession,
-)
+from repro.serving.session import TenantRegistry, TenantSession
 
 __all__ = [
     "AdmissionController",
@@ -41,9 +35,6 @@ __all__ = [
     "BATCH_HISTOGRAM_BUCKETS",
     "ProtocolError",
     "RequestCoalescer",
-    "ServedAccess",
-    "ServedAudience",
-    "ServedReach",
     "ServingServer",
     "TenantRegistry",
     "TenantSession",

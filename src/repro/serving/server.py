@@ -39,6 +39,7 @@ import functools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolError
+from repro.service.results import AccessResult, AudienceResult, ReachResult
 from repro.serving.coalescer import Raised
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
@@ -47,12 +48,7 @@ from repro.serving.protocol import (
     error_frame,
     result_frame,
 )
-from repro.serving.session import (
-    ServedAccess,
-    ServedAudience,
-    ServedReach,
-    TenantRegistry,
-)
+from repro.serving.session import TenantRegistry
 
 __all__ = ["ServingServer"]
 
@@ -66,32 +62,36 @@ def _require(frame: Dict[str, Any], *fields: str) -> Tuple[Any, ...]:
     return tuple(frame[name] for name in fields)
 
 
-def _reach_result(served: ServedReach) -> Dict[str, Any]:
+# The frame encoders read the answer the session served, as the library
+# caller gets it; ``coalesced`` is derived from its batch size.
+
+
+def _reach_result(answer: ReachResult) -> Dict[str, Any]:
     result: Dict[str, Any] = {
-        "reachable": served.reachable,
-        "coalesced": served.coalesced,
-        "batch_size": served.batch_size,
+        "reachable": answer.reachable,
+        "coalesced": answer.batch_size > 1,
+        "batch_size": answer.batch_size,
     }
-    if served.witness is not None:
-        result["witness"] = [str(node) for node in served.witness.nodes()]
+    if answer.witness is not None:
+        result["witness"] = [str(node) for node in answer.witness.nodes()]
     return result
 
 
-def _audience_result(served: ServedAudience) -> Dict[str, Any]:
+def _audience_result(owner: Any, answer: AudienceResult) -> Dict[str, Any]:
     return {
-        "audience": served.audience,
-        "partial": served.partial,
-        "coalesced": served.coalesced,
-        "batch_size": served.batch_size,
+        "audience": answer.audiences[owner],
+        "partial": answer.partial,
+        "coalesced": answer.batch_size > 1,
+        "batch_size": answer.batch_size,
     }
 
 
-def _access_result(served: ServedAccess) -> Dict[str, Any]:
+def _access_result(answer: AccessResult) -> Dict[str, Any]:
     return {
-        "granted": served.granted,
-        "reason": served.reason,
-        "coalesced": served.coalesced,
-        "batch_size": served.batch_size,
+        "granted": answer.granted,
+        "reason": answer.decision.reason,
+        "coalesced": answer.batch_size > 1,
+        "batch_size": answer.batch_size,
     }
 
 
@@ -243,7 +243,7 @@ class Connection(asyncio.Protocol):
             self._submit(
                 self._registry.get(tenant).enqueue_audience,
                 request_id,
-                _audience_result,
+                functools.partial(_audience_result, owner),
                 owner,
                 expression,
                 timeout=frame.get("timeout"),

@@ -54,76 +54,19 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import NodeNotFoundError, UnknownTenantError
-from repro.graph.paths import Path
 from repro.graph.social_graph import SocialGraph
 from repro.policy.decisions import AccessDecision, Effect
 from repro.policy.store import PolicyStore
 from repro.reliability.guard import QueryGuard, deadline_scope
 from repro.service.facade import GraphService
+from repro.service.results import AccessResult, AudienceResult, ReachResult
 from repro.serving.admission import AdmissionController, _seconds
 from repro.serving.coalescer import Raised, RequestCoalescer, Respond, awaited
 
 __all__ = [
-    "ServedAccess",
-    "ServedAudience",
-    "ServedReach",
     "TenantRegistry",
     "TenantSession",
 ]
-
-
-# --------------------------------------------------------------- responses
-
-
-@dataclass(frozen=True)
-class ServedReach:
-    """One served reachability verdict, with coalescing observability."""
-
-    source: Hashable
-    target: Hashable
-    expression: str
-    reachable: bool
-    witness: Optional[Path] = None
-    #: Whether this answer shared its execution with batch-mates.
-    coalesced: bool = False
-    #: Members of the batch that produced this answer (1 on the solo path).
-    batch_size: int = 1
-
-    def __bool__(self) -> bool:
-        return self.reachable
-
-
-@dataclass(frozen=True)
-class ServedAudience:
-    """One served audience materialization."""
-
-    owner: Hashable
-    expression: str
-    audience: frozenset = frozenset()
-    partial: bool = False
-    coalesced: bool = False
-    batch_size: int = 1
-
-    def __contains__(self, user: Hashable) -> bool:
-        return user in self.audience
-
-    def __len__(self) -> int:
-        return len(self.audience)
-
-
-@dataclass(frozen=True)
-class ServedAccess:
-    """One served access decision."""
-
-    requester: Hashable
-    resource_id: Hashable
-    granted: bool
-    reason: str = ""
-    coalesced: bool = False
-    batch_size: int = 1
-
-    def __bool__(self) -> bool:
-        return self.granted
 
 
 # ---------------------------------------------------------------- requests
@@ -189,10 +132,16 @@ class TenantSession:
     :meth:`enqueue_audience`, :meth:`enqueue_check`): it admits the
     request — raising if it is refused — and later calls ``respond`` once
     with the served answer or a :class:`~repro.serving.coalescer.Raised`;
-    the admission slot is released just before that call.  An unhashable
-    node or resource id is refused before admission.  The wire
-    server calls the entries from its read callback; the coroutines
-    :meth:`reach`, :meth:`audience` and :meth:`check` await them.
+    the admission slot is released just before that call.  The answer is
+    the verb's facade class (:class:`~repro.service.results.ReachResult`,
+    :class:`~repro.service.results.AudienceResult`,
+    :class:`~repro.service.results.AccessResult`): a request served alone
+    gets the facade's result object as it is, and a batch member one built
+    from the batch's bulk result, with ``batch_size`` set to the batch's
+    size.  An unhashable node or resource id is refused before admission.
+    The wire server calls the entries from its read callback; the
+    coroutines :meth:`reach`, :meth:`audience` and :meth:`check` await
+    them.
     """
 
     def __init__(
@@ -233,7 +182,7 @@ class TenantSession:
         *,
         witness: bool = False,
         timeout: Optional[float] = None,
-    ) -> ServedReach:
+    ) -> ReachResult:
         """Serve one reachability question (coalescing boolean-only asks).
 
         ``witness=True`` requests a path and therefore takes the solo path:
@@ -249,7 +198,7 @@ class TenantSession:
         expression,
         *,
         timeout: Optional[float] = None,
-    ) -> ServedAudience:
+    ) -> AudienceResult:
         """Serve one owner's audience (coalescing same-expression owners)."""
         return await awaited(self.enqueue_audience, owner, expression, timeout=timeout)
 
@@ -259,7 +208,7 @@ class TenantSession:
         resource_id: Hashable,
         *,
         timeout: Optional[float] = None,
-    ) -> ServedAccess:
+    ) -> AccessResult:
         """Serve one access check (coalescing all of a tenant's checks).
 
         All concurrent checks share one key: the bulk path groups their
@@ -407,20 +356,18 @@ class TenantSession:
             return outcomes
         for index in valid:
             request = requests[index]
-            outcomes[index] = ServedReach(
-                source=request.source,
-                target=request.target,
-                expression=text,
-                reachable=result.reachable[(request.source, request.target)],
-                coalesced=size > 1,
+            outcomes[index] = ReachResult(
+                plan=result.plan,
+                elapsed_seconds=result.elapsed_seconds,
                 batch_size=size,
+                reachable=result.reachable[(request.source, request.target)],
             )
         return outcomes
 
     def _solo_reach(self, request: _ReachRequest, *, witness: bool = False):
         try:
             with deadline_scope(request.deadline):
-                result = self.service.reach(
+                return self.service.reach(
                     request.source,
                     request.target,
                     request.expression,
@@ -428,13 +375,6 @@ class TenantSession:
                 )
         except Exception as error:  # typed errors travel to the one requester
             return Raised(error)
-        return ServedReach(
-            source=request.source,
-            target=request.target,
-            expression=request.expression,
-            reachable=result.reachable,
-            witness=result.witness,
-        )
 
     def _audience_batch(
         self, text: str, requests: List[_AudienceRequest], earliest: Optional[float]
@@ -463,29 +403,22 @@ class TenantSession:
                 outcomes[index] = self._solo_audience(requests[index])
             return outcomes
         for index in bulk:
-            request = requests[index]
-            outcomes[index] = ServedAudience(
-                owner=request.owner,
-                expression=text,
-                audience=frozenset(result.audiences.get(request.owner, ())),
-                partial=False,
-                coalesced=size > 1,
+            owner = requests[index].owner
+            outcomes[index] = AudienceResult(
+                plan=result.plan,
+                elapsed_seconds=result.elapsed_seconds,
                 batch_size=size,
+                audiences={owner: result.audiences[owner]},
+                sweep_plan=result.sweep_plan,
             )
         return outcomes
 
     def _solo_audience(self, request: _AudienceRequest):
         try:
             with deadline_scope(request.deadline):
-                result = self.service.audience(request.owner, request.expression)
+                return self.service.audience(request.owner, request.expression)
         except Exception as error:
             return Raised(error)
-        return ServedAudience(
-            owner=request.owner,
-            expression=request.expression,
-            audience=frozenset(result.audiences.get(request.owner, ())),
-            partial=result.partial,
-        )
 
     def _access_batch(
         self, requests: List[_AccessRequest], earliest: Optional[float]
@@ -526,65 +459,53 @@ class TenantSession:
             return outcomes
         for index in bulk:
             request = requests[index]
-            audience = result.audiences[request.resource_id]
             # For a non-owner requester against a ruled resource, a grant is
             # exactly membership in the authorized audience (the audience is
             # {owner} ∪ per-rule combine, and requester != owner here).
-            granted = request.requester in audience
-            reason = (
-                "requester is in the authorized audience"
-                if granted
-                else "requester is not in the authorized audience"
-            )
-            outcomes[index] = ServedAccess(
-                requester=request.requester,
-                resource_id=request.resource_id,
-                granted=granted,
-                reason=f"{reason} (served via audience sweep)",
-                coalesced=size > 1,
+            granted = request.requester in result.audiences[request.resource_id]
+            outcomes[index] = AccessResult(
+                plan=result.plan,
+                elapsed_seconds=result.elapsed_seconds,
                 batch_size=size,
+                decision=self._record_coalesced_decision(request, granted),
             )
-            self._record_coalesced_decision(request, granted, reason)
         return outcomes
 
     def _record_coalesced_decision(
-        self, request: _AccessRequest, granted: bool, reason: str
-    ) -> None:
-        """Keep the audit trail complete for coalesced checks.
+        self, request: _AccessRequest, granted: bool
+    ) -> AccessDecision:
+        """The decision of one coalesced check, recorded in the audit log.
 
         Sequential ``check_access`` records every decision; a coalesced
-        check must not leave a hole in the log.  The synthetic record
-        carries no rule outcomes (the sweep never evaluated rules one by
-        one) but names its provenance in the reason.
+        check must not leave a hole in the log, and the record is the
+        answer's own decision.  It carries no rule outcomes (the sweep
+        never evaluated rules one by one) but names its provenance in the
+        reason.
         """
-        audit = self.service.audit_log
-        if audit is None:
-            return
-        resource = self.service.store.resource(request.resource_id)
-        audit.record(
-            AccessDecision(
-                effect=Effect.GRANT if granted else Effect.DENY,
-                resource_id=request.resource_id,
-                owner=resource.owner,
-                requester=request.requester,
-                reason=f"{reason} (served via audience sweep)",
-            )
+        verdict = "in" if granted else "not in"
+        decision = AccessDecision(
+            effect=Effect.GRANT if granted else Effect.DENY,
+            resource_id=request.resource_id,
+            owner=self.service.store.resource(request.resource_id).owner,
+            requester=request.requester,
+            reason=(
+                f"requester is {verdict} the authorized audience "
+                "(served via audience sweep)"
+            ),
         )
+        audit = self.service.audit_log
+        if audit is not None:
+            audit.record(decision)
+        return decision
 
     def _solo_check(self, request: _AccessRequest):
         try:
             with deadline_scope(request.deadline):
-                result = self.service.check(
+                return self.service.check(
                     request.requester, request.resource_id, explain=False
                 )
         except Exception as error:
             return Raised(error)
-        return ServedAccess(
-            requester=request.requester,
-            resource_id=request.resource_id,
-            granted=result.granted,
-            reason=result.decision.reason,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,7 @@ escalations with bitset probes before any other shard is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
@@ -293,17 +294,13 @@ class ShardRouter:
         state = state_for(home)
         state.deliver([(source, -1, 1)])
         state.run()
-        result = EvaluationResult(reachable=False, backend=self.name)
         if accepted():
             self.local_queries += 1
-            result.reachable = True
-            result.count("shards_touched", len(states))
-            return result
+            return self._result(True, shards_touched=len(states))
         exports = state.export()
         if not exports:
             self.local_queries += 1
-            result.count("shards_touched", len(states))
-            return result
+            return self._result(False, shards_touched=len(states))
         forward_only = all(
             step.direction is Direction.OUTGOING for step in expression
         )
@@ -314,9 +311,9 @@ class ShardRouter:
                 # all — the constrained walk certainly has none either.
                 self.summary_prunes += 1
                 self.local_queries += 1
-                result.count("shards_touched", len(states))
-                result.count("summary_pruned", 1)
-                return result
+                return self._result(
+                    False, shards_touched=len(states), summary_pruned=1
+                )
         self.escalated_queries += 1
         messages: Dict[int, List[Tuple[Hashable, int, int]]] = {}
         for user, state_id, mask in exports:
@@ -326,11 +323,17 @@ class ShardRouter:
         rounds, message_count, _escalated, _tripped = self._run_rounds(
             states, state_for, messages, stop_check=accepted
         )
-        result.reachable = accepted()
-        result.count("shards_touched", len(states))
-        result.count("rounds", rounds + 1)
-        result.count("messages", message_count + len(exports))
-        return result
+        return self._result(
+            accepted(),
+            shards_touched=len(states),
+            rounds=rounds + 1,
+            messages=message_count + len(exports),
+        )
+
+    def _result(self, reachable: bool, **counters: int) -> EvaluationResult:
+        return EvaluationResult(
+            reachable=reachable, backend=self.name, counters=MappingProxyType(counters)
+        )
 
     def is_reachable(self, source, target, expression) -> bool:
         return self.evaluate(source, target, expression).reachable

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import UnknownBackendError
@@ -107,11 +109,18 @@ class TestDecisionMemo:
         second.add("Mallory")  # caller-side mutation must not poison the memo
         assert engine.find_targets("Alice", "friend+[1]") == {"Colin", "Bill"}
 
-    def test_cached_results_are_isolated_copies(self, engine):
+    def test_cached_results_are_isolated_by_immutability(self, engine):
+        """A memo hit returns the stored result itself; no caller can change it."""
         first = engine.evaluate("Alice", "Colin", "friend+[1]")
-        first.counters["states_visited"] = 10_000
+        counters = dict(first.counters)
+        with pytest.raises(TypeError):
+            first.counters["states_visited"] = 10_000
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.reachable = not first.reachable
         second = engine.evaluate("Alice", "Colin", "friend+[1]")
-        assert second.counters.get("states_visited", 0) != 10_000
+        assert second is first
+        assert dict(second.counters) == counters
+        assert engine.cache_info()["hits"] == 1
 
     def test_cache_can_be_disabled(self, figure1):
         engine = ReachabilityEngine(figure1, "bfs", cache_size=0)

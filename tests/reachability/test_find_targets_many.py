@@ -58,11 +58,18 @@ class TestEngineFacade:
         audiences = engine.sweep_targets_many(["Alice", "Alice", "Bill"], "friend+[1]")[0]
         assert set(audiences) == {"Alice", "Bill"}
 
-    def test_results_are_private_copies(self, figure1):
+    def test_audiences_are_the_memos_immutable_sets(self, figure1):
+        """A swept audience is frozen once and shared with the memo; a warm
+        owner gets that same set, and ``find_targets`` a private copy."""
         engine = ReachabilityEngine(figure1, "bfs")
         first = engine.sweep_targets_many(["Alice"], "friend+[1]")[0]["Alice"]
-        first.add("intruder")
-        assert "intruder" not in engine.find_targets("Alice", "friend+[1]")
+        assert isinstance(first, frozenset)
+        again = engine.sweep_targets_many(["Alice", "Bill"], "friend+[1]")[0]["Alice"]
+        assert again is first
+        copy = engine.find_targets("Alice", "friend+[1]")
+        copy.add("intruder")
+        assert copy == first | {"intruder"}
+        assert "intruder" not in engine.sweep_targets_many(["Alice"], "friend+[1]")[0]["Alice"]
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_every_backend_is_dispatchable_through_the_facade(self, backend, figure1):

@@ -41,6 +41,22 @@ class TestVerbs:
         assert result.witness.nodes()[0] == "Alice"
         assert result.counters  # work counters come along too
 
+    def test_a_denied_or_unreachable_answer_is_false(self, figure1):
+        """An answer's truth is its verdict: a result object without
+        ``__bool__`` would be true, and ``if service.check(...)`` would grant."""
+        service = service_over(figure1)
+        engine = ReachabilityEngine(figure1, "bfs")
+        for source, target in (("Alice", "David"), ("Fred", "Bill")):
+            expected = engine.is_reachable(source, target, "friend+[1,2]")
+            assert bool(service.reach(source, target, "friend+[1,2]")) is expected
+            assert bool(engine.evaluate(source, target, "friend+[1,2]")) is expected
+        verdicts = set()
+        for requester in sorted(figure1.users()):
+            result = service.check(requester, "photos")
+            assert bool(result) is result.granted
+            verdicts.add(result.granted)
+        assert verdicts == {True, False}
+
     def test_audience_matches_the_engine(self, figure1):
         service = service_over(figure1)
         engine = ReachabilityEngine(figure1, "bfs")

@@ -55,11 +55,13 @@ def test_every_served_check_leaves_one_audit_record_with_its_answer():
     for (requester, resource), answer in zip(REQUESTS, answers):
         record = by_request[(requester, resource)]
         assert record.effect is (Effect.GRANT if answer.granted else Effect.DENY)
-        assert record.reason == answer.reason
+        assert record.reason == answer.decision.reason
         assert record.owner == "a"
     granted = [answer.granted for answer in answers]
     assert granted == [True, False, True, False, True, False]
-    coalesced = [answer.coalesced for answer in answers]
-    assert coalesced == [True, True, True, True, False, False]
-    for answer in answers[:4]:
-        assert answer.reason.endswith("(served via audience sweep)")
+    sizes = [answer.batch_size for answer in answers]
+    assert sizes == [6, 6, 6, 6, 1, 1]  # the solo members joined the batch too
+    for answer, request in zip(answers[:4], REQUESTS):
+        # A coalesced answer's decision is the record the log holds.
+        assert answer.decision is by_request[request]
+        assert answer.decision.reason.endswith("(served via audience sweep)")

@@ -147,10 +147,10 @@ def test_coalesced_and_solo_answers_equal_the_sequential_replay():
     truth = _sequential_truth(requests)
     for index, ((owner, expression), expected) in enumerate(zip(requests, truth)):
         served = coalesced[index]
-        assert set(served.audience) == expected, (owner, expression)
+        assert set(served.audiences[owner]) == expected, (owner, expression)
         assert served.partial is False
         alone = solo[index]
-        assert set(alone.audience) == expected, (owner, expression)
+        assert set(alone.audiences[owner]) == expected, (owner, expression)
         assert alone.partial is False
     assert solo_stats["coalescer_batches_executed"] == len(requests)
     assert coalesced_stats["coalescer_requests_submitted"] == len(requests)
@@ -192,4 +192,4 @@ def test_one_loop_turn_of_requests_coalesces_exactly_by_expression():
     twin = GraphService(graph)
     for (owner, expression), answer in zip(requests, served):
         assert answer.batch_size in sizes
-        assert set(answer.audience) == set(twin.audience(owner, expression).audiences[owner])
+        assert answer.audiences[owner] == twin.audience(owner, expression).audiences[owner]

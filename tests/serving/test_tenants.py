@@ -112,7 +112,8 @@ def test_registry_serves_at_the_smallest_batch_and_queue_bounds():
 
 
 def test_a_batch_of_one_is_not_coalesced():
-    """Each verb's batch path marks a lone request ``coalesced=False``."""
+    """Each verb's batch path answers a lone request with ``batch_size=1``,
+    which the wire encodes as ``coalesced: false``."""
     registry = TenantRegistry()
     session = _photo_tenant(registry)
 
@@ -128,10 +129,10 @@ def test_a_batch_of_one_is_not_coalesced():
 
     reach, audience, check = asyncio.run(main())
     assert reach.reachable is True
-    assert audience.audience == frozenset({"b"})
-    assert check.granted is True and "audience sweep" in check.reason
+    assert audience.audiences == {"a": frozenset({"b"})}
+    assert check.granted is True and "audience sweep" in check.decision.reason
     for served in (reach, audience, check):
-        assert served.coalesced is False and served.batch_size == 1, served
+        assert served.batch_size == 1, served
     assert session.solo_requests == 0  # every answer came from a batch path
 
 

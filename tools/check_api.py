@@ -13,8 +13,8 @@ The *surface* is what PR 5 declared stable:
   names, kinds, and whether each has a default — default *values* are left
   out so their reprs cannot churn across Python versions);
 * the field lists of the result dataclasses (:class:`PlannedResult` ...
-  :class:`BulkReachResult`), of :class:`ExecutionPlan` /
-  :class:`BackendEstimate` and of the served answers.
+  :class:`BulkReachResult`, which the serving layer also hands out) and of
+  :class:`ExecutionPlan` / :class:`BackendEstimate`.
 
 The snapshot lives in ``tools/api_surface.json``.  A mismatch exits
 non-zero with a unified diff: either the change is accidental (fix the
@@ -39,7 +39,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 import repro  # noqa: E402  (path bootstrap above)
 from repro.service import facade, planner, results  # noqa: E402
-from repro.serving import session as serving_session  # noqa: E402
 
 #: The dataclasses whose field lists are part of the stable surface.
 DATACLASSES = [
@@ -51,9 +50,6 @@ DATACLASSES = [
     results.BulkReachResult,
     planner.ExecutionPlan,
     planner.BackendEstimate,
-    serving_session.ServedReach,
-    serving_session.ServedAudience,
-    serving_session.ServedAccess,
 ]
 
 
