@@ -16,10 +16,19 @@ After an intentional change to the wire format, re-record the file:
 """
 
 import asyncio
+import difflib
+import json
 import random
 import sys
 from pathlib import Path
 from typing import List, Tuple
+
+from repro.graph.social_graph import SocialGraph
+from repro.policy.store import PolicyStore
+from repro.service.facade import GraphService
+from repro.serving.protocol import MAX_FRAME_BYTES
+from repro.serving.server import Connection, ServingServer
+from repro.serving.session import TenantRegistry
 
 GOLDEN = Path(__file__).with_name("golden") / "wire_frames.txt"
 UPDATE_COMMAND = "PYTHONPATH=src python tests/serving/test_wire_golden.py --update"
@@ -29,8 +38,6 @@ Step = Tuple[str, List[bytes]]
 
 
 def _graph():
-    from repro.graph.social_graph import SocialGraph
-
     rng = random.Random(SEED)
     graph = SocialGraph()
     users = [f"u{index:02d}" for index in range(30)]
@@ -53,8 +60,6 @@ _RULES = (
 
 
 def _store(users):
-    from repro.policy.store import PolicyStore
-
     store = PolicyStore()
     for index, (resource, expressions) in enumerate(_RULES):
         store.share(users[index], resource)
@@ -64,16 +69,11 @@ def _store(users):
 
 
 def _frame(**fields) -> bytes:
-    import json
-
     return json.dumps(fields, sort_keys=True).encode()
 
 
 def _script(users) -> List[Step]:
     """The steps: a description and the frames of one read."""
-    from repro.serving.protocol import MAX_FRAME_BYTES
-    from repro.service.facade import GraphService
-
     rng = random.Random(SEED + 1)
     graph, _users = _graph()
     probe = GraphService(graph, _store(users))
@@ -217,9 +217,6 @@ class _RecordingTransport(asyncio.Transport):
 
 def render() -> str:
     """Serve the script and return the recorded text of every step."""
-    from repro.serving.server import Connection, ServingServer
-    from repro.serving.session import TenantRegistry
-
     graph, users = _graph()
     steps = _script(users)
 
@@ -252,8 +249,6 @@ def test_wire_bytes_match_the_recorded_frames():
     expected = GOLDEN.read_text(encoding="utf-8")
     actual = render()
     if actual != expected:
-        import difflib
-
         diff = "".join(
             difflib.unified_diff(
                 expected.splitlines(keepends=True),
