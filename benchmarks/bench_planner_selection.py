@@ -1,12 +1,11 @@
-"""PERF-10 — planner-driven backend auto-selection (the PR 5 service layer).
+"""PERF-10 — auto routing and the denial filter over a mixed stream.
 
 Two promises of the `GraphService` query planner are measured:
 
 1. **Warm-path overhead** — a stream of repeated reach queries is replayed
    through the service with auto-selection and with a pinned backend; both
    paths end in the engines' decision memos, so the difference isolates
-   planning (one plan-cache probe plus three integer comparisons: epoch,
-   the service's plan generation, and stability against ``revisit_at``).
+   planning (one plan-cache probe plus one epoch comparison).
    Acceptance: auto <= 1.05x the pinned replay (overhead < 5%).  A raw
    ``ReachabilityEngine`` replay is reported as context for the facade's
    total overhead.
@@ -21,17 +20,24 @@ Two promises of the `GraphService` query planner are measured:
      from the owner by *any* forward path — the common case of access
      control: most of the network is not in the audience).
 
-   Pinned ``bfs`` explores the owner's whole reachable ball for
-   every denial; pinned ``cluster-index`` does too, more slowly, *and*
-   rebuilds its index after every phase-1 burst (the service refuses to
-   serve from a stale index); pinned ``transitive-closure`` answers denials
-   in O(1) but pays its enormous build once per phase-1 burst.  Auto stays
-   online while writes keep arriving — the build estimate never amortizes
-   over a stability that keeps resetting — then, with the observed
-   unreachable rate feeding the closure's prune discount and stability
-   accruing, flips mid-tail, builds the closure once, and prunes the rest.
+   Auto runs every query on the ``bfs`` walk.  A forward-only walk that
+   ends in a denial adds the CSR entries it scanned to the snapshot's
+   denial work; once that reaches what a denial-filter build reads (one
+   offset per user plus every forward entry), the filter — the SCC
+   condensation of the forward adjacency, with one reachability bitset per
+   component — is built once, and every later forward-only query whose
+   target lies outside the source's forward reach is denied without a
+   walk.  Phase-1 bursts drop the filter and its work with every
+   structural patch, so it is built at the tail's epoch only.  Pinned
+   ``bfs`` is the same walk, filter included; pinned ``cluster-index``
+   explores the owner's reachable ball for every denial *and* rebuilds its
+   index after every phase-1 burst (the service refuses to serve from a
+   stale index); pinned ``transitive-closure`` answers denials in O(1) but
+   pays its enormous build once per phase-1 burst.
    Acceptance: auto beats **every** single pinned backend on total
-   wall-clock and routes through at least two distinct backends.
+   wall-clock, and the filter prunes exactly the tail denials that lie
+   outside the source's forward reach from the first pruned query on (the
+   denials walked before the build paid for it).
 
 Artifacts: ``benchmarks/results/BENCH_planner_selection.json`` and
 ``perf10_planner_selection.txt``.  Runnable directly:
@@ -48,9 +54,12 @@ import time
 from collections import deque
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
 from repro.graph.generators import preferential_attachment_graph
+from repro.reachability import compiled_search
 from repro.reachability.engine import ReachabilityEngine
 from repro.service import GraphService
 from repro.workloads.generator import WorkloadSpec, apply_churn_op, build_workload
@@ -97,9 +106,9 @@ def _pairs(graph, count: int, stride: int = 13):
 
 def overhead_experiment() -> dict:
     graph = preferential_attachment_graph(SIZE, edges_per_node=3, seed=SEED)
-    # Reachable-only pairs (one edge away): the warm stream must measure
-    # planning overhead, not trip the denial-rate feedback into an index
-    # build mid-measurement.
+    # Reachable-only pairs (one edge away): every warm answer is a memo hit
+    # of a grant, so the stream measures planning overhead, not walks or a
+    # denial-filter build.
     pairs = [
         (rel.source, rel.target)
         for rel in graph.relationships()
@@ -173,7 +182,8 @@ def _forward_ball(graph, source):
 
 
 def _mixed_stream_material():
-    """Base workload + the tail's pair list (pre-classified on the final graph).
+    """Base workload, the tail's pair list and which tail targets lie
+    outside their source's forward-reachable ball on the final graph.
 
     The tail pairs are chosen against the *post-churn* graph (every strategy
     replays the same deterministic bursts): 7 of 8 targets sit outside the
@@ -220,11 +230,18 @@ def _mixed_stream_material():
         # every strategy answers identically.
         tail_pairs.extend(_pairs(final, TAIL_QUERIES - len(tail_pairs), stride=29))
     cheap_pairs = _pairs(workload.graph, CHEAP_PER_BURST * CHURN_BURSTS)
-    return workload, cheap_pairs, tail_pairs
+    unreachable = [
+        target not in _forward_ball(final, source) for source, target in tail_pairs
+    ]
+    return workload, cheap_pairs, tail_pairs, unreachable
 
 
 def _replay_stream(service: GraphService, bursts, cheap_pairs, tail_pairs):
-    """Run the churn-then-analyze stream; returns (seconds, decisions, routing)."""
+    """Run the churn-then-analyze stream.
+
+    Returns (seconds, decisions, routing, the tail indices the denial
+    filter answered).
+    """
     decisions = []
     started = time.perf_counter()
     cheap_cursor = 0
@@ -238,24 +255,38 @@ def _replay_stream(service: GraphService, bursts, cheap_pairs, tail_pairs):
                 source, target, CHEAP_EXPRESSION, collect_witness=False
             )
             decisions.append(result.reachable)
+    pruned = []
     for index, (source, target) in enumerate(tail_pairs):
         expression = TAIL_EXPRESSIONS[index % len(TAIL_EXPRESSIONS)]
         result = service.reach(source, target, expression, collect_witness=False)
         decisions.append(result.reachable)
+        if "filter_pruned" in result.counters:
+            pruned.append(index)
     elapsed = time.perf_counter() - started
     routing = {
         name: engine.cache_hits + engine.cache_misses
         for name, engine in service._engines.items()
     }
-    return elapsed, decisions, routing
+    return elapsed, decisions, routing, pruned
 
 
 def _replay_mode(mode: str):
-    """Replay the mixed stream under one mode on a fresh graph (same seed, bursts)."""
-    workload, cheap_pairs, tail_pairs = _mixed_stream_material()
+    """Replay the mixed stream under one mode on a fresh graph (same seed, bursts).
+
+    Returns ``_replay_stream``'s tuple plus the tail's forward-unreachable flags.
+    """
+    workload, cheap_pairs, tail_pairs, unreachable = _mixed_stream_material()
     pin = None if mode == "planner-auto" else mode
     service = GraphService(workload.graph, default_backend=pin)
-    return _replay_stream(service, workload.churn, cheap_pairs, tail_pairs)
+    return _replay_stream(service, workload.churn, cheap_pairs, tail_pairs) + (
+        unreachable,
+    )
+
+
+def _expected_prunes(pruned, unreachable):
+    """The forward-unreachable tail indices from the first pruned one on."""
+    first = pruned[0] if pruned else len(unreachable)
+    return [index for index in range(first, len(unreachable)) if unreachable[index]]
 
 
 def mixed_stream_experiment() -> dict:
@@ -263,8 +294,10 @@ def mixed_stream_experiment() -> dict:
     decisions_by_mode = {}
     denials = None
     for mode in ("planner-auto",) + PINNED_CONTENDERS:
-        elapsed, decisions, routing = _replay_mode(mode)
+        elapsed, decisions, routing, pruned, unreachable = _replay_mode(mode)
         decisions_by_mode[mode] = decisions
+        if mode == "planner-auto":
+            auto_pruned = pruned
         denials = sum(1 for reachable in decisions if not reachable)
         rows.append(
             {
@@ -292,6 +325,10 @@ def mixed_stream_experiment() -> dict:
         "denials": denials,
         "auto_seconds": auto_row["seconds"],
         "auto_backends_used": auto_row["backends_used"],
+        "tail_forward_unreachable": sum(unreachable),
+        "filter_pruned": len(auto_pruned),
+        "expected_prunes": len(_expected_prunes(auto_pruned, unreachable)),
+        "prunes_exact": auto_pruned == _expected_prunes(auto_pruned, unreachable),
         "best_pinned_mode": best_pinned["mode"],
         "best_pinned_seconds": best_pinned["seconds"],
         "win_ratio": best_pinned["seconds"] / auto_row["seconds"],
@@ -305,7 +342,7 @@ def run_benchmark() -> dict:
     overhead = overhead_experiment()
     mixed = mixed_stream_experiment()
     return {
-        "experiment": "PERF-10 planner-driven backend auto-selection",
+        "experiment": "PERF-10 auto routing and the denial filter",
         "smoke": SMOKE,
         "users": SIZE,
         "overhead": overhead,
@@ -324,7 +361,7 @@ def _format_table(summary: dict) -> str:
     overhead = summary["overhead"]
     mixed = summary["mixed_stream"]
     lines = [
-        "PERF-10 — planner-driven backend auto-selection",
+        "PERF-10 — auto routing and the denial filter",
         f"graph: {summary['users']} users" + (" (SMOKE)" if summary["smoke"] else ""),
         "",
         f"warm-path overhead ({overhead['queries']} memo-hit reach queries):",
@@ -348,6 +385,13 @@ def _format_table(summary: dict) -> str:
             f"{row['mode']:<20} {row['seconds']:>9.3f} {row['vs_auto']:>7.2f}x   "
             f"{', '.join(row['backends_used'])}"
         )
+    lines.append(
+        f"denial filter: {mixed['filter_pruned']} of the "
+        f"{mixed['tail_forward_unreachable']} forward-unreachable tail queries "
+        f"answered without a walk "
+        f"({mixed['tail_forward_unreachable'] - mixed['expected_prunes']} walked "
+        f"before the build; exact: {mixed['prunes_exact']})"
+    )
     ratio, best = mixed["win_ratio"], mixed["best_pinned_mode"]
     if ratio > 1.0:
         lines.append(f"auto wins by {ratio:.2f}x over the best pinned backend ({best})")
@@ -362,8 +406,8 @@ def _meets_targets(summary: dict) -> bool:
     )
     mixed = summary["mixed_stream"]
     win_ok = mixed["win_ratio"] > 1.0
-    adaptive_ok = len(mixed["auto_backends_used"]) >= 2
-    return overhead_ok and win_ok and adaptive_ok
+    prunes_ok = mixed["prunes_exact"] and mixed["filter_pruned"] == mixed["expected_prunes"] > 0
+    return overhead_ok and win_ok and prunes_ok
 
 
 def test_planner_overhead_and_mixed_stream_win():
@@ -377,19 +421,39 @@ def test_planner_overhead_and_mixed_stream_win():
     assert _meets_targets(summary), summary
 
 
-@pytest.mark.skipif(SMOKE, reason="the smoke graph is too small to flip")
-def test_auto_flips_to_the_closure_on_the_denial_tail():
-    """Auto answers like pinned ``bfs`` and flips to the closure mid-tail.
+class _CountedFilter(compiled_search.DenialFilter):
+    """The denial filter, recording the epoch of every build."""
 
-    The flip depends on counts (stability, observed denials), not on the
-    clock, so this holds deterministically at full size: a warm route that
-    never re-plans would stay on ``bfs`` for the whole tail.
+    epochs = []
+
+    def __init__(self, snapshot) -> None:
+        _CountedFilter.epochs.append(snapshot.epoch)
+        super().__init__(snapshot)
+
+
+@pytest.mark.skipif(SMOKE, reason="the smoke graph is fully forward-connected")
+def test_auto_answers_like_bfs_and_the_filter_prunes_the_tail_denials():
+    """Full size, counts only (no clock).
+
+    Auto answers exactly as pinned ``bfs``; the filter is built once, at
+    the tail's epoch; and it answers exactly the tail queries whose target
+    lies outside the source's forward-reachable ball (``_forward_ball`` on
+    the final graph), from the first pruned one on.
     """
-    _seconds, auto_decisions, routing = _replay_mode("planner-auto")
-    _seconds, bfs_decisions, _routing = _replay_mode("bfs")
+    _CountedFilter.epochs = []
+    with mock.patch.object(compiled_search, "DenialFilter", _CountedFilter):
+        workload, cheap_pairs, tail_pairs, unreachable = _mixed_stream_material()
+        service = GraphService(workload.graph)
+        _seconds, auto_decisions, routing, pruned = _replay_stream(
+            service, workload.churn, cheap_pairs, tail_pairs
+        )
+    assert _CountedFilter.epochs == [workload.graph.epoch]
+    assert set(routing) == {"bfs"}
+    _seconds, bfs_decisions, _routing, _pruned, _unreachable = _replay_mode("bfs")
     assert auto_decisions == bfs_decisions
-    used = {name for name, count in routing.items() if count}
-    assert used == {"bfs", "transitive-closure"}, routing
+    assert pruned and pruned == _expected_prunes(pruned, unreachable)
+    # Only the few denials walked before the build are not pruned.
+    assert sum(unreachable) - len(pruned) < REACHABLE_EVERY
 
 
 if __name__ == "__main__":

@@ -86,7 +86,6 @@ from repro.reliability import (
 from repro.service import (
     AccessResult,
     AudienceResult,
-    BackendEstimate,
     BulkAccessResult,
     BulkReachResult,
     ExecutionPlan,
@@ -152,7 +151,6 @@ __all__ = [
     "GraphService",
     "QueryPlanner",
     "ExecutionPlan",
-    "BackendEstimate",
     "PlannedResult",
     "ReachResult",
     "AudienceResult",

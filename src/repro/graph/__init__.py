@@ -15,7 +15,7 @@ Public entry points:
 """
 
 from repro.graph.builder import GraphBuilder, graph_from_edges
-from repro.graph.compiled import CompiledGraph, LabelDegreeStats, compile_graph
+from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.paths import Path, Traversal, is_adjacent_chain, path_from_nodes
 from repro.graph.snapshot import SnapshotStore, load_snapshot, save_snapshot
 from repro.graph.social_graph import AttributeMap, Relationship, SocialGraph
@@ -25,7 +25,6 @@ __all__ = [
     "Relationship",
     "AttributeMap",
     "CompiledGraph",
-    "LabelDegreeStats",
     "compile_graph",
     "SnapshotStore",
     "save_snapshot",

@@ -52,19 +52,16 @@ O(|delta|):
   whole-graph consumer asks for the raw arrays through
   :meth:`CompiledGraph.forward` / :meth:`~CompiledGraph.backward`
   (``snapshot.save``, ``compacted()``, the transitive closure, the sharding
-  partitioner and summaries, the crash simulator).  A point query or the
-  planner never triggers a fold.  Untouched labels keep their arrays
+  partitioner and summaries, the crash simulator).  A point query never
+  triggers a fold.  Untouched labels keep their arrays
   byte-for-byte, and a mapped base is never written: overlay rows and folded
   pairs are always private arrays;
-* **degree statistics are maintained, not rescanned**: every journal edge op
-  is a real +1/-1 change (the graph rejects duplicate adds and absent
-  removes), so the patch updates the label's edge count and its per-side
-  ``degree -> node count`` histograms in O(1) and
-  :meth:`CompiledGraph.degree_statistics` after a patch is O(labels).  The
-  histograms are built by one full scan, the first time anyone asks;
+* **edge counts are maintained, not rescanned**: every journal edge op is
+  a real +1/-1 change (the graph rejects duplicate adds and absent
+  removes), so the patch steps the label's edge count in O(1);
 * **user removals** tombstone the slot: the dense index is kept but marked
-  dead — every sweep skips it, ``degree_statistics`` divides by the live
-  count, and the next ``add_user`` reuses the slot for the new user.  The
+  dead — every sweep skips it, and the next ``add_user`` reuses the slot
+  for the new user.  The
   removed user's incident edges arrive as *preceding* ``remove_edge`` ops
   (``SocialGraph.remove_user`` journals them first), so the tombstone
   itself is O(1) bookkeeping;
@@ -74,9 +71,8 @@ O(|delta|):
 
 Entries in :attr:`CompiledGraph.derived` declare how deltas affect them via
 :func:`register_derived_policy`: ``"structural"`` entries (the interned line
-index, the ``degree_statistics`` tuple — re-assembled from the maintained
-counters in O(labels)) survive attribute-only patches and are dropped by
-structural ones, ``"keep"`` entries manage their own freshness, and
+index, the denial filter and the denial work that pays for it) survive
+attribute-only patches and are dropped by structural ones, ``"keep"`` entries manage their own freshness, and
 everything else is conservatively dropped by any patch.  Long-lived
 consumers that require the frozen build-time structure (the cluster
 backend's stale-read contract) call :meth:`CompiledGraph.pin`; a pinned
@@ -87,8 +83,6 @@ leaves the pinned one untouched.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -98,7 +92,6 @@ from repro.graph.social_graph import Relationship, SocialGraph, UserId
 
 __all__ = [
     "CompiledGraph",
-    "LabelDegreeStats",
     "build_csr",
     "compile_graph",
     "register_derived_policy",
@@ -122,7 +115,7 @@ _TOMBSTONE = object()
 RowView = Tuple[Sequence[int], Sequence[int], Dict[int, array]]
 
 #: Edge ops as :meth:`CompiledGraph._patch_edge` applies them: the change in
-#: the label's edge count and in both touched rows' degree.
+#: the label's edge count and in both touched rows' length.
 _ADD, _REMOVE = 1, -1
 
 #: A label's row overlay is folded into a fresh CSR pair once it holds more
@@ -151,10 +144,6 @@ def register_derived_policy(name: str, policy: str) -> None:
         raise ValueError(f"unknown derived policy {policy!r}")
     _DERIVED_POLICIES[name] = policy
 
-
-# The tuple is re-assembled from maintained counters in O(labels); only
-# structural patches can change it.
-register_derived_policy("degree_statistics", "structural")
 
 
 def build_csr(pairs: Sequence[Tuple[int, int]], node_count: int) -> CSR:
@@ -288,54 +277,6 @@ def _stitch_csr(offsets, targets, rows: Mapping[int, array]) -> CSR:
     return new_offsets, new_targets
 
 
-class _DegreeHistogram:
-    """``degree -> node count`` of one side of one label, and its maximum.
-
-    Zero-degree nodes are not counted, so user adds and removals (whose
-    rows are empty by the time they are patched) never touch it.
-    """
-
-    __slots__ = ("counts", "maximum")
-
-    def __init__(self, counts: Mapping[int, int]) -> None:
-        self.counts: Dict[int, int] = {
-            degree: nodes for degree, nodes in counts.items() if degree and nodes
-        }
-        self.maximum = max(self.counts, default=0)
-
-    def step(self, old: int, new: int) -> None:
-        """Move one node from degree ``old`` to ``new``; they differ by one."""
-        counts = self.counts
-        if old:
-            left = counts[old] - 1
-            if left:
-                counts[old] = left
-            else:
-                del counts[old]
-        if new:
-            counts[new] = counts.get(new, 0) + 1
-        if new > self.maximum:
-            self.maximum = new
-        elif old == self.maximum and old not in counts:
-            self.maximum = new  # the node that left the top now sits one below
-
-
-@dataclass(frozen=True)
-class LabelDegreeStats:
-    """Degree statistics of one relationship label at snapshot time.
-
-    ``mean_degree`` is edges over nodes (identical for the out and in sides
-    — every edge has one source and one target); the max degrees expose
-    hubs.  The query planner consumes these to estimate walk fan-out.
-    """
-
-    label: str
-    edges: int
-    mean_degree: float
-    max_out_degree: int
-    max_in_degree: int
-
-
 class CompiledGraph:
     """An integer-interned CSR snapshot of one :class:`SocialGraph`.
 
@@ -364,7 +305,6 @@ class CompiledGraph:
         "_in_overlay",
         "_overlay_cells",
         "_label_edges",
-        "_degrees",
         "_merged_pending",
         "_free_slots",
         "_dead",
@@ -437,13 +377,11 @@ class CompiledGraph:
         """Start delta maintenance over the CSR pairs just installed."""
         # Per label: the row overlays of both sides, how many array entries
         # they hold (one per row plus the rows' contents — the fold trigger),
-        # and the exact edge count.  ``_degrees`` holds the per-label
-        # (out, in) degree histograms once the first full scan built them.
+        # and the exact edge count.
         self._out_overlay: List[Dict[int, array]] = [{} for _ in self.labels]
         self._in_overlay: List[Dict[int, array]] = [{} for _ in self.labels]
         self._overlay_cells: List[int] = [0] * len(self.labels)
         self._label_edges: List[int] = [offsets[-1] for offsets, _ in self._forward]
-        self._degrees: Optional[List[Tuple[_DegreeHistogram, _DegreeHistogram]]] = None
         # The merged adjacency is read by whole-graph consumers only and is
         # still brought up to date lazily, from the pairs queued here.
         self._merged_pending: List[Tuple[int, int]] = []
@@ -456,8 +394,8 @@ class CompiledGraph:
         #: Counters for benchmarks/tests.  Events: patches applied, ops
         #: absorbed, label folds and merged-adjacency compactions performed,
         #: slots tombstoned and reused.  Exact work: CSR target entries
-        #: written by label folds, offsets scanned to build degree
-        #: histograms, journal entries :func:`compile_graph` had visited.
+        #: written by label folds, journal entries :func:`compile_graph` had
+        #: visited.
         self.delta_events: Dict[str, int] = {
             "applies": 0,
             "ops": 0,
@@ -466,7 +404,6 @@ class CompiledGraph:
             "tombstones": 0,
             "slot_reuses": 0,
             "fold_entries_copied": 0,
-            "degree_offsets_scanned": 0,
             "journal_entries_visited": 0,
         }
 
@@ -723,50 +660,6 @@ class CompiledGraph:
             return self.forward(None)[0][-1]
         return self._label_edges[label_id]
 
-    def _scan_degrees(self, csr: CSR, overlay: Dict[int, array]) -> _DegreeHistogram:
-        """The one full O(|V|) scan that seeds one side's degree histogram."""
-        offsets = csr[0]
-        counts = Counter(map(sub, offsets[1:], offsets[:-1]))
-        for node, row in overlay.items():
-            counts[offsets[node + 1] - offsets[node]] -= 1
-            counts[len(row)] += 1
-        self.delta_events["degree_offsets_scanned"] += len(offsets) - 1
-        return _DegreeHistogram(counts)
-
-    def degree_statistics(self) -> Tuple[LabelDegreeStats, ...]:
-        """Per-label degree statistics, indexed by label id.
-
-        Exact at every epoch and never rescanned: the first call builds each
-        label's out/in degree histograms with one O(|V|) scan; from then on
-        :meth:`apply_deltas` maintains them (and the edge counts) in O(1) per
-        edge op, and this method assembles the tuple in O(labels).  The
-        tuple is cached in :attr:`derived` under the ``"structural"`` delta
-        policy, so attribute-only patches return the same object.  The
-        query planner reads these to price walks.
-        """
-        cached: Optional[Tuple[LabelDegreeStats, ...]] = self.derived.get(
-            "degree_statistics"
-        )
-        if cached is not None:
-            return cached
-        if self._degrees is None:
-            self._degrees = [
-                (
-                    self._scan_degrees(self._forward[label_id], self._out_overlay[label_id]),
-                    self._scan_degrees(self._backward[label_id], self._in_overlay[label_id]),
-                )
-                for label_id in range(len(self.labels))
-            ]
-        node_count = max(1, self.number_of_live_nodes())
-        stats = tuple(
-            LabelDegreeStats(label, edges, edges / node_count, out.maximum, into.maximum)
-            for label, edges, (out, into) in zip(
-                self.labels, self._label_edges, self._degrees
-            )
-        )
-        self.derived["degree_statistics"] = stats
-        return stats
-
     # ------------------------------------------------------ delta maintenance
 
     def apply_deltas(
@@ -800,7 +693,7 @@ class CompiledGraph:
 
         Cost: O(|delta| + degree of the touched rows) per call.  An edge op
         edits its out-row and in-row in the label's row overlay and steps
-        the maintained degree counters; a label is folded into a fresh CSR
+        the label's edge count; a label is folded into a fresh CSR
         pair here only when its overlay has outgrown ``1 / _FOLD_SHARE`` of
         the label's own size.
         """
@@ -931,21 +824,18 @@ class CompiledGraph:
         self.delta_events["tombstones"] += 1
 
     def _patch_edge(self, op: int, source: UserId, target: UserId, label: str) -> None:
-        """Apply one edge op to its label's row overlay and degree counters."""
+        """Apply one edge op to its label's row overlay and edge count."""
         source_index = self.node_index[source]
         target_index = self.node_index[target]
         label_id = self.label_index.get(label)
         if label_id is None:
             label_id = self._intern_label(label)
-        out_degrees, in_degrees = (
-            (None, None) if self._degrees is None else self._degrees[label_id]
-        )
         forward = self._forward[label_id]
         grown = self._patch_row(
-            forward, self._out_overlay[label_id], source_index, target_index, op, out_degrees
+            forward, self._out_overlay[label_id], source_index, target_index, op
         ) + self._patch_row(
             self._backward[label_id], self._in_overlay[label_id],
-            target_index, source_index, op, in_degrees,
+            target_index, source_index, op,
         )
         self._label_edges[label_id] += op
         cells = self._overlay_cells[label_id] = self._overlay_cells[label_id] + grown
@@ -960,7 +850,6 @@ class CompiledGraph:
         node: int,
         neighbor: int,
         op: int,
-        degrees: Optional[_DegreeHistogram],
     ) -> int:
         """Add or remove ``neighbor`` in ``node``'s overlay row (materialised
         from the base on first touch); return the growth in overlay cells.
@@ -977,8 +866,6 @@ class CompiledGraph:
             row.append(neighbor)
         else:
             row.remove(neighbor)
-        if degrees is not None:
-            degrees.step(degree, degree + op)
         return op + (degree + 1 if fresh else 0)
 
     def _intern_label(self, label: str) -> int:
@@ -994,8 +881,6 @@ class CompiledGraph:
         self._in_overlay.append({})
         self._overlay_cells.append(0)
         self._label_edges.append(0)
-        if self._degrees is not None:
-            self._degrees.append((_DegreeHistogram({}), _DegreeHistogram({})))
         return label_id
 
     def _fold_label(self, label_id: int) -> None:
@@ -1006,7 +891,7 @@ class CompiledGraph:
         between, and per-element Python work is limited to one O(|V|)
         offset-shift pass.  The label gets *new* overlay dicts, so row
         views handed out earlier stay self-consistent, and the logical
-        adjacency — hence the degree counters — is unchanged.
+        adjacency — hence the edge count — is unchanged.
         """
         self._forward[label_id] = _stitch_csr(
             *self._forward[label_id], self._out_overlay[label_id]

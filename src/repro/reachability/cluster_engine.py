@@ -71,11 +71,6 @@ __all__ = ["ClusterIndexEvaluator"]
 _HopSpec = Tuple[int, bool, bool, int]
 
 
-def _count(counts: Dict[str, int], name: str, amount: int = 1) -> None:
-    """Add ``amount`` to one work counter."""
-    counts[name] = counts.get(name, 0) + amount
-
-
 class ClusterIndexEvaluator:
     """Index-backed evaluator (line graph + 2-hop cover + cluster join index)."""
 
@@ -292,7 +287,7 @@ class ClusterIndexEvaluator:
             return False, None
         condition_memo: Dict[int, bytearray] = {}
         for line_query in expand_line_queries(expression, limit=self.expansion_limit):
-            _count(counts, "line_queries")
+            counts["line_queries"] = counts.get("line_queries", 0) + 1
             chain = self._match_interned(
                 line_query, expression, source_index, target_index, counts,
                 condition_memo, witness=collect_witness,
@@ -318,13 +313,12 @@ class ClusterIndexEvaluator:
             if not self.graph.has_user(source):
                 raise NodeNotFoundError(source)
             return set()
-        counts: Dict[str, int] = {}
         user_of = index.snapshot.node_ids
         ends = index.ends
         targets: Set[Hashable] = set()
         for line_query in expand_line_queries(expression, limit=self.expansion_limit):
             finals = self._match_interned(
-                line_query, expression, source_index, None, counts,
+                line_query, expression, source_index, None, None,
                 condition_memo, witness=False, first_only=False,
             )
             targets.update(user_of[ends[vertex]] for vertex in finals)
@@ -374,7 +368,7 @@ class ClusterIndexEvaluator:
         expression: PathExpression,
         source: int,
         target: Optional[int],
-        counts: Dict[str, int],
+        counts: Optional[Dict[str, int]],
         condition_memo: Dict[int, bytearray],
         *,
         witness: bool,
@@ -386,101 +380,109 @@ class ClusterIndexEvaluator:
         complete chain as a tuple of line-vertex ints (an empty tuple when
         ``witness`` is off — existence is all the caller needs), or ``None``
         when the line query has no answer.  Otherwise (the ``find_targets``
-        form) returns the deduplicated list of final tail vertices.
+        form) returns the deduplicated list of final tail vertices.  The
+        work is added to ``counts`` once, on the way out, unless it is
+        ``None``.
         """
-        index = self._index
-        assert index is not None
-        label_ids = index.label_ids
-        dirs = index.dirs
-        ends = index.ends
-        start_offsets = index.start_offsets
-        start_vertices = index.start_vertices
-        reaches = index.reaches
-        hops = self._hop_specs(line_query, expression)
-        last = len(hops) - 1
+        seeds = joins = 0
+        try:
+            index = self._index
+            assert index is not None
+            label_ids = index.label_ids
+            dirs = index.dirs
+            ends = index.ends
+            start_offsets = index.start_offsets
+            start_vertices = index.start_vertices
+            reaches = index.reaches
+            hops = self._hop_specs(line_query, expression)
+            last = len(hops) - 1
 
-        def acceptable(position: int, vertex: int) -> bool:
-            label_id, allow_forward, allow_backward, condition_step = hops[position]
-            if label_ids[vertex] != label_id:
-                return False
-            if dirs[vertex] == FORWARD_BYTE:
-                if not allow_forward:
+            def acceptable(position: int, vertex: int) -> bool:
+                label_id, allow_forward, allow_backward, condition_step = hops[position]
+                if label_ids[vertex] != label_id:
                     return False
-            elif not allow_backward:
-                return False
-            if position == last and target is not None and ends[vertex] != target:
-                return False
-            if condition_step >= 0 and not self._condition_holds(
-                condition_step, ends[vertex], expression, condition_memo
-            ):
-                return False
-            return True
+                if dirs[vertex] == FORWARD_BYTE:
+                    if not allow_forward:
+                        return False
+                elif not allow_backward:
+                    return False
+                if position == last and target is not None and ends[vertex] != target:
+                    return False
+                if condition_step >= 0 and not self._condition_holds(
+                    condition_step, ends[vertex], expression, condition_memo
+                ):
+                    return False
+                return True
 
-        # Seed: line vertices leaving the owner that match the first hop
-        # (Section 3.4's "owner is the first node" endpoint check).
-        frontier = [
-            start_vertices[cursor]
-            for cursor in range(start_offsets[source], start_offsets[source + 1])
-            if acceptable(0, start_vertices[cursor])
-        ]
-        _count(counts, "tuples_examined", len(frontier))
-        if not frontier:
-            return None if first_only else []
-        parents: Optional[List[Dict[int, int]]] = None
-        if first_only:
-            if last == 0:
-                return (frontier[0],) if witness else ()
-            if witness:
-                parents = [dict.fromkeys(frontier, -1)]
-        elif last == 0:
-            return frontier
-
-        # Tuple assembly + post-processing.  Each consecutive hop pair is a
-        # reachability condition ``label_i ⤳ label_{i+1}`` evaluated through
-        # the per-component 2-hop labels (``Lout(x) ∩ Lin(y)``, Section 3.3);
-        # the adjacency check of Section 3.4 (the tuple must describe one
-        # path) is the frontier extension itself, and tails are deduplicated
-        # per position with a byte seen-set.
-        guard = active_guard()
-        for position in range(1, last + 1):
-            seen = bytearray(index.count)
-            next_frontier: List[int] = []
-            layer_parents: Optional[Dict[int, int]] = {} if parents is not None else None
-            for tail in frontier:
-                head = ends[tail]
-                row_start = start_offsets[head]
-                row_end = start_offsets[head + 1]
-                if guard is not None and not guard.spend(1 + row_end - row_start):
-                    # Partial mode: stop matching; an under-approximated
-                    # answer (no chain / fewer tails) is the documented
-                    # degraded result for guarded bulk shapes.
-                    return None if first_only else []
-                for cursor in range(row_start, row_end):
-                    successor = start_vertices[cursor]
-                    _count(counts, "tuples_examined")
-                    _count(counts, "join_checks")
-                    if not reaches(tail, successor):
-                        continue
-                    if seen[successor]:
-                        continue
-                    seen[successor] = 1
-                    if not acceptable(position, successor):
-                        continue
-                    next_frontier.append(successor)
-                    if layer_parents is not None:
-                        layer_parents[successor] = tail
-                    if first_only and position == last:
-                        if not witness:
-                            return ()
-                        assert parents is not None and layer_parents is not None
-                        parents.append(layer_parents)
-                        return self._decode_chain(successor, parents)
-            frontier = next_frontier
+            # Seed: line vertices leaving the owner that match the first hop
+            # (Section 3.4's "owner is the first node" endpoint check).
+            frontier = [
+                start_vertices[cursor]
+                for cursor in range(start_offsets[source], start_offsets[source + 1])
+                if acceptable(0, start_vertices[cursor])
+            ]
+            seeds = len(frontier)
             if not frontier:
                 return None if first_only else []
-            if parents is not None and layer_parents is not None:
-                parents.append(layer_parents)
-        return None if first_only else frontier
+            parents: Optional[List[Dict[int, int]]] = None
+            if first_only:
+                if last == 0:
+                    return (frontier[0],) if witness else ()
+                if witness:
+                    parents = [dict.fromkeys(frontier, -1)]
+            elif last == 0:
+                return frontier
+
+            # Tuple assembly + post-processing.  Each consecutive hop pair is a
+            # reachability condition ``label_i ⤳ label_{i+1}`` evaluated through
+            # the per-component 2-hop labels (``Lout(x) ∩ Lin(y)``, Section 3.3);
+            # the adjacency check of Section 3.4 (the tuple must describe one
+            # path) is the frontier extension itself, and tails are deduplicated
+            # per position with a byte seen-set.
+            guard = active_guard()
+            for position in range(1, last + 1):
+                seen = bytearray(index.count)
+                next_frontier: List[int] = []
+                layer_parents: Optional[Dict[int, int]] = {} if parents is not None else None
+                for tail in frontier:
+                    head = ends[tail]
+                    row_start = start_offsets[head]
+                    row_end = start_offsets[head + 1]
+                    if guard is not None and not guard.spend(1 + row_end - row_start):
+                        # Partial mode: stop matching; an under-approximated
+                        # answer (no chain / fewer tails) is the documented
+                        # degraded result for guarded bulk shapes.
+                        return None if first_only else []
+                    for cursor in range(row_start, row_end):
+                        successor = start_vertices[cursor]
+                        joins += 1
+                        if not reaches(tail, successor):
+                            continue
+                        if seen[successor]:
+                            continue
+                        seen[successor] = 1
+                        if not acceptable(position, successor):
+                            continue
+                        next_frontier.append(successor)
+                        if layer_parents is not None:
+                            layer_parents[successor] = tail
+                        if first_only and position == last:
+                            if not witness:
+                                return ()
+                            assert parents is not None and layer_parents is not None
+                            parents.append(layer_parents)
+                            return self._decode_chain(successor, parents)
+                frontier = next_frontier
+                if not frontier:
+                    return None if first_only else []
+                if parents is not None and layer_parents is not None:
+                    parents.append(layer_parents)
+            return None if first_only else frontier
+        finally:
+            if counts is not None:
+                counts["tuples_examined"] = counts.get("tuples_examined", 0) + seeds + joins
+                if joins:
+                    counts["join_checks"] = counts.get("join_checks", 0) + joins
 
     @staticmethod
     def _decode_chain(tail: int, parents: List[Dict[int, int]]) -> Tuple[int, ...]:

@@ -19,6 +19,12 @@ dense integers.
   query (``evaluate``, ``find_targets``) is a sweep seeded with one bit; its
   ``stop`` node ends the drain once accepted, and on request it keeps packed
   parent links that decode into :class:`~repro.graph.paths.Path` witnesses.
+* :class:`DenialFilter` is the paper's SCC condensation (Section 3.2) of
+  the snapshot's all-label forward adjacency, labelled for reachability
+  with one bitset per component.  A forward-only point query probes it
+  before walking: a target whose component the source's cannot reach is
+  denied without a walk.  It is built once per snapshot structure, when
+  the walks' own denial work has paid for it (:func:`_pay_for_denial`).
 * :func:`audience_sweep` is the batched ``find_targets`` form: a **single
   multi-source product sweep** with one owner bit per source.  Overlapping
   owner neighbourhoods are traversed once — a slot's outgoing CSR rows are
@@ -35,6 +41,7 @@ cache-free reference these cores are tested against lives in
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
@@ -51,11 +58,14 @@ from typing import (
 from repro.graph.compiled import (
     CompiledGraph,
     compile_graph,
+    register_derived_policy,
     require_social_graph,
 )
 from repro.graph.paths import Path, Traversal
 from repro.graph.social_graph import SocialGraph, UserId
 from repro.policy.path_expression import PathExpression
+from repro.policy.steps import Direction
+from repro.reachability.interned import tarjan_scc_dense
 from repro.reachability.result import EvaluationResult
 from repro.reliability.guard import active_guard
 
@@ -63,6 +73,7 @@ __all__ = [
     "CompiledAutomaton",
     "AutomatonCache",
     "CompiledSearchMixin",
+    "DenialFilter",
     "SweepPlan",
     "AudienceSweep",
     "MaskSweep",
@@ -77,10 +88,21 @@ _Edge = Tuple[int, int, int, bool]
 #: One edge orientation a product state may take: the label's row view
 #: ``(offsets, targets, overlay)`` (see :data:`repro.graph.compiled.RowView`),
 #: then the label id and whether edges are walked source -> target.  Every
-#: row reader (the sweep loop, the row-level tests) reads a node's row the
-#: same way: ``overlay[node]`` when the overlay is non-empty and has the
-#: node, else the base slice.
+#: row reader (the sweep loop, the denial filter, the row-level tests) reads
+#: a node's row the same way: ``overlay[node]`` when the overlay is non-empty
+#: and has the node, else the base slice.
 _Move = Tuple[Sequence[int], Sequence[int], Dict[int, Sequence[int]], int, bool]
+
+#: The snapshot's :attr:`~repro.graph.compiled.CompiledGraph.derived` keys of
+#: the denial filter and of the denial work that pays for it.  Both describe
+#: the adjacency only, so an attribute-only patch keeps them and a
+#: structural patch drops them.
+_FILTER = "denial-filter"
+_WORK = "denial-work"
+register_derived_policy(_FILTER, "structural")
+register_derived_policy(_WORK, "structural")
+
+_FILTER_PRUNED = MappingProxyType({"filter_pruned": 1})
 
 
 class CompiledAutomaton:
@@ -99,6 +121,7 @@ class CompiledAutomaton:
         "depth_ok",
         "advance_to",
         "cond_of",
+        "forward_only",
         "_steps",
         "_static_closure",
         "_cond_memo",
@@ -129,6 +152,9 @@ class CompiledAutomaton:
         self.depth_ok: List[bool] = [False] * size
         self.advance_to: List[int] = [self.accept_id] * size
         self.cond_of: List[int] = [-1] * size
+        #: Whether every step walks edges source -> target only: then any
+        #: accepted path is a path of the all-label forward adjacency.
+        self.forward_only = all(step.direction is Direction.OUTGOING for step in steps)
 
         for index, step in enumerate(steps):
             label_id = snapshot.label_id(step.label)
@@ -256,17 +282,6 @@ class CompiledSearchMixin:
         """Index statistics (trivially empty for the online evaluator)."""
         return {"index_entries": 0, "build_seconds": 0.0}
 
-    def _point_sweep(
-        self, source: UserId, expression: PathExpression, *, witness: bool = False
-    ) -> "MaskSweep":
-        """A sweep seeded with the one bit of ``source``, not yet run."""
-        snapshot = compile_graph(self.graph)
-        sweep = MaskSweep(snapshot, self._automata.get(expression, snapshot))
-        if witness:
-            sweep.parents = {}
-        sweep.seed(snapshot.index_of(source), sweep.automaton.start_id, 1)
-        return sweep
-
     def evaluate(
         self,
         source: UserId,
@@ -277,15 +292,37 @@ class CompiledSearchMixin:
     ) -> EvaluationResult:
         """Return whether ``target`` is reachable from ``source`` under ``expression``.
 
-        Counters: ``states_visited`` is the number of product slots reached,
-        ``edges_expanded`` the number of CSR entries scanned.
+        A forward-only expression probes the snapshot's :class:`DenialFilter`
+        first, when one is built: a denial it proves is answered with
+        counters ``{"filter_pruned": 1}`` and no walk.  Otherwise the
+        counters are ``states_visited``, the number of product slots
+        reached, and ``edges_expanded``, the number of CSR entries scanned.
         """
         started = time.perf_counter()
-        sweep = self._point_sweep(source, expression, witness=collect_witness)
-        target_index = sweep.snapshot.index_of(target)
+        snapshot = compile_graph(self.graph)
+        automaton = self._automata.get(expression, snapshot)
+        source_index = snapshot.index_of(source)
+        target_index = snapshot.index_of(target)
+        denial_filter = None
+        if automaton.forward_only:
+            denial_filter = snapshot.derived.get(_FILTER)
+            if denial_filter is not None and not denial_filter.reaches(
+                source_index, target_index
+            ):
+                return EvaluationResult(
+                    reachable=False,
+                    backend=self.name,
+                    counters=_FILTER_PRUNED,
+                    elapsed_seconds=time.perf_counter() - started,
+                )
+        sweep = MaskSweep(snapshot, automaton)
+        if collect_witness:
+            sweep.parents = {}
+        sweep.seed(source_index, automaton.start_id, 1)
         sweep.run(target_index)
-        accept_key = target_index * sweep.num_states + sweep.automaton.accept_id
-        reachable = accept_key in sweep.seen
+        reachable = target_index * sweep.num_states + automaton.accept_id in sweep.seen
+        if automaton.forward_only and denial_filter is None and not reachable:
+            _pay_for_denial(snapshot, sweep.scanned)
         counters = {"states_visited": len(sweep.seen)}
         if sweep.scanned:
             counters["edges_expanded"] = sweep.scanned
@@ -302,9 +339,11 @@ class CompiledSearchMixin:
 
         Used to materialize the full authorized audience of an access rule.
         """
-        sweep = self._point_sweep(source, expression)
+        snapshot = compile_graph(self.graph)
+        sweep = MaskSweep(snapshot, self._automata.get(expression, snapshot))
+        sweep.seed(snapshot.index_of(source), sweep.automaton.start_id, 1)
         sweep.run()
-        user_of = sweep.snapshot.node_ids
+        user_of = snapshot.node_ids
         return {user_of[node] for node in sweep.accepts}
 
     def sweep_targets_many(
@@ -345,6 +384,82 @@ def _hoisted_state_moves(
                 moves.append(snapshot.in_rows(label_id) + (label_id, False))
         state_moves.append(moves)
     return state_moves
+
+
+# --------------------------------------------------------------------------
+# Denial filter
+# --------------------------------------------------------------------------
+
+
+class DenialFilter:
+    """Forward reachability between the strongly connected components of a
+    snapshot's all-label adjacency — the paper's condensation (Section 3.2)
+    labelled with one reachability bitset per component.
+
+    Any path a forward-only expression accepts is a path of the all-label
+    forward adjacency, so a target outside the source's reach is denied
+    under every forward-only expression.  The filter reads the same rows
+    the walk reads (overlay rows included, nothing folded), so it is exact
+    for the snapshot structure it was built on.
+
+    An iterative Tarjan numbers the components in emission order, in which
+    every edge between two components points from the higher id to the
+    lower.  Visiting the nodes by ascending component therefore finds each
+    successor component's bitset complete before it is OR-ed in.  Bit ``c``
+    of ``reach[c]`` is set, so a node always reaches its own component.
+    The bitsets hold at most C²/8 bytes for C components; ``comp_of`` one
+    ``array('l')`` entry per slot.
+    """
+
+    __slots__ = ("comp_of", "reach")
+
+    def __init__(self, snapshot: CompiledGraph) -> None:
+        count = snapshot.number_of_nodes()
+        views = [snapshot.out_rows(label_id) for label_id in range(snapshot.number_of_labels())]
+        offsets = array("l", [0])
+        targets = array("l")
+        for node in range(count):
+            for base_offsets, base_targets, overlay in views:
+                if overlay and node in overlay:
+                    targets.extend(overlay[node])
+                else:
+                    targets.extend(base_targets[base_offsets[node]:base_offsets[node + 1]])
+            offsets.append(len(targets))
+        comp_of, comp_count = tarjan_scc_dense(count, offsets, targets)
+        reach = [0] * comp_count
+        for node in sorted(range(count), key=comp_of.__getitem__):
+            component = comp_of[node]
+            bits = reach[component] | 1 << component
+            for neighbor in targets[offsets[node]:offsets[node + 1]]:
+                bits |= reach[comp_of[neighbor]]
+            reach[component] = bits
+        self.comp_of = comp_of
+        self.reach = reach
+
+    def reaches(self, source: int, target: int) -> bool:
+        """Whether slot ``target`` is forward-reachable from slot ``source``."""
+        comp_of = self.comp_of
+        return bool(self.reach[comp_of[source]] >> comp_of[target] & 1)
+
+
+def _pay_for_denial(snapshot: CompiledGraph, scanned: int) -> None:
+    """Add one unreachable forward-only walk's work; build the filter once
+    the walks have spent what the build reads.
+
+    A rent-or-buy rule priced in one unit, CSR entries, with no tuned
+    constant: the walks add up the entries they scanned (``"denial-work"``),
+    and the build reads one offset per slot plus every forward entry.  Once
+    the sum reaches that, the filter is built, so denials walked without a
+    filter never cost more than the build plus one walk.
+    """
+    derived = snapshot.derived
+    work = derived.get(_WORK, 0) + scanned
+    derived[_WORK] = work
+    build_reads = snapshot.number_of_nodes() + sum(
+        map(snapshot.number_of_edges, range(snapshot.number_of_labels()))
+    )
+    if work >= build_reads:
+        derived[_FILTER] = DenialFilter(snapshot)
 
 
 # --------------------------------------------------------------------------

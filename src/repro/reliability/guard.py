@@ -87,8 +87,8 @@ class QueryGuard:
     """Step-budget and deadline enforcement for a single query at a time.
 
     ``max_steps`` bounds explored work (expanding frontier pops + CSR
-    positions scanned, the same unit the planner's cost model estimates in:
-    seeds plus edge expansions), the same unit for point queries and
+    positions scanned, the unit the denial filter's rent-or-buy rule counts
+    in: seeds plus edge expansions), the same unit for point queries and
     audiences; ``max_seconds`` bounds wall-clock time per
     query.  Either may be ``None`` (unlimited).  The deadline is only
     consulted every ``check_interval`` spent steps — a monotonic-clock read

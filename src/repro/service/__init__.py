@@ -9,10 +9,10 @@ engines use to separate *what* from *how*:
   ``audience``, ``check``, ``bulk_access``).  ``backend=`` is a *plan pin*,
   not a dispatch mechanic.
 * **Planning** (:mod:`repro.service.planner`) — :class:`QueryPlanner`
-  performs per-query **backend auto-selection**: a cost model over the snapshot's degree statistics, the
-  query shape (steps, depth widths, expansion count), the owner-set width,
-  and index-build amortization over the mutation-free streak the service
-  has observed.  The verdict is an :class:`ExecutionPlan`.
+  routes by pin: a query runs on its pin, an unpinned one on ``bfs``, whose
+  forward-only point walks probe the snapshot's denial filter first.  No
+  cost model prices one backend against another.  The verdict is an
+  :class:`ExecutionPlan`.
 * **Results** (:mod:`repro.service.results`) — every answer is a
   :class:`PlannedResult` that *carries* the plan that produced it (plus the
   executed sweep plan, counters and timing).
@@ -27,7 +27,7 @@ True
 """
 
 from repro.service.facade import GraphService
-from repro.service.planner import BackendEstimate, ExecutionPlan, QueryPlanner
+from repro.service.planner import ExecutionPlan, QueryPlanner
 from repro.service.results import (
     AccessResult,
     AudienceResult,
@@ -41,7 +41,6 @@ __all__ = [
     "GraphService",
     "QueryPlanner",
     "ExecutionPlan",
-    "BackendEstimate",
     "PlannedResult",
     "ReachResult",
     "AudienceResult",

@@ -10,10 +10,11 @@ The facade owns everything a serving process needs per graph:
   ReachabilityEngine` per backend name, created lazily, with index backends
   (transitive closure, cluster index) rebuilt before use whenever the graph
   has mutated since their last build — a query routed through the service
-  never reads a stale index; a build that fails is stamped with the graph
-  epoch, and auto plans price that index out until the graph mutates;
-* the **planner** and its plan cache, plus the mutation-stability counter
-  the index-build amortization feeds on;
+  never reads a stale index, and a pinned build that fails raises the
+  evaluator's own error (counted in ``index_build_failures``);
+* the **planner** and its plan cache: a query runs on its pin, an unpinned
+  one on ``bfs`` (whose forward-only point walks probe the snapshot's
+  denial filter — :mod:`repro.reachability.compiled_search`);
 * every **cache** (parse, decision memo, target-set memo) via the per-
   backend engines.
 
@@ -58,7 +59,7 @@ from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import BACKENDS, ReachabilityEngine, available_backends
 from repro.reliability.guard import QueryGuard
-from repro.service.planner import _RATE_BUCKETS, INDEX_BACKENDS, QueryPlanner
+from repro.service.planner import INDEX_BACKENDS, QueryPlanner
 from repro.sharding.router import ShardRouter
 from repro.sharding.shard import ShardedGraph
 from repro.service.results import (
@@ -103,12 +104,10 @@ class GraphService:
         empty store by default).
     default_backend:
         A service-wide pin: every query without its own ``backend=`` runs
-        there.  ``None`` / ``"auto"`` (the default) enables per-query
-        auto-selection.  Auto-selection prices ``bfs`` against
-        ``transitive-closure``; every other backend name runs only when
-        pinned, and a pin outside :data:`~repro.reachability.engine.
-        BACKENDS` (or ``"sharded"`` without shards) raises
-        :class:`UnknownBackendError`.
+        there.  ``None`` / ``"auto"`` (the default) runs every query on
+        ``bfs``; every other backend name runs only when pinned, and a pin
+        outside :data:`~repro.reachability.engine.BACKENDS` (or
+        ``"sharded"`` without shards) raises :class:`UnknownBackendError`.
     cache_size:
         Per-backend engine memo capacity (``0`` disables memoization —
         benchmarks use it to measure raw planning + execution).
@@ -180,31 +179,13 @@ class GraphService:
         self.query_guard = query_guard
         #: Degradation observability (all surfaced by :meth:`statistics`).
         self.queries_degraded = 0
-        self.queries_rerouted = 0
         self.index_build_failures = 0
         self.checkpoint_failures = 0
         self.planner = QueryPlanner()
         self._engines: Dict[str, ReachabilityEngine] = {}
         self._access_engines: Dict[str, AccessControlEngine] = {}
         self._built_epoch: Dict[str, int] = {}
-        # The graph epoch each index backend's last build failed at: a build
-        # reads only that epoch's snapshot, so it fails again until the graph
-        # changes, and auto plans price the backend out until then.
-        self._failed_epoch: Dict[str, int] = {}
-        # Stability = queries answered since the graph last mutated; the
-        # planner amortizes index builds over it (see repro.service.planner).
-        self._seen_epoch = graph.epoch
-        self._stability = 0
-        # Bumped when a point plan's pricing input can change within an epoch.
-        self._plan_generation = 0
         self.queries_executed = 0
-        # Observed-outcome feedback per expression text: [samples seen,
-        # EWMA unreachable rate].  The planner's transitive-closure prune
-        # estimate scales with the decayed rate — the service's cardinality
-        # feedback — so a workload shift (a denial-heavy expression turning
-        # grant-heavy, or vice versa) re-prices plans within ~1/alpha
-        # queries instead of being pinned by the lifetime average.
-        self._reach_outcomes: Dict[str, List[float]] = {}
         # External observability providers (the serving layer registers its
         # coalescer here); statistics() merges each provider's counters
         # under its name prefix.
@@ -273,22 +254,18 @@ class GraphService:
         return engine
 
     def _maintain_index(self, backend: str, action):
-        """Run one index build, stamping a failure with the current epoch.
+        """Run one index build, counting a failure; the exception propagates.
 
-        The exception always propagates — callers on the *auto* path catch
-        it and reroute, a *pinned* caller sees the evaluator's own error.
+        Only a pin routes to an index backend, so the caller sees the
+        evaluator's own error.
         """
-        self._plan_generation += 1  # freshness and the veto set may change
         if backend not in INDEX_BACKENDS:
             return action()
         try:
-            result = action()
+            return action()
         except Exception:
-            self._failed_epoch[backend] = self.graph.epoch
             self.index_build_failures += 1
             raise
-        self._failed_epoch.pop(backend, None)
-        return result
 
     def access_engine(self, backend: str) -> AccessControlEngine:
         """Return the access-control engine sharing one backend's memos."""
@@ -307,54 +284,6 @@ class GraphService:
             default_effect=self.default_effect,
             audit_log=self.audit_log,
         )
-
-    def _freshness(self) -> Dict[str, bool]:
-        """Which backends can execute right now without paying a build."""
-        epoch = self.graph.epoch
-        return {
-            # Online walks compile the snapshot lazily; an index is fresh when
-            # it was built at this epoch.
-            name: name not in INDEX_BACKENDS or self._built_epoch.get(name) == epoch
-            for name in BACKENDS
-        }
-
-    def _vetoed(self) -> frozenset:
-        """Index backends whose last build failed at the current epoch.
-
-        Auto plans price them out until the graph mutates; the next plan
-        that chooses one after that rebuilds it on the new snapshot.
-        """
-        epoch = self.graph.epoch
-        return frozenset(
-            name for name, failed in self._failed_epoch.items() if failed == epoch
-        )
-
-    def _acquire_for_plan(self, plan, acquire):
-        """Acquire the planned engine, failing over auto plans to a walk.
-
-        ``acquire`` is :meth:`engine` or :meth:`access_engine`.  Index
-        maintenance can fail at acquisition time (:meth:`_maintain_index`
-        has already stamped it).  A *pinned* plan propagates the evaluator's
-        own error — the caller asked for that backend specifically.  An *auto* plan
-        reroutes to ``bfs``, which answers every query shape identically
-        (just without the index's speed), and the rewritten plan travels on
-        the result so the reroute is visible.
-        """
-        try:
-            return acquire(plan.backend), plan
-        except Exception:
-            if plan.backend_forced or plan.backend not in INDEX_BACKENDS:
-                raise
-            self.queries_rerouted += 1
-            plan = replace(
-                plan,
-                backend="bfs",
-                reason=(
-                    f"rerouted to bfs: {plan.backend} maintenance "
-                    f"failed ({plan.reason})"
-                ),
-            )
-            return acquire("bfs"), plan
 
     def _guard_scope(self, mode: str):
         """The query guard's scope for one query (no-op when unguarded)."""
@@ -387,48 +316,8 @@ class GraphService:
         return snapshot
 
     def _tick(self) -> None:
-        """Advance the stability counter (reset when the epoch has moved)."""
-        epoch = self.graph.epoch
-        if epoch != self._seen_epoch:
-            self._seen_epoch = epoch
-            self._stability = 0
-        else:
-            self._stability += 1
+        """Count one answered query."""
         self.queries_executed += 1
-
-    #: Outcomes observed before this are too few to trust as a rate.
-    _RATE_SAMPLE_FLOOR = 16
-    #: EWMA smoothing factor for the unreachable-rate estimator: each new
-    #: outcome carries this weight, giving the estimate a ~32-query memory.
-    _RATE_ALPHA = 1.0 / 32.0
-
-    def _unreachable_rate(self, text: str) -> float:
-        """Decayed (EWMA) share of unreachable answers for one expression.
-
-        Returns ``0.0`` until :attr:`_RATE_SAMPLE_FLOOR` outcomes accrue, so
-        a handful of early denials cannot talk the planner into an index.
-        """
-        outcome = self._reach_outcomes.get(text)
-        if outcome is None or outcome[0] < self._RATE_SAMPLE_FLOOR:
-            return 0.0
-        return outcome[1]
-
-    def _observe_outcome(self, text: str, reachable: bool) -> None:
-        """Feed one point outcome on ``text`` into the unreachable-rate EWMA.
-
-        Only point answers (``reach`` and each evaluated ``check``
-        condition) feed it: the rate prices point plans, and the sweep
-        shapes never consult it.
-        """
-        outcome = self._reach_outcomes.get(text)
-        if outcome is None:
-            outcome = self._reach_outcomes[text] = [0, 0.0]
-        floor = self._RATE_SAMPLE_FLOOR
-        before = int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0
-        outcome[0] += 1
-        outcome[1] += self._RATE_ALPHA * ((0.0 if reachable else 1.0) - outcome[1])
-        if (int(outcome[1] * _RATE_BUCKETS) if outcome[0] >= floor else 0) != before:
-            self._plan_generation += 1  # the planner prices the bucket
 
     # ------------------------------------------------------------ execution
 
@@ -455,45 +344,29 @@ class GraphService:
         executed.
 
         Point shapes pass their expression ``texts`` and take the warm route:
-        a plan bound at this epoch and plan generation runs on its bound
-        engine, unpriced; a miss prices it with outcome feedback and the
-        failed-build veto, and binds the plan unless it was rerouted.
+        a plan whose entry holds an engine bound at this epoch runs on it;
+        a miss plans, acquires and binds.
         """
         pin = self._normalize_pin(backend) or self._default_pin
-        pricing = {}
         if texts is not None:
             key = ("access" if access else "reach", texts, pin)
-            generation = self._plan_generation
-            entry = self.planner.warm(key, self.graph.epoch, generation, self._stability)
+            entry = self.planner.warm(key, self.graph.epoch)
             if entry is not None:
                 return entry.engine, entry.plan
-            pricing = dict(
-                unreachable_rate=min(map(self._unreachable_rate, texts), default=0.0),
-                vetoed=self._vetoed(),
-            )
-        plan = plan_for(
-            compile_graph(self.graph),
-            *subject,
-            fresh=self._freshness(),
-            stability=self._stability,
-            pinned=pin,
-            **pricing,
-        )
+        plan = plan_for(compile_graph(self.graph), *subject, pinned=pin)
         if pin == "sharded":
             _router, engine, access_engine = self._shard_runtime()
             return (
                 access_engine if access else engine,
                 replace(plan, route="sharded"),
             )
-        # Acquisition may build an index and runs here, *outside*
+        # Acquisition may build a pinned index and runs here, *outside*
         # the caller's guard scope: the per-query budget bounds the query's
         # own traversal, not an index build it happens to trigger.
-        engine, routed = self._acquire_for_plan(
-            plan, self.access_engine if access else self.engine
-        )
-        if texts is not None and routed is plan:
-            self.planner.bind(key, plan, generation, engine)
-        return engine, routed
+        engine = (self.access_engine if access else self.engine)(plan.backend)
+        if texts is not None:
+            self.planner.bind(key, plan, engine)
+        return engine, plan
 
     def _degraded(self) -> bool:
         """Whether the guard cut the bulk query just run short (and count it)."""
@@ -532,15 +405,14 @@ class GraphService:
         started = time.perf_counter()
         self._tick()
         expression = as_path_expression(expression)
-        text = expression.to_text()
         engine, plan = self._route(
-            self.planner.plan_reach, (expression,), backend, texts=(text,)
+            self.planner.plan_reach, (expression,), backend,
+            texts=(expression.to_text(),),
         )
         with self._guard_scope(QueryGuard.RAISE):
             outcome = engine.evaluate(
                 source, target, expression, collect_witness=collect_witness
             )
-        self._observe_outcome(text, outcome.reachable)
         return ReachResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
@@ -661,15 +533,6 @@ class GraphService:
         )
         with self._guard_scope(QueryGuard.RAISE):
             decision = access.check_access(requester, resource_id, explain=explain)
-        # Cardinality feedback from every condition actually evaluated:
-        # each condition outcome is one reach outcome on its expression
-        # (before this, only the reach path fed the estimator, so access-
-        # heavy workloads never earned the closure's prune discount).
-        for rule_outcome in decision.rule_outcomes:
-            for outcome in rule_outcome.condition_outcomes:
-                self._observe_outcome(
-                    outcome.condition.path.to_text(), outcome.satisfied
-                )
         return AccessResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
@@ -741,10 +604,8 @@ class GraphService:
         """Service-level counters plus planner and per-backend statistics."""
         stats: Dict[str, float] = {
             "queries_executed": float(self.queries_executed),
-            "stability": float(self._stability),
             "backends_instantiated": float(len(self._engines)),
             "queries_degraded": float(self.queries_degraded),
-            "queries_rerouted": float(self.queries_rerouted),
             "index_build_failures": float(self.index_build_failures),
             "checkpoint_failures": float(self.checkpoint_failures),
         }

@@ -4,13 +4,13 @@ A point query escalates across shards only when its local product walk
 spills over a boundary edge.  Most of those spills are dead ends: the walk
 crossed into a neighbouring community that never leads back to the target.
 :class:`BoundarySummary` prices that check down to bitset probes by reusing
-the interned cover machinery from :mod:`repro.reachability.interned`:
+the condensation machinery of :mod:`repro.reachability`:
 
-1. **Per shard**: Tarjan-condense the shard's merged forward CSR
-   (:func:`~repro.reachability.interned.tarjan_scc_dense`) and take the
-   condensation's descendant bitsets
-   (:func:`~repro.reachability.interned.dag_reachability_bitsets`) —
-   ``in_shard_reach`` is then two array reads and one bit test.
+1. **Per shard**: the shard snapshot's
+   :class:`~repro.reachability.compiled_search.DenialFilter` — the SCC
+   condensation of its forward adjacency with one reachability bitset per
+   component, the structure a forward-only point walk probes — so
+   ``in_shard_reach`` is two array reads and one bit test.
 2. **Globally**: build the *boundary digraph* — nodes are the boundary
    users (every ghost, everywhere), edges are (a) the boundary edges
    themselves and (b) one summary edge per boundary pair ``(a, b)`` that
@@ -39,13 +39,9 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.graph.compiled import CompiledGraph
 from repro.graph.social_graph import UserId
-from repro.reachability.interned import (
-    dag_reachability_bitsets,
-    tarjan_scc_dense,
-    two_hop_cover_dense,
-)
+from repro.reachability.compiled_search import DenialFilter
+from repro.reachability.interned import tarjan_scc_dense, two_hop_cover_dense
 
 __all__ = ["BoundarySummary"]
 
@@ -77,34 +73,6 @@ def _condense_csr(
     return comp_of, comp_count, c_offsets, c_targets, topo
 
 
-class _ShardReach:
-    """Plain forward reachability inside one shard snapshot."""
-
-    __slots__ = ("comp_of", "position", "descendants")
-
-    def __init__(self, snapshot: CompiledGraph) -> None:
-        offsets, targets = snapshot.forward(None)
-        count = snapshot.number_of_nodes()
-        comp_of, comp_count, c_offsets, c_targets, topo = _condense_csr(
-            count, offsets, targets
-        )
-        position, descendants, _ancestors = dag_reachability_bitsets(
-            comp_count, c_offsets, c_targets, topo
-        )
-        self.comp_of = comp_of
-        self.position = position
-        self.descendants = descendants
-
-    def reaches(self, source: int, target: int) -> bool:
-        source_comp = self.comp_of[source]
-        target_comp = self.comp_of[target]
-        if source_comp == target_comp:
-            return True
-        return bool(
-            self.descendants[source_comp] >> self.position[target_comp] & 1
-        )
-
-
 class BoundarySummary:
     """2-hop labelled reachability over the global boundary-node digraph.
 
@@ -123,11 +91,11 @@ class BoundarySummary:
         if len(boundary) > limit:
             self.available = False
             self._gid: Dict[UserId, int] = {}
-            self._shard_reach: List[Optional[_ShardReach]] = [None] * len(snapshots)
+            self._shard_reach: List[Optional[DenialFilter]] = [None] * len(snapshots)
             return
         self._gid = {user: index for index, user in enumerate(boundary)}
         self._shard_reach = [
-            _ShardReach(snapshot) if snapshot.number_of_nodes() else None
+            DenialFilter(snapshot) if snapshot.number_of_nodes() else None
             for snapshot in snapshots
         ]
         # Boundary digraph: boundary edges + per-shard summarized pairs.

@@ -166,37 +166,3 @@ class TestBackendEquivalenceThroughCompiledGraph:
             for source in sorted(graph.users(), key=str)[:8]:
                 expected = reference_targets(graph, source, expression)
                 assert compiled_bfs.find_targets(source, expression) == expected
-
-
-class TestDegreeStatistics:
-    def test_stats_match_the_graph(self, figure1):
-        snapshot = compile_graph(figure1)
-        stats = snapshot.degree_statistics()
-        assert tuple(row.label for row in stats) == figure1.labels()
-        users = list(figure1.users())
-        for row in stats:
-            assert row.edges == figure1.number_of_relationships(row.label)
-            assert row.mean_degree == pytest.approx(row.edges / len(users))
-            assert row.max_out_degree == max(
-                figure1.out_degree(user, row.label) for user in users
-            )
-            assert row.max_in_degree == max(
-                figure1.in_degree(user, row.label) for user in users
-            )
-
-    def test_cached_in_derived_and_refreshed_on_mutation(self, figure1):
-        snapshot = compile_graph(figure1)
-        stats = snapshot.degree_statistics()
-        assert snapshot.degree_statistics() is stats  # cached per snapshot
-        assert "degree_statistics" in snapshot.derived
-        figure1.add_user("late-arrival")
-        refreshed = compile_graph(figure1)
-        assert refreshed is snapshot  # patched in place (journal-covered)
-        fresh_stats = refreshed.degree_statistics()
-        assert fresh_stats is not stats  # per-row means track the new |V|
-        users = list(figure1.users())
-        for row in fresh_stats:
-            assert row.mean_degree == pytest.approx(row.edges / len(users))
-
-    def test_empty_graph(self, empty_graph):
-        assert compile_graph(empty_graph).degree_statistics() == ()

@@ -146,18 +146,10 @@ def assert_snapshots_equivalent(patched: CompiledGraph, fresh: CompiledGraph):
         assert decoded_adjacency(patched, None, backward=backward) == (
             decoded_adjacency(fresh, None, backward=backward)
         )
-    patched_stats = {row.label: row for row in patched.degree_statistics()}
-    fresh_stats = {row.label: row for row in fresh.degree_statistics()}
-    assert set(fresh_stats) <= set(patched_stats)
-    for label in set(patched_stats) - set(fresh_stats):
-        row = patched_stats[label]
-        assert (row.edges, row.max_out_degree, row.max_in_degree) == (0, 0, 0)
-    for label, row in fresh_stats.items():
-        got = patched_stats[label]
-        assert got.edges == row.edges, label
-        assert got.mean_degree == pytest.approx(row.mean_degree), label
-        assert got.max_out_degree == row.max_out_degree, label
-        assert got.max_in_degree == row.max_in_degree, label
+    for label in fresh.labels:
+        assert patched.number_of_edges(patched.label_id(label)) == (
+            fresh.number_of_edges(fresh.label_id(label))
+        ), label
 
 
 def assert_backends_agree_after_patch(rng: random.Random, graph: SocialGraph):
@@ -198,7 +190,6 @@ def test_patched_snapshot_equals_fresh_compile(seed):
     rng = random.Random(90_000 + seed)
     graph = random_base_graph(rng)
     snapshot = compile_graph(graph)
-    snapshot.degree_statistics()  # warm the partial-refresh path too
     apply_random_mutations(rng, graph, MUTATIONS_PER_JOURNAL)
 
     patched = compile_graph(graph)
@@ -236,7 +227,6 @@ def test_remove_heavy_churn_patches_in_place(seed):
     rng = random.Random(93_000 + seed)
     graph = random_base_graph(rng)
     snapshot = compile_graph(graph)
-    snapshot.degree_statistics()  # warm the partial-refresh path too
     apply_random_mutations(
         rng, graph, MUTATIONS_PER_JOURNAL, allow_remove_user=True
     )
@@ -481,34 +471,6 @@ class TestDerivedInvalidationPolicies:
         assert rebuilt is not index
         assert rebuilt.snapshot is index.snapshot  # same patched snapshot
 
-    def test_attribute_only_patch_keeps_degree_statistics_identity(self):
-        graph = self._graph()
-        snapshot = compile_graph(graph)
-        stats = snapshot.degree_statistics()
-        graph.update_user("a", age=31)
-        assert compile_graph(graph) is snapshot
-        assert snapshot.degree_statistics() is stats
-
-    def test_edge_patch_steps_the_degree_counters_without_a_rescan(self):
-        graph = self._graph()
-        graph.add_relationship("a", "c", "colleague")
-        snapshot = compile_graph(graph)
-        stats = snapshot.degree_statistics()
-        scanned = snapshot.delta_events["degree_offsets_scanned"]
-        assert scanned == 2 * 2 * snapshot.number_of_nodes()  # labels x sides
-        graph.add_relationship("c", "b", "colleague")
-        graph.add_relationship("a", "b", "colleague")
-        graph.remove_relationship("a", "c", "colleague")
-        assert compile_graph(graph) is snapshot
-        refreshed = snapshot.degree_statistics()
-        assert refreshed is not stats
-        assert refreshed[snapshot.label_id("friend")] == stats[snapshot.label_id("friend")]
-        colleague = refreshed[snapshot.label_id("colleague")]
-        assert (colleague.edges, colleague.max_out_degree, colleague.max_in_degree) == (
-            2, 1, 2
-        )
-        assert snapshot.delta_events["degree_offsets_scanned"] == scanned
-
     def test_unregistered_entries_are_dropped_even_by_attribute_patches(self):
         graph = self._graph()
         snapshot = compile_graph(graph)
@@ -587,7 +549,6 @@ class TestRowOverlay:
         assert list(snapshot.out_neighbors(snapshot.index_of(users[1]), mentor)) == [
             snapshot.index_of(users[2])
         ]
-        snapshot.degree_statistics()
         assert snapshot.overlay_rows == 4
         assert snapshot.delta_events["label_compactions"] == 0
         assert snapshot.delta_events["fold_entries_copied"] == 0
@@ -655,7 +616,6 @@ class TestRowOverlay:
 _WORK_COUNTERS = (
     "label_compactions",
     "fold_entries_copied",
-    "degree_offsets_scanned",
     "journal_entries_visited",
 )
 
@@ -670,7 +630,7 @@ def _burst_then_check_work(users: int):
     store.share("u3", "album")
     store.add_rule(AccessRule.build("album", "u3", "friend*[1,2]/colleague*[1]"))
     service = GraphService(graph, store)
-    service.check("u9", "album", explain=False)  # plans once: statistics are warm
+    service.check("u9", "album", explain=False)  # plans and compiles once
     snapshot = compile_graph(graph)
     before = dict(snapshot.delta_events)
 
@@ -702,7 +662,6 @@ def test_a_sub_threshold_burst_costs_the_same_work_at_any_graph_size():
     assert small == large
     assert small["label_compactions"] == 0
     assert small["fold_entries_copied"] == 0
-    assert small["degree_offsets_scanned"] == 0
     # 10 + 1 + 10 + 8 + 1 + 1 + 2 journal slots (3 of the 8 attribute writes
     # merged into an earlier marker and left its slot tombstoned — still
     # walked), plus the entry the walk stopped at.
@@ -721,7 +680,7 @@ def test_generated_churn_answers_like_a_rebuild(tmp_path, remove_user_fraction):
 
     The delta path (patch in place, tombstoning removed users) and the
     rebuild path (``journal_limit = 0``) must end on equal graphs whose
-    snapshots have the same degree rows and answer every sampled query the
+    snapshots have the same per-label edge counts and answer every sampled query the
     same.  A removal-bearing burst must still checkpoint as a delta segment.
     """
     from repro.graph.snapshot import SnapshotStore
@@ -737,11 +696,11 @@ def test_generated_churn_answers_like_a_rebuild(tmp_path, remove_user_fraction):
         churn_remove_user_fraction=remove_user_fraction,
     )
 
-    def degree_rows(snapshot):
+    def edge_counts(snapshot):
         return {
-            row.label: (row.edges, row.mean_degree, row.max_out_degree, row.max_in_degree)
-            for row in snapshot.degree_statistics()
-            if row.edges
+            label: snapshot.number_of_edges(label_id)
+            for label_id, label in enumerate(snapshot.labels)
+            if snapshot.number_of_edges(label_id)
         }
 
     graphs = {}
@@ -761,7 +720,7 @@ def test_generated_churn_answers_like_a_rebuild(tmp_path, remove_user_fraction):
                 assert snapshot.delta_events["tombstones"] > 0, snapshot.delta_events
         graphs[mode] = graph
     assert graphs["delta"] == graphs["rebuild"]
-    assert degree_rows(compile_graph(graphs["delta"])) == degree_rows(
+    assert edge_counts(compile_graph(graphs["delta"])) == edge_counts(
         compile_graph(graphs["rebuild"])
     )
     delta = ReachabilityEngine(graphs["delta"], "bfs", cache_size=0)

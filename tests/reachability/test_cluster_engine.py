@@ -175,3 +175,26 @@ class TestSmallGraphs:
         assert not evaluator.evaluate("c", "b", expr("friend+[1,2]")).reachable
         assert not evaluator.evaluate("a", "c", expr("friend+[1]")).reachable
         assert evaluator.find_targets("c", expr("friend+[1]")) == set()
+
+
+class TestWorkCounters:
+    """The exact work counters of fixed queries on the paper's graph."""
+
+    def test_a_denial_counts_every_line_query_and_join(self, evaluator):
+        result = evaluator.evaluate("Alice", "Fred", expr("friend+[1,3]"))
+        assert not result.reachable
+        assert dict(result.counters) == {
+            "line_queries": 3, "tuples_examined": 25, "join_checks": 21,
+        }
+
+    def test_a_grant_counts_up_to_the_matching_join(self, evaluator):
+        result = evaluator.evaluate("Bill", "Alice", expr("friend+[1,3]/colleague-[1]"))
+        assert result.reachable and result.witness is not None
+        assert dict(result.counters) == {
+            "line_queries": 2, "tuples_examined": 14, "join_checks": 12,
+        }
+
+    def test_a_one_hop_match_makes_no_join(self, evaluator):
+        result = evaluator.evaluate("Alice", "Colin", expr("friend*[1,3]"))
+        assert result.reachable
+        assert dict(result.counters) == {"line_queries": 1, "tuples_examined": 1}

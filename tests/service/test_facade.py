@@ -8,7 +8,6 @@ import pytest
 
 from repro.exceptions import UnknownBackendError
 from repro.policy.engine import AccessControlEngine
-from repro.policy.path_expression import as_path_expression
 from repro.policy.rules import AccessRule
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine, available_backends
@@ -209,15 +208,6 @@ class TestIndexFreshness:
         # The stale closure was not rebuilt as a parsing side effect.
         assert service._built_epoch["transitive-closure"] == built_at
 
-    def test_stability_counter_resets_on_mutation(self, figure1):
-        service = service_over(figure1)
-        for _ in range(5):
-            service.is_reachable("Alice", "Bill", "friend+[1]")
-        assert service.statistics()["stability"] == 5.0
-        figure1.update_user("Alice", age=31)
-        service.is_reachable("Alice", "Bill", "friend+[1]")
-        assert service.statistics()["stability"] == 0.0
-
 
 class TestSweepPlanRace:
     """A memo-warm call must not disturb (or get confused with) an earlier
@@ -244,109 +234,6 @@ class TestSweepPlanRace:
         _, warm_plan = engine.sweep_targets_many(["Alice", "George"], "friend+[1]")
         assert warm_plan is None
         assert cold_plan.owners == 2  # immutably this call's plan
-
-
-class TestDenialFeedbackFlip:
-    """The service's observed-outcome feedback can flip auto-selection to
-    the transitive closure on denial-heavy, mutation-free streams."""
-
-    def _denial_material(self):
-        from collections import deque
-
-        from repro.graph.generators import preferential_attachment_graph
-
-        graph = preferential_attachment_graph(150, edges_per_node=2, seed=5)
-        users = sorted(graph.users(), key=str)
-        source = users[0]
-        ball = {source}
-        queue = deque([source])
-        while queue:
-            user = queue.popleft()
-            for neighbor in graph.successors(user):
-                if neighbor not in ball:
-                    ball.add(neighbor)
-                    queue.append(neighbor)
-        outside = [user for user in users if user not in ball]
-        assert outside, "need forward-unreachable targets for a denial stream"
-        return graph, source, outside
-
-    def test_denial_stream_plus_stability_selects_the_closure(self):
-        graph, source, outside = self._denial_material()
-        service = GraphService(graph)
-        expression = "friend+[1,3]/colleague+[1,2]"
-        # Build up the observed unreachable rate (all denials)...
-        for index in range(20):
-            result = service.reach(
-                source, outside[index % len(outside)], expression,
-                collect_witness=False,
-            )
-            assert not result.reachable
-            assert result.plan.backend == "bfs"  # cold: online stays cheapest
-        # ...then fast-forward the mutation-free streak: the amortized build
-        # charge melts and the planner flips to the closure's O(1) prune.
-        service._stability = 10**9
-        flipped = service.reach(
-            source, outside[0], expression, collect_witness=False
-        )
-        assert flipped.plan.backend == "transitive-closure"
-        assert not flipped.plan.backend_forced
-        assert "unreachable rate" in flipped.plan.estimate_for(
-            "transitive-closure"
-        ).note
-        # The flip built the index; answers stay identical to bfs.
-        assert not flipped.reachable
-        assert service.reach(
-            source, outside[1], expression, collect_witness=False, backend="bfs"
-        ).reachable == service.reach(
-            source, outside[1], expression, collect_witness=False
-        ).reachable
-
-    def test_shifting_workload_decays_the_unreachable_rate(self):
-        """The estimator is an EWMA, not a lifetime ratio: when a
-        denial-heavy expression turns grant-heavy, the rate decays within
-        ~3/alpha samples instead of being pinned near the historic average,
-        and the planner stops discounting the closure for it."""
-        graph, source, outside = self._denial_material()
-        service = GraphService(graph)
-        expression = "friend+[1,3]/colleague+[1,2]"
-        text = as_path_expression(expression).to_text()
-        for index in range(60):
-            service.reach(
-                source, outside[index % len(outside)], expression,
-                collect_witness=False,
-            )
-        denial_rate = service._unreachable_rate(text)
-        assert denial_rate > 0.5
-        # The workload shifts to grants.  A lifetime [queries, denials]
-        # ratio would still read ~0.33 after twice as many grants as
-        # denials; the decayed estimate forgets the denial era.
-        for _ in range(120):
-            service._observe_outcome(text, reachable=True)
-        decayed = service._unreachable_rate(text)
-        assert decayed < 0.05
-        # Even a fully melted build charge no longer flips the planner.
-        service._stability = 10**9
-        result = service.reach(
-            source, outside[0], expression, collect_witness=False
-        )
-        assert result.plan.backend == "bfs"
-
-    def test_feedback_needs_a_minimum_sample(self):
-        graph, source, outside = self._denial_material()
-        service = GraphService(graph)
-        # Two denials are below the sample floor: the rate stays 0.0 and no
-        # stability can talk the planner into an index build.
-        for index in range(2):
-            service.reach(
-                source, outside[index], "friend+[1,3]/colleague+[1,2]",
-                collect_witness=False,
-            )
-        service._stability = 10**9
-        result = service.reach(
-            source, outside[2], "friend+[1,3]/colleague+[1,2]",
-            collect_witness=False,
-        )
-        assert result.plan.backend == "bfs"
 
 
 class TestServiceBookkeeping:

@@ -9,7 +9,7 @@ Run from the repository root:
 
 Each *root* is a command that exercises the system the way it is used: the
 four end-to-end workloads, the paper's figures and worked example, the
-walkthrough, the crash matrix and the PERF-10 planner flip.  Every root runs
+walkthrough, the crash matrix and the PERF-10 denial-filter test.  Every root runs
 as a subprocess whose ``PYTHONPATH`` starts with a temporary directory
 holding a ``sitecustomize`` module.  Python imports that module at start-up,
 so every interpreter the root launches — the e2e server child and
@@ -120,9 +120,9 @@ def roots(users: int, seconds: float) -> Dict[str, List[str]]:
         ) + ["benchmarks/bench_worked_example.py"],
         "walkthrough": [python, "examples/paper_walkthrough.py"],
         "crash-matrix": pytest + ["tests/reliability/test_crash_matrix.py"],
-        "perf10-flip": pytest + [
+        "perf10-filter": pytest + [
             "benchmarks/bench_planner_selection.py"
-            "::test_auto_flips_to_the_closure_on_the_denial_tail"
+            "::test_auto_answers_like_bfs_and_the_filter_prunes_the_tail_denials"
         ],
     }
 

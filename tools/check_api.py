@@ -14,7 +14,7 @@ The *surface* is what PR 5 declared stable:
   out so their reprs cannot churn across Python versions);
 * the field lists of the result dataclasses (:class:`PlannedResult` ...
   :class:`BulkReachResult`, which the serving layer also hands out) and of
-  :class:`ExecutionPlan` / :class:`BackendEstimate`.
+  :class:`ExecutionPlan`.
 
 The snapshot lives in ``tools/api_surface.json``.  A mismatch exits
 non-zero with a unified diff: either the change is accidental (fix the
@@ -49,7 +49,6 @@ DATACLASSES = [
     results.BulkAccessResult,
     results.BulkReachResult,
     planner.ExecutionPlan,
-    planner.BackendEstimate,
 ]
 
 
