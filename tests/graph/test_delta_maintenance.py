@@ -5,7 +5,7 @@ equivalence*: after any journal-covered mutation burst, the patched snapshot
 must be indistinguishable from a snapshot compiled from scratch — same node
 and label interning contracts, identical per-label forward/reverse adjacency
 (as decoded user-id sets; CSR row order is not part of the contract), the
-same merged adjacency, the same degree statistics, and identical answers
+same merged adjacency, the same per-label edge counts, and identical answers
 from all three reachability backends.  (The hypothesis differential of the row
 overlay itself — no fold, forced fold, clone, save/load, mapped copy-on-write
 — lives in ``tests/property/test_overlay_equivalence.py``.)
@@ -470,6 +470,44 @@ class TestDerivedInvalidationPolicies:
         rebuilt = interned_line_index(graph)
         assert rebuilt is not index
         assert rebuilt.snapshot is index.snapshot  # same patched snapshot
+
+    def test_attribute_only_patch_keeps_the_denial_filter_identity(self):
+        from repro.reachability.compiled_search import DenialFilter
+
+        graph = self._graph()
+        snapshot = compile_graph(graph)
+        denial_filter = snapshot.derived["denial-filter"] = DenialFilter(snapshot)
+        snapshot.derived["denial-work"] = 7
+        graph.update_user("a", age=31)
+        assert compile_graph(graph) is snapshot
+        assert snapshot.derived["denial-filter"] is denial_filter
+        assert snapshot.derived["denial-work"] == 7
+
+    def test_edge_patch_drops_the_denial_filter_and_its_work(self):
+        from repro.reachability.compiled_search import DenialFilter
+
+        graph = self._graph()
+        snapshot = compile_graph(graph)
+        snapshot.derived["denial-filter"] = DenialFilter(snapshot)
+        snapshot.derived["denial-work"] = 7
+        graph.add_relationship("c", "a", "colleague")
+        assert compile_graph(graph) is snapshot
+        assert "denial-filter" not in snapshot.derived
+        assert "denial-work" not in snapshot.derived
+        # Rebuilt on the patched rows, the filter sees the new cycle.
+        rebuilt = DenialFilter(snapshot)
+        index = snapshot.index_of
+        assert rebuilt.reaches(index("c"), index("a"))
+
+    def test_a_user_add_drops_the_denial_filter(self):
+        from repro.reachability.compiled_search import DenialFilter
+
+        graph = self._graph()
+        snapshot = compile_graph(graph)
+        snapshot.derived["denial-filter"] = DenialFilter(snapshot)
+        graph.add_user("d")  # a new slot the filter has no component for
+        assert compile_graph(graph) is snapshot
+        assert "denial-filter" not in snapshot.derived
 
     def test_unregistered_entries_are_dropped_even_by_attribute_patches(self):
         graph = self._graph()

@@ -131,3 +131,15 @@ class TestServiceAutoSelection:
         audience = service.audience(users[:3], "friend+[1,2]")
         assert audience.plan.backend == "bfs"
         assert set(service._engines) == {"bfs"}  # no index built behind auto
+
+    def test_a_denial_stream_never_selects_a_pin_only_backend(self):
+        graph = preferential_attachment_graph(60, edges_per_node=2, seed=3)
+        service = GraphService(graph)
+        users = sorted(graph.users())
+        for source in users[-20:]:
+            for target in users[:10]:
+                result = service.reach(source, target, HEAVY, collect_witness=False)
+                assert result.plan.backend == "bfs"
+                assert not result.plan.backend_forced
+        assert compile_graph(graph).derived.get("denial-work", 0) > 0
+        assert set(service._engines) == {"bfs"}
