@@ -43,8 +43,8 @@ def main() -> None:
 
     audit = AuditLog()
     store = PolicyStore()
-    # The service facade: rules are evaluated through whichever backend the
-    # planner picks per query (pin one with default_backend="bfs" if needed).
+    # The service facade: unpinned rules are evaluated on the bfs walk (pin
+    # another backend with default_backend="cluster-index" if needed).
     service = GraphService(graph, store, audit_log=audit)
 
     print()

@@ -168,8 +168,9 @@ class AccessControlEngine:
     def authorized_audience(self, resource_id: Hashable) -> Set[Hashable]:
         """Materialize the full audience of a resource (every authorized user).
 
-        Computed from the owner outwards with ``find_targets``, which is much
-        cheaper than testing every user of the network individually.
+        Computed from the owners outwards by the bulk audience sweep of
+        :meth:`audiences_with_plans`, which is much cheaper than testing
+        every user of the network individually.
         """
         return self.authorized_audiences([resource_id])[resource_id]
 

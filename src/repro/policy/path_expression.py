@@ -227,7 +227,7 @@ class PathExpression:
     @cached_property
     def _text(self) -> str:
         # Rendered once per instance: the canonical text keys every memo on
-        # the request path (plan cache, decision memo, outcome feedback).
+        # the request path (decision memo, target-set memo, bulk sweeps).
         return "/".join(step.to_text() for step in self.steps)
 
     def to_text(self) -> str:

@@ -294,35 +294,76 @@ class CompiledSearchMixin:
 
         A forward-only expression probes the snapshot's :class:`DenialFilter`
         first, when one is built: a denial it proves is answered with
-        counters ``{"filter_pruned": 1}`` and no walk.  Otherwise the
-        counters are ``states_visited``, the number of product slots
-        reached, and ``edges_expanded``, the number of CSR entries scanned.
+        counters ``{"filter_pruned": 1}`` and no walk.  Every other query
+        runs :meth:`walk`; a forward-only denial walked without a filter
+        adds its work to what pays for one (:func:`_pay_for_denial`).
         """
         started = time.perf_counter()
         snapshot = compile_graph(self.graph)
         automaton = self._automata.get(expression, snapshot)
         source_index = snapshot.index_of(source)
         target_index = snapshot.index_of(target)
-        denial_filter = None
-        if automaton.forward_only:
-            denial_filter = snapshot.derived.get(_FILTER)
-            if denial_filter is not None and not denial_filter.reaches(
-                source_index, target_index
-            ):
-                return EvaluationResult(
-                    reachable=False,
-                    backend=self.name,
-                    counters=_FILTER_PRUNED,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
+        if not automaton.forward_only:
+            return self._walk(
+                snapshot, automaton, source_index, target_index, collect_witness, started
+            )
+        denial_filter = snapshot.derived.get(_FILTER)
+        if denial_filter is not None and not denial_filter.reaches(
+            source_index, target_index
+        ):
+            return EvaluationResult(
+                reachable=False,
+                backend=self.name,
+                counters=_FILTER_PRUNED,
+                elapsed_seconds=time.perf_counter() - started,
+            )
+        result = self._walk(
+            snapshot, automaton, source_index, target_index, collect_witness, started
+        )
+        if denial_filter is None and not result.reachable:
+            _pay_for_denial(snapshot, result.counters.get("edges_expanded", 0))
+        return result
+
+    def walk(
+        self,
+        source: UserId,
+        target: UserId,
+        expression: PathExpression,
+        *,
+        collect_witness: bool = True,
+    ) -> EvaluationResult:
+        """The product walk of :meth:`evaluate`, with no denial filter probed
+        and no denial work paid: for callers that prune by other means.
+
+        The counters are ``states_visited``, the number of product slots
+        reached, and ``edges_expanded``, the number of CSR entries scanned.
+        """
+        started = time.perf_counter()
+        snapshot = compile_graph(self.graph)
+        return self._walk(
+            snapshot,
+            self._automata.get(expression, snapshot),
+            snapshot.index_of(source),
+            snapshot.index_of(target),
+            collect_witness,
+            started,
+        )
+
+    def _walk(
+        self,
+        snapshot: CompiledGraph,
+        automaton: CompiledAutomaton,
+        source_index: int,
+        target_index: int,
+        collect_witness: bool,
+        started: float,
+    ) -> EvaluationResult:
         sweep = MaskSweep(snapshot, automaton)
         if collect_witness:
             sweep.parents = {}
         sweep.seed(source_index, automaton.start_id, 1)
         sweep.run(target_index)
         reachable = target_index * sweep.num_states + automaton.accept_id in sweep.seen
-        if automaton.forward_only and denial_filter is None and not reachable:
-            _pay_for_denial(snapshot, sweep.scanned)
         counters = {"states_visited": len(sweep.seen)}
         if sweep.scanned:
             counters["edges_expanded"] = sweep.scanned

@@ -224,7 +224,7 @@ class TransitiveClosureEvaluator:
                 counters=MappingProxyType({"closure_pruned": 1}),
                 elapsed_seconds=time.perf_counter() - started,
             )
-        inner = self._bfs.evaluate(source, target, expression, collect_witness=collect_witness)
+        inner = self._bfs.walk(source, target, expression, collect_witness=collect_witness)
         return EvaluationResult(
             reachable=inner.reachable,
             witness=inner.witness,

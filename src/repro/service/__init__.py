@@ -12,13 +12,16 @@ engines use to separate *what* from *how*:
   routes by pin: a query runs on its pin, an unpinned one on ``bfs``, whose
   forward-only point walks probe the snapshot's denial filter first.  No
   cost model prices one backend against another.  The verdict is an
-  :class:`ExecutionPlan`.
+  :class:`ExecutionPlan` built from the epoch and the pin alone; the
+  planner keeps no state.
 * **Results** (:mod:`repro.service.results`) — every answer is a
   :class:`PlannedResult` that *carries* the plan that produced it (plus the
   executed sweep plan, counters and timing).
 * **Facade** (:mod:`repro.service.facade`) — :class:`GraphService` owns the
-  graph, the snapshot refresh, the policy store, the backend registry and
-  every cache, and is the one session object callers need.
+  graph, the snapshot refresh, the policy store, one route table (per
+  backend name: its engines, the epoch it was made current at and that
+  epoch's plans) and every cache, and is the one session object callers
+  need.
 
 >>> from repro import GraphService
 >>> service = GraphService(graph, store)                    # doctest: +SKIP

@@ -6,17 +6,20 @@ The facade owns everything a serving process needs per graph:
   churn included — :meth:`GraphService.refresh` is explicit, every query
   path refreshes lazily);
 * the **policy store**, audit log and default effect for access checks;
-* the **backend registry**: one :class:`~repro.reachability.engine.
-  ReachabilityEngine` per backend name, created lazily, with index backends
-  (transitive closure, cluster index) rebuilt before use whenever the graph
-  has mutated since their last build — a query routed through the service
-  never reads a stale index, and a pinned build that fails raises the
-  evaluator's own error (counted in ``index_build_failures``);
-* the **planner** and its plan cache: a query runs on its pin, an unpinned
-  one on ``bfs`` (whose forward-only point walks probe the snapshot's
-  denial filter — :mod:`repro.reachability.compiled_search`);
+* the **route table**: one entry per backend name (``bfs``,
+  ``transitive-closure``, ``cluster-index``, ``sharded``), created lazily,
+  holding that backend's :class:`~repro.reachability.engine.
+  ReachabilityEngine` and :class:`~repro.policy.engine.AccessControlEngine`,
+  the epoch it was last made current at and that epoch's plans.  Making a
+  route current rebuilds a stale index (transitive closure, cluster index),
+  so a query routed through the service never reads a stale index, and a
+  pinned build that fails raises the evaluator's own error (counted in
+  ``index_build_failures``);
+* the stateless **planner**: a query runs on its pin, an unpinned one on
+  ``bfs`` (whose forward-only point walks probe the snapshot's denial
+  filter — :mod:`repro.reachability.compiled_search`);
 * every **cache** (parse, decision memo, target-set memo) via the per-
-  backend engines.
+  route engines.
 
 Queries go through the verbs (:meth:`reach`, :meth:`reach_many`,
 :meth:`audience`, :meth:`check`, :meth:`bulk_access` and their boolean and
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import (
     Callable,
     Dict,
@@ -59,7 +61,7 @@ from repro.policy.path_expression import PathExpression, as_path_expression
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import BACKENDS, ReachabilityEngine, available_backends
 from repro.reliability.guard import QueryGuard
-from repro.service.planner import INDEX_BACKENDS, QueryPlanner
+from repro.service.planner import INDEX_BACKENDS, ExecutionPlan, QueryPlanner
 from repro.sharding.router import ShardRouter
 from repro.sharding.shard import ShardedGraph
 from repro.service.results import (
@@ -89,6 +91,19 @@ def _as_tuple(values) -> Tuple[Hashable, ...]:
         # deterministic tuple keeps plans and sweeps reproducible.
         normalized = tuple(sorted(normalized, key=str))
     return normalized
+
+
+class _Route:
+    """One entry of the route table: a backend's engines, the epoch they were
+    last made current at, and that epoch's plans keyed by ``(kind, pinned)``."""
+
+    __slots__ = ("engine", "access", "epoch", "plans")
+
+    def __init__(self, engine: ReachabilityEngine, access: AccessControlEngine) -> None:
+        self.engine = engine
+        self.access = access
+        self.epoch: Optional[int] = None
+        self.plans: Dict[Tuple[str, bool], ExecutionPlan] = {}
 
 
 class GraphService:
@@ -171,9 +186,6 @@ class GraphService:
         #: pin normalizes: ``default_backend="sharded"`` is only valid with
         #: an active shard layout.
         self.shards = shards
-        self._shard_runtime_obj: Optional[
-            Tuple[ShardRouter, ReachabilityEngine, AccessControlEngine]
-        ] = None
         self._default_pin = self._normalize_pin(default_backend)
         self._cache_size = cache_size
         self.query_guard = query_guard
@@ -182,16 +194,19 @@ class GraphService:
         self.index_build_failures = 0
         self.checkpoint_failures = 0
         self.planner = QueryPlanner()
-        self._engines: Dict[str, ReachabilityEngine] = {}
-        self._access_engines: Dict[str, AccessControlEngine] = {}
-        self._built_epoch: Dict[str, int] = {}
+        #: The route table, keyed by backend name (``"sharded"`` included).
+        self._routes: Dict[str, _Route] = {}
+        #: Route-plan reuse and creation (``planner_plan_cache_*`` in
+        #: :meth:`statistics`).
+        self._plans_reused = 0
+        self._plans_made = 0
         self.queries_executed = 0
         # External observability providers (the serving layer registers its
         # coalescer here); statistics() merges each provider's counters
         # under its name prefix.
         self._stats_providers: Dict[str, Callable[[], Mapping[str, float]]] = {}
 
-    # ------------------------------------------------------------- registry
+    # ---------------------------------------------------------- route table
 
     def _normalize_pin(self, backend: Optional[str]) -> Optional[str]:
         if backend is None or backend == "auto":
@@ -207,24 +222,55 @@ class GraphService:
             raise UnknownBackendError(backend, available_backends())
         return backend
 
-    def _shard_runtime(
-        self,
-    ) -> Tuple[ShardRouter, ReachabilityEngine, AccessControlEngine]:
-        """The lazily built sharded execution stack (router + engines).
+    def _current(self, name: str) -> _Route:
+        """The route of backend ``name``, made current at the graph's epoch.
 
-        The router is an ordinary evaluator, so it gets the full engine
-        treatment: per-owner audience memos, decision memos through the
-        access engine, guard-aware cache hygiene (partial sweeps never enter
-        the memo).  The shard mirrors refresh themselves from the graph's
-        journal on every routed query.
+        The compiled snapshot is refreshed first.  Opening a route creates
+        its engines (an index backend builds its index, the sharded route
+        partitions the graph); a route whose epoch has moved on rebuilds a
+        stale index and starts its plans afresh.  An index build that fails
+        counts in ``index_build_failures`` and raises the evaluator's own
+        error (only a pin routes to an index backend); the route keeps its
+        old epoch, so the next query tries the build again.  The shard
+        mirrors refresh themselves from the graph's journal on every routed
+        query.
         """
-        if self._shard_runtime_obj is None:
-            router = ShardRouter(ShardedGraph(self.graph, shards=self.shards))
-            engine = ReachabilityEngine(
-                self.graph, router, cache_size=self._cache_size
-            )
-            self._shard_runtime_obj = (router, engine, self._access_over(engine))
-        return self._shard_runtime_obj
+        epoch = self.graph.epoch
+        route = self._routes.get(name)
+        if route is not None and route.epoch == epoch:
+            return route
+        compile_graph(self.graph)
+        try:
+            if route is None:
+                route = self._routes[name] = self._open(name)
+            elif name in INDEX_BACKENDS:
+                route.engine.evaluator.build()
+        except Exception:
+            if name in INDEX_BACKENDS:
+                self.index_build_failures += 1
+            raise
+        route.epoch = epoch
+        route.plans = {}
+        return route
+
+    def _open(self, name: str) -> _Route:
+        """A new route: the engines of one backend, with the service's policy
+        settings.  The sharded route's evaluator is a :class:`ShardRouter`,
+        so it gets the full engine treatment: per-owner audience memos,
+        decision memos through the access engine, guard-aware cache hygiene
+        (partial sweeps never enter the memo)."""
+        evaluator = name
+        if name == "sharded":
+            evaluator = ShardRouter(ShardedGraph(self.graph, shards=self.shards))
+        engine = ReachabilityEngine(self.graph, evaluator, cache_size=self._cache_size)
+        access = AccessControlEngine(
+            self.graph,
+            self.store,
+            backend=engine,
+            default_effect=self.default_effect,
+            audit_log=self.audit_log,
+        )
+        return _Route(engine, access)
 
     def engine(self, backend: str) -> ReachabilityEngine:
         """Return the (lazily created, freshly built) engine of one backend.
@@ -236,54 +282,12 @@ class GraphService:
         """
         if backend not in BACKENDS:
             raise UnknownBackendError(backend, available_backends())
-        engine = self._engines.get(backend)
-        epoch = self.graph.epoch
-        if engine is None:
-            engine = self._maintain_index(
-                backend,
-                lambda: ReachabilityEngine(
-                    self.graph, backend, cache_size=self._cache_size
-                ),
-            )
-            self._engines[backend] = engine
-            self._built_epoch[backend] = epoch
-        elif backend in INDEX_BACKENDS and self._built_epoch.get(backend) != epoch:
-            # A stale index rebuilds on the current snapshot.
-            self._maintain_index(backend, engine.evaluator.build)
-            self._built_epoch[backend] = epoch
-        return engine
-
-    def _maintain_index(self, backend: str, action):
-        """Run one index build, counting a failure; the exception propagates.
-
-        Only a pin routes to an index backend, so the caller sees the
-        evaluator's own error.
-        """
-        if backend not in INDEX_BACKENDS:
-            return action()
-        try:
-            return action()
-        except Exception:
-            self.index_build_failures += 1
-            raise
+        return self._current(backend).engine
 
     def access_engine(self, backend: str) -> AccessControlEngine:
         """Return the access-control engine sharing one backend's memos."""
-        reachability = self.engine(backend)  # ensures existence + freshness
-        access = self._access_engines.get(backend)
-        if access is None:
-            access = self._access_engines[backend] = self._access_over(reachability)
-        return access
-
-    def _access_over(self, reachability: ReachabilityEngine) -> AccessControlEngine:
-        """The service's policy settings over one reachability engine."""
-        return AccessControlEngine(
-            self.graph,
-            self.store,
-            backend=reachability,
-            default_effect=self.default_effect,
-            audit_log=self.audit_log,
-        )
+        self.engine(backend)  # validates the name, makes the route current
+        return self._routes[backend].access
 
     def _guard_scope(self, mode: str):
         """The query guard's scope for one query (no-op when unguarded)."""
@@ -321,52 +325,36 @@ class GraphService:
 
     # ------------------------------------------------------------ execution
 
-    def _route(
-        self,
-        plan_for,
-        subject: Tuple,
-        backend: Optional[str],
-        *,
-        access: bool = False,
-        texts: Optional[Tuple[str, ...]] = None,
-    ):
-        """Plan one query, choose its route, acquire what runs it.
+    def _route(self, kind: str, backend: Optional[str]) -> Tuple[_Route, ExecutionPlan]:
+        """Choose one query's route and plan.
 
         The one request path of every verb (docs/architecture.md, "Request
-        path"): ``plan_for`` is the planner method for the query's shape,
-        ``subject`` its positional arguments after the snapshot, ``backend``
-        the query's own pin, and ``access`` whether :meth:`access_engine`
-        rather than :meth:`engine` acquires.  The routing rule is one line: a
-        query runs on the shard stack iff its pin (own, else the service
-        default) is ``"sharded"`` — whatever its shape; the sharded walk
-        carries no parent links, so a pinned witness / explanation is
-        answered without one.  Returns the engine to run and the plan as
-        executed.
-
-        Point shapes pass their expression ``texts`` and take the warm route:
-        a plan whose entry holds an engine bound at this epoch runs on it;
-        a miss plans, acquires and binds.
+        path"): ``kind`` names the planner method for the query's shape
+        (``plan_<kind>``) and ``backend`` is the query's own pin.  The route
+        is the table entry of the pin (own, else the service default), else
+        of ``bfs``; the sharded walk carries no parent links, so a pinned
+        witness / explanation is answered without one.  A warm query costs
+        one table probe, one epoch comparison and one plan probe.  Returns
+        the route and the plan as executed.
         """
         pin = self._normalize_pin(backend) or self._default_pin
-        if texts is not None:
-            key = ("access" if access else "reach", texts, pin)
-            entry = self.planner.warm(key, self.graph.epoch)
-            if entry is not None:
-                return entry.engine, entry.plan
-        plan = plan_for(compile_graph(self.graph), *subject, pinned=pin)
-        if pin == "sharded":
-            _router, engine, access_engine = self._shard_runtime()
-            return (
-                access_engine if access else engine,
-                replace(plan, route="sharded"),
-            )
-        # Acquisition may build a pinned index and runs here, *outside*
-        # the caller's guard scope: the per-query budget bounds the query's
-        # own traversal, not an index build it happens to trigger.
-        engine = (self.access_engine if access else self.engine)(plan.backend)
-        if texts is not None:
-            self.planner.bind(key, plan, engine)
-        return engine, plan
+        name = pin or "bfs"
+        route = self._routes.get(name)
+        if route is None or route.epoch != self.graph.epoch:
+            # Making a route current refreshes the snapshot and may build a
+            # pinned index; it runs here, *outside* the caller's guard scope:
+            # the per-query budget bounds the query's own traversal, not the
+            # maintenance it triggers.
+            route = self._current(name)
+        key = (kind, pin is not None)
+        plan = route.plans.get(key)
+        if plan is None:
+            plan_for = getattr(self.planner, "plan_" + kind)
+            plan = route.plans[key] = plan_for(route.epoch, pinned=pin)
+            self._plans_made += 1
+        else:
+            self._plans_reused += 1
+        return route, plan
 
     def _degraded(self) -> bool:
         """Whether the guard cut the bulk query just run short (and count it)."""
@@ -385,11 +373,9 @@ class GraphService:
 
         Returns ``(plan, audiences, sweep plan, partial)``.
         """
-        engine, plan = self._route(
-            self.planner.plan_audience, (expression, len(owners)), backend
-        )
+        route, plan = self._route("audience", backend)
         with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plan = engine.sweep_targets_many(owners, expression)
+            audiences, sweep_plan = route.engine.sweep_targets_many(owners, expression)
         return plan, audiences, sweep_plan, self._degraded()
 
     def reach(
@@ -405,12 +391,9 @@ class GraphService:
         started = time.perf_counter()
         self._tick()
         expression = as_path_expression(expression)
-        engine, plan = self._route(
-            self.planner.plan_reach, (expression,), backend,
-            texts=(expression.to_text(),),
-        )
+        route, plan = self._route("reach", backend)
         with self._guard_scope(QueryGuard.RAISE):
-            outcome = engine.evaluate(
+            outcome = route.engine.evaluate(
                 source, target, expression, collect_witness=collect_witness
             )
         return ReachResult(
@@ -519,20 +502,9 @@ class GraphService:
         """Plan and evaluate one access request against the policy store."""
         started = time.perf_counter()
         self._tick()
-        expressions = [
-            condition.path
-            for rule in self.store.rules_for(resource_id)
-            for condition in rule.conditions
-        ]
-        access, plan = self._route(
-            self.planner.plan_access,
-            (expressions,),
-            backend,
-            access=True,
-            texts=tuple(path.to_text() for path in expressions),
-        )
+        route, plan = self._route("access", backend)
         with self._guard_scope(QueryGuard.RAISE):
-            decision = access.check_access(requester, resource_id, explain=explain)
+            decision = route.access.check_access(requester, resource_id, explain=explain)
         return AccessResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
@@ -560,20 +532,9 @@ class GraphService:
         started = time.perf_counter()
         self._tick()
         resource_ids = _as_tuple(resource_ids)
-        distinct: Set[str] = {
-            condition.path.to_text()
-            for resource_id in resource_ids
-            for rule in self.store.rules_for(resource_id)
-            for condition in rule.conditions
-        }
-        access, plan = self._route(
-            self.planner.plan_bulk_access,
-            (len(distinct),),
-            backend,
-            access=True,
-        )
+        route, plan = self._route("bulk_access", backend)
         with self._guard_scope(QueryGuard.PARTIAL):
-            audiences, sweep_plans = access.audiences_with_plans(resource_ids)
+            audiences, sweep_plans = route.access.audiences_with_plans(resource_ids)
         return BulkAccessResult(
             plan=plan,
             elapsed_seconds=time.perf_counter() - started,
@@ -601,10 +562,15 @@ class GraphService:
         self._stats_providers[name] = provider
 
     def statistics(self) -> Dict[str, float]:
-        """Service-level counters plus planner and per-backend statistics."""
+        """Service-level counters plus route-plan and per-route statistics.
+
+        ``planner_plan_cache_hits`` / ``planner_plan_cache_misses`` count the
+        plans a query reused from its route and the plans made for a route at
+        its current epoch (every query is exactly one of the two).
+        """
         stats: Dict[str, float] = {
             "queries_executed": float(self.queries_executed),
-            "backends_instantiated": float(len(self._engines)),
+            "backends_instantiated": float(len(self._routes)),
             "queries_degraded": float(self.queries_degraded),
             "index_build_failures": float(self.index_build_failures),
             "checkpoint_failures": float(self.checkpoint_failures),
@@ -642,16 +608,14 @@ class GraphService:
                 stats["snapshot_fsck_healthy"] = float(report.healthy)
         if self.shards:
             stats["shard_count"] = float(self.shards)
-        if self._shard_runtime_obj is not None:
-            router, shard_engine, _access = self._shard_runtime_obj
-            for key, value in router.statistics().items():
+        sharded = self._routes.get("sharded")
+        if sharded is not None:
+            for key, value in sharded.engine.evaluator.statistics().items():
                 stats[f"shard_{key}"] = value
-            for key, value in shard_engine.cache_info().items():
-                stats[f"sharded_{key}"] = float(value)
-        for name, value in self.planner.statistics().items():
-            stats[f"planner_{name}"] = value
-        for name, engine in self._engines.items():
-            for key, value in engine.cache_info().items():
+        stats["planner_plan_cache_hits"] = float(self._plans_reused)
+        stats["planner_plan_cache_misses"] = float(self._plans_made)
+        for name, info in self.cache_info().items():
+            for key, value in info.items():
                 stats[f"{name}_{key}"] = float(value)
         for name, provider in self._stats_providers.items():
             for key, value in provider().items():
@@ -659,8 +623,8 @@ class GraphService:
         return stats
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
-        """Per-backend engine memo occupancy and hit/miss counts."""
-        return {name: engine.cache_info() for name, engine in self._engines.items()}
+        """Per-route engine memo occupancy and hit/miss counts."""
+        return {name: route.engine.cache_info() for name, route in self._routes.items()}
 
     def __repr__(self) -> str:
         pin = self._default_pin or "auto"

@@ -5,7 +5,7 @@ GraphService` for async serving:
 
 * every service call runs **synchronously on the event loop**, inside the
   batch task it serves or, for a witness reach, inside the call that
-  submitted it — the facade (guard state, memos, planner feedback) is pure
+  submitted it — the facade (guard state, route table, memos) is pure
   Python and not thread-safe, so a second thread would buy no
   parallelism, only GIL hand-offs.  While a batch runs the loop is
   blocked, and frames that arrive meanwhile wait in the kernel socket

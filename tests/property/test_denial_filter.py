@@ -28,12 +28,14 @@ from hypothesis import strategies as st
 
 from repro.graph import compiled
 from repro.graph.compiled import compile_graph
+from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
 from repro.policy.steps import Direction
 from repro.reachability import compiled_search
 from repro.reachability.bfs import OnlineBFSEvaluator
 from repro.reachability.compiled_search import DenialFilter
 from repro.reachability.transitive_closure import TransitiveClosureIndex
+from repro.service import GraphService
 from repro.testing.oracle import reference_reachable
 from tests.property.test_overlay_equivalence import BURSTS, apply_op
 from tests.property.test_property_backends import SETTINGS, expressions, social_graphs
@@ -169,3 +171,26 @@ def test_the_filter_is_built_once_when_denial_work_reaches_the_build(
                         assert (FILTER in snapshot.derived) == (work >= build_reads(snapshot))
             built = FILTER in compile_graph(graph).derived and not kept
             assert len(_CountedFilter.builds) - builds_before == int(built)
+
+
+def test_a_pinned_closure_builds_no_filter_and_auto_still_does():
+    """The closure prunes with its own build-time reachability and walks the
+    rest plainly: under a pinned ``transitive-closure`` no walk pays denial
+    work, so no filter is built, while auto builds one on the same stream."""
+    expression = PathExpression.parse("friend+[1,3]")
+    built = {}
+    for pin in ("transitive-closure", None):
+        graph = preferential_attachment_graph(300, edges_per_node=3, seed=9)
+        users = sorted(graph.users())
+        service = GraphService(graph, cache_size=0, default_backend=pin)
+        _CountedFilter.builds = []
+        pruned = 0
+        with mock.patch.object(compiled_search, "DenialFilter", _CountedFilter):
+            for index in range(3000):
+                source = users[index % len(users)]
+                target = users[(index * 7 + 3) % len(users)]
+                result = service.reach(source, target, expression, collect_witness=False)
+                pruned += "filter_pruned" in result.counters
+        built[pin] = len(_CountedFilter.builds), pruned
+    assert built["transitive-closure"] == (0, 0)
+    assert built[None][0] == 1 and built[None][1] > 0

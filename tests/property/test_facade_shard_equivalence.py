@@ -111,6 +111,6 @@ def test_sharded_service_answers_like_the_oracle(seed, pin):
         assert_route(bulk.plan, service, pin, (seed, shards, pin, "bulk"))
         assert bulk.audiences == want_bulk, (seed, shards, pin)
         # Nothing is partitioned until a pinned query arrives.
-        built = service._shard_runtime_obj is not None
+        built = "sharded" in service._routes
         assert built == (pin == "sharded"), (seed, shards, pin)
         assert ("shard_queries" in service.statistics()) == built, (seed, shards, pin)

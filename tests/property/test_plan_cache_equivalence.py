@@ -1,9 +1,9 @@
-"""The plan cache is a pure memo: caching plans changes no answer and no plan.
+"""The route table is a pure memo: reusing a route changes no answer and no plan.
 
 A seeded stream is replayed in lockstep through a default
-:class:`GraphService` and through a twin whose planner caches nothing
-(``QueryPlanner(cache_size=0)``, which also turns the service's warm route
-off).  The stream mixes repeated point checks and reaches (auto, pinned and
+:class:`GraphService` and through a twin that clears its route table before
+every query, so each of its queries opens its route afresh: new engines,
+cold memos, a newly made plan.  The stream mixes repeated point checks and reaches (auto, pinned and
 sharded), churn bursts, a rule added to a resource mid-stream, and
 denial-heavy forward-only tails long enough for the walks to pay for the
 denial filter, at several epochs.
@@ -23,7 +23,6 @@ from repro.graph.generators import preferential_attachment_graph
 from repro.policy.path_expression import PathExpression
 from repro.policy.store import PolicyStore
 from repro.service import GraphService
-from repro.service.planner import QueryPlanner
 from repro.testing.graphs import LABELS, adversarial_graph
 from repro.testing.oracle import reference_targets
 
@@ -31,16 +30,6 @@ SEEDS = range(6)
 HOT_TEXTS = ("friend+[1,2]", "colleague+[1]/friend+[1,2]", "friend*[1,2]")
 TAIL_TEXTS = ("friend+[1,3]", "friend+[1,2]/colleague+[1,2]", "parent+[1,3]")
 REACHABLE_EVERY = 8  # one tail query in eight is a grant
-
-
-def _twins(graph, store):
-    services = []
-    for planner in (None, QueryPlanner(cache_size=0)):
-        service = GraphService(graph, store, shards=2)
-        if planner is not None:
-            service.planner = planner
-        services.append(service)
-    return services
 
 
 def _churn(graph, rng, count):
@@ -120,7 +109,8 @@ def _run(service, op):
 
 def _replay(graph, rng):
     store = PolicyStore()
-    cached, uncached = _twins(graph, store)
+    cached = GraphService(graph, store, shards=2)
+    uncached = GraphService(graph, store, shards=2)
     backends = set()
     for position, op in enumerate(_stream(graph, store, rng)):
         if op[0] == "churn":
@@ -129,10 +119,12 @@ def _replay(graph, rng):
             store.allow(op[1], [op[2]])
         else:
             got = _run(cached, op)
+            uncached._routes.clear()
             assert got == _run(uncached, op), (position, op)
             backends.add(got[1])
-    assert cached.planner.plans_cached > 0  # the cache actually served plans
-    assert uncached.planner.plans_cached == 0
+    # The routes actually served plans; the twin made every one afresh.
+    assert cached.statistics()["planner_plan_cache_hits"] > 0
+    assert uncached.statistics()["planner_plan_cache_hits"] == 0
     return cached, backends
 
 
@@ -148,6 +140,6 @@ def test_cached_plans_equal_uncached_plans_on_a_perf10_shaped_graph():
     service, backends = _replay(graph, random.Random(61))
     # Auto ran everything on bfs; pins ran where they were pinned.
     assert backends == {"bfs", "sharded"}
-    assert set(service._engines) == {"bfs"}
+    assert set(service.cache_info()) == {"bfs", "sharded"}
     # The last tail's walks paid for a denial filter at the final epoch.
     assert "denial-filter" in compile_graph(graph).derived

@@ -7,9 +7,7 @@ optimization, never a semantics change.  The harness
 reuses the random-graph / random-expression generators of
 ``tests/property/test_backend_equivalence.py`` and drives
 point reaches and audiences through one
-:class:`GraphService` per pin, including artificially inflated stability so
-the amortization flip (auto building an index mid-stream) is exercised, not
-just the cold online path.
+:class:`GraphService` per pin.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ def test_auto_selected_reach_equals_every_pinned_backend(seed):
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
     auto = GraphService(graph)
-    # Half the seeds fast-forward the stability counter so the planner is
-    # willing to build the cluster index mid-stream (the amortization flip).
-    if seed % 2 == 1:
-        auto._stability = 10**9
     pinned = {name: GraphService(graph, default_backend=name) for name in PINS}
     users = sorted(graph.users())
 
@@ -73,8 +67,6 @@ def test_auto_selected_audiences_equal_every_pinned_backend(seed):
     if seed % 2 == 0:
         _force_self_loop(graph, rng)
     auto = GraphService(graph)
-    if seed % 2 == 1:
-        auto._stability = 10**9
     pinned = {name: GraphService(graph, default_backend=name) for name in PINS}
     users = sorted(graph.users())
 

@@ -27,7 +27,7 @@ def broken_chain_graph(n=30):
 
 def break_index_maintenance(service, backend="transitive-closure"):
     """Make every later build of ``backend`` raise; return the attempt log."""
-    evaluator = service._engines[backend].evaluator
+    evaluator = service._routes[backend].engine.evaluator
     attempts = []
 
     def boom(*args, **kwargs):
@@ -40,7 +40,7 @@ def break_index_maintenance(service, backend="transitive-closure"):
 
 
 def fix_index_maintenance(service, backend="transitive-closure"):
-    evaluator = service._engines[backend].evaluator
+    evaluator = service._routes[backend].engine.evaluator
     evaluator.build = evaluator.saved_build
 
 

@@ -201,12 +201,12 @@ class TestIndexFreshness:
         the planner then chose an online backend."""
         service = service_over(figure1)
         service.reach("Alice", "Bill", "friend+[1]", backend="transitive-closure")
-        built_at = service._built_epoch["transitive-closure"]
+        built_at = service._routes["transitive-closure"].epoch
         figure1.update_user("Alice", age=33)  # stales the closure
         result = service.reach("Alice", "Bill", "friend+[1]")  # auto -> online
         assert result.plan.backend == "bfs"
         # The stale closure was not rebuilt as a parsing side effect.
-        assert service._built_epoch["transitive-closure"] == built_at
+        assert service._routes["transitive-closure"].epoch == built_at
 
 
 class TestSweepPlanRace:
@@ -243,7 +243,7 @@ class TestServiceBookkeeping:
         service.reach("Alice", "Bill", "friend+[1]")
         stats = service.statistics()
         assert stats["queries_executed"] == 2.0
-        assert stats["planner_plans_computed"] >= 1.0
+        assert stats["planner_plan_cache_misses"] >= 1.0
         assert stats["bfs_hits"] >= 1.0  # second call was a memo hit
         assert "bfs" in service.cache_info()
 

@@ -103,7 +103,7 @@ async def _drive(session, requests, offsets):
 
 def _run_mode(graph, requests, offsets, *, max_batch):
     service = GraphService(graph)
-    # Compile the snapshot and warm the parse/plan caches with an owner
+    # Compile the snapshot and warm the parse memo and routes with an owner
     # outside the request population (owners stay unique, so no served
     # answer is memo-served).
     warm_owner = sorted(graph.users(), key=str)[-1]
