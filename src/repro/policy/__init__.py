@@ -6,7 +6,8 @@ Public entry points:
   of access conditions (``friend+[1,2]/colleague+[1]{age >= 18}``).
 * :class:`~repro.policy.rules.AccessRule` / :class:`~repro.policy.rules.AccessCondition`
   — Definitions 2 and 3.
-* :class:`~repro.policy.store.PolicyStore` — resources and their rules.
+* :class:`~repro.policy.store.PolicyStore` — resources and their rules, one
+  :class:`~repro.policy.store.ResourcePolicy` record per resource.
 * :class:`~repro.policy.engine.AccessControlEngine` — request interception,
   evaluation through a pluggable reachability backend, decisions with
   explanations.
@@ -23,7 +24,7 @@ from repro.policy.path_expression import PathExpression, parse_path_expression
 from repro.policy.resources import Resource
 from repro.policy.rules import AccessCondition, AccessRule, CombinationMode
 from repro.policy.steps import DepthInterval, Direction, Step
-from repro.policy.store import PolicyStore
+from repro.policy.store import PolicyStore, ResourcePolicy
 
 __all__ = [
     "AttributeCondition",
@@ -38,6 +39,7 @@ __all__ = [
     "CombinationMode",
     "Resource",
     "PolicyStore",
+    "ResourcePolicy",
     "AccessDecision",
     "ConditionOutcome",
     "RuleOutcome",

@@ -1,47 +1,42 @@
 """The access-control enforcement engine.
 
 This is the component the paper's "problem statement" describes: it
-intercepts an access request ``(requester, resource)``, looks up the access
-rules stored for that resource, evaluates every access condition as an
-ordered label-constraint reachability query between the resource owner and
-the requester, and grants or denies access.
+intercepts an access request ``(requester, resource)``, reads the
+resource's policy record (:class:`~repro.policy.store.ResourcePolicy`, one
+dict probe) and decides it with :func:`~repro.policy.rules.fold_rules`:
+each access condition is an ordered label-constraint reachability query
+from the owner, a rule folds its conditions with ``&`` (ALL) or ``|`` (ANY)
+and the rules join by ``|``.  ``check_access`` folds booleans and stops at
+the first settled value; :meth:`AccessControlEngine.audiences_with_plans`
+folds the audience sets of one multi-source owner-bitset sweep per path
+expression and returns the executed per-expression
+:class:`~repro.reachability.compiled_search.SweepPlan` objects with the
+audiences (none for an expression served entirely from the memo).
 
-Design points:
-
-* The reachability backend is pluggable (``bfs``, ``transitive-closure``
-  or ``cluster-index``); all produce identical
-  decisions, they only differ in cost profile.
-* The resource owner always has access to their own resources.
-* A resource with **no** rules is private to its owner (deny by default);
-  this is configurable (``default_effect``).
-* Decisions are explained (matched rules, witness paths) and can be recorded
-  in an :class:`~repro.policy.audit.AuditLog`.
-
-Caching and bulk evaluation
----------------------------
-``check_access`` evaluates each access condition through the inner
-:class:`~repro.reachability.engine.ReachabilityEngine`, so it inherits that
-facade's cache-invalidation contract verbatim: decisions are memoized under
-the graph's mutation ``epoch`` (any committed mutation — structural or an
-attribute write through ``graph.attributes(u)`` — invalidates them), and
-constructor keyword ``cache_size=0`` disables the memo.  The bulk
-:meth:`AccessControlEngine.audiences_with_plans` groups access conditions
-across the requested resources by path expression and answers each group
-with one multi-source owner-bitset sweep, and the executed per-expression
-:class:`~repro.reachability.compiled_search.SweepPlan` objects are
-**returned with the audiences** (no entry for expressions served entirely
-from the memo).
+* The backend is pluggable (``bfs``, ``transitive-closure`` or
+  ``cluster-index``); all decide identically.  Condition answers ride the
+  :class:`~repro.reachability.engine.ReachabilityEngine` memos, stamped
+  with the graph's mutation ``epoch`` (any committed mutation, attribute
+  writes included, invalidates them; ``cache_size=0`` disables them).
+* The owner is always granted.  A resource with no rules takes
+  ``default_effect``: private to its owner under ``DENY``; under ``GRANT``
+  every requester is granted and its audience is every user of the graph.
+* ``explain=False`` builds one :class:`~repro.policy.decisions.AccessDecision`
+  and no ``RuleOutcome`` / ``ConditionOutcome``; ``explain=True`` evaluates
+  every condition with its witness path and attaches them.  Decisions can
+  be recorded in an :class:`~repro.policy.audit.AuditLog`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.graph.social_graph import SocialGraph
 from repro.policy.audit import AuditLog
 from repro.policy.decisions import AccessDecision, ConditionOutcome, Effect, RuleOutcome
-from repro.policy.rules import AccessRule, CombinationMode
+from repro.policy.path_expression import PathExpression
+from repro.policy.rules import AccessRule, fold_rules
 from repro.policy.store import PolicyStore
 from repro.reachability.engine import ReachabilityEngine
 
@@ -93,61 +88,48 @@ class AccessControlEngine:
     ) -> AccessDecision:
         """Evaluate one access request and return the decision.
 
-        With ``explain=False`` the evaluation stops at the first satisfied
-        rule without collecting witness paths (the fast path used by the
-        throughput benchmarks); with ``explain=True`` every rule is evaluated
-        and witnesses are attached.
+        With ``explain=False`` the rules' fold stops at the first satisfied
+        rule and the decision carries no rule outcomes (the fast path);
+        with ``explain=True`` every condition is evaluated with its witness
+        path and the outcomes are attached.
         """
         started = time.perf_counter()
-        resource = self.store.resource(resource_id)
-        rules = self.store.rules_for(resource_id)
-
-        if requester == resource.owner:
-            decision = AccessDecision(
-                effect=Effect.GRANT,
-                resource_id=resource_id,
-                owner=resource.owner,
-                requester=requester,
-                reason="requester is the resource owner",
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            return self._record(decision)
-
-        if not rules:
-            decision = AccessDecision(
-                effect=self.default_effect,
-                resource_id=resource_id,
-                owner=resource.owner,
-                requester=requester,
-                reason="no access rule is defined for this resource",
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            return self._record(decision)
-
-        rule_outcomes: List[RuleOutcome] = []
-        granted = False
-        for rule in rules:
-            outcome = self._evaluate_rule(rule, requester, collect_witness=explain)
-            rule_outcomes.append(outcome)
-            if outcome.satisfied:
-                granted = True
-                if not explain:
-                    break
-
-        decision = AccessDecision(
-            effect=Effect.GRANT if granted else Effect.DENY,
-            resource_id=resource_id,
-            owner=resource.owner,
-            requester=requester,
-            rule_outcomes=tuple(rule_outcomes),
-            reason=(
-                "a rule authorizes the requester"
+        policy = self.store.policy(resource_id)
+        owner = policy.resource.owner
+        rule_outcomes: Tuple[RuleOutcome, ...] = ()
+        if requester == owner:
+            effect, reason = Effect.GRANT, "requester is the resource owner"
+        elif not policy.rules:
+            effect, reason = self.default_effect, "no access rule is defined for this resource"
+        else:
+            if explain:
+                rule_outcomes = self._rule_outcomes(requester, policy.rules)
+                granted = any(outcome.satisfied for outcome in rule_outcomes)
+            else:
+                evaluate = self.reachability.evaluate
+                granted = fold_rules(
+                    policy.rules,
+                    lambda condition: evaluate(
+                        condition.owner, requester, condition.path, collect_witness=False
+                    ).reachable,
+                )
+            effect, reason = (
+                (Effect.GRANT, "a rule authorizes the requester")
                 if granted
-                else "no rule authorizes the requester"
-            ),
+                else (Effect.DENY, "no rule authorizes the requester")
+            )
+        decision = AccessDecision(
+            effect=effect,
+            resource_id=resource_id,
+            owner=owner,
+            requester=requester,
+            rule_outcomes=rule_outcomes,
+            reason=reason,
             elapsed_seconds=time.perf_counter() - started,
         )
-        return self._record(decision)
+        if self.audit_log is not None:
+            self.audit_log.record(decision)
+        return decision
 
     def is_allowed(self, requester: Hashable, resource_id: Hashable) -> bool:
         """Boolean-only form of :meth:`check_access` (no explanation collected)."""
@@ -183,41 +165,42 @@ class AccessControlEngine:
         path expression and each group is answered by one
         :meth:`ReachabilityEngine.sweep_targets_many` call — a single
         multi-source owner-bitset sweep shared by every owner of the group —
-        then recombined per rule.
+        then each resource's audience is its owner plus its rules' fold over
+        those sets (with no rules: nobody else under ``DENY``, every user of
+        the graph under ``GRANT``).
 
         Returns ``(audiences, plans)`` where ``plans`` maps expression text
         to the executed :class:`~repro.reachability.compiled_search.
         SweepPlan` of that expression's sweep; expressions served entirely
         from the memo swept nothing and have no entry.
         """
-        resource_ids = list(dict.fromkeys(resource_ids))
-        rules_of = {rid: self.store.rules_for(rid) for rid in resource_ids}
+        policies = {rid: self.store.policy(rid) for rid in resource_ids}
         # One batched sweep per distinct expression, over every owner that
         # states a condition with it (an ordered set keeps runs deterministic).
-        sweeps: Dict[str, Tuple[object, Dict[Hashable, None]]] = {}
-        for rules in rules_of.values():
-            for rule in rules:
+        sweeps: Dict[str, Tuple[PathExpression, Dict[Hashable, None]]] = {}
+        for policy in policies.values():
+            for rule in policy.rules:
                 for condition in rule.conditions:
                     text = condition.path.to_text()
                     entry = sweeps.get(text)
                     if entry is None:
                         entry = sweeps[text] = (condition.path, {})
                     entry[1][condition.owner] = None
-        audience_of: Dict[Tuple[str, Hashable], Set[Hashable]] = {}
+        targets: Dict[str, Dict[Hashable, AbstractSet[Hashable]]] = {}
         plans: Dict[str, object] = {}
         for text, (path, owners) in sweeps.items():
-            computed, plan = self.reachability.sweep_targets_many(owners, path)
-            for owner, targets in computed.items():
-                audience_of[(text, owner)] = targets
+            targets[text], plan = self.reachability.sweep_targets_many(owners, path)
             if plan is not None:
                 plans[text] = plan
         audiences: Dict[Hashable, Set[Hashable]] = {}
-        for resource_id in resource_ids:
-            resource = self.store.resource(resource_id)
-            audience: Set[Hashable] = {resource.owner}
-            for rule in rules_of[resource_id]:
-                audience |= self._combine_rule_audience(rule, audience_of)
-            audiences[resource_id] = audience
+        for resource_id, policy in policies.items():
+            if policy.rules:
+                admitted = fold_rules(
+                    policy.rules, lambda c: targets[c.path.to_text()][c.owner]
+                )
+            else:
+                admitted = self.graph.users() if self.default_effect is Effect.GRANT else ()
+            audiences[resource_id] = {policy.resource.owner}.union(admitted)
         return audiences, plans
 
     def authorized_audiences(
@@ -226,67 +209,22 @@ class AccessControlEngine:
         """Audiences-only form of :meth:`audiences_with_plans`."""
         return self.audiences_with_plans(resource_ids)[0]
 
-    @staticmethod
-    def _combine_rule_audience(
-        rule: AccessRule,
-        audience_of: Dict[Tuple[str, Hashable], Set[Hashable]],
-    ) -> Set[Hashable]:
-        audiences = [
-            audience_of[(condition.path.to_text(), condition.owner)]
-            for condition in rule.conditions
-        ]
-        if not audiences:
-            return set()
-        if rule.combination is CombinationMode.ALL:
-            result = set(audiences[0])
-            for audience in audiences[1:]:
-                result &= audience
-            return result
-        result: Set[Hashable] = set()
-        for audience in audiences:
-            result |= audience
-        return result
-
     # -------------------------------------------------------------- helpers
 
-    def _evaluate_rule(
-        self,
-        rule: AccessRule,
-        requester: Hashable,
-        *,
-        collect_witness: bool,
-    ) -> RuleOutcome:
-        outcomes: List[ConditionOutcome] = []
-        satisfied_flags: List[bool] = []
-        for condition in rule.conditions:
-            result = self.reachability.evaluate(
-                condition.owner,
-                requester,
-                condition.path,
-                collect_witness=collect_witness,
-            )
-            outcomes.append(
-                ConditionOutcome(
-                    condition=condition,
-                    satisfied=result.reachable,
-                    witness=result.witness,
-                )
-            )
-            satisfied_flags.append(result.reachable)
-            if rule.combination is CombinationMode.ALL and not result.reachable and not collect_witness:
-                break
-            if rule.combination is CombinationMode.ANY and result.reachable and not collect_witness:
-                break
-        if rule.combination is CombinationMode.ALL:
-            satisfied = bool(satisfied_flags) and all(satisfied_flags) and len(satisfied_flags) == len(rule.conditions)
-        else:
-            satisfied = any(satisfied_flags)
-        return RuleOutcome(rule=rule, satisfied=satisfied, condition_outcomes=tuple(outcomes))
-
-    def _record(self, decision: AccessDecision) -> AccessDecision:
-        if self.audit_log is not None:
-            self.audit_log.record(decision)
-        return decision
+    def _rule_outcomes(
+        self, requester: Hashable, rules: Tuple[AccessRule, ...]
+    ) -> Tuple[RuleOutcome, ...]:
+        """Every condition of every rule, evaluated with its witness path."""
+        evaluate = self.reachability.evaluate
+        outcomes: List[RuleOutcome] = []
+        for rule in rules:
+            conditions: List[ConditionOutcome] = []
+            for condition in rule.conditions:
+                result = evaluate(condition.owner, requester, condition.path, collect_witness=True)
+                conditions.append(ConditionOutcome(condition, result.reachable, result.witness))
+            satisfied = rule.combination.fold(outcome.satisfied for outcome in conditions)
+            outcomes.append(RuleOutcome(rule, satisfied, tuple(conditions)))
+        return tuple(outcomes)
 
     # ---------------------------------------------------------------- stats
 

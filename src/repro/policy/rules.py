@@ -12,18 +12,21 @@
 
 A resource may carry several rules; the engine grants access when at least
 one rule is satisfied (each rule describes one authorized audience).
+These semantics are written once, in :func:`fold_rules`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Optional, Tuple, TypeVar, Union
 
 from repro.exceptions import RuleValidationError
 from repro.policy.path_expression import PathExpression
 
-__all__ = ["CombinationMode", "AccessCondition", "AccessRule"]
+__all__ = ["CombinationMode", "AccessCondition", "AccessRule", "fold_rules"]
+
+V = TypeVar("V")  # a condition's value: a bool, or the set of users it admits
 
 
 class CombinationMode(enum.Enum):
@@ -43,6 +46,25 @@ class CombinationMode(enum.Enum):
             raise RuleValidationError(
                 f"unknown combination mode {value!r}; expected 'all' or 'any'"
             ) from None
+
+    def fold(self, values: Iterable[V]) -> V:
+        """Fold the non-empty ``values`` in order with ``&`` (ALL) or ``|`` (ANY).
+
+        It takes no value once the result is settled (ALL at a falsy value,
+        ANY at ``True``), so a lazy iterable evaluates no more than needed.
+        """
+        every = self is CombinationMode.ALL
+        result = None
+        for value in values:
+            if result is None:
+                result = value
+            elif every:
+                result = result & value
+            else:
+                result = result | value
+            if (not result) if every else (result is True):
+                break
+        return result
 
 
 @dataclass(frozen=True)
@@ -139,3 +161,20 @@ class AccessRule:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+def fold_rules(rules: Iterable[AccessRule], value_of: Callable[[AccessCondition], V]) -> V:
+    """The value of a non-empty rule set: the model's one decision rule.
+
+    Each rule folds ``value_of`` (a ``bool`` per requester, or the set of
+    users a condition admits) over its conditions by its combination mode,
+    and the rules join by ``|`` up to the first ``True``.  The owner and
+    the no-rules default are the caller's.
+    """
+    result = None
+    for rule in rules:
+        value = rule.combination.fold(map(value_of, rule.conditions))
+        result = value if result is None else result | value
+        if result is True:
+            break
+    return result

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import NodeNotFoundError, UnknownTenantError
+from repro.exceptions import NodeNotFoundError, ResourceNotFoundError, UnknownTenantError
 from repro.graph.social_graph import SocialGraph
 from repro.policy.decisions import AccessDecision, Effect
 from repro.policy.store import PolicyStore
@@ -425,68 +425,72 @@ class TenantSession:
     ) -> List:
         size = len(requests)
         outcomes: List[object] = [None] * size
-        bulk: List[int] = []
-        store = self.service.store
+        bulk: List[Tuple[int, Hashable]] = []  # (member index, resource owner)
+        policy_of = self.service.store.policy
         has_user = self.service.graph.has_user
         for index, request in enumerate(requests):
-            # Trivial decisions (owner, no-rules default, unknown resource)
-            # never traverse, and an absent requester is an error the
-            # audience sweep cannot see; serve them through the unbatched
-            # path so their semantics — including the typed unknown-resource
-            # and unknown-user errors and the default-effect grant the
-            # audience does NOT contain — are the sequential ones verbatim.
+            # One record read per member.  Trivial decisions (owner, no-rules
+            # default, unknown resource) never traverse, and an absent
+            # requester is an error the audience sweep cannot see; serve them
+            # through the unbatched path so their semantics — including the
+            # typed unknown-resource and unknown-user errors — are the
+            # sequential ones verbatim.
+            try:
+                policy = policy_of(request.resource_id)
+            except ResourceNotFoundError:
+                policy = None
             if (
-                not store.has_resource(request.resource_id)
-                or request.requester == store.resource(request.resource_id).owner
-                or not store.rules_for(request.resource_id)
+                policy is None
+                or request.requester == policy.resource.owner
+                or not policy.rules
                 or not has_user(request.requester)
             ):
                 self.solo_requests += 1
                 outcomes[index] = self._solo_check(request)
             else:
-                bulk.append(index)
+                bulk.append((index, policy.resource.owner))
         if not bulk:
             return outcomes
         resource_ids = list(
-            dict.fromkeys(requests[i].resource_id for i in bulk)
+            dict.fromkeys(requests[index].resource_id for index, _owner in bulk)
         )
         with deadline_scope(earliest):
             result = self.service.bulk_access(resource_ids)
         if result.partial:
             self.fallbacks += len(bulk)
-            for index in bulk:
+            for index, _owner in bulk:
                 outcomes[index] = self._solo_check(requests[index])
             return outcomes
-        for index in bulk:
+        for index, owner in bulk:
             request = requests[index]
             # For a non-owner requester against a ruled resource, a grant is
-            # exactly membership in the authorized audience (the audience is
-            # {owner} ∪ per-rule combine, and requester != owner here).
+            # exactly membership in the authorized audience (the owner plus
+            # the rules' fold, and requester != owner here).
             granted = request.requester in result.audiences[request.resource_id]
             outcomes[index] = AccessResult(
                 plan=result.plan,
                 elapsed_seconds=result.elapsed_seconds,
                 batch_size=size,
-                decision=self._record_coalesced_decision(request, granted),
+                decision=self._record_coalesced_decision(request, owner, granted),
             )
         return outcomes
 
     def _record_coalesced_decision(
-        self, request: _AccessRequest, granted: bool
+        self, request: _AccessRequest, owner: Hashable, granted: bool
     ) -> AccessDecision:
         """The decision of one coalesced check, recorded in the audit log.
 
         Sequential ``check_access`` records every decision; a coalesced
         check must not leave a hole in the log, and the record is the
-        answer's own decision.  It carries no rule outcomes (the sweep
-        never evaluated rules one by one) but names its provenance in the
-        reason.
+        answer's own decision.  It carries no rule outcomes (as
+        ``check_access(explain=False)`` does not) but names its provenance
+        in the reason.
         """
         verdict = "in" if granted else "not in"
         decision = AccessDecision(
             effect=Effect.GRANT if granted else Effect.DENY,
             resource_id=request.resource_id,
-            owner=self.service.store.resource(request.resource_id).owner,
+            owner=owner,
             requester=request.requester,
             reason=(
                 f"requester is {verdict} the authorized audience "

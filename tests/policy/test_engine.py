@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.datasets.paper_graph import ALICE, BILL, COLIN, DAVID, ELENA, FRED, GEORGE
@@ -78,10 +80,34 @@ class TestExplanations:
         assert "GRANTED" in text and "Q1" not in text  # description lives on the rule, not the text header
         assert "Alice/friend+[1,2]/colleague+[1]" in text
 
+    def test_a_fast_decision_carries_no_outcomes(self, engine):
+        for requester in (FRED, GEORGE):
+            assert engine.check_access(requester, "photos", explain=False).rule_outcomes == ()
+
     def test_denied_explanation_lists_unsatisfied_rules(self, engine):
         decision = engine.check_access(GEORGE, "photos", explain=True)
         assert decision.rule_outcomes
         assert all(not outcome.satisfied for outcome in decision.rule_outcomes)
+
+
+class TestRuleFold:
+    def test_a_check_stops_at_the_first_settled_value(self, figure1):
+        # Colin is Alice's friend, not her colleague: the ANY rule is settled
+        # by its first condition and ends the check; the ALL rule is settled
+        # by its first, failing, condition.
+        store = PolicyStore()
+        store.share(ALICE, "any-first")
+        store.allow("any-first", ["friend+[1]", "colleague+[1]"], combination="any")
+        store.allow("any-first", "parent+[1]")
+        store.share(ALICE, "all-first")
+        store.allow("all-first", ["colleague+[1]", "friend+[1]"])
+        engine = AccessControlEngine(figure1, store)
+        for resource, granted in (("any-first", True), ("all-first", False)):
+            with mock.patch.object(
+                engine.reachability, "evaluate", wraps=engine.reachability.evaluate
+            ) as evaluate:
+                assert engine.is_allowed(COLIN, resource) is granted
+            assert evaluate.call_count == 1, resource
 
 
 class TestAudienceComputation:
@@ -95,6 +121,15 @@ class TestAudienceComputation:
 
     def test_authorized_audience_of_unprotected_resource_is_owner_only(self, engine):
         assert engine.authorized_audience("unprotected") == {ALICE}
+
+    def test_default_grant_audience_is_every_user(self, figure1, store):
+        # check grants every requester a rule-less resource under GRANT, so
+        # its audience is the whole graph, not {owner}.
+        permissive = AccessControlEngine(figure1, store, default_effect=Effect.GRANT)
+        everyone = set(figure1.users())
+        assert {user for user in everyone if permissive.is_allowed(user, "unprotected")} == everyone
+        assert permissive.authorized_audience("unprotected") == everyone
+        assert permissive.authorized_audience("photos") == {ALICE, FRED}
 
     def test_multi_condition_rule_audience_is_intersection(self, figure1):
         store = PolicyStore()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 from unittest import mock
 
@@ -13,6 +14,7 @@ from repro.policy.path_expression import PathExpression
 from repro.policy.store import PolicyStore
 from repro.service import GraphService
 from repro.service.planner import QueryPlanner
+from repro.serving import TenantSession
 
 PINS = ("bfs", "transitive-closure", "cluster-index", "sharded")
 PLAN_METHODS = ("plan_reach", "plan_access", "plan_audience", "plan_bulk_access")
@@ -121,24 +123,47 @@ class TestRoutePlans:
 
 
 class TestRulesLookups:
-    """A verb reads the policy store once per resource: the planner sees no rules."""
+    """A verb reads a resource's policy record once: the planner sees no rules."""
 
-    def test_a_warm_check_reads_the_rules_once(self):
+    @staticmethod
+    def _reads():
+        return mock.patch.object(
+            PolicyStore, "policy", autospec=True, side_effect=PolicyStore.policy
+        )
+
+    def test_a_warm_check_reads_the_record_once(self):
         service, users = small_service()
         service.check(users[9], "r0", explain=False)
-        with mock.patch.object(
-            PolicyStore, "rules_for", autospec=True, side_effect=PolicyStore.rules_for
-        ) as rules_for:
+        with self._reads() as policy:
             service.check(users[9], "r0", explain=False)
-        assert rules_for.call_count == 1
+        assert policy.call_count == 1
 
-    def test_bulk_access_reads_the_rules_once_per_resource(self):
+    def test_bulk_access_reads_the_record_once_per_resource(self):
         service, _users = small_service()
-        with mock.patch.object(
-            PolicyStore, "rules_for", autospec=True, side_effect=PolicyStore.rules_for
-        ) as rules_for:
+        with self._reads() as policy:
             service.bulk_access(["r0", "r1"])
-        assert sorted(call.args[1] for call in rules_for.call_args_list) == ["r0", "r1"]
+        assert sorted(call.args[1] for call in policy.call_args_list) == ["r0", "r1"]
+
+    def test_a_coalesced_batch_reads_the_record_once_per_member(self):
+        service, users = small_service()
+        members = [(users[9 + i], ("r0", "r1")[i % 2]) for i in range(6)]
+
+        async def serve():
+            session = TenantSession("t", service, max_batch=64)
+            try:
+                return await asyncio.gather(
+                    *(session.check(requester, resource) for requester, resource in members)
+                )
+            finally:
+                await session.close()
+
+        with self._reads() as policy:
+            answers = asyncio.run(serve())
+        assert {answer.batch_size for answer in answers} == {len(members)}
+        # One read per member, then bulk_access's one per distinct resource.
+        assert sorted(call.args[1] for call in policy.call_args_list) == sorted(
+            [resource for _requester, resource in members] + ["r0", "r1"]
+        )
 
 
 class TestAudiencePlanning:

@@ -12,7 +12,10 @@ from ``benchmarks/e2e/inputs.py``) under :mod:`tracemalloc` and prints:
   ``repro/graph/social_graph.py``, node attribute dicts included — in
   total and per edge;
 * the bytes ``CompiledGraph`` keeps after one compile of that graph, and
-  the compile's transient (its traced peak above what it keeps).
+  the compile's transient (its traced peak above what it keeps);
+* the transient of ``SnapshotStore.save`` of that compiled snapshot (its
+  traced peak above what was live before it) and the file's size.  The
+  file goes to a temporary directory that is removed afterwards.
 
 These are the figures docs/architecture.md's bytes-per-edge table cites.
 Nothing is timed and nothing is asserted: the numbers depend on the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -33,12 +37,13 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "e2e")]
 
 from inputs import build_inputs  # noqa: E402  (path bootstrap above)
 from repro.graph.compiled import CompiledGraph  # noqa: E402
+from repro.graph.snapshot import SnapshotStore  # noqa: E402
 
 MIB = 2 ** 20
 
 
 def measure(users: int) -> dict:
-    """Trace one build and one compile; return the byte counts."""
+    """Trace one build, one compile and one save; return the byte counts."""
     tracemalloc.start()
     try:
         graph = build_inputs(users, 1).graph
@@ -52,6 +57,11 @@ def measure(users: int) -> dict:
         before = tracemalloc.get_traced_memory()[0]
         compiled = CompiledGraph(graph)
         after, peak = tracemalloc.get_traced_memory()
+        with tempfile.TemporaryDirectory() as directory:
+            tracemalloc.reset_peak()
+            saved_from = tracemalloc.get_traced_memory()[0]
+            file_bytes = SnapshotStore(Path(directory) / "graph.snap").save(compiled)
+            save_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     del compiled
@@ -61,6 +71,8 @@ def measure(users: int) -> dict:
         "graph_bytes": owned,
         "compiled_bytes": after - before,
         "transient_bytes": peak - after,
+        "save_transient_bytes": save_peak - saved_from,
+        "file_bytes": file_bytes,
     }
 
 
@@ -76,7 +88,9 @@ def main(argv=None) -> int:
         f"({m['graph_bytes'] / edges:.0f} B/edge)\n"
         f"CompiledGraph kept {m['compiled_bytes'] / MIB:6.2f} MiB "
         f"({m['compiled_bytes'] / edges:.0f} B/edge)\n"
-        f"compile transient  {m['transient_bytes'] / MIB:+6.2f} MiB"
+        f"compile transient  {m['transient_bytes'] / MIB:+6.2f} MiB\n"
+        f"save transient     {m['save_transient_bytes'] / MIB:+6.2f} MiB "
+        f"(a {m['file_bytes'] / MIB:.2f} MiB snapshot file)"
     )
     return 0
 
